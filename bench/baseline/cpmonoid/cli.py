@@ -1,0 +1,371 @@
+"""Command-line front end.
+
+Subcommands::
+
+    cpmonoid eval -t FILE ARG...            evaluate a template file
+    cpmonoid morphism apply -m FILE WORD    apply a morphism file
+    cpmonoid profile  --oracle SPEC         length coefficients of an oracle
+    cpmonoid classify --oracle SPEC         head case of an oracle
+    cpmonoid extract  --oracle SPEC         recover a template (or NOT-RCP)
+    cpmonoid audit    --oracle SPEC         hunt for a preservation witness
+    cpmonoid check    --oracle SPEC         full verdict
+    cpmonoid explore  --alphabet AB ...     two-letter candidate search
+
+Oracles are named by scheme: ``template:FILE``, ``builtin:NAME``,
+``table:FILE`` or ``exec:COMMANDLINE`` (the command is split shell-style and
+spoken to over the line protocol; ``--arity``/``--alphabet`` supply its
+signature).
+
+Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome or
+non-representable candidates; 2 usage or file-format errors; 3 external
+oracle protocol failures; 4 budget exhausted.  The ``CPMONOID_SEED``
+environment variable overrides ``--seed``.  All output is deterministic for
+fixed inputs and seeds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import os
+import sys
+from typing import Sequence
+
+from .audit import Budgets, CertifiedCP, Indeterminate, RefutedCP, audit, theorem_check
+from .explorer import SearchConfig, explore
+from .extraction import (
+    NotRCP,
+    Extracted,
+    classify_head,
+    extract,
+    extract_fresh,
+    length_profile,
+    render_head_case,
+)
+from .oracles import (
+    ExternalFunction,
+    OracleError,
+    OracleProtocolError,
+    TemplateFunction,
+    WordFunction,
+    builtin,
+    parse_table,
+)
+from .templates import LengthCoefficients, format_template, parse_template
+from .words import Alphabet, FormatError, Word, parse_morphism
+
+EXIT_OK = 0
+EXIT_FINDING = 1
+EXIT_USAGE = 2
+EXIT_PROTOCOL = 3
+EXIT_BUDGET = 4
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _read_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_oracle(
+    spec: str, alphabet: Alphabet, arity: int, stack: contextlib.ExitStack
+) -> WordFunction:
+    scheme, sep, rest = spec.partition(":")
+    if not sep:
+        raise _UsageError(
+            f"oracle spec {spec!r} needs a scheme: template:, builtin:, table: or exec:"
+        )
+    if scheme == "template":
+        return TemplateFunction(parse_template(_read_file(rest)))
+    if scheme == "builtin":
+        try:
+            return builtin(rest, alphabet)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+    if scheme == "table":
+        return parse_table(_read_file(rest), name=f"table[{rest}]")
+    if scheme == "exec":
+        fn = ExternalFunction(rest, arity, alphabet)
+        stack.callback(fn.close)
+        return fn
+    raise _UsageError(f"unknown oracle scheme {scheme!r}")
+
+
+def _alphabet_arg(text: str) -> Alphabet:
+    try:
+        return Alphabet.of(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _coeff_arg(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError("expected P,E (two comma-separated integers)")
+    try:
+        p, e = (int(part) for part in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected integers in P,E")
+    if p < 0 or e < 0:
+        raise argparse.ArgumentTypeError("coefficients must be nonnegative")
+    return p, e
+
+
+def _add_oracle_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--oracle", required=True, help="template:F | builtin:N | table:F | exec:CMD")
+    sub.add_argument(
+        "--alphabet",
+        type=_alphabet_arg,
+        default=Alphabet.of("abc"),
+        help="alphabet for builtin/table/exec oracles (default: abc)",
+    )
+    sub.add_argument(
+        "--arity", type=int, default=1, help="arity for exec oracles (default: 1)"
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cpmonoid",
+        description="Congruence preservation on free monoids: evaluate, extract, audit, explore.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p_eval = subs.add_parser("eval", help="evaluate a template file on words")
+    p_eval.add_argument("-t", "--template", required=True, metavar="FILE")
+    p_eval.add_argument("args", nargs="*", help="argument words ('' for the empty word)")
+
+    p_mor = subs.add_parser("morphism", help="operations on morphism files")
+    mor_subs = p_mor.add_subparsers(dest="morphism_command", required=True)
+    p_apply = mor_subs.add_parser("apply", help="apply a morphism file to a word")
+    p_apply.add_argument("-m", "--morphism", required=True, metavar="FILE")
+    p_apply.add_argument("word")
+
+    p_profile = subs.add_parser("profile", help="length coefficients of an oracle")
+    _add_oracle_options(p_profile)
+
+    p_classify = subs.add_parser("classify", help="head case of an oracle")
+    _add_oracle_options(p_classify)
+
+    p_extract = subs.add_parser("extract", help="recover a template from an oracle")
+    _add_oracle_options(p_extract)
+    p_extract.add_argument(
+        "--fresh",
+        action="store_true",
+        help="use fresh-letter extraction (oracle must accept new letters)",
+    )
+    p_extract.add_argument(
+        "--validate-len",
+        type=int,
+        default=None,
+        help="validation length bound (default: 3 unary / 2 k-ary)",
+    )
+
+    p_audit = subs.add_parser("audit", help="hunt for a preservation witness")
+    _add_oracle_options(p_audit)
+    p_audit.add_argument(
+        "--family",
+        choices=("standard", "finite_monoids", "random", "all"),
+        default="standard",
+    )
+    p_audit.add_argument("--bound", type=int, default=2, help="input length bound")
+    p_audit.add_argument("--budget", type=int, default=200_000, help="max pair checks")
+    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--count", type=int, default=40, help="random family size")
+    p_audit.add_argument("--image-len", type=int, default=2, dest="image_len")
+
+    p_check = subs.add_parser("check", help="full verdict for an oracle")
+    _add_oracle_options(p_check)
+    p_check.add_argument("--bound", type=int, default=2)
+    p_check.add_argument("--budget", type=int, default=200_000)
+    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument(
+        "--validate-len", type=int, default=None, dest="validate_len"
+    )
+
+    p_explore = subs.add_parser(
+        "explore", help="search two-letter tables consistent with kernel constraints"
+    )
+    p_explore.add_argument(
+        "--alphabet", type=_alphabet_arg, default=Alphabet.of("ab")
+    )
+    p_explore.add_argument("--maxlen", type=int, required=True, help="domain length bound")
+    p_explore.add_argument(
+        "--coeff", type=_coeff_arg, required=True, metavar="P,E",
+        help="forced length law |f(x)| = P|x| + E",
+    )
+    p_explore.add_argument("--image-len", type=int, default=2, dest="image_len")
+    p_explore.add_argument("--node-budget", type=int, default=5_000_000, dest="node_budget")
+
+    return parser
+
+
+def _seed_from_env(seed: int) -> int:
+    raw = os.environ.get("CPMONOID_SEED")
+    if raw is None:
+        return seed
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise _UsageError(f"CPMONOID_SEED must be an integer, got {raw!r}") from exc
+
+
+def _render_profile(coeffs: LengthCoefficients) -> str:
+    lines = [
+        "p " + " ".join(str(c) for c in coeffs.p),
+        f"e {coeffs.e}",
+    ]
+    lines.extend(f"offset {ch} {n}" for ch, n in coeffs.per_letter_offset)
+    return "\n".join(lines)
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    template = parse_template(_read_file(args.template))
+    if len(args.args) != template.arity:
+        raise _UsageError(
+            f"template has arity {template.arity}, got {len(args.args)} arguments"
+        )
+    words = [Word(template.alphabet, w) for w in args.args]
+    print(template.eval(words).letters)
+    return EXIT_OK
+
+
+def _cmd_morphism(args: argparse.Namespace) -> int:
+    morphism = parse_morphism(_read_file(args.morphism))
+    word = Word(morphism.source, args.word)
+    print(morphism.apply(word).letters)
+    return EXIT_OK
+
+
+def _cmd_profile(args: argparse.Namespace, fn: WordFunction) -> int:
+    result = length_profile(fn)
+    if isinstance(result, NotRCP):
+        print(result.render())
+        return EXIT_FINDING
+    print(_render_profile(result))
+    return EXIT_OK
+
+
+def _cmd_classify(args: argparse.Namespace, fn: WordFunction) -> int:
+    result = classify_head(fn)
+    if isinstance(result, NotRCP):
+        print(result.render())
+        return EXIT_FINDING
+    print(render_head_case(result))
+    return EXIT_OK
+
+
+def _cmd_extract(args: argparse.Namespace, fn: WordFunction) -> int:
+    runner = extract_fresh if args.fresh else extract
+    outcome = runner(fn, validation_len=args.validate_len)
+    if isinstance(outcome, Extracted):
+        sys.stdout.write(format_template(outcome.template))
+        return EXIT_OK
+    print(outcome.render())
+    return EXIT_FINDING
+
+
+def _cmd_audit(args: argparse.Namespace, fn: WordFunction) -> int:
+    result = audit(
+        fn,
+        family=args.family,
+        length_bound=args.bound,
+        budget=args.budget,
+        seed=_seed_from_env(args.seed),
+        count=args.count,
+        image_len=args.image_len,
+    )
+    if result.witness is not None:
+        print(result.witness.render())
+        return EXIT_FINDING
+    if result.truncated:
+        print(f"budget exhausted after {result.checks} checks; no witness found")
+        return EXIT_BUDGET
+    print(f"ok ({result.specs_checked} congruences, {result.checks} checks)")
+    return EXIT_OK
+
+
+def _cmd_check(args: argparse.Namespace, fn: WordFunction) -> int:
+    budgets = Budgets(
+        validation_len=args.validate_len,
+        length_bound=args.bound,
+        checks_per_family=args.budget,
+        random_seed=_seed_from_env(args.seed),
+    )
+    verdict = theorem_check(fn, budgets)
+    print(verdict.render())
+    if isinstance(verdict, CertifiedCP):
+        return EXIT_OK
+    if isinstance(verdict, RefutedCP):
+        return EXIT_FINDING
+    return EXIT_BUDGET
+
+
+def _cmd_explore(args: argparse.Namespace) -> int:
+    p, e = args.coeff
+    config = SearchConfig(
+        alphabet=args.alphabet,
+        domain_len=args.maxlen,
+        p=p,
+        e=e,
+        image_len=args.image_len,
+        node_budget=args.node_budget,
+    )
+    report = explore(config)
+    print(report.render())
+    if report.exhausted:
+        return EXIT_BUDGET
+    if report.non_representable:
+        return EXIT_FINDING
+    return EXIT_OK
+
+
+def run(argv: Sequence[str] | None = None) -> int:
+    """Parse and execute; returns the exit status instead of raising."""
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(list(argv) if argv is not None else None)
+    except SystemExit as stop:  # argparse reports usage errors itself
+        code = stop.code
+        return code if isinstance(code, int) else EXIT_USAGE
+
+    try:
+        with contextlib.ExitStack() as stack:
+            if args.command == "eval":
+                return _cmd_eval(args)
+            if args.command == "morphism":
+                return _cmd_morphism(args)
+            if args.command == "explore":
+                return _cmd_explore(args)
+            fn = _load_oracle(args.oracle, args.alphabet, args.arity, stack)
+            handler = {
+                "profile": _cmd_profile,
+                "classify": _cmd_classify,
+                "extract": _cmd_extract,
+                "audit": _cmd_audit,
+                "check": _cmd_check,
+            }[args.command]
+            return handler(args, fn)
+    except (_UsageError, FormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OracleProtocolError as exc:
+        print(f"oracle protocol error: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    except (OracleError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def main() -> None:
+    sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

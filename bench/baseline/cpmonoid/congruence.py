@@ -1,0 +1,392 @@
+"""Congruences on a free monoid, presented through the maps that induce them.
+
+Two flavours are supported, both with decidable membership:
+
+* :class:`RestrictedCongruence` — the kernel of a monoid *endomorphism*
+  ``m``: words ``u, v`` are related iff ``m(u) == m(v)``.
+* :class:`FiniteKernelCongruence` — the kernel of a morphism into a finite
+  monoid, given by a letter assignment; ``u, v`` are related iff the folded
+  products coincide.
+
+Either way a congruence is queried through a *canonical image*: related words
+are exactly those with equal images, so bucketing by image enumerates
+congruent pairs without ever materialising the relation itself.
+"""
+
+from __future__ import annotations
+
+import abc
+import functools
+import itertools
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Union
+
+from .words import (
+    Alphabet,
+    FormatError,
+    Morphism,
+    Word,
+    iter_words,
+)
+
+CanonicalImage = Union[Word, str]
+
+
+@dataclass(frozen=True)
+class FiniteMonoid:
+    """A finite monoid given by its full multiplication table.
+
+    ``table[i][j]`` is the product ``elements[i] * elements[j]``.  The
+    constructor checks only shape (totality, known element ids); the monoid
+    *laws* are checked by :func:`monoid_validate`, so that deliberately broken
+    tables can still be constructed and reported on.
+    """
+
+    name: str
+    elements: tuple[str, ...]
+    identity: str
+    table: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self) -> None:
+        if not self.elements:
+            raise ValueError("monoid needs at least one element")
+        if len(set(self.elements)) != len(self.elements):
+            raise ValueError("duplicate element identifiers")
+        for el in self.elements:
+            if not el or any(ch.isspace() for ch in el):
+                raise ValueError(f"bad element identifier {el!r}")
+        if self.identity not in self.elements:
+            raise ValueError(f"identity {self.identity!r} is not an element")
+        if len(self.table) != len(self.elements):
+            raise ValueError("table must have one row per element")
+        known = set(self.elements)
+        for row in self.table:
+            if len(row) != len(self.elements):
+                raise ValueError("table rows must have one entry per element")
+            for entry in row:
+                if entry not in known:
+                    raise ValueError(f"table entry {entry!r} is not an element")
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return {el: i for i, el in enumerate(self.elements)}
+
+    def op(self, x: str, y: str) -> str:
+        return self.table[self._index[x]][self._index[y]]
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+@dataclass(frozen=True)
+class MonoidViolation:
+    """First law failure found in a multiplication table."""
+
+    kind: str  # "identity" or "associativity"
+    witness: tuple[str, ...]
+    message: str
+
+
+def monoid_validate(m: FiniteMonoid) -> MonoidViolation | None:
+    """Exhaustively check the identity and associativity laws.
+
+    Returns ``None`` when the table is a monoid, otherwise the first
+    violation in element order.  Violations are data, not exceptions, so
+    callers can report them.
+    """
+    e = m.identity
+    for x in m.elements:
+        if m.op(e, x) != x or m.op(x, e) != x:
+            return MonoidViolation(
+                "identity",
+                (x,),
+                f"{e!r} is not an identity on {x!r}: "
+                f"{e}*{x}={m.op(e, x)}, {x}*{e}={m.op(x, e)}",
+            )
+    for x, y, z in itertools.product(m.elements, repeat=3):
+        left = m.op(m.op(x, y), z)
+        right = m.op(x, m.op(y, z))
+        if left != right:
+            return MonoidViolation(
+                "associativity",
+                (x, y, z),
+                f"({x}*{y})*{z}={left} but {x}*({y}*{z})={right}",
+            )
+    return None
+
+
+@dataclass(frozen=True)
+class MonoidMorphism:
+    """A morphism from a free monoid into a finite monoid, by letter images."""
+
+    alphabet: Alphabet
+    monoid: FiniteMonoid
+    assignment: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        letters = tuple(letter for letter, _ in self.assignment)
+        if letters != self.alphabet.letters:
+            raise ValueError(
+                "assignment must cover every letter exactly once, in order"
+            )
+        known = set(self.monoid.elements)
+        for letter, el in self.assignment:
+            if el not in known:
+                raise ValueError(f"letter {letter!r} assigned unknown element {el!r}")
+
+    @classmethod
+    def make(
+        cls, alphabet: Alphabet, monoid: FiniteMonoid, mapping: Mapping[str, str]
+    ) -> "MonoidMorphism":
+        if set(mapping) != alphabet.letter_set:
+            raise ValueError("mapping must cover exactly the alphabet")
+        return cls(
+            alphabet, monoid, tuple((ch, mapping[ch]) for ch in alphabet.letters)
+        )
+
+    @functools.cached_property
+    def _map(self) -> dict[str, str]:
+        return dict(self.assignment)
+
+    def word_image(self, u: Word) -> str:
+        if u.alphabet != self.alphabet:
+            raise ValueError("word over a different alphabet")
+        acc = self.monoid.identity
+        op = self.monoid.op
+        m = self._map
+        for ch in u.letters:
+            acc = op(acc, m[ch])
+        return acc
+
+
+class CongruenceSpec(abc.ABC):
+    """A congruence with decidable membership via canonical images."""
+
+    alphabet: Alphabet
+
+    @abc.abstractmethod
+    def word_image(self, u: Word) -> CanonicalImage:
+        """Canonical image; two words are congruent iff images are equal."""
+
+    @abc.abstractmethod
+    def describe(self) -> str:
+        """Multi-line plain-text description used in reports."""
+
+    def congruent(self, u: Word, v: Word) -> bool:
+        return self.word_image(u) == self.word_image(v)
+
+
+@dataclass(frozen=True)
+class RestrictedCongruence(CongruenceSpec):
+    """Kernel of a free-monoid endomorphism."""
+
+    morphism: Morphism
+
+    def __post_init__(self) -> None:
+        if not self.morphism.is_endomorphism:
+            raise ValueError(
+                "restricted congruences arise from endomorphisms; "
+                f"got {self.morphism.source} -> {self.morphism.target}"
+            )
+
+    @property
+    def alphabet(self) -> Alphabet:  # type: ignore[override]
+        return self.morphism.source
+
+    def word_image(self, u: Word) -> Word:
+        return self.morphism.apply(u)
+
+    def describe(self) -> str:
+        from .words import format_morphism
+
+        head = "congruence: kernel of endomorphism"
+        if self.morphism.label:
+            head += f" {self.morphism.label}"
+        return head + "\n" + format_morphism(self.morphism).rstrip("\n")
+
+
+@dataclass(frozen=True)
+class FiniteKernelCongruence(CongruenceSpec):
+    """Kernel of a morphism into a finite monoid."""
+
+    monoid_morphism: MonoidMorphism
+
+    @property
+    def alphabet(self) -> Alphabet:  # type: ignore[override]
+        return self.monoid_morphism.alphabet
+
+    def word_image(self, u: Word) -> str:
+        return self.monoid_morphism.word_image(u)
+
+    def describe(self) -> str:
+        mm = self.monoid_morphism
+        lines = [f"congruence: kernel of morphism into {mm.monoid.name}"]
+        lines.append(format_finite_monoid(mm.monoid).rstrip("\n"))
+        lines.append(
+            "assignment " + " ".join(f"{l}={e}" for l, e in mm.assignment)
+        )
+        return "\n".join(lines)
+
+
+def congruent_pairs(
+    spec: CongruenceSpec, length_bound: int
+) -> Iterator[tuple[Word, Word]]:
+    """All unordered pairs of distinct congruent words up to ``length_bound``.
+
+    Words are scanned shortest-first (then lexicographically) and bucketed by
+    canonical image; each new word is paired with every earlier member of its
+    bucket, so the stream is deterministic and each pair appears once, as
+    ``(earlier, later)``.
+    """
+    buckets: dict[CanonicalImage, list[Word]] = {}
+    for w in iter_words(spec.alphabet, length_bound):
+        peers = buckets.setdefault(spec.word_image(w), [])
+        for u in peers:
+            yield (u, w)
+        peers.append(w)
+
+
+# --------------------------------------------------------------------------
+# Catalog of small finite monoids used when hunting for refutations.
+
+
+def cyclic_additive(n: int) -> FiniteMonoid:
+    """Integers mod ``n`` under addition."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    els = tuple(str(i) for i in range(n))
+    table = tuple(
+        tuple(str((i + j) % n) for j in range(n)) for i in range(n)
+    )
+    return FiniteMonoid(f"Z{n}+", els, "0", table)
+
+
+def cyclic_multiplicative(n: int) -> FiniteMonoid:
+    """Integers mod ``n`` under multiplication (identity 1)."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    els = tuple(str(i) for i in range(n))
+    table = tuple(
+        tuple(str((i * j) % n) for j in range(n)) for i in range(n)
+    )
+    return FiniteMonoid(f"Z{n}*", els, "1", table)
+
+
+def transformations_on_two_points() -> FiniteMonoid:
+    """All four self-maps of a two-point set, composed left to right.
+
+    An element ``xy`` sends point 1 to ``x`` and point 2 to ``y``; the product
+    applies the left factor first.  This monoid is noncommutative, which is
+    what lets it distinguish functions that permute letter order.
+    """
+    els = ("12", "21", "11", "22")
+
+    def compose(f: str, g: str) -> str:
+        return "".join(g[int(f[i]) - 1] for i in range(2))
+
+    table = tuple(tuple(compose(f, g) for g in els) for f in els)
+    return FiniteMonoid("T2", els, "12", table)
+
+
+def left_zero_with_identity() -> FiniteMonoid:
+    """Two left-absorbing elements plus an adjoined identity.
+
+    For the non-identity elements ``x * y = x``, so the image of a word
+    remembers its *first* significant letter — another cheap source of
+    order sensitivity.
+    """
+    els = ("e", "x", "y")
+
+    def op(a: str, b: str) -> str:
+        if a == "e":
+            return b
+        return a
+
+    table = tuple(tuple(op(a, b) for b in els) for a in els)
+    return FiniteMonoid("LZ2+1", els, "e", table)
+
+
+def monoid_catalog() -> tuple[FiniteMonoid, ...]:
+    """Small monoids tried during audits, cheap and potent ones first.
+
+    Contains the additive and multiplicative integers mod ``n`` for
+    ``n <= 6``, the full transformation monoid on two points, and the
+    two-element left-zero semigroup with an identity adjoined.  Every entry
+    is validated on construction of the catalog.
+    """
+    catalog = [
+        cyclic_additive(2),
+        cyclic_multiplicative(2),
+        left_zero_with_identity(),
+        transformations_on_two_points(),
+    ]
+    for n in range(3, 7):
+        catalog.append(cyclic_additive(n))
+        catalog.append(cyclic_multiplicative(n))
+    for m in catalog:
+        violation = monoid_validate(m)
+        if violation is not None:
+            raise AssertionError(f"broken catalog entry {m.name}: {violation.message}")
+    return tuple(catalog)
+
+
+# --------------------------------------------------------------------------
+# Text formats
+#
+# Finite monoid:                     Letter assignment:
+#
+#   elements 0 1                       a=0
+#   identity 0                         b=1
+#   0 1
+#   1 0
+#
+# Table rows are row-major: row i lists elements[i] * elements[j] for each j.
+
+
+def format_finite_monoid(m: FiniteMonoid) -> str:
+    lines = ["elements " + " ".join(m.elements), f"identity {m.identity}"]
+    lines.extend(" ".join(row) for row in m.table)
+    return "\n".join(lines) + "\n"
+
+
+def parse_finite_monoid(text: str, name: str = "") -> FiniteMonoid:
+    """Parse and *validate* a monoid; law violations are format errors here."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 3 or not lines[0].startswith("elements "):
+        raise FormatError("monoid file must start with 'elements <e0> <e1> ...'")
+    elements = tuple(lines[0].split()[1:])
+    if not lines[1].startswith("identity "):
+        raise FormatError("second line must be 'identity <element>'")
+    identity = lines[1].split()[1]
+    rows = [tuple(ln.split()) for ln in lines[2:]]
+    try:
+        m = FiniteMonoid(name or "monoid", elements, identity, tuple(rows))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    violation = monoid_validate(m)
+    if violation is not None:
+        raise FormatError(f"not a monoid: {violation.message}")
+    return m
+
+
+def format_monoid_morphism(mm: MonoidMorphism) -> str:
+    return "\n".join(f"{letter}={el}" for letter, el in mm.assignment) + "\n"
+
+
+def parse_monoid_morphism(
+    text: str, alphabet: Alphabet, monoid: FiniteMonoid
+) -> MonoidMorphism:
+    mapping: dict[str, str] = {}
+    for ln in text.splitlines():
+        if not ln.strip():
+            continue
+        letter, sep, el = ln.partition("=")
+        if not sep or len(letter) != 1:
+            raise FormatError(f"expected 'letter=element', got {ln!r}")
+        if letter in mapping:
+            raise FormatError(f"duplicate assignment for letter {letter!r}")
+        mapping[letter] = el
+    try:
+        return MonoidMorphism.make(alphabet, monoid, mapping)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc

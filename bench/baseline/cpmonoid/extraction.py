@@ -1,0 +1,743 @@
+"""Recover a template from a black-box oracle, or catch it misbehaving.
+
+On alphabets with at least three letters, every congruence-preserving word
+function *is* a template, and the proof of that fact is an algorithm:
+
+1. Probe output lengths.  A preserving function's lengths are affine in the
+   argument lengths, which yields per-argument coefficients ``p_i`` and a
+   constant term ``e`` (:func:`length_profile`).
+2. Classify the head.  The first output letter is always produced the same
+   way: a fixed letter, the first letter of one particular argument, or the
+   function is constantly empty (:func:`classify_head`).
+3. Peel it off and repeat.  Stripping the identified head yields another
+   preserving function whose size ``Σ p_i + e`` is exactly one smaller
+   (:func:`peel`), so ``Σ p_i + e`` peels suffice (:func:`extract`).
+
+Nothing forces the oracle to keep its promises, so each step carries cheap
+consistency checks and the assembled template is re-validated against the
+oracle on all short inputs.  Any lie surfaces as a :class:`NotRCP` outcome
+naming the offending queries — never as a wrong template.
+
+When the oracle accepts letters outside its declared alphabet there is a
+shortcut (:func:`extract_fresh`): evaluate at a never-seen letter and read
+the template off the output directly, recursing through derived oracles for
+higher arities.
+"""
+
+from __future__ import annotations
+
+import string
+from dataclasses import dataclass, field
+from typing import Iterable, Union
+
+from .oracles import OracleError, WordFunction
+from .templates import LengthCoefficients, Template
+from .words import Alphabet, Word, count_words, iter_word_tuples
+
+# Diagnosis vocabulary for NotRCP outcomes.
+REASON_LENGTH = "length profile inconsistency"
+REASON_AMBIGUOUS = "ambiguous head probes"
+REASON_PEEL = "peel prefix violation"
+REASON_BUDGET = "step budget exceeded"
+REASON_VALIDATION = "validation mismatch"
+REASON_SPLIT = "split cardinality mismatch"
+
+
+@dataclass(frozen=True)
+class ProbeRecord:
+    """One oracle query and what came back."""
+
+    args: tuple[Word, ...]
+    output: Word
+
+    def render(self) -> str:
+        shown = " ".join(a.quoted() for a in self.args) or '""'
+        return f"query: {shown}\noutput: {self.output.quoted()}"
+
+
+@dataclass(frozen=True)
+class NotRCP:
+    """Evidence that the oracle is not congruence preserving as claimed."""
+
+    reason: str
+    probes: tuple[ProbeRecord, ...]
+    detail: str = ""
+
+    def render(self) -> str:
+        lines = ["NOT-RCP", f"reason: {self.reason}"]
+        for probe in self.probes:
+            lines.append(probe.render())
+        if self.detail:
+            lines.append(f"detail: {self.detail}")
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Extracted:
+    """A validated template plus the number of oracle queries it cost."""
+
+    template: Template
+    query_count: int
+
+
+ExtractionOutcome = Union[Extracted, NotRCP]
+
+
+@dataclass(frozen=True)
+class ConstLetter:
+    """Output always starts with this fixed letter."""
+
+    letter: str
+
+
+@dataclass(frozen=True)
+class Variable:
+    """Output always starts with a copy of argument ``index`` (1-based)."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class ConstEmpty:
+    """The function is constantly the empty word."""
+
+
+HeadCase = Union[ConstLetter, Variable, ConstEmpty]
+
+
+def render_head_case(case: HeadCase) -> str:
+    if isinstance(case, ConstLetter):
+        return f"constant-letter {case.letter}"
+    if isinstance(case, Variable):
+        return f"variable {case.index}"
+    return "constant-empty"
+
+
+class PeelViolation(OracleError):
+    """A peeled function's output did not continue with the promised head.
+
+    ``query`` (not Exception's own ``args``) holds the offending arguments.
+    """
+
+    def __init__(self, query: tuple[Word, ...], output: Word, expected: str) -> None:
+        self.query = query
+        self.output = output
+        self.expected = expected
+        super().__init__(str(self))
+
+    def __str__(self) -> str:
+        shown = " ".join(a.quoted() for a in self.query) or '""'
+        return (
+            f"output {self.output.quoted()} on {shown} does not start "
+            f"with {self.expected!r}"
+        )
+
+
+class PeeledFunction(WordFunction):
+    """The base function with one head symbol asserted away.
+
+    Evaluation checks the promised prefix on *every* call and raises
+    :class:`PeelViolation` the moment the base function contradicts its
+    classified head, carrying the offending query.
+    """
+
+    def __init__(self, base: WordFunction, case: HeadCase) -> None:
+        if isinstance(case, ConstEmpty):
+            raise ValueError("cannot peel the constant-empty head")
+        if isinstance(case, Variable) and not 1 <= case.index <= base.arity:
+            raise ValueError(f"variable index {case.index} out of range")
+        if isinstance(case, ConstLetter) and case.letter not in base.alphabet:
+            raise ValueError(f"letter {case.letter!r} outside the base alphabet")
+        # No separate cache: the base function's memoization already makes
+        # repeated probes free, and query_count must stay the base's.
+        super().__init__(
+            f"peel[{render_head_case(case)}]({base.name})",
+            base.alphabet,
+            base.arity,
+            base.supports_extension,
+            cache=False,
+        )
+        self.base = base
+        self.case = case
+
+    @property
+    def query_count(self) -> int:
+        return self.base.query_count
+
+    def _compute(self, args: tuple[Word, ...]) -> Word:
+        out = self.base.evaluate(args)
+        if isinstance(self.case, ConstLetter):
+            prefix = self.case.letter
+        else:
+            prefix = args[self.case.index - 1].letters
+        if not out.letters.startswith(prefix):
+            raise PeelViolation(args, out, prefix)
+        return Word(out.alphabet, out.letters[len(prefix):])
+
+
+def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
+    """Strip a classified head; the result asserts the prefix on every call."""
+    return PeeledFunction(fn, case)
+
+
+def default_validation_len(arity: int, alphabet: Alphabet) -> int:
+    """Validation depth: 3 for unary, 2 otherwise, capped near 10^5 queries."""
+    bound = 3 if arity <= 1 else 2
+    while bound > 0 and count_words(alphabet, bound) ** max(arity, 1) > 100_000:
+        bound -= 1
+    return bound
+
+
+def _empty_tuple(fn: WordFunction) -> tuple[Word, ...]:
+    return (Word(fn.alphabet, ""),) * fn.arity
+
+
+def _unit_tuple(fn: WordFunction, position: int, letters: str) -> tuple[Word, ...]:
+    """ε everywhere except ``letters`` at the given 1-based position."""
+    args = [Word(fn.alphabet, "")] * fn.arity
+    args[position - 1] = Word(fn.alphabet, letters)
+    return tuple(args)
+
+
+def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
+    """Probe the affine length law; inconsistency is a :class:`NotRCP`.
+
+    ``p_i`` is read off a single-letter probe in position ``i`` and
+    cross-checked against a second letter, a two-letter probe, and an
+    all-positions probe.  Requires at least two letters.
+    """
+    if len(fn.alphabet) < 2:
+        raise ValueError("length profiling needs at least two letters")
+    a, b = fn.alphabet.letters[:2]
+    base_args = _empty_tuple(fn)
+    base_out = fn.evaluate(base_args)
+    base = ProbeRecord(base_args, base_out)
+    e = len(base_out)
+    offsets = tuple(
+        (ch, base_out.letters.count(ch)) for ch in fn.alphabet.letters
+    )
+    p: list[int] = []
+    single_probes: list[ProbeRecord] = []
+    for i in range(1, fn.arity + 1):
+        args_a = _unit_tuple(fn, i, a)
+        out_a = fn.evaluate(args_a)
+        probe_a = ProbeRecord(args_a, out_a)
+        single_probes.append(probe_a)
+        p_i = len(out_a) - e
+        if p_i < 0:
+            return NotRCP(
+                REASON_LENGTH,
+                (base, probe_a),
+                f"argument {i}: output shrank below the constant term",
+            )
+        args_b = _unit_tuple(fn, i, b)
+        out_b = fn.evaluate(args_b)
+        if len(out_b) != len(out_a):
+            return NotRCP(
+                REASON_LENGTH,
+                (probe_a, ProbeRecord(args_b, out_b)),
+                f"argument {i}: equal-length inputs, unequal-length outputs",
+            )
+        p.append(p_i)
+    # Mixed-length probes: a two-letter argument and the all-filled tuple.
+    for i in range(1, fn.arity + 1):
+        args_ab = _unit_tuple(fn, i, a + b)
+        out_ab = fn.evaluate(args_ab)
+        if len(out_ab) != e + 2 * p[i - 1]:
+            return NotRCP(
+                REASON_LENGTH,
+                (base, single_probes[i - 1], ProbeRecord(args_ab, out_ab)),
+                f"argument {i}: length is not affine in the input length",
+            )
+    full_args = tuple(Word(fn.alphabet, a) for _ in range(fn.arity))
+    full_out = fn.evaluate(full_args) if fn.arity else base_out
+    if len(full_out) != e + sum(p):
+        return NotRCP(
+            REASON_LENGTH,
+            (base, ProbeRecord(full_args, full_out)),
+            "per-argument coefficients do not add up on the joint probe",
+        )
+    return LengthCoefficients(tuple(p), e, offsets)
+
+
+def _conflict(
+    claim: str, established: ProbeRecord, contradicting: ProbeRecord
+) -> NotRCP:
+    return NotRCP(REASON_AMBIGUOUS, (established, contradicting), claim)
+
+
+def _classify_unary(fn: WordFunction) -> HeadCase | NotRCP:
+    letters = fn.alphabet.letters[: min(len(fn.alphabet), 4)]
+    probes: list[ProbeRecord] = []
+    eps_args = (Word(fn.alphabet, ""),)
+    probes.append(ProbeRecord(eps_args, fn.evaluate(eps_args)))
+    for ch in letters:
+        args = (Word(fn.alphabet, ch),)
+        probes.append(ProbeRecord(args, fn.evaluate(args)))
+    eps_probe, letter_probes = probes[0], probes[1:]
+
+    empties = [pr for pr in letter_probes if pr.output.is_empty]
+    if empties:
+        # One empty output on nonempty input forces the constant-ε function.
+        for pr in probes:
+            if not pr.output.is_empty:
+                return _conflict(
+                    "empty and nonempty outputs cannot share one head",
+                    empties[0],
+                    pr,
+                )
+        return ConstEmpty()
+
+    for pr in letter_probes:
+        ch = pr.args[0].letters
+        if pr.output.letters[0] != ch:
+            beta = pr.output.letters[0]
+            # A head letter different from the input's first letter can only
+            # be a constant; every probe must agree, the ε-probe included.
+            for other in probes:
+                if other.output.is_empty or other.output.letters[0] != beta:
+                    return _conflict(
+                        f"head letter {beta!r} is not constant", pr, other
+                    )
+            return ConstLetter(beta)
+    # Every probed letter reproduces itself up front: the head copies x1.
+    return Variable(1)
+
+
+def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
+    a, b, c = fn.alphabet.letters[:3]
+    k = fn.arity
+
+    def probe(args: tuple[Word, ...]) -> ProbeRecord:
+        return ProbeRecord(args, fn.evaluate(args))
+
+    all_c = probe(tuple(Word(fn.alphabet, c) for _ in range(k)))
+    planted_a = [probe(_unit_tuple_fill(fn, i, a, c)) for i in range(1, k + 1)]
+    planted_b = [probe(_unit_tuple_fill(fn, i, b, c)) for i in range(1, k + 1)]
+    eps = probe(_empty_tuple(fn))
+
+    if all_c.output.is_empty:
+        for pr in (*planted_a, *planted_b, eps):
+            if not pr.output.is_empty:
+                return _conflict(
+                    "empty and nonempty outputs cannot share one head", all_c, pr
+                )
+        return ConstEmpty()
+    beta = all_c.output.letters[0]
+
+    if beta != c:
+        # No argument can supply β here (they all start with c), so the head
+        # must be the constant β — on every probe, ε-probe included.
+        for pr in (*planted_a, *planted_b, eps):
+            if pr.output.is_empty or pr.output.letters[0] != beta:
+                return _conflict(
+                    f"head letter {beta!r} is not constant", all_c, pr
+                )
+        return ConstLetter(beta)
+
+    heads = []
+    for pr in planted_a:
+        if pr.output.is_empty:
+            return _conflict("output vanished on a nonempty probe", all_c, pr)
+        heads.append(pr.output.letters[0])
+    foreign = [h for h in heads if h not in (a, c)]
+    if foreign:
+        i = heads.index(foreign[0])
+        return _conflict(
+            f"planted-letter probe answered with unrelated head {foreign[0]!r}",
+            all_c,
+            planted_a[i],
+        )
+    marked = [i for i, h in enumerate(heads, start=1) if h == a]
+
+    if not marked:
+        # Nothing echoes the planted letter: the head is the constant c.
+        for pr in (*planted_b, eps):
+            if pr.output.is_empty or pr.output.letters[0] != c:
+                return _conflict("head letter 'c' is not constant", all_c, pr)
+        return ConstLetter(c)
+    if len(marked) > 1:
+        return _conflict(
+            "two argument positions both claim the head",
+            planted_a[marked[0] - 1],
+            planted_a[marked[1] - 1],
+        )
+    idx = marked[0]
+    # Confirmation round with the letters swapped: the chosen position must
+    # now echo b, everyone else must stay at c.
+    for j, pr in enumerate(planted_b, start=1):
+        want = b if j == idx else c
+        if pr.output.is_empty or pr.output.letters[0] != want:
+            return _conflict(
+                f"argument {idx} does not hold up as the head on the "
+                "confirmation round",
+                planted_a[idx - 1],
+                pr,
+            )
+    return Variable(idx)
+
+
+def _unit_tuple_fill(
+    fn: WordFunction, position: int, letter: str, fill: str
+) -> tuple[Word, ...]:
+    args = [Word(fn.alphabet, fill)] * fn.arity
+    args[position - 1] = Word(fn.alphabet, letter)
+    return tuple(args)
+
+
+def classify_head(fn: WordFunction) -> HeadCase | NotRCP:
+    """Decide how the first output letter arises, by a handful of probes.
+
+    For unary functions: probe ε and up to four letters.  An empty output on
+    nonempty input settles on :class:`ConstEmpty`; a response not echoing its
+    input's first letter settles on :class:`ConstLetter`; otherwise the head
+    copies the argument.  For higher arities three distinct letters are
+    needed: an all-``c`` probe fixes the candidate, per-position planted
+    letters find which argument (if any) supplies the head, and a swapped
+    confirmation round re-probes the choice.  Probe disagreements return a
+    :class:`NotRCP` with the two conflicting queries.
+
+    The probe set is sound for preserving functions and merely heuristic for
+    adversaries — downstream validation remains the final word.
+    """
+    if len(fn.alphabet) < 3:
+        raise ValueError("head classification needs at least three letters")
+    if fn.arity == 0:
+        out = fn.evaluate(())
+        return ConstEmpty() if out.is_empty else ConstLetter(out.letters[0])
+    if fn.arity == 1:
+        return _classify_unary(fn)
+    return _classify_general(fn)
+
+
+def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[Word, ...]]:
+    """Inputs for the end-of-loop all-ε check, length-2 words included.
+
+    Length-2 inputs matter: a liar that survived single-letter probes (a
+    reversal, say) still has to reproduce two-letter prefixes through the
+    accumulated peels, which trips the in-peel assertion.
+    """
+    yield _empty_tuple(fn)
+    letters = fn.alphabet.letters[: min(len(fn.alphabet), 4)]
+    alpha1 = letters[0]
+    alpha2 = letters[1] if len(letters) > 1 else letters[0]
+    if fn.arity == 1:
+        for ch in letters:
+            yield _unit_tuple(fn, 1, ch)
+        for pair in (alpha1 + alpha1, alpha1 + alpha2, alpha2 + alpha1, alpha2 + alpha2):
+            yield _unit_tuple(fn, 1, pair)
+        return
+    for ch in letters[:3]:
+        yield tuple(Word(fn.alphabet, ch) for _ in range(fn.arity))
+    fill = fn.alphabet.letters[2] if len(fn.alphabet) >= 3 else alpha1
+    for i in range(1, fn.arity + 1):
+        yield _unit_tuple_fill(fn, i, alpha1, fill)
+        yield _unit_tuple_fill(fn, i, alpha1 + alpha2, fill)
+
+
+def _validate(
+    fn: WordFunction, template: Template, validation_len: int, queries_before: int
+) -> ExtractionOutcome:
+    """Compare oracle and template on every argument tuple up to the bound."""
+    for args in iter_word_tuples(fn.alphabet, fn.arity, validation_len):
+        got = fn.evaluate(args)
+        want = template.eval_letters([a.letters for a in args])
+        if got.letters != want:
+            return NotRCP(
+                REASON_VALIDATION,
+                (ProbeRecord(args, got),),
+                f"candidate template {template} predicts \"{want}\"",
+            )
+    return Extracted(template, fn.query_count - queries_before)
+
+
+def extract(
+    fn: WordFunction,
+    validation_len: int | None = None,
+    check_invariants: bool = False,
+) -> ExtractionOutcome:
+    """Recover a template from the oracle by head-peeling, then validate.
+
+    Needs at least three letters; smaller alphabets are outside the method's
+    guarantees (on two letters the question is genuinely open) and are
+    refused with a :exc:`ValueError` rather than answered unreliably.
+
+    With ``check_invariants`` every peel re-profiles the residue and asserts
+    the size ``Σ p_i + e`` dropped by exactly one — slow, but a sharp way to
+    catch probe-set bugs in tests.
+    """
+    if len(fn.alphabet) < 3:
+        raise ValueError(
+            "extraction requires an alphabet of at least three letters; "
+            f"got {fn.alphabet} (the two-letter case has no known method)"
+        )
+    if validation_len is None:
+        validation_len = default_validation_len(fn.arity, fn.alphabet)
+    queries_before = fn.query_count
+
+    profile = length_profile(fn)
+    if isinstance(profile, NotRCP):
+        return profile
+    budget = profile.size
+
+    constants: list[str] = [""]
+    slots: list[int] = []
+    current: WordFunction = fn
+    try:
+        emitted_early = False
+        for step in range(budget):
+            case = classify_head(current)
+            if isinstance(case, NotRCP):
+                return case
+            if isinstance(case, ConstEmpty):
+                # The residue claims to be done ahead of its budget; the
+                # final validation will judge the whole story.
+                emitted_early = True
+                break
+            if isinstance(case, ConstLetter):
+                constants[-1] += case.letter
+            else:
+                slots.append(case.index)
+                constants.append("")
+            current = peel(current, case)
+            if check_invariants:
+                reprofile = length_profile(current)
+                assert isinstance(reprofile, LengthCoefficients), reprofile
+                assert reprofile.size == budget - step - 1, (
+                    f"peel did not shrink the profile: {reprofile.size} "
+                    f"after {step + 1} of {budget}"
+                )
+        if not emitted_early:
+            for args in _residual_probe_args(current):
+                out = current.evaluate(args)
+                if not out.is_empty:
+                    return NotRCP(
+                        REASON_BUDGET,
+                        (ProbeRecord(args, fn.evaluate(args)),),
+                        f"residue still produces output after {budget} peels",
+                    )
+    except PeelViolation as violation:
+        return NotRCP(
+            REASON_PEEL,
+            (ProbeRecord(violation.query, fn.evaluate(violation.query)),),
+            str(violation),
+        )
+
+    template = Template(
+        fn.arity,
+        fn.alphabet,
+        tuple(Word(fn.alphabet, w) for w in constants),
+        tuple(slots),
+    )
+    return _validate(fn, template, validation_len, queries_before)
+
+
+# --------------------------------------------------------------------------
+# Fresh-letter extraction
+
+
+# Candidates for fresh letters, tried in order and skipped once seen anywhere.
+_FRESH_POOL = string.digits + string.ascii_uppercase + string.ascii_lowercase + "@#$%&*+-/:;<>?^_~"
+
+
+class _GammaTracker:
+    """Letters known so far: the base alphabet plus everything output."""
+
+    def __init__(self, alphabet: Alphabet) -> None:
+        self.seen: set[str] = set(alphabet.letters)
+
+    def absorb(self, letters: str) -> None:
+        self.seen.update(letters)
+
+    def fresh(self) -> str:
+        for ch in _FRESH_POOL:
+            if ch not in self.seen:
+                self.seen.add(ch)
+                return ch
+        raise OracleError("ran out of candidate fresh letters")
+
+
+class _SplitMismatch(Exception):
+    def __init__(
+        self,
+        query: tuple[Word, ...],
+        output: Word,
+        expected_parts: int,
+        actual_parts: int,
+    ) -> None:
+        self.query = query
+        self.output = output
+        self.expected_parts = expected_parts
+        self.actual_parts = actual_parts
+        super().__init__(str(self))
+
+    def __str__(self) -> str:
+        return (
+            f"expected {self.expected_parts} fresh-letter factors, "
+            f"got {self.actual_parts}"
+        )
+
+
+class _SplitFactor(WordFunction):
+    """One fresh-letter factor of ``parent(fresh, x⃗)`` as a derived oracle.
+
+    ``parent`` evaluated with the fresh letter in front must split into
+    exactly ``parts`` factors around it; factor ``index`` of that split is
+    this function's value.  All factors share the parent's memo cache, so
+    sibling factors cost no extra queries.
+    """
+
+    def __init__(
+        self,
+        parent: WordFunction,
+        fresh: str,
+        index: int,
+        parts: int,
+        gamma: _GammaTracker,
+    ) -> None:
+        super().__init__(
+            f"{parent.name}/factor{index}",
+            parent.alphabet,
+            parent.arity - 1,
+            supports_extension=True,
+            cache=False,
+        )
+        self.parent = parent
+        self.fresh = fresh
+        self.index = index
+        self.parts = parts
+        self.gamma = gamma
+
+    @property
+    def query_count(self) -> int:
+        return self.parent.query_count
+
+    def _compute(self, args: tuple[Word, ...]) -> Word:
+        lead = Word(self.parent.alphabet.extended(self.fresh), self.fresh)
+        out = self.parent.evaluate((lead,) + args)
+        self.gamma.absorb(out.letters)
+        pieces = out.letters.split(self.fresh)
+        if len(pieces) != self.parts:
+            raise _SplitMismatch((lead,) + args, out, self.parts, len(pieces))
+        piece = pieces[self.index]
+        return Word(self.alphabet.extended(piece), piece)
+
+
+def _extract_fresh_template(
+    fn: WordFunction, gamma: _GammaTracker
+) -> Template | NotRCP:
+    if fn.arity == 0:
+        out = fn.evaluate(())
+        gamma.absorb(out.letters)
+        return _constant_template(fn, out)
+
+    if fn.arity == 1:
+        fresh = gamma.fresh()
+        args = (Word(fn.alphabet.extended(fresh), fresh),)
+        out = fn.evaluate(args)
+        gamma.absorb(out.letters)
+        pieces = out.letters.split(fresh)
+        return _assemble_unary(fn, args, out, pieces)
+
+    profile = length_profile(fn)
+    if isinstance(profile, NotRCP):
+        return profile
+    parts = profile.p[0] + 1
+    fresh = gamma.fresh()
+    factors = [
+        _SplitFactor(fn, fresh, i, parts, gamma) for i in range(parts)
+    ]
+    sub_templates: list[Template] = []
+    for factor in factors:
+        sub = _extract_fresh_template(factor, gamma)
+        if isinstance(sub, NotRCP):
+            return sub
+        sub_templates.append(sub)
+    return _splice(fn, sub_templates)
+
+
+def _constant_template(fn: WordFunction, out: Word) -> Template | NotRCP:
+    bad = set(out.letters) - fn.alphabet.letter_set
+    if bad:
+        return NotRCP(
+            REASON_SPLIT,
+            (ProbeRecord((), out),),
+            f"constant output uses letters {sorted(bad)} outside the alphabet",
+        )
+    return Template(0, fn.alphabet, (Word(fn.alphabet, out.letters),), ())
+
+
+def _assemble_unary(
+    fn: WordFunction,
+    args: tuple[Word, ...],
+    out: Word,
+    pieces: list[str],
+) -> Template | NotRCP:
+    bad = sorted(set("".join(pieces)) - fn.alphabet.letter_set)
+    if bad:
+        return NotRCP(
+            REASON_SPLIT,
+            (ProbeRecord(args, out),),
+            f"fresh-letter factors use letters {bad} outside the alphabet",
+        )
+    return Template(
+        1,
+        fn.alphabet,
+        tuple(Word(fn.alphabet, piece) for piece in pieces),
+        (1,) * (len(pieces) - 1),
+    )
+
+
+def _splice(fn: WordFunction, subs: list[Template]) -> Template:
+    """Interleave (k-1)-ary factor templates with first-argument slots.
+
+    Each factor keeps its own constant/slot alternation (its slots shifted
+    up by one, since inner x_j is outer x_{j+1}) and the factor boundaries
+    contribute the x1 slots, so the counts line up by construction.
+    """
+    constants: list[Word] = []
+    slots: list[int] = []
+    for i, sub in enumerate(subs):
+        if i:
+            slots.append(1)
+        constants.extend(Word(fn.alphabet, w.letters) for w in sub.constants)
+        slots.extend(v + 1 for v in sub.variables)
+    return Template(fn.arity, fn.alphabet, tuple(constants), tuple(slots))
+
+
+def extract_fresh(
+    fn: WordFunction, validation_len: int | None = None
+) -> ExtractionOutcome:
+    """Read the template off outputs at never-before-seen letters.
+
+    A unary oracle costs a *single* query before validation: evaluating at a
+    fresh letter and splitting the output on it exposes the constants
+    directly.  A k-ary oracle is profiled, evaluated with a fresh letter in
+    front, and its fresh-letter factors are recursively extracted as
+    (k-1)-ary oracles; the results are spliced back together.  Validation
+    against the oracle on short base-alphabet inputs is the same as for
+    :func:`extract`.
+
+    Requires ``fn.supports_extension``; for oracles pinned to their alphabet
+    use :func:`extract`.
+    """
+    if not fn.supports_extension:
+        raise ValueError(
+            f"{fn.name} does not accept letters outside its alphabet; "
+            "fresh-letter extraction is unavailable"
+        )
+    if validation_len is None:
+        validation_len = default_validation_len(fn.arity, fn.alphabet)
+    queries_before = fn.query_count
+    gamma = _GammaTracker(fn.alphabet)
+    try:
+        template = _extract_fresh_template(fn, gamma)
+    except _SplitMismatch as mismatch:
+        return NotRCP(
+            REASON_SPLIT,
+            (ProbeRecord(mismatch.query, mismatch.output),),
+            str(mismatch),
+        )
+    if isinstance(template, NotRCP):
+        return template
+    return _validate(fn, template, validation_len, queries_before)

@@ -1,0 +1,504 @@
+"""Black-box word functions behind one uniform, memoizing interface.
+
+Extraction and auditing only ever see a :class:`WordFunction`: something
+with an arity, an alphabet, maybe the ability to accept letters outside that
+alphabet, and an ``evaluate`` method.  Backends exist for templates, Python
+callables (the builtin catalog), finite lookup tables, and external
+processes speaking a one-line-per-query protocol.
+
+Every call goes through a per-instance cache keyed by the argument letters,
+so repeated probes are free and ``query_count`` — the number of *distinct*
+evaluations that reached the backend — is deterministic.  Wrappers (frozen
+arguments, peeled heads) report the root backend's count.
+"""
+
+from __future__ import annotations
+
+import shlex
+import subprocess
+import threading
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
+
+from .templates import Template
+from .words import Alphabet, FormatError, Word, _valid_letter
+
+
+class OracleError(Exception):
+    """Base class for oracle evaluation failures."""
+
+
+class TableMissError(OracleError):
+    """A table-backed oracle was asked about an input it does not define."""
+
+
+class OracleProtocolError(OracleError):
+    """An external oracle broke the line protocol."""
+
+
+class WordFunction:
+    """A deterministic total function from k-tuples of words to words.
+
+    Subclasses implement :meth:`_compute`; the public :meth:`evaluate`
+    validates arguments, consults the cache and wraps the result.  When
+    ``supports_extension`` is true the function accepts (and may emit)
+    letters outside its declared alphabet — the lever that fresh-letter
+    extraction pulls.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        alphabet: Alphabet,
+        arity: int,
+        supports_extension: bool = False,
+        cache: bool = True,
+    ) -> None:
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
+        self.name = name
+        self.alphabet = alphabet
+        self.arity = arity
+        self.supports_extension = supports_extension
+        self._cache: dict[tuple[str, ...], Word] | None = {} if cache else None
+        self._misses = 0
+
+    # -- subclass hook ----------------------------------------------------
+
+    def _compute(self, args: tuple[Word, ...]) -> Word:
+        raise NotImplementedError
+
+    # -- public surface ---------------------------------------------------
+
+    @property
+    def query_count(self) -> int:
+        """Distinct argument tuples evaluated by the underlying backend."""
+        return self._misses
+
+    def evaluate(self, args: Sequence[Word]) -> Word:
+        args = tuple(args)
+        if len(args) != self.arity:
+            raise ValueError(
+                f"{self.name}: expected {self.arity} arguments, got {len(args)}"
+            )
+        if not self.supports_extension:
+            for a in args:
+                extraneous = set(a.letters) - self.alphabet.letter_set
+                if extraneous:
+                    raise OracleError(
+                        f"{self.name}: letters {sorted(extraneous)} outside "
+                        f"alphabet {self.alphabet} (no extension support)"
+                    )
+        key = tuple(a.letters for a in args)
+        if self._cache is not None and key in self._cache:
+            return self._cache[key]
+        self._misses += 1
+        out = self._compute(args)
+        if self._cache is not None:
+            self._cache[key] = out
+        return out
+
+    def __call__(self, *args: Word | str) -> Word:
+        coerced = tuple(
+            a if isinstance(a, Word) else Word(self.alphabet.extended(a), a)
+            for a in args
+        )
+        return self.evaluate(coerced)
+
+    def _wrap(self, letters: str) -> Word:
+        """Wrap backend output, extending the alphabet only when needed."""
+        return Word(self.alphabet.extended(letters), letters)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.name}/{self.arity} over {self.alphabet}>"
+
+
+class TemplateFunction(WordFunction):
+    """A template used as an oracle; the honest case extraction must recover."""
+
+    def __init__(self, template: Template, cache: bool = True, name: str = "") -> None:
+        super().__init__(
+            name or f"template[{template.body_text()}]",
+            template.alphabet,
+            template.arity,
+            supports_extension=True,
+            cache=cache,
+        )
+        self.template = template
+
+    def _compute(self, args: tuple[Word, ...]) -> Word:
+        return self._wrap(self.template.eval_letters([a.letters for a in args]))
+
+
+class BuiltinFunction(WordFunction):
+    """A named Python callable on raw letter strings."""
+
+    def __init__(
+        self,
+        name: str,
+        alphabet: Alphabet,
+        fn: Callable[[tuple[str, ...]], str],
+        arity: int = 1,
+        supports_extension: bool = False,
+        cache: bool = True,
+    ) -> None:
+        super().__init__(name, alphabet, arity, supports_extension, cache)
+        self._fn = fn
+
+    def _compute(self, args: tuple[Word, ...]) -> Word:
+        return self._wrap(self._fn(tuple(a.letters for a in args)))
+
+
+class TableFunction(WordFunction):
+    """A finite lookup table; asking outside the table is an error."""
+
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        arity: int,
+        mapping: Mapping[tuple[str, ...], str],
+        name: str = "table",
+        cache: bool = True,
+    ) -> None:
+        super().__init__(name, alphabet, arity, supports_extension=False, cache=cache)
+        self._table = dict(mapping)
+
+    def _compute(self, args: tuple[Word, ...]) -> Word:
+        key = tuple(a.letters for a in args)
+        try:
+            return self._wrap(self._table[key])
+        except KeyError:
+            raise TableMissError(
+                f"{self.name}: no entry for ({', '.join(repr(k) for k in key)})"
+            ) from None
+
+
+class FrozenFunction(WordFunction):
+    """A function with some argument positions pinned to fixed words.
+
+    ``frozen`` maps 1-based positions *of the base function* to values; the
+    remaining positions, in order, become this function's arguments.
+    """
+
+    def __init__(
+        self, base: WordFunction, frozen: Mapping[int, Word], cache: bool = True
+    ) -> None:
+        self.base = base
+        self.frozen = dict(sorted(frozen.items()))
+        for pos, value in self.frozen.items():
+            if not 1 <= pos <= base.arity:
+                raise ValueError(f"frozen position {pos} out of range")
+            if not base.supports_extension:
+                bad = set(value.letters) - base.alphabet.letter_set
+                if bad:
+                    raise ValueError(
+                        f"frozen value uses letters {sorted(bad)} outside "
+                        f"the base alphabet"
+                    )
+        self.free_positions = tuple(
+            i for i in range(1, base.arity + 1) if i not in self.frozen
+        )
+        shown = ",".join(f"{p}={w.letters!r}" for p, w in self.frozen.items())
+        super().__init__(
+            f"{base.name}[{shown}]",
+            base.alphabet,
+            len(self.free_positions),
+            base.supports_extension,
+            cache,
+        )
+
+    @property
+    def query_count(self) -> int:
+        return self.base.query_count
+
+    def _compute(self, args: tuple[Word, ...]) -> Word:
+        spliced: list[Word] = []
+        it = iter(args)
+        for pos in range(1, self.base.arity + 1):
+            spliced.append(self.frozen[pos] if pos in self.frozen else next(it))
+        return self.base.evaluate(tuple(spliced))
+
+
+def freeze(fn: WordFunction, position: int, value: Word) -> FrozenFunction:
+    """Pin argument ``position`` (1-based, in ``fn``'s own signature) to ``value``.
+
+    Freezing an already-frozen function merges the pins instead of stacking
+    wrappers, so repeated freezing stays flat.
+    """
+    if not 1 <= position <= fn.arity:
+        raise ValueError(
+            f"position {position} out of range for arity {fn.arity}"
+        )
+    if isinstance(fn, FrozenFunction):
+        base_pos = fn.free_positions[position - 1]
+        merged = dict(fn.frozen)
+        merged[base_pos] = value
+        return FrozenFunction(fn.base, merged)
+    return FrozenFunction(fn, {position: value})
+
+
+# --------------------------------------------------------------------------
+# Builtin catalog
+
+
+def _require_letters(alphabet: Alphabet, needed: str, name: str) -> None:
+    missing = [ch for ch in needed if ch not in alphabet]
+    if missing:
+        raise ValueError(
+            f"builtin {name!r} needs letters {missing} in the alphabet"
+        )
+
+
+DEFAULT_ALPHABET = Alphabet.of("abc")
+
+# `first_letter_or_empty` also answers to this older spelling.
+_FIRST_LETTER_ALIAS = "first_letter_or_ε"
+
+
+def builtin(name: str, alphabet: Alphabet | None = None, cache: bool = True) -> WordFunction:
+    """Look up one builtin by name over the given alphabet (default ``abc``)."""
+    alphabet = alphabet or DEFAULT_ALPHABET
+    if name == _FIRST_LETTER_ALIAS:
+        name = "first_letter_or_empty"
+    if name == "reverse":
+        return BuiltinFunction(
+            "reverse", alphabet, lambda a: a[0][::-1], supports_extension=True, cache=cache
+        )
+    if name == "sort_letters":
+        order = {ch: i for i, ch in enumerate(alphabet.letters)}
+        return BuiltinFunction(
+            "sort_letters",
+            alphabet,
+            lambda a: "".join(sorted(a[0], key=order.__getitem__)),
+            cache=cache,
+        )
+    if name == "square":
+        return BuiltinFunction(
+            "square", alphabet, lambda a: a[0] + a[0], supports_extension=True, cache=cache
+        )
+    if name == "collapse_b_to_a":
+        _require_letters(alphabet, "ab", name)
+        return BuiltinFunction(
+            "collapse_b_to_a",
+            alphabet,
+            lambda a: a[0].replace("b", "a"),
+            supports_extension=True,
+            cache=cache,
+        )
+    if name == "erase_a":
+        _require_letters(alphabet, "a", name)
+        return BuiltinFunction(
+            "erase_a",
+            alphabet,
+            lambda a: a[0].replace("a", ""),
+            supports_extension=True,
+            cache=cache,
+        )
+    if name == "first_letter_or_empty":
+        return BuiltinFunction(
+            "first_letter_or_empty",
+            alphabet,
+            lambda a: a[0][:1],
+            supports_extension=True,
+            cache=cache,
+        )
+    raise ValueError(f"unknown builtin {name!r}")
+
+
+BUILTIN_NAMES = (
+    "reverse",
+    "sort_letters",
+    "square",
+    "collapse_b_to_a",
+    "erase_a",
+    "first_letter_or_empty",
+)
+
+
+def builtin_catalog(alphabet: Alphabet | None = None) -> tuple[WordFunction, ...]:
+    """All builtins constructible over the alphabet, in a fixed order."""
+    alphabet = alphabet or DEFAULT_ALPHABET
+    out = []
+    for name in BUILTIN_NAMES:
+        try:
+            out.append(builtin(name, alphabet))
+        except ValueError:
+            continue  # alphabet lacks the letters this builtin manipulates
+    return tuple(out)
+
+
+# --------------------------------------------------------------------------
+# Table file format: one line per entry, k+1 TAB-separated fields
+# (k arguments, then the result); an empty field is the empty word.
+
+
+def format_table(fn: TableFunction) -> str:
+    lines = []
+    for key in sorted(fn._table, key=lambda k: (tuple(map(len, k)), k)):
+        lines.append("\t".join(key) + "\t" + fn._table[key])
+    return "\n".join(lines) + "\n"
+
+
+def parse_table(
+    text: str, alphabet: Alphabet | None = None, name: str = "table"
+) -> TableFunction:
+    """Parse a table file; arity is inferred from the field count.
+
+    Without an explicit alphabet, the letters appearing anywhere in the file
+    (sorted by code point) become the alphabet.
+    """
+    entries: dict[tuple[str, ...], str] = {}
+    arity: int | None = None
+    for lineno, ln in enumerate(text.splitlines(), start=1):
+        if not ln:
+            continue
+        fields = ln.split("\t")
+        if arity is None:
+            arity = len(fields) - 1
+            if arity < 0:
+                raise FormatError(f"line {lineno}: empty entry")
+        elif len(fields) != arity + 1:
+            raise FormatError(
+                f"line {lineno}: expected {arity + 1} fields, got {len(fields)}"
+            )
+        key = tuple(fields[:-1])
+        if key in entries:
+            raise FormatError(f"line {lineno}: duplicate entry for {key}")
+        entries[key] = fields[-1]
+    if arity is None:
+        raise FormatError("table file is empty")
+    seen = sorted({
+        ch
+        for key, result in entries.items()
+        for part in (*key, result)
+        for ch in part
+    })
+    if alphabet is None:
+        if not seen:
+            raise FormatError("cannot infer an alphabet from an all-empty table")
+        alphabet = Alphabet.of("".join(seen))
+    else:
+        bad = [ch for ch in seen if ch not in alphabet]
+        if bad:
+            raise FormatError(f"table uses letters {bad} outside alphabet {alphabet}")
+    return TableFunction(alphabet, arity, entries, name=name)
+
+
+# --------------------------------------------------------------------------
+# External oracle protocol.
+#
+# The tool speaks first:   HELLO <arity> <alphabet>\n
+# The oracle answers:      OK\n            (or `OK EXT\n` to accept letters
+#                                           outside the declared alphabet)
+# Each query is one line of exactly <arity> TAB-separated fields (an empty
+# field is the empty word); the reply is a single line holding the result.
+# `BYE\n` ends the session.
+
+
+class ExternalFunction(WordFunction):
+    """Client side of the line protocol, wrapping a child process.
+
+    Replies are validated: a reply containing a TAB, letters never declared
+    or sent, or an early EOF raises :class:`OracleProtocolError`.  Use as a
+    context manager (or call :meth:`close`) to end the session politely.
+    """
+
+    def __init__(
+        self,
+        command: Sequence[str] | str,
+        arity: int,
+        alphabet: Alphabet,
+        cache: bool = True,
+    ) -> None:
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        if not argv:
+            raise ValueError("empty oracle command")
+        self._argv = argv
+        self._lock = threading.Lock()
+        self._known_letters = set(alphabet.letters)
+        try:
+            self._proc = subprocess.Popen(
+                argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as exc:
+            raise OracleProtocolError(f"cannot start oracle {argv[0]!r}: {exc}") from exc
+        self._send(f"HELLO {arity} {alphabet}")
+        greeting = self._recv()
+        if greeting == "OK":
+            ext = False
+        elif greeting == "OK EXT":
+            ext = True
+        else:
+            self.close()
+            raise OracleProtocolError(
+                f"bad handshake reply {greeting!r} (want 'OK' or 'OK EXT')"
+            )
+        super().__init__(f"exec[{argv[0]}]", alphabet, arity, ext, cache)
+
+    def _send(self, line: str) -> None:
+        proc = self._proc
+        if proc.stdin is None or proc.poll() is not None:
+            raise OracleProtocolError("oracle process is gone")
+        try:
+            proc.stdin.write(line + "\n")
+            proc.stdin.flush()
+        except (BrokenPipeError, OSError) as exc:
+            raise OracleProtocolError(f"oracle pipe closed: {exc}") from exc
+
+    def _recv(self) -> str:
+        assert self._proc.stdout is not None
+        line = self._proc.stdout.readline()
+        if line == "":
+            raise OracleProtocolError("oracle closed its output mid-session")
+        return line.rstrip("\n")
+
+    def _compute(self, args: tuple[Word, ...]) -> Word:
+        with self._lock:
+            for a in args:
+                self._known_letters.update(a.letters)
+            self._send("\t".join(a.letters for a in args))
+            reply = self._recv()
+        if "\t" in reply:
+            raise OracleProtocolError(
+                f"reply holds {reply.count(chr(9)) + 1} fields, expected one word"
+            )
+        bad = [ch for ch in set(reply) if not _valid_letter(ch)]
+        if bad:
+            raise OracleProtocolError(f"reply contains invalid characters {bad!r}")
+        unknown = set(reply) - self._known_letters
+        if unknown:
+            raise OracleProtocolError(
+                f"reply uses letters {sorted(unknown)} that were never "
+                "declared or sent"
+            )
+        return self._wrap(reply)
+
+    def close(self) -> None:
+        proc = getattr(self, "_proc", None)
+        if proc is None or proc.poll() is not None:
+            return
+        try:
+            if proc.stdin is not None:
+                proc.stdin.write("BYE\n")
+                proc.stdin.flush()
+                proc.stdin.close()
+            proc.wait(timeout=5)
+        except (OSError, ValueError, subprocess.TimeoutExpired):
+            proc.kill()
+            proc.wait()
+
+    def __enter__(self) -> "ExternalFunction":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # best effort; close() is the real API
+        try:
+            self.close()
+        except Exception:
+            pass

@@ -1,0 +1,354 @@
+"""Polynomial word functions: constants interleaved with variable slots.
+
+A :class:`Template` of arity ``k`` denotes the function
+
+    (x_1, ..., x_k)  |->  w_0 · x_{i_1} · w_1 · x_{i_2} · ... · x_{i_n} · w_n
+
+where the ``w_j`` are constant words and each slot names one of the ``k``
+arguments (repeats allowed — powers are written as repeated slots).  These
+are exactly the word functions that commute with every substitution of the
+arguments, which is why they double as the certificate format for
+congruence preservation.
+
+The induced length behaviour is affine: ``|t(x⃗)| = Σ p_i·|x_i| + e`` where
+``p_i`` counts the slots naming argument ``i`` and ``e`` is the total
+constant length.  :class:`LengthCoefficients` packages those numbers (plus
+the per-letter offsets contributed by the constants) and is shared with the
+oracle-side length profiler.
+"""
+
+from __future__ import annotations
+
+import logging
+from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+from .words import Alphabet, FormatError, Morphism, Word, iter_word_tuples
+
+logger = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class LengthCoefficients:
+    """Affine description of a function's output lengths.
+
+    ``p[i]`` scales the length of argument ``i+1``, ``e`` is the constant
+    term, and ``per_letter_offset`` records how many of each letter the
+    constant part contributes (their counts sum to ``e``).
+    """
+
+    p: tuple[int, ...]
+    e: int
+    per_letter_offset: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        if any(c < 0 for c in self.p) or self.e < 0:
+            raise ValueError("length coefficients must be nonnegative")
+        if sum(n for _, n in self.per_letter_offset) != self.e:
+            raise ValueError("per-letter offsets must sum to the constant term")
+
+    @property
+    def arity(self) -> int:
+        return len(self.p)
+
+    @property
+    def size(self) -> int:
+        """Total slot-plus-constant size ``Σ p_i + e``.
+
+        This is the number of head symbols a peeling loop must remove before
+        the residue becomes the constant-empty function.
+        """
+        return sum(self.p) + self.e
+
+    def offset(self, letter: str) -> int:
+        for ch, n in self.per_letter_offset:
+            if ch == letter:
+                return n
+        raise KeyError(letter)
+
+    def predicted_length(self, arg_lengths: Sequence[int]) -> int:
+        if len(arg_lengths) != self.arity:
+            raise ValueError("wrong number of argument lengths")
+        return sum(pi * n for pi, n in zip(self.p, arg_lengths)) + self.e
+
+    def predicted_count(self, letter: str, arg_counts: Sequence[int]) -> int:
+        """Expected occurrences of ``letter`` given its count in each argument."""
+        if len(arg_counts) != self.arity:
+            raise ValueError("wrong number of argument counts")
+        return sum(pi * n for pi, n in zip(self.p, arg_counts)) + self.offset(letter)
+
+
+@dataclass(frozen=True)
+class Template:
+    """An alternating sequence of constant words and 1-based variable slots.
+
+    ``constants`` always has exactly one more entry than ``variables``; a
+    constant function is a single constant and no slots.
+    """
+
+    arity: int
+    alphabet: Alphabet
+    constants: tuple[Word, ...]
+    variables: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.arity < 0:
+            raise ValueError("arity must be nonnegative")
+        if len(self.constants) != len(self.variables) + 1:
+            raise ValueError(
+                "a template interleaves n variable slots with n+1 constants"
+            )
+        for w in self.constants:
+            if w.alphabet != self.alphabet:
+                raise ValueError("constant word over a different alphabet")
+        for v in self.variables:
+            if not 1 <= v <= self.arity:
+                raise ValueError(
+                    f"variable slot x{v} out of range for arity {self.arity}"
+                )
+
+    @classmethod
+    def of(
+        cls, alphabet: Alphabet, *parts: str | int, arity: int | None = None
+    ) -> "Template":
+        """Build from alternating string constants and integer slots.
+
+        ``Template.of(ab, "a", 1, "")`` is the function ``x ↦ "a"·x``.
+        Parts must start and end with a constant and strictly alternate.
+        """
+        constants: list[Word] = []
+        variables: list[int] = []
+        expect_const = True
+        for part in parts:
+            if expect_const:
+                if not isinstance(part, str):
+                    raise ValueError("expected a constant string here")
+                constants.append(Word(alphabet, part))
+            else:
+                if not isinstance(part, int):
+                    raise ValueError("expected an integer variable slot here")
+                variables.append(part)
+            expect_const = not expect_const
+        if expect_const:
+            raise ValueError("template parts must end with a constant")
+        if arity is None:
+            arity = max(variables, default=0)
+        return cls(arity, alphabet, tuple(constants), tuple(variables))
+
+    def eval(self, args: Sequence[Word]) -> Word:
+        if len(args) != self.arity:
+            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
+        for a in args:
+            if a.alphabet != self.alphabet:
+                raise ValueError("argument word over a different alphabet")
+        return Word(self.alphabet, self.eval_letters([a.letters for a in args]))
+
+    def eval_letters(self, args: Sequence[str]) -> str:
+        """Evaluate on raw letter strings (no alphabet check; hot path).
+
+        Extraction feeds arguments containing letters outside the template's
+        own alphabet through this entry point.
+        """
+        out = [self.constants[0].letters]
+        for v, w in zip(self.variables, self.constants[1:]):
+            out.append(args[v - 1])
+            out.append(w.letters)
+        return "".join(out)
+
+    def coefficients(self) -> LengthCoefficients:
+        p = [0] * self.arity
+        for v in self.variables:
+            p[v - 1] += 1
+        const = "".join(w.letters for w in self.constants)
+        offsets = tuple((ch, const.count(ch)) for ch in self.alphabet.letters)
+        return LengthCoefficients(tuple(p), len(const), offsets)
+
+    def map_words(self, morphism: Morphism) -> "Template":
+        """Apply a morphism to every constant; slots are untouched.
+
+        For an endomorphism ``φ`` this realises ``φ ∘ t = t' `` with
+        ``t'(x⃗) = φ(t(x⃗))`` whenever the arguments are also pushed through
+        ``φ`` — the substitution law that congruence preservation rests on.
+        """
+        if morphism.source != self.alphabet:
+            raise ValueError("morphism source must match the template alphabet")
+        return Template(
+            self.arity,
+            morphism.target,
+            tuple(morphism.apply(w) for w in self.constants),
+            self.variables,
+        )
+
+    def body_text(self) -> str:
+        """The single-line surface syntax: ``"ab" x1 "" x1 "c"``."""
+        tokens = [self.constants[0].quoted()]
+        for v, w in zip(self.variables, self.constants[1:]):
+            tokens.append(f"x{v}")
+            tokens.append(w.quoted())
+        return " ".join(tokens)
+
+    def __str__(self) -> str:
+        return self.body_text()
+
+
+def extensional_equal(t1: Template, t2: Template, length_bound: int) -> bool:
+    """Compare two templates pointwise on all argument tuples up to a bound.
+
+    Requires equal arity and alphabet.  When two *structurally different*
+    templates agree everywhere within the bound the fact is logged — over a
+    one-letter alphabet this genuinely happens (``"a"·x`` and ``x·"a"``),
+    elsewhere it would hint at too small a bound.
+    """
+    if t1.arity != t2.arity:
+        raise ValueError("templates of different arity are never compared")
+    if t1.alphabet != t2.alphabet:
+        raise ValueError("templates over different alphabets are never compared")
+    for args in iter_word_tuples(t1.alphabet, t1.arity, length_bound):
+        if t1.eval(args) != t2.eval(args):
+            return False
+    if (t1.constants, t1.variables) != (t2.constants, t2.variables):
+        logger.info(
+            "structurally distinct templates agree up to length %d: %s vs %s",
+            length_bound,
+            t1,
+            t2,
+        )
+    return True
+
+
+def _slot_sequences(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All sequences using variable i exactly p[i-1] times, lexicographically."""
+    total = sum(p)
+
+    def rec(remaining: list[int], acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if len(acc) == total:
+            yield tuple(acc)
+            return
+        for i, left in enumerate(remaining):
+            if left:
+                remaining[i] -= 1
+                acc.append(i + 1)
+                yield from rec(remaining, acc)
+                acc.pop()
+                remaining[i] += 1
+
+    yield from rec(list(p), [])
+
+
+def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Write ``total`` as ``parts`` ordered nonnegative terms, each <= cap.
+
+    Front-loaded: the first part runs from large to small, so for one
+    variable slot the ``w_0``-heavy shapes come first.
+    """
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, cap), -1, -1):
+        for rest in _compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
+
+
+def _constant_choices(
+    alphabet: Alphabet, lengths: tuple[int, ...]
+) -> Iterator[tuple[Word, ...]]:
+    def rec(idx: int, acc: list[Word]) -> Iterator[tuple[Word, ...]]:
+        if idx == len(lengths):
+            yield tuple(acc)
+            return
+        for w in _all_of_length(alphabet, lengths[idx]):
+            acc.append(w)
+            yield from rec(idx + 1, acc)
+            acc.pop()
+
+    yield from rec(0, [])
+
+
+def _all_of_length(alphabet: Alphabet, n: int) -> Iterator[Word]:
+    if n == 0:
+        yield Word(alphabet, "")
+        return
+    for prefix in _all_of_length(alphabet, n - 1):
+        for ch in alphabet.letters:
+            yield Word(alphabet, prefix.letters + ch)
+
+
+def enumerate_templates(
+    alphabet: Alphabet,
+    arity: int,
+    p: Sequence[int],
+    e: int,
+    max_constant_len: int | None = None,
+) -> Iterator[Template]:
+    """Every template with the given length coefficients, exactly once.
+
+    Deterministic order: slot sequences lexicographically, then constant
+    length splits (front-loaded), then constant letters in alphabet order.
+    ``max_constant_len`` caps each individual ``w_j`` (default: no cap
+    beyond ``e`` itself).
+    """
+    p = tuple(p)
+    if len(p) != arity:
+        raise ValueError("need one length coefficient per argument")
+    if any(c < 0 for c in p) or e < 0:
+        raise ValueError("length coefficients must be nonnegative")
+    cap = e if max_constant_len is None else max_constant_len
+    n = sum(p)
+    for slots in _slot_sequences(p):
+        for lengths in _compositions(e, n + 1, cap):
+            for constants in _constant_choices(alphabet, lengths):
+                yield Template(arity, alphabet, constants, slots)
+
+
+# --------------------------------------------------------------------------
+# Text format — round-trips byte-exactly:
+#
+#   arity 1
+#   alphabet abc
+#   "ab" x1 "" x1 "c"
+
+
+def format_template(t: Template) -> str:
+    return f"arity {t.arity}\nalphabet {t.alphabet}\n{t.body_text()}\n"
+
+
+def parse_template(text: str) -> Template:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) != 3:
+        raise FormatError("template file needs arity, alphabet and body lines")
+    if not lines[0].startswith("arity "):
+        raise FormatError("first line must be 'arity <k>'")
+    try:
+        arity = int(lines[0][len("arity "):])
+    except ValueError as exc:
+        raise FormatError(f"bad arity: {lines[0]!r}") from exc
+    if not lines[1].startswith("alphabet "):
+        raise FormatError("second line must be 'alphabet <letters>'")
+    try:
+        alphabet = Alphabet.of(lines[1][len("alphabet "):].strip())
+    except ValueError as exc:
+        raise FormatError(f"bad alphabet: {exc}") from exc
+
+    constants: list[Word] = []
+    variables: list[int] = []
+    expect_const = True
+    for token in lines[2].split(" "):
+        if expect_const:
+            if len(token) < 2 or not token.startswith('"') or not token.endswith('"'):
+                raise FormatError(f"expected a quoted constant, got {token!r}")
+            try:
+                constants.append(Word(alphabet, token[1:-1]))
+            except ValueError as exc:
+                raise FormatError(str(exc)) from exc
+        else:
+            if not token.startswith("x") or not token[1:].isdigit():
+                raise FormatError(f"expected a variable token like x1, got {token!r}")
+            variables.append(int(token[1:]))
+        expect_const = not expect_const
+    if expect_const:
+        raise FormatError("template body must end with a constant")
+    try:
+        return Template(arity, alphabet, tuple(constants), tuple(variables))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc

@@ -1,0 +1,427 @@
+"""Words over a finite alphabet, and monoid endomorphisms between them.
+
+Everything downstream (congruences, templates, oracle extraction) is built on
+three value types: :class:`Alphabet`, :class:`Word` and :class:`Morphism`.
+All three are immutable and compare structurally, so they can be used freely
+as dictionary keys and shared across threads.
+
+A word is just a string of single-character letters, but it carries the
+alphabet it was declared over so that mixed-alphabet concatenation is an
+error instead of a silent bug.  Equality and hashing deliberately ignore the
+alphabet: two words spelling the same letters denote the same element of the
+free monoid, whichever ambient alphabet they were typed against.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping
+
+
+class AlphabetError(ValueError):
+    """A letter or word was used outside its declared alphabet."""
+
+
+class FormatError(ValueError):
+    """A text-format document failed to parse."""
+
+
+# Letters must survive the plain-text formats (quoted constants, TAB-separated
+# tables, one-line protocol frames), so quotes, backslashes and whitespace are
+# banned outright.
+_FORBIDDEN_LETTERS = frozenset('"\\')
+
+
+def _valid_letter(ch: str) -> bool:
+    return (
+        len(ch) == 1
+        and ch.isprintable()
+        and not ch.isspace()
+        and ch not in _FORBIDDEN_LETTERS
+    )
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """An ordered set of distinct single-character letters.
+
+    The declaration order is significant: it fixes enumeration order for
+    words, probe order during extraction, and the sort order used by
+    letter-sorting functions.
+    """
+
+    letters: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.letters:
+            raise AlphabetError("alphabet must contain at least one letter")
+        seen: set[str] = set()
+        for ch in self.letters:
+            if not _valid_letter(ch):
+                raise AlphabetError(
+                    f"invalid letter {ch!r}: letters are single printable "
+                    "characters, excluding whitespace, quotes and backslashes"
+                )
+            if ch in seen:
+                raise AlphabetError(f"duplicate letter {ch!r}")
+            seen.add(ch)
+
+    @classmethod
+    def of(cls, letters: str | Iterable[str]) -> "Alphabet":
+        return cls(tuple(letters))
+
+    @functools.cached_property
+    def letter_set(self) -> frozenset[str]:
+        return frozenset(self.letters)
+
+    def __contains__(self, letter: object) -> bool:
+        return letter in self.letter_set
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.letters)
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __str__(self) -> str:
+        return "".join(self.letters)
+
+    def index(self, letter: str) -> int:
+        try:
+            return self.letters.index(letter)
+        except ValueError:
+            raise AlphabetError(f"letter {letter!r} not in alphabet {self}") from None
+
+    def word(self, letters: str = "") -> "Word":
+        """Build a word over this alphabet (the empty word by default)."""
+        return Word(self, letters)
+
+    def extended(self, extra: str | Iterable[str]) -> "Alphabet":
+        """This alphabet plus any unseen letters of ``extra``, in given order."""
+        new = [ch for ch in extra if ch not in self.letter_set]
+        if not new:
+            return self
+        return Alphabet(self.letters + tuple(dict.fromkeys(new)))
+
+
+@dataclass(frozen=True)
+class Word:
+    """An immutable word; equality and hashing consider the letters only."""
+
+    alphabet: Alphabet = field(compare=False)
+    letters: str = ""
+
+    def __post_init__(self) -> None:
+        bad = set(self.letters) - self.alphabet.letter_set
+        if bad:
+            raise AlphabetError(
+                f"word {self.letters!r} uses letters {sorted(bad)} outside "
+                f"alphabet {self.alphabet}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __str__(self) -> str:
+        return self.letters
+
+    def __repr__(self) -> str:
+        return f"Word({self.letters!r})"
+
+    def quoted(self) -> str:
+        """The word in the quoted surface syntax used by reports: ``"ab"``."""
+        return f'"{self.letters}"'
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.letters
+
+    def concat(self, other: "Word") -> "Word":
+        if self.alphabet != other.alphabet:
+            raise AlphabetError(
+                f"cannot concatenate words over different alphabets "
+                f"({self.alphabet} vs {other.alphabet})"
+            )
+        return Word(self.alphabet, self.letters + other.letters)
+
+    __add__ = concat
+
+    def power(self, n: int) -> "Word":
+        if n < 0:
+            raise ValueError(f"negative power {n}")
+        return Word(self.alphabet, self.letters * n)
+
+    def count(self, letter: str | None = None) -> int:
+        """Occurrences of ``letter``, or the total length when omitted."""
+        if letter is None:
+            return len(self.letters)
+        if letter not in self.alphabet:
+            raise AlphabetError(f"letter {letter!r} not in alphabet {self.alphabet}")
+        return self.letters.count(letter)
+
+    def has_prefix(self, prefix: "Word | str") -> bool:
+        text = prefix if isinstance(prefix, str) else prefix.letters
+        return self.letters.startswith(text)
+
+    def split_on_letter(self, letter: str) -> list["Word"]:
+        """Maximal ``letter``-free factors, in order.
+
+        A word with ``n`` occurrences of the letter yields exactly ``n + 1``
+        factors, so the original word can be rebuilt by interleaving.
+        """
+        if letter not in self.alphabet:
+            raise AlphabetError(f"letter {letter!r} not in alphabet {self.alphabet}")
+        return [Word(self.alphabet, part) for part in self.letters.split(letter)]
+
+
+@dataclass(frozen=True)
+class Morphism:
+    """A monoid morphism between free monoids, given by letter images.
+
+    ``image`` holds one ``(letter, image_letters)`` pair per source letter in
+    source-alphabet order, which keeps the value hashable.  Use
+    :meth:`Morphism.make` to build one from a plain mapping.  The optional
+    ``label`` is carried only for reporting and never participates in
+    equality.
+    """
+
+    source: Alphabet
+    target: Alphabet
+    image: tuple[tuple[str, str], ...]
+    label: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        given = [letter for letter, _ in self.image]
+        if tuple(given) != self.source.letters:
+            raise AlphabetError(
+                "morphism image must list every source letter exactly once, "
+                "in alphabet order"
+            )
+        for letter, img in self.image:
+            bad = set(img) - self.target.letter_set
+            if bad:
+                raise AlphabetError(
+                    f"image of {letter!r} uses letters {sorted(bad)} outside "
+                    f"target alphabet {self.target}"
+                )
+
+    @classmethod
+    def make(
+        cls,
+        source: Alphabet,
+        mapping: Mapping[str, str],
+        target: Alphabet | None = None,
+        label: str = "",
+    ) -> "Morphism":
+        if set(mapping) != source.letter_set:
+            raise AlphabetError("mapping must cover exactly the source letters")
+        if target is None:
+            target = source
+        image = tuple((letter, mapping[letter]) for letter in source.letters)
+        return cls(source, target, image, label)
+
+    @functools.cached_property
+    def _map(self) -> dict[str, str]:
+        return dict(self.image)
+
+    @property
+    def is_endomorphism(self) -> bool:
+        return self.source == self.target
+
+    def image_of(self, letter: str) -> Word:
+        if letter not in self._map:
+            raise AlphabetError(f"letter {letter!r} not in source alphabet")
+        return Word(self.target, self._map[letter])
+
+    def apply(self, u: Word) -> Word:
+        if u.alphabet != self.source:
+            raise AlphabetError(
+                f"word over {u.alphabet} fed to morphism with source {self.source}"
+            )
+        return Word(self.target, self.apply_letters(u.letters))
+
+    def apply_letters(self, letters: str) -> str:
+        """Apply to a raw letter string (hot path for search loops)."""
+        m = self._map
+        return "".join(m[ch] for ch in letters)
+
+    def compose(self, inner: "Morphism") -> "Morphism":
+        """``self after inner``: the result maps ``u`` to ``self(inner(u))``."""
+        if inner.target != self.source:
+            raise AlphabetError(
+                f"cannot compose: inner target {inner.target} != outer source "
+                f"{self.source}"
+            )
+        mapping = {
+            letter: self.apply_letters(img) for letter, img in inner.image
+        }
+        label = ""
+        if self.label and inner.label:
+            label = f"{self.label} . {inner.label}"
+        return Morphism.make(inner.source, mapping, self.target, label)
+
+    def __matmul__(self, inner: "Morphism") -> "Morphism":
+        return self.compose(inner)
+
+
+def identity_morphism(alphabet: Alphabet) -> Morphism:
+    return Morphism.make(
+        alphabet, {ch: ch for ch in alphabet}, label="identity"
+    )
+
+
+def collapse_to(alphabet: Alphabet, letter: str) -> Morphism:
+    """Every letter maps to ``letter``; the kernel relates words of equal length."""
+    if letter not in alphabet:
+        raise AlphabetError(f"letter {letter!r} not in alphabet {alphabet}")
+    return Morphism.make(
+        alphabet,
+        {ch: letter for ch in alphabet},
+        label=f"collapse_to({letter})",
+    )
+
+
+def project(alphabet: Alphabet, letter: str) -> Morphism:
+    """Keep ``letter``, erase the rest; the kernel counts its occurrences."""
+    if letter not in alphabet:
+        raise AlphabetError(f"letter {letter!r} not in alphabet {alphabet}")
+    return Morphism.make(
+        alphabet,
+        {ch: (ch if ch == letter else "") for ch in alphabet},
+        label=f"project({letter})",
+    )
+
+
+def erase(alphabet: Alphabet, letter: str) -> Morphism:
+    """Delete ``letter``, keep everything else in place."""
+    if letter not in alphabet:
+        raise AlphabetError(f"letter {letter!r} not in alphabet {alphabet}")
+    return Morphism.make(
+        alphabet,
+        {ch: ("" if ch == letter else ch) for ch in alphabet},
+        label=f"erase({letter})",
+    )
+
+
+def identify(alphabet: Alphabet, old: str, new: str) -> Morphism:
+    """Rename ``old`` to ``new``, merging the two letters."""
+    if old not in alphabet:
+        raise AlphabetError(f"letter {old!r} not in alphabet {alphabet}")
+    if new not in alphabet:
+        raise AlphabetError(f"letter {new!r} not in alphabet {alphabet}")
+    if old == new:
+        raise ValueError("identify needs two distinct letters")
+    return Morphism.make(
+        alphabet,
+        {ch: (new if ch == old else ch) for ch in alphabet},
+        label=f"identify({old}->{new})",
+    )
+
+
+def custom_morphism(
+    source: Alphabet,
+    mapping: Mapping[str, str],
+    target: Alphabet | None = None,
+    label: str = "",
+) -> Morphism:
+    return Morphism.make(source, mapping, target, label or "custom")
+
+
+def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
+    """All words of length at most ``max_len``, shortest first, then in
+    lexicographic order of the alphabet's declared letter order."""
+    if max_len < 0:
+        raise ValueError(f"negative length bound {max_len}")
+    yield Word(alphabet, "")
+    frontier = [""]
+    for _ in range(max_len):
+        frontier = [w + ch for w in frontier for ch in alphabet.letters]
+        for w in frontier:
+            yield Word(alphabet, w)
+
+
+def iter_word_tuples(
+    alphabet: Alphabet, arity: int, max_len: int
+) -> Iterator[tuple[Word, ...]]:
+    """All ``arity``-tuples of words of length at most ``max_len``.
+
+    The leftmost component varies slowest; each component runs through
+    :func:`iter_words` order, so the stream is deterministic.
+    """
+    words = list(iter_words(alphabet, max_len))
+
+    def rec(prefix: tuple[Word, ...], remaining: int) -> Iterator[tuple[Word, ...]]:
+        if remaining == 0:
+            yield prefix
+            return
+        for w in words:
+            yield from rec(prefix + (w,), remaining - 1)
+
+    yield from rec((), arity)
+
+
+def count_words(alphabet: Alphabet, max_len: int) -> int:
+    """``|alphabet|^0 + ... + |alphabet|^max_len`` without enumerating."""
+    m = len(alphabet)
+    if m == 1:
+        return max_len + 1
+    return (m ** (max_len + 1) - 1) // (m - 1)
+
+
+# --------------------------------------------------------------------------
+# Text format
+#
+#   alphabet abc
+#   target ab        (only when the target differs from the source)
+#   a=ab
+#   b=
+#   c=a
+#
+# One `letter=image` line per source letter; an empty right-hand side is the
+# empty word.
+
+
+def format_morphism(m: Morphism) -> str:
+    lines = [f"alphabet {m.source}"]
+    if m.target != m.source:
+        lines.append(f"target {m.target}")
+    lines.extend(f"{letter}={img}" for letter, img in m.image)
+    return "\n".join(lines) + "\n"
+
+
+def parse_morphism(text: str) -> Morphism:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("alphabet "):
+        raise FormatError("morphism file must start with 'alphabet <letters>'")
+    try:
+        source = Alphabet.of(lines[0][len("alphabet "):].strip())
+    except AlphabetError as exc:
+        raise FormatError(f"bad alphabet line: {exc}") from exc
+    rest = lines[1:]
+    target = source
+    if rest and rest[0].startswith("target "):
+        try:
+            target = Alphabet.of(rest[0][len("target "):].strip())
+        except AlphabetError as exc:
+            raise FormatError(f"bad target line: {exc}") from exc
+        rest = rest[1:]
+    mapping: dict[str, str] = {}
+    for ln in rest:
+        letter, sep, img = ln.partition("=")
+        if not sep or len(letter) != 1:
+            raise FormatError(f"expected 'letter=image', got {ln!r}")
+        if letter in mapping:
+            raise FormatError(f"duplicate image line for letter {letter!r}")
+        mapping[letter] = img
+    if set(mapping) != source.letter_set:
+        missing = sorted(source.letter_set - set(mapping))
+        extra = sorted(set(mapping) - source.letter_set)
+        raise FormatError(
+            f"image lines must cover the alphabet exactly "
+            f"(missing {missing}, extraneous {extra})"
+        )
+    try:
+        return Morphism.make(source, mapping, target)
+    except AlphabetError as exc:
+        raise FormatError(str(exc)) from exc
