@@ -5,8 +5,8 @@ Run: python3 demos/01_words_and_morphisms.py
 
 from cpmonoid import (
     Alphabet,
+    Morphism,
     collapse_to,
-    custom_morphism,
     erase,
     identify,
     iter_words,
@@ -41,7 +41,7 @@ print(f"compose:  ({psi.label} . {phi.label})('abc') ->",
       (psi @ phi).apply(abc.word("abc")).quoted())
 
 u, v = abc.word("ab"), abc.word("ca")
-rho = custom_morphism(abc, {"a": "bc", "b": "", "c": "ab"})
+rho = Morphism.make(abc, {"a": "bc", "b": "", "c": "ab"})
 assert rho.apply(u + v) == rho.apply(u) + rho.apply(v)
 print("homomorphism law checked on a sample pair")
 

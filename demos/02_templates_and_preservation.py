@@ -12,10 +12,10 @@ import random
 
 from cpmonoid import (
     Alphabet,
+    Morphism,
     RestrictedCongruence,
     Template,
     congruent_pairs,
-    custom_morphism,
     enumerate_templates,
 )
 
@@ -29,7 +29,7 @@ print()
 
 # The exchange identity: applying a substitution to the output equals
 # evaluating the constant-rewritten template on substituted inputs.
-phi = custom_morphism(abc, {"a": "cb", "b": "b", "c": ""})
+phi = Morphism.make(abc, {"a": "cb", "b": "b", "c": ""})
 args = (abc.word("ab"), abc.word("c"))
 lhs = phi.apply(t.eval(args))
 rhs = t.map_words(phi).eval([phi.apply(x) for x in args])
@@ -40,7 +40,7 @@ assert lhs == rhs
 print()
 
 # Consequence: congruent inputs give congruent outputs.
-theta = RestrictedCongruence(custom_morphism(abc, {"a": "a", "b": "a", "c": "c"}))
+theta = RestrictedCongruence(Morphism.make(abc, {"a": "a", "b": "a", "c": "c"}))
 rng = random.Random(7)
 pairs = list(congruent_pairs(theta, 2))
 x, y = pairs[rng.randrange(len(pairs))]

@@ -6,6 +6,8 @@ slots, black-box recovery of templates from oracles, witness hunting when
 recovery fails, and an exhaustive two-letter candidate search.
 """
 
+import types
+
 from .words import (
     Alphabet,
     AlphabetError,
@@ -14,7 +16,6 @@ from .words import (
     Word,
     collapse_to,
     count_words,
-    custom_morphism,
     erase,
     format_morphism,
     identify,
@@ -55,7 +56,6 @@ from .oracles import (
     BUILTIN_NAMES,
     BuiltinFunction,
     ExternalFunction,
-    FrozenFunction,
     OracleError,
     OracleProtocolError,
     TableFunction,
@@ -65,7 +65,6 @@ from .oracles import (
     builtin,
     builtin_catalog,
     format_table,
-    freeze,
     parse_table,
 )
 from .extraction import (
@@ -114,96 +113,8 @@ from .explorer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "AlphabetError",
-    "AuditResult",
-    "BUILTIN_NAMES",
-    "Budgets",
-    "BudgetExhausted",
-    "BuiltinFunction",
-    "CandidateTable",
-    "CertifiedCP",
-    "CongruenceSpec",
-    "ConstEmpty",
-    "ConstLetter",
-    "Extracted",
-    "ExploreReport",
-    "ExternalFunction",
-    "FiniteKernelCongruence",
-    "FiniteMonoid",
-    "FormatError",
-    "FrozenFunction",
-    "Indeterminate",
-    "LengthCoefficients",
-    "Morphism",
-    "MonoidMorphism",
-    "MonoidViolation",
-    "NotRCP",
-    "OracleError",
-    "OracleProtocolError",
-    "PeelViolation",
-    "ProbeRecord",
-    "RefutedCP",
-    "RestrictedCongruence",
-    "SearchConfig",
-    "SearchStats",
-    "TableFunction",
-    "TableMissError",
-    "Template",
-    "TemplateFunction",
-    "Variable",
-    "Witness",
-    "Word",
-    "WordFunction",
-    "audit",
-    "builtin",
-    "builtin_catalog",
-    "check_preservation",
-    "classify_head",
-    "collapse_to",
-    "congruent_pairs",
-    "count_words",
-    "custom_morphism",
-    "cyclic_additive",
-    "cyclic_multiplicative",
-    "endomorphism_family",
-    "enumerate_consistent",
-    "enumerate_templates",
-    "erase",
-    "explore",
-    "extensional_equal",
-    "extract",
-    "extract_fresh",
-    "family_congruences",
-    "finite_monoid_congruences",
-    "format_finite_monoid",
-    "format_monoid_morphism",
-    "format_morphism",
-    "format_table",
-    "format_template",
-    "freeze",
-    "identify",
-    "identity_morphism",
-    "iter_word_tuples",
-    "iter_words",
-    "left_zero_with_identity",
-    "length_profile",
-    "monoid_catalog",
-    "monoid_validate",
-    "parse_finite_monoid",
-    "parse_monoid_morphism",
-    "parse_morphism",
-    "parse_table",
-    "parse_template",
-    "peel",
-    "project",
-    "random_congruences",
-    "recheck_table",
-    "render_head_case",
-    "standard_congruences",
-    "template_representable",
-    "theorem_check",
-    "transformations_on_two_points",
-    "verify_witness",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -44,7 +44,6 @@ from .words import (
     Morphism,
     Word,
     collapse_to,
-    custom_morphism,
     erase,
     identify,
     iter_words,
@@ -195,7 +194,7 @@ def random_endomorphism(
     for ch in alphabet.letters:
         n = rng.randint(0, image_len)
         mapping[ch] = "".join(rng.choice(alphabet.letters) for _ in range(n))
-    return custom_morphism(alphabet, mapping, label=f"random(image<={image_len})")
+    return Morphism.make(alphabet, mapping, label=f"random(image<={image_len})")
 
 
 def random_congruences(
@@ -205,9 +204,6 @@ def random_congruences(
     rng = random.Random(seed)
     for _ in range(count):
         yield RestrictedCongruence(random_endomorphism(alphabet, rng, image_len))
-
-
-FAMILY_NAMES = ("standard", "finite_monoids", "random")
 
 
 def family_congruences(

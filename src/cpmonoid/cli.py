@@ -31,7 +31,7 @@ import os
 import sys
 from typing import Sequence
 
-from .audit import Budgets, CertifiedCP, Indeterminate, RefutedCP, audit, theorem_check
+from .audit import Budgets, CertifiedCP, RefutedCP, audit, theorem_check
 from .explorer import SearchConfig, explore
 from .extraction import (
     NotRCP,

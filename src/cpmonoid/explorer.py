@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .templates import Template, enumerate_templates
-from .words import Alphabet, Morphism, Word, custom_morphism, iter_words
+from .words import Alphabet, Morphism, arrangements, strings_of_length, strings_up_to
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ class CandidateTable:
     def as_dict(self) -> dict[str, str]:
         return dict(self.entries)
 
-    def apply(self, word: str) -> str:
-        return self.as_dict()[word]
-
     def render(self) -> str:
         """Table file format: input TAB output, one line per domain word."""
         return "\n".join(f"{x}\t{y}" for x, y in self.entries) + "\n"
@@ -73,6 +70,7 @@ class SearchStats:
     nodes: int = 0
     deepest: int = 0
     tables: int = 0
+    family_size: int = 0
 
 
 class BudgetExhausted(Exception):
@@ -94,14 +92,15 @@ def endomorphism_family(
     the first representative of each kernel is kept; morphisms injective on
     that range constrain nothing but are kept (once) for honesty.
     """
-    images = [w.letters for w in iter_words(alphabet, image_len)]
-    probe_words = [w.letters for w in iter_words(alphabet, dedup_bound)]
+    images = list(strings_up_to(alphabet, image_len))
+    probe_words = list(strings_up_to(alphabet, dedup_bound))
     family: list[Morphism] = []
     seen_kernels: set[tuple[int, ...]] = set()
-    for combo in _image_combos(alphabet, images):
-        phi = custom_morphism(
-            alphabet, combo, label="endo(" + ",".join(
-                f"{ch}->{combo[ch]}" for ch in alphabet.letters) + ")"
+    for combo in itertools.product(images, repeat=len(alphabet)):
+        mapping = dict(zip(alphabet.letters, combo))
+        phi = Morphism.make(
+            alphabet, mapping, label="endo(" + ",".join(
+                f"{ch}->{img}" for ch, img in mapping.items()) + ")"
         )
         signature = _kernel_signature(phi, probe_words)
         if signature in seen_kernels:
@@ -109,21 +108,6 @@ def endomorphism_family(
         seen_kernels.add(signature)
         family.append(phi)
     return family
-
-
-def _image_combos(alphabet: Alphabet, images: list[str]) -> Iterator[dict[str, str]]:
-    letters = alphabet.letters
-
-    def rec(i: int, acc: dict[str, str]) -> Iterator[dict[str, str]]:
-        if i == len(letters):
-            yield dict(acc)
-            return
-        for img in images:
-            acc[letters[i]] = img
-            yield from rec(i + 1, acc)
-        del acc[letters[i]]
-
-    yield from rec(0, {})
 
 
 def _kernel_signature(phi: Morphism, probe_words: list[str]) -> tuple[int, ...]:
@@ -134,27 +118,6 @@ def _kernel_signature(phi: Morphism, probe_words: list[str]) -> tuple[int, ...]:
         img = phi.apply_letters(w)
         signature.append(first_seen.setdefault(img, len(first_seen)))
     return tuple(signature)
-
-
-def _arrangements(counts: dict[str, int], letters: Sequence[str]) -> list[str]:
-    """All words with the given letter multiset, lexicographic in letter order."""
-    total = sum(counts.values())
-    out: list[str] = []
-
-    def rec(acc: list[str], remaining: dict[str, int]) -> None:
-        if len(acc) == total:
-            out.append("".join(acc))
-            return
-        for ch in letters:
-            if remaining.get(ch, 0) > 0:
-                remaining[ch] -= 1
-                acc.append(ch)
-                rec(acc, remaining)
-                acc.pop()
-                remaining[ch] += 1
-
-    rec([], dict(counts))
-    return out
 
 
 def enumerate_consistent(
@@ -170,13 +133,16 @@ def enumerate_consistent(
     solutions).  Each tentative assignment is checked against every earlier
     word congruent to it under some family morphism.
 
-    Pass a :class:`SearchStats` to observe node counts.  Raises
-    :class:`BudgetExhausted` when the node or time budget trips.
+    Pass a :class:`SearchStats` to observe node counts and the family size.
+    Raises :class:`BudgetExhausted` when the node or time budget trips.
     """
     alphabet = config.alphabet
-    domain = [w.letters for w in iter_words(alphabet, config.domain_len)]
+    domain = list(strings_up_to(alphabet, config.domain_len))
     dedup_bound = max(config.domain_len, config.p * config.domain_len + config.e)
     family = endomorphism_family(alphabet, config.image_len, dedup_bound)
+    if stats is None:
+        stats = SearchStats()
+    stats.family_size = len(family)
 
     # Group the domain by kernel class per morphism, recording for each word
     # the earlier words it must stay congruent-output with.
@@ -199,8 +165,6 @@ def enumerate_consistent(
             cache[word] = img
         return img
 
-    if stats is None:
-        stats = SearchStats()
     deadline = (
         time.monotonic() + config.time_budget if config.time_budget else None
     )
@@ -209,11 +173,10 @@ def enumerate_consistent(
     def candidates_for(idx: int) -> list[str]:
         x = domain[idx]
         base = assignment[0]
-        counts = {
-            ch: config.p * x.count(ch) + base.count(ch)
-            for ch in alphabet.letters
-        }
-        return _arrangements(counts, alphabet.letters)
+        counts = [
+            config.p * x.count(ch) + base.count(ch) for ch in alphabet.letters
+        ]
+        return ["".join(t) for t in arrangements(alphabet.letters, counts)]
 
     def rec(idx: int) -> Iterator[CandidateTable]:
         if idx == len(domain):
@@ -222,10 +185,7 @@ def enumerate_consistent(
             return
         if idx == 0:
             # f(ε) is free apart from its forced length e.
-            options = [
-                "".join(t)
-                for t in itertools.product(alphabet.letters, repeat=config.e)
-            ]
+            options = list(strings_of_length(alphabet, config.e))
         else:
             options = candidates_for(idx)
         for y in options:
@@ -270,7 +230,7 @@ def recheck_table(table: CandidateTable, config: SearchConfig) -> bool:
     morphism, plus the length law.  Used to cross-examine the backtracker.
     """
     mapping = table.as_dict()
-    domain = [w.letters for w in iter_words(config.alphabet, config.domain_len)]
+    domain = list(strings_up_to(config.alphabet, config.domain_len))
     if sorted(mapping) != sorted(domain):
         return False
     base = mapping[""]
@@ -328,10 +288,6 @@ class ExploreReport:
 
 def explore(config: SearchConfig) -> ExploreReport:
     """Run the search and classify every consistent table."""
-    dedup_bound = max(config.domain_len, config.p * config.domain_len + config.e)
-    family_size = len(
-        endomorphism_family(config.alphabet, config.image_len, dedup_bound)
-    )
     consistent = 0
     representable = 0
     leftovers: list[CandidateTable] = []
@@ -348,7 +304,7 @@ def explore(config: SearchConfig) -> ExploreReport:
         exhausted = True
     return ExploreReport(
         config,
-        family_size,
+        stats.family_size,
         consistent,
         representable,
         tuple(leftovers),

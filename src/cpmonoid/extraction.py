@@ -27,7 +27,7 @@ higher arities.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .oracles import OracleError, WordFunction

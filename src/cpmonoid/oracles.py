@@ -8,8 +8,8 @@ processes speaking a one-line-per-query protocol.
 
 Every call goes through a per-instance cache keyed by the argument letters,
 so repeated probes are free and ``query_count`` — the number of *distinct*
-evaluations that reached the backend — is deterministic.  Wrappers (frozen
-arguments, peeled heads) report the root backend's count.
+evaluations that reached the backend — is deterministic.  Wrappers (peeled
+heads) report the root backend's count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import shlex
 import subprocess
 import threading
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .templates import Template
@@ -173,70 +172,6 @@ class TableFunction(WordFunction):
             ) from None
 
 
-class FrozenFunction(WordFunction):
-    """A function with some argument positions pinned to fixed words.
-
-    ``frozen`` maps 1-based positions *of the base function* to values; the
-    remaining positions, in order, become this function's arguments.
-    """
-
-    def __init__(
-        self, base: WordFunction, frozen: Mapping[int, Word], cache: bool = True
-    ) -> None:
-        self.base = base
-        self.frozen = dict(sorted(frozen.items()))
-        for pos, value in self.frozen.items():
-            if not 1 <= pos <= base.arity:
-                raise ValueError(f"frozen position {pos} out of range")
-            if not base.supports_extension:
-                bad = set(value.letters) - base.alphabet.letter_set
-                if bad:
-                    raise ValueError(
-                        f"frozen value uses letters {sorted(bad)} outside "
-                        f"the base alphabet"
-                    )
-        self.free_positions = tuple(
-            i for i in range(1, base.arity + 1) if i not in self.frozen
-        )
-        shown = ",".join(f"{p}={w.letters!r}" for p, w in self.frozen.items())
-        super().__init__(
-            f"{base.name}[{shown}]",
-            base.alphabet,
-            len(self.free_positions),
-            base.supports_extension,
-            cache,
-        )
-
-    @property
-    def query_count(self) -> int:
-        return self.base.query_count
-
-    def _compute(self, args: tuple[Word, ...]) -> Word:
-        spliced: list[Word] = []
-        it = iter(args)
-        for pos in range(1, self.base.arity + 1):
-            spliced.append(self.frozen[pos] if pos in self.frozen else next(it))
-        return self.base.evaluate(tuple(spliced))
-
-
-def freeze(fn: WordFunction, position: int, value: Word) -> FrozenFunction:
-    """Pin argument ``position`` (1-based, in ``fn``'s own signature) to ``value``.
-
-    Freezing an already-frozen function merges the pins instead of stacking
-    wrappers, so repeated freezing stays flat.
-    """
-    if not 1 <= position <= fn.arity:
-        raise ValueError(
-            f"position {position} out of range for arity {fn.arity}"
-        )
-    if isinstance(fn, FrozenFunction):
-        base_pos = fn.free_positions[position - 1]
-        merged = dict(fn.frozen)
-        merged[base_pos] = value
-        return FrozenFunction(fn.base, merged)
-    return FrozenFunction(fn, {position: value})
-
-
 # --------------------------------------------------------------------------
 # Builtin catalog
 
@@ -251,15 +186,10 @@ def _require_letters(alphabet: Alphabet, needed: str, name: str) -> None:
 
 DEFAULT_ALPHABET = Alphabet.of("abc")
 
-# `first_letter_or_empty` also answers to this older spelling.
-_FIRST_LETTER_ALIAS = "first_letter_or_ε"
-
 
 def builtin(name: str, alphabet: Alphabet | None = None, cache: bool = True) -> WordFunction:
     """Look up one builtin by name over the given alphabet (default ``abc``)."""
     alphabet = alphabet or DEFAULT_ALPHABET
-    if name == _FIRST_LETTER_ALIAS:
-        name = "first_letter_or_empty"
     if name == "reverse":
         return BuiltinFunction(
             "reverse", alphabet, lambda a: a[0][::-1], supports_extension=True, cache=cache

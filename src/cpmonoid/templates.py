@@ -19,11 +19,20 @@ oracle-side length profiler.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .words import Alphabet, FormatError, Morphism, Word, iter_word_tuples
+from .words import (
+    Alphabet,
+    FormatError,
+    Morphism,
+    Word,
+    arrangements,
+    iter_word_tuples,
+    strings_of_length,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -216,25 +225,6 @@ def extensional_equal(t1: Template, t2: Template, length_bound: int) -> bool:
     return True
 
 
-def _slot_sequences(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All sequences using variable i exactly p[i-1] times, lexicographically."""
-    total = sum(p)
-
-    def rec(remaining: list[int], acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(acc) == total:
-            yield tuple(acc)
-            return
-        for i, left in enumerate(remaining):
-            if left:
-                remaining[i] -= 1
-                acc.append(i + 1)
-                yield from rec(remaining, acc)
-                acc.pop()
-                remaining[i] += 1
-
-    yield from rec(list(p), [])
-
-
 def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Write ``total`` as ``parts`` ordered nonnegative terms, each <= cap.
 
@@ -248,30 +238,6 @@ def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]
     for first in range(min(total, cap), -1, -1):
         for rest in _compositions(total - first, parts - 1, cap):
             yield (first,) + rest
-
-
-def _constant_choices(
-    alphabet: Alphabet, lengths: tuple[int, ...]
-) -> Iterator[tuple[Word, ...]]:
-    def rec(idx: int, acc: list[Word]) -> Iterator[tuple[Word, ...]]:
-        if idx == len(lengths):
-            yield tuple(acc)
-            return
-        for w in _all_of_length(alphabet, lengths[idx]):
-            acc.append(w)
-            yield from rec(idx + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
-def _all_of_length(alphabet: Alphabet, n: int) -> Iterator[Word]:
-    if n == 0:
-        yield Word(alphabet, "")
-        return
-    for prefix in _all_of_length(alphabet, n - 1):
-        for ch in alphabet.letters:
-            yield Word(alphabet, prefix.letters + ch)
 
 
 def enumerate_templates(
@@ -295,9 +261,14 @@ def enumerate_templates(
         raise ValueError("length coefficients must be nonnegative")
     cap = e if max_constant_len is None else max_constant_len
     n = sum(p)
-    for slots in _slot_sequences(p):
+    # Templates share their constant Words: one pool per length, built once.
+    pools = [
+        [Word(alphabet, s) for s in strings_of_length(alphabet, k)]
+        for k in range(min(e, cap) + 1)
+    ]
+    for slots in arrangements(range(1, arity + 1), p):
         for lengths in _compositions(e, n + 1, cap):
-            for constants in _constant_choices(alphabet, lengths):
+            for constants in itertools.product(*(pools[k] for k in lengths)):
                 yield Template(arity, alphabet, constants, slots)
 
 

@@ -15,8 +15,11 @@ free monoid, whichever ambient alphabet they were typed against.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+
+_T = TypeVar("_T")
 
 
 class AlphabetError(ValueError):
@@ -229,11 +232,6 @@ class Morphism:
     def is_endomorphism(self) -> bool:
         return self.source == self.target
 
-    def image_of(self, letter: str) -> Word:
-        if letter not in self._map:
-            raise AlphabetError(f"letter {letter!r} not in source alphabet")
-        return Word(self.target, self._map[letter])
-
     def apply(self, u: Word) -> Word:
         if u.alphabet != self.source:
             raise AlphabetError(
@@ -319,13 +317,46 @@ def identify(alphabet: Alphabet, old: str, new: str) -> Morphism:
     )
 
 
-def custom_morphism(
-    source: Alphabet,
-    mapping: Mapping[str, str],
-    target: Alphabet | None = None,
-    label: str = "",
-) -> Morphism:
-    return Morphism.make(source, mapping, target, label or "custom")
+def strings_of_length(alphabet: Alphabet, n: int) -> Iterator[str]:
+    """All raw letter strings of length ``n``, lexicographic in the
+    alphabet's declared letter order (hot path for search loops)."""
+    return map("".join, itertools.product(alphabet.letters, repeat=n))
+
+
+def strings_up_to(alphabet: Alphabet, max_len: int) -> Iterator[str]:
+    """All raw letter strings of length at most ``max_len``, shortest first,
+    then as in :func:`strings_of_length`."""
+    for n in range(max_len + 1):
+        yield from strings_of_length(alphabet, n)
+
+
+def arrangements(
+    symbols: Sequence[_T], counts: Sequence[int]
+) -> list[tuple[_T, ...]]:
+    """Every sequence holding ``symbols[i]`` exactly ``counts[i]`` times,
+    lexicographic in the order of ``symbols``.
+
+    Built as a list rather than yielded, because searches call it per node.
+    """
+    remaining = list(counts)
+    total = sum(remaining)
+    out: list[tuple[_T, ...]] = []
+    acc: list[_T] = []
+
+    def rec() -> None:
+        if len(acc) == total:
+            out.append(tuple(acc))
+            return
+        for i, left in enumerate(remaining):
+            if left:
+                remaining[i] -= 1
+                acc.append(symbols[i])
+                rec()
+                acc.pop()
+                remaining[i] += 1
+
+    rec()
+    return out
 
 
 def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
@@ -333,12 +364,8 @@ def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     lexicographic order of the alphabet's declared letter order."""
     if max_len < 0:
         raise ValueError(f"negative length bound {max_len}")
-    yield Word(alphabet, "")
-    frontier = [""]
-    for _ in range(max_len):
-        frontier = [w + ch for w in frontier for ch in alphabet.letters]
-        for w in frontier:
-            yield Word(alphabet, w)
+    for letters in strings_up_to(alphabet, max_len):
+        yield Word(alphabet, letters)
 
 
 def iter_word_tuples(
@@ -349,16 +376,7 @@ def iter_word_tuples(
     The leftmost component varies slowest; each component runs through
     :func:`iter_words` order, so the stream is deterministic.
     """
-    words = list(iter_words(alphabet, max_len))
-
-    def rec(prefix: tuple[Word, ...], remaining: int) -> Iterator[tuple[Word, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for w in words:
-            yield from rec(prefix + (w,), remaining - 1)
-
-    yield from rec((), arity)
+    return itertools.product(list(iter_words(alphabet, max_len)), repeat=arity)
 
 
 def count_words(alphabet: Alphabet, max_len: int) -> int:

@@ -7,6 +7,7 @@ from cpmonoid import (
     Budgets,
     CertifiedCP,
     Indeterminate,
+    Morphism,
     RefutedCP,
     RestrictedCongruence,
     Template,
@@ -17,7 +18,6 @@ from cpmonoid import (
     check_preservation,
     collapse_to,
     congruent_pairs,
-    custom_morphism,
     family_congruences,
     finite_monoid_congruences,
     identify,
@@ -82,7 +82,7 @@ def test_family_congruences_all():
 def test_check_preservation_finds_reverse_witness():
     # a |-> ab, b |-> b, c |-> a identifies 'a' with 'cb'; reversal tells
     # them apart, and the scan finds that exact first pair
-    phi = custom_morphism(ABC, {"a": "ab", "b": "b", "c": "a"})
+    phi = Morphism.make(ABC, {"a": "ab", "b": "b", "c": "a"})
     spec = RestrictedCongruence(phi)
     fn = builtin("reverse", ABC)
     w = check_preservation(fn, spec, length_bound=2)
@@ -96,7 +96,7 @@ def test_check_preservation_finds_reverse_witness():
 def test_reverse_witness_ab_cbb_is_valid():
     # a larger hand-checked witness for the same kernel: ab and cbb share
     # the image abb, their reversals do not
-    phi = custom_morphism(ABC, {"a": "ab", "b": "b", "c": "a"})
+    phi = Morphism.make(ABC, {"a": "ab", "b": "b", "c": "a"})
     spec = RestrictedCongruence(phi)
     fn = builtin("reverse", ABC)
     w = Witness(
@@ -127,7 +127,7 @@ def test_check_preservation_alphabet_mismatch():
 
 
 def test_verify_witness_accepts_real_and_rejects_fake():
-    phi = custom_morphism(ABC, {"a": "ab", "b": "b", "c": "a"})
+    phi = Morphism.make(ABC, {"a": "ab", "b": "b", "c": "a"})
     spec = RestrictedCongruence(phi)
     fn = builtin("reverse", ABC)
     w = check_preservation(fn, spec, length_bound=2)

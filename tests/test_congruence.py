@@ -9,10 +9,10 @@ from cpmonoid import (
     FiniteMonoid,
     FormatError,
     MonoidMorphism,
+    Morphism,
     RestrictedCongruence,
     collapse_to,
     congruent_pairs,
-    custom_morphism,
     cyclic_additive,
     cyclic_multiplicative,
     format_finite_monoid,
@@ -136,7 +136,7 @@ def test_restricted_congruence_requires_endomorphism():
     RestrictedCongruence(identify(ABC, "b", "a"))  # endomorphism: fine
     import cpmonoid
 
-    bad = custom_morphism(ABC, {"a": "x", "b": "", "c": ""}, cpmonoid.Alphabet.of("x"))
+    bad = Morphism.make(ABC, {"a": "x", "b": "", "c": ""}, cpmonoid.Alphabet.of("x"))
     with pytest.raises(ValueError):
         RestrictedCongruence(bad)
 

@@ -155,6 +155,7 @@ def test_explore_node_budget():
     report = explore(config)
     assert report.exhausted
     assert report.nodes <= 10 + 1
+    assert report.family_size == 7
 
 
 def test_enumerate_consistent_budget_raises():

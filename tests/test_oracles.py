@@ -1,5 +1,3 @@
-import hypothesis
-import hypothesis.strategies as strat
 import pytest
 
 from cpmonoid import (
@@ -14,11 +12,10 @@ from cpmonoid import (
     builtin,
     builtin_catalog,
     format_table,
-    freeze,
     parse_table,
 )
 
-from conftest import ABC, AB, templates, words
+from conftest import ABC, AB
 
 
 def test_template_function_evaluates():
@@ -140,59 +137,6 @@ def test_parse_table_empty_fields_are_epsilon():
     fn = parse_table("\tx\na\t\n", alphabet=AB.extended("x"))
     assert fn("").letters == "x"
     assert fn("a").letters == ""
-
-
-def test_freeze_basic():
-    base = TemplateFunction(Template.of(ABC, "", 1, "", 2, ""))
-    pinned = freeze(base, 1, ABC.word("ab"))
-    assert pinned.arity == 1
-    assert pinned("c").letters == "abc"
-
-
-def test_freeze_merges():
-    base = TemplateFunction(Template.of(ABC, "", 1, "", 2, "", 3, ""))
-    once = freeze(base, 2, ABC.word("b"))
-    twice = freeze(once, 1, ABC.word("a"))  # reduced position 1 = original 1
-    assert twice.arity == 1
-    assert twice("c").letters == "abc"
-    assert twice.free_positions == (3,)
-
-
-def test_freeze_query_count_delegates():
-    base = TemplateFunction(Template.of(ABC, "", 1, "", 2, ""))
-    pinned = freeze(base, 1, ABC.word("a"))
-    pinned("b")
-    pinned("b")
-    assert base.query_count == 1
-    assert pinned.query_count == 1
-
-
-@hypothesis.given(templates(max_arity=3), strat.data())
-def test_freeze_agrees_with_direct_eval(t, data):
-    hypothesis.assume(t.arity >= 2)
-    base = TemplateFunction(t)
-    pos = data.draw(strat.integers(1, t.arity))
-    pin = data.draw(words(max_len=3))
-    pinned = freeze(base, pos, pin)
-    rest = [data.draw(words(max_len=3)) for _ in range(t.arity - 1)]
-    full = list(rest)
-    full.insert(pos - 1, pin)
-    assert pinned.evaluate(tuple(rest)) == base.evaluate(tuple(full))
-
-
-def test_freeze_unary_to_nullary():
-    base = TemplateFunction(Template.of(ABC, "a", 1, "b"))
-    const = freeze(base, 1, ABC.word("cc"))
-    assert const.arity == 0
-    assert const.evaluate(()).letters == "accb"
-
-
-def test_freeze_validates_position():
-    base = TemplateFunction(Template.of(ABC, "", 1, ""))
-    with pytest.raises(ValueError):
-        freeze(base, 2, ABC.word("a"))
-    with pytest.raises(ValueError):
-        freeze(base, 0, ABC.word("a"))
 
 
 def test_name_strings():

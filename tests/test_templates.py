@@ -4,10 +4,10 @@ import pytest
 
 from cpmonoid import (
     FormatError,
+    Morphism,
     Template,
     Word,
     collapse_to,
-    custom_morphism,
     enumerate_templates,
     extensional_equal,
     format_template,
@@ -85,8 +85,8 @@ def test_length_law(t, data):
 PRESERVING_ENDOS = [
     identify(ABC, "b", "a"),
     collapse_to(ABC, "a"),
-    custom_morphism(ABC, {"a": "ab", "b": "ab", "c": ""}),
-    custom_morphism(ABC, {"a": "c", "b": "c", "c": "cc"}),
+    Morphism.make(ABC, {"a": "ab", "b": "ab", "c": ""}),
+    Morphism.make(ABC, {"a": "c", "b": "c", "c": "cc"}),
 ]
 
 

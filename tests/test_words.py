@@ -8,10 +8,10 @@ from cpmonoid import (
     Alphabet,
     AlphabetError,
     FormatError,
+    Morphism,
     Word,
     collapse_to,
     count_words,
-    custom_morphism,
     erase,
     format_morphism,
     identify,
@@ -125,14 +125,14 @@ def test_morphism_labels():
 
 def test_custom_morphism_into_other_alphabet():
     target = Alphabet.of("xy")
-    phi = custom_morphism(ABC, {"a": "xy", "b": "", "c": "x"}, target)
+    phi = Morphism.make(ABC, {"a": "xy", "b": "", "c": "x"}, target)
     assert phi.apply(ABC.word("cab")).letters == "xxy"
     assert not phi.is_endomorphism
 
 
 def test_morphism_is_endomorphism():
     assert collapse_to(ABC, "a").is_endomorphism
-    phi = custom_morphism(ABC, {"a": "xy", "b": "", "c": "x"}, Alphabet.of("xy"))
+    phi = Morphism.make(ABC, {"a": "xy", "b": "", "c": "x"}, Alphabet.of("xy"))
     assert not phi.is_endomorphism
 
 
@@ -143,7 +143,7 @@ def test_length_is_sum_of_letter_counts(w):
 
 @hypothesis.given(words(), words())
 def test_morphism_respects_concat(u, v):
-    phi = custom_morphism(ABC, {"a": "bc", "b": "", "c": "ab"})
+    phi = Morphism.make(ABC, {"a": "bc", "b": "", "c": "ab"})
     assert phi.apply(u + v).letters == phi.apply(u).letters + phi.apply(v).letters
     assert phi.apply(ABC.word("")).is_empty
 
@@ -182,7 +182,7 @@ def test_compose_frozen_examples():
 
 
 def test_compose_rejects_mismatched_alphabets():
-    phi = custom_morphism(ABC, {"a": "x", "b": "x", "c": "x"}, Alphabet.of("x"))
+    phi = Morphism.make(ABC, {"a": "x", "b": "x", "c": "x"}, Alphabet.of("x"))
     with pytest.raises(AlphabetError):
         phi.compose(phi)
 
@@ -210,10 +210,13 @@ def test_iter_word_tuples_leftmost_slowest():
         itertools.product(["", "a", "b"], repeat=2)
     )
     assert pairs == expected
+    assert list(iter_word_tuples(AB, 0, 2)) == [()]
+    triples = [tuple(w.letters for w in t) for t in iter_word_tuples(AB, 3, 1)]
+    assert triples == list(itertools.product(["", "a", "b"], repeat=3))
 
 
 def test_morphism_format_round_trip():
-    phi = custom_morphism(ABC, {"a": "ab", "b": "", "c": "a"})
+    phi = Morphism.make(ABC, {"a": "ab", "b": "", "c": "a"})
     text = format_morphism(phi)
     back = parse_morphism(text)
     assert back.image == phi.image
@@ -221,7 +224,7 @@ def test_morphism_format_round_trip():
 
 
 def test_morphism_format_with_target():
-    phi = custom_morphism(ABC, {"a": "x", "b": "xy", "c": ""}, Alphabet.of("xy"))
+    phi = Morphism.make(ABC, {"a": "x", "b": "xy", "c": ""}, Alphabet.of("xy"))
     back = parse_morphism(format_morphism(phi))
     assert back.target == phi.target
     assert back.apply(ABC.word("ab")).letters == "xxy"
