@@ -108,6 +108,7 @@ from .explorer import (
     enumerate_consistent,
     explore,
     recheck_table,
+    template_index,
     template_representable,
 )
 

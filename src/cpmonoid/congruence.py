@@ -306,13 +306,15 @@ def left_zero_with_identity() -> FiniteMonoid:
     return FiniteMonoid("LZ2+1", els, "e", table)
 
 
+@functools.cache
 def monoid_catalog() -> tuple[FiniteMonoid, ...]:
     """Small monoids tried during audits, cheap and potent ones first.
 
     Contains the additive and multiplicative integers mod ``n`` for
     ``n <= 6``, the full transformation monoid on two points, and the
-    two-element left-zero semigroup with an identity adjoined.  Every entry
-    is validated on construction of the catalog.
+    two-element left-zero semigroup with an identity adjoined.  The catalog
+    is built and every entry validated once per process; the entries are
+    frozen, so every caller shares the same tuple.
     """
     catalog = [
         cyclic_additive(2),

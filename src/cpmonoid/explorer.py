@@ -11,6 +11,12 @@ A consistent non-representable table is a *candidate*, not a counterexample:
 it satisfies finitely many constraints on a finite domain, and might be
 ruled out by a longer domain, a richer family, or an extension argument.
 The report says so explicitly.
+
+A search builds its kernel family and its template index once: each
+consistent table is classified by one lookup in :func:`template_index`, and
+the backtracker compares cached tuples of images under the whole family
+(see :func:`enumerate_consistent`).  :func:`recheck_table` uses none of
+these caches; it is the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .templates import Template, enumerate_templates
 from .words import Alphabet, Morphism, arrangements, strings_of_length, strings_up_to
@@ -90,34 +97,50 @@ def endomorphism_family(
     kernel on every word that can ever be compared — domain words *and*
     outputs, hence ``dedup_bound`` should cover ``max(n, p·n + e)``.  Only
     the first representative of each kernel is kept; morphisms injective on
-    that range constrain nothing but are kept (once) for honesty.
+    that range constrain nothing but are kept (once) for honesty.  Probe
+    words are in-alphabet, so each candidate acts as a ``str.translate``
+    table, and the labelled :class:`Morphism` is built only for a kept kernel.
+
+    Permuting the letters of the images keeps a kernel.  Of each class of
+    such renamings, the member whose image letters first appear in alphabet
+    order comes first in the enumeration; the others are skipped without a
+    signature, since their kernel is already seen.
     """
     images = list(strings_up_to(alphabet, image_len))
     probe_words = list(strings_up_to(alphabet, dedup_bound))
+    letters = "".join(alphabet.letters)
     family: list[Morphism] = []
     seen_kernels: set[tuple[int, ...]] = set()
     for combo in itertools.product(images, repeat=len(alphabet)):
+        if not letters.startswith("".join(dict.fromkeys("".join(combo)))):
+            continue  # a renaming of an earlier combo
         mapping = dict(zip(alphabet.letters, combo))
-        phi = Morphism.make(
-            alphabet, mapping, label="endo(" + ",".join(
-                f"{ch}->{img}" for ch, img in mapping.items()) + ")"
-        )
-        signature = _kernel_signature(phi, probe_words)
+        signature = _kernel_signature(str.maketrans(mapping), probe_words)
         if signature in seen_kernels:
             continue
         seen_kernels.add(signature)
-        family.append(phi)
+        family.append(Morphism.make(
+            alphabet, mapping, label="endo(" + ",".join(
+                f"{ch}->{img}" for ch, img in mapping.items()) + ")"
+        ))
     return family
 
 
-def _kernel_signature(phi: Morphism, probe_words: list[str]) -> tuple[int, ...]:
-    """Partition fingerprint: which probe words share an image under phi."""
+def _kernel_signature(
+    table: dict[int, str], probe_words: list[str]
+) -> tuple[int, ...]:
+    """Partition fingerprint under the morphism whose ``str.maketrans`` table
+    is given: each probe word maps to the position of the first probe word
+    sharing its image."""
     first_seen: dict[str, int] = {}
-    signature = []
-    for w in probe_words:
-        img = phi.apply_letters(w)
-        signature.append(first_seen.setdefault(img, len(first_seen)))
-    return tuple(signature)
+    images = map(str.translate, probe_words, itertools.repeat(table))
+    return tuple(map(first_seen.setdefault, images, range(len(probe_words))))
+
+
+# A word's images under the whole family, in family order; a search option
+# pairs a table entry (x, y) with the images of y.
+_Images = tuple[str, ...]
+_Option = tuple[tuple[str, str], _Images]
 
 
 def enumerate_consistent(
@@ -133,10 +156,20 @@ def enumerate_consistent(
     solutions).  Each tentative assignment is checked against every earlier
     word congruent to it under some family morphism.
 
+    Repeated work is done once.  Each candidate list is built once, memoised
+    on its per-letter counts, with every word's tuple of images under the
+    whole family; each level's options (entry pairs included, so tables
+    share them) are laid out once per choice of ``f(ε)``; and the assigned
+    outputs keep their image tuples on a stack parallel to the entries.
+    Earlier words of one kernel class already share an output image, so each
+    morphism contributes at most one peer check per domain word: against the
+    first earlier word of its class, all compared as one tuple of images.
+
     Pass a :class:`SearchStats` to observe node counts and the family size.
     Raises :class:`BudgetExhausted` when the node or time budget trips.
     """
     alphabet = config.alphabet
+    letters = alphabet.letters
     domain = list(strings_up_to(alphabet, config.domain_len))
     dedup_bound = max(config.domain_len, config.p * config.domain_len + config.e)
     family = endomorphism_family(alphabet, config.image_len, dedup_bound)
@@ -144,83 +177,130 @@ def enumerate_consistent(
         stats = SearchStats()
     stats.family_size = len(family)
 
-    # Group the domain by kernel class per morphism, recording for each word
-    # the earlier words it must stay congruent-output with.
-    peers: list[list[tuple[int, int]]] = [[] for _ in domain]  # (morphism, earlier)
-    for m_idx, phi in enumerate(family):
-        classes: dict[str, list[int]] = {}
-        for w_idx, w in enumerate(domain):
-            cls = classes.setdefault(phi.apply_letters(w), [])
-            for earlier in cls:
-                peers[w_idx].append((m_idx, earlier))
-            cls.append(w_idx)
+    # Domain and candidate words are in-alphabet: each morphism is a
+    # translate table, and a word's images under the family are one tuple.
+    translations = [str.maketrans(dict(phi.image)) for phi in family]
 
-    apply_cache: list[dict[str, str]] = [{} for _ in family]
+    def with_images(words: Iterable[str]) -> list[tuple[str, _Images]]:
+        return [(w, tuple(w.translate(t) for t in translations)) for w in words]
 
-    def phi_of(m_idx: int, word: str) -> str:
-        cache = apply_cache[m_idx]
-        img = cache.get(word)
-        if img is None:
-            img = family[m_idx].apply_letters(word)
-            cache[word] = img
-        return img
+    # For each domain word: the morphisms under which an earlier word shares
+    # its kernel class, each with the first such earlier word.
+    peers: list[list[tuple[int, int]]] = []  # (morphism, first earlier)
+    first_of_class: list[dict[str, int]] = [{} for _ in family]
+    for w_idx, (_, imgs) in enumerate(with_images(domain)):
+        row = []
+        for m_idx, img in enumerate(imgs):
+            first = first_of_class[m_idx].setdefault(img, w_idx)
+            if first != w_idx:
+                row.append((m_idx, first))
+        peers.append(row)
+    pickers = [itemgetter(*(m for m, _ in row)) if row else None for row in peers]
 
     deadline = (
         time.monotonic() + config.time_budget if config.time_budget else None
     )
-    assignment: list[str] = []
+    budget = config.node_budget
+    arranged: dict[tuple[int, ...], list[tuple[str, _Images]]] = {}
+    # f(ε) is free apart from its forced length e.
+    first_level: list[_Option] = [
+        (("", y), imgs)
+        for y, imgs in with_images(strings_of_length(alphabet, config.e))
+    ]
 
-    def candidates_for(idx: int) -> list[str]:
-        x = domain[idx]
-        base = assignment[0]
-        counts = [
-            config.p * x.count(ch) + base.count(ch) for ch in alphabet.letters
-        ]
-        return ["".join(t) for t in arrangements(alphabet.letters, counts)]
-
-    def rec(idx: int) -> Iterator[CandidateTable]:
-        if idx == len(domain):
-            stats.tables += 1
-            yield CandidateTable(alphabet, tuple(zip(domain, assignment)))
-            return
-        if idx == 0:
-            # f(ε) is free apart from its forced length e.
-            options = list(strings_of_length(alphabet, config.e))
-        else:
-            options = candidates_for(idx)
-        for y in options:
-            stats.nodes += 1
-            if stats.nodes > config.node_budget:
-                raise BudgetExhausted(
-                    f"node budget {config.node_budget} exhausted", stats
+    def levels_given(base: str) -> list[list[_Option]]:
+        """Every level's options once ``f(ε) = base`` is fixed; outputs with
+        equal per-letter counts share one memoised arrangement list."""
+        levels = [first_level]
+        for x in domain[1:]:
+            counts = tuple(config.p * x.count(ch) + base.count(ch) for ch in letters)
+            words = arranged.get(counts)
+            if words is None:
+                words = arranged[counts] = with_images(
+                    "".join(t) for t in arrangements(letters, counts)
                 )
+            levels.append([((x, y), imgs) for y, imgs in words])
+        return levels
+
+    entries: list[tuple[str, str]] = []
+    assigned_images: list[_Images] = []
+
+    def wanted_for(idx: int) -> str | _Images | None:
+        """The images every option for ``domain[idx]`` must match, in the
+        shape its picker returns (a bare string for a single peer)."""
+        row = peers[idx]
+        if not row:
+            return None
+        wanted = tuple(assigned_images[first][m] for m, first in row)
+        return wanted[0] if len(wanted) == 1 else wanted
+
+    # Depth-first search with one option iterator per assigned level, so a
+    # table is yielded in constant time instead of through a generator chain
+    # as deep as the domain.
+    last = len(domain) - 1
+    options: list[list[_Option]] = []  # per level, for the current f(ε)
+    iterators = [iter(first_level)]
+    wanted_at: list[str | _Images | None] = [None]
+    while iterators:
+        idx = len(iterators) - 1
+        pick, wanted = pickers[idx], wanted_at[idx]
+        for entry, imgs in iterators[idx]:
+            stats.nodes += 1
+            if stats.nodes > budget:
+                raise BudgetExhausted(f"node budget {budget} exhausted", stats)
             if deadline is not None and stats.nodes % 4096 == 0:
                 if time.monotonic() > deadline:
                     raise BudgetExhausted("time budget exhausted", stats)
-            ok = True
-            for m_idx, earlier in peers[idx]:
-                if phi_of(m_idx, y) != phi_of(m_idx, assignment[earlier]):
-                    ok = False
-                    break
-            if not ok:
+            if pick is not None and pick(imgs) != wanted:
                 continue
-            assignment.append(y)
-            stats.deepest = max(stats.deepest, idx + 1)
-            yield from rec(idx + 1)
-            assignment.pop()
+            if idx >= stats.deepest:
+                stats.deepest = idx + 1
+            entries.append(entry)
+            if idx == last:
+                stats.tables += 1
+                yield CandidateTable(alphabet, tuple(entries))
+                entries.pop()
+                continue
+            if idx == 0:
+                options = levels_given(entry[1])
+            assigned_images.append(imgs)
+            iterators.append(iter(options[idx + 1]))
+            wanted_at.append(wanted_for(idx + 1))
+            break
+        else:
+            iterators.pop()
+            wanted_at.pop()
+            if idx:
+                entries.pop()
+                assigned_images.pop()
 
-    yield from rec(0)
+
+def template_index(
+    config: SearchConfig,
+) -> dict[tuple[tuple[str, str], ...], Template]:
+    """Every (p, e) template, keyed by its restriction to the search domain.
+
+    The key is the restriction's entries in domain order, exactly as
+    :func:`enumerate_consistent` lays out a table, so classifying a table is
+    one lookup of ``table.entries``.  Templates that agree on the whole
+    domain share a key; the first in enumeration order keeps it.
+    """
+    domain = list(strings_up_to(config.alphabet, config.domain_len))
+    index: dict[tuple[tuple[str, str], ...], Template] = {}
+    for t in enumerate_templates(config.alphabet, 1, (config.p,), config.e):
+        index.setdefault(tuple((x, t.eval_letters([x])) for x in domain), t)
+    return index
 
 
 def template_representable(
     table: CandidateTable, config: SearchConfig
 ) -> Template | None:
-    """The first template (in enumeration order) restricting to this table."""
-    entries = table.entries
-    for t in enumerate_templates(config.alphabet, 1, (config.p,), config.e):
-        if all(t.eval_letters([x]) == y for x, y in entries):
-            return t
-    return None
+    """The first template (in enumeration order) restricting to this table.
+
+    The table must list the whole domain in search order, as
+    :func:`enumerate_consistent` yields it; anything else matches no template.
+    """
+    return template_index(config).get(table.entries)
 
 
 def recheck_table(table: CandidateTable, config: SearchConfig) -> bool:
@@ -287,16 +367,21 @@ class ExploreReport:
 
 
 def explore(config: SearchConfig) -> ExploreReport:
-    """Run the search and classify every consistent table."""
+    """Run the search and classify every consistent table.
+
+    The templates are indexed once per search (:func:`template_index`), so
+    each table is classified by a single lookup.
+    """
     consistent = 0
     representable = 0
     leftovers: list[CandidateTable] = []
     exhausted = False
     stats = SearchStats()
+    index = template_index(config)
     try:
         for table in enumerate_consistent(config, stats):
             consistent += 1
-            if template_representable(table, config) is not None:
+            if table.entries in index:
                 representable += 1
             else:
                 leftovers.append(table)

@@ -7,11 +7,8 @@ happen; without ``-s`` pytest shows them for failing criteria only.
 import random
 import time
 
-import pytest
-
 from cpmonoid import (
     Alphabet,
-    CertifiedCP,
     ConstEmpty,
     ConstLetter,
     Extracted,

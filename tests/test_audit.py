@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from cpmonoid import (
@@ -20,9 +18,7 @@ from cpmonoid import (
     congruent_pairs,
     family_congruences,
     finite_monoid_congruences,
-    identify,
     iter_words,
-    project,
     random_congruences,
     standard_congruences,
     theorem_check,

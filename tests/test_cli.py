@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cpmonoid import Template, TemplateFunction, format_table, format_template
+from cpmonoid import Template, TemplateFunction, format_template
 from cpmonoid.cli import run
 
 from conftest import ABC, AB

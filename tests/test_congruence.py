@@ -1,5 +1,3 @@
-import itertools
-
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
@@ -116,6 +114,12 @@ def test_catalog_all_valid_and_ordered():
         assert monoid_validate(m) is None
     sizes = [len(m.elements) for m in cat]
     assert max(sizes) <= 6
+
+
+def test_catalog_built_once_per_process():
+    cat = monoid_catalog()
+    assert monoid_catalog() is cat
+    assert all(monoid_validate(m) is None for m in cat)
 
 
 def test_monoid_morphism_word_image():

@@ -1,8 +1,15 @@
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 
 from cpmonoid import (
+    Alphabet,
     BudgetExhausted,
     CandidateTable,
+    Morphism,
     SearchConfig,
     SearchStats,
     Template,
@@ -12,6 +19,7 @@ from cpmonoid import (
     explore,
     iter_words,
     recheck_table,
+    template_index,
     template_representable,
 )
 
@@ -46,6 +54,8 @@ def test_endomorphism_family_sizes_frozen():
 
 
 def test_endomorphism_family_distinct_kernels():
+    # The family is deduplicated with str.translate signatures; recompute
+    # every kernel through Morphism.apply_letters instead.
     fam = endomorphism_family(AB, image_len=2, dedup_bound=3)
     probes = [w.letters for w in iter_words(AB, 3)]
 
@@ -59,6 +69,13 @@ def test_endomorphism_family_distinct_kernels():
 
     kernels = [kernel(phi) for phi in fam]
     assert len(kernels) == len(set(kernels))
+    # ... and the family misses no kernel of any endomorphism it stands for
+    images = [w.letters for w in iter_words(AB, 2)]
+    every = {
+        kernel(Morphism.make(AB, dict(zip(AB.letters, combo))))
+        for combo in itertools.product(images, repeat=len(AB))
+    }
+    assert every == set(kernels)
 
 
 def test_enumerate_consistent_p1_e0_frozen():
@@ -125,6 +142,35 @@ def test_template_representable_rejects_reversal():
     assert template_representable(table, config) is None
 
 
+def test_template_representable_first_of_agreeing_templates():
+    # Over one letter "a"·x and x·"a" agree on every input; the index keeps
+    # the template that enumerate_templates yields first, for either table.
+    a = Alphabet.of("a")
+    config = SearchConfig(a, domain_len=3, p=1, e=1)
+    first = next(iter(enumerate_templates(a, 1, (1,), 1)))
+    assert str(first) == '"a" x1 ""'
+    for t in (Template.of(a, "a", 1, ""), Template.of(a, "", 1, "a")):
+        assert template_representable(table_of_template(t, config), config) == first
+    assert len(template_index(config)) == 1
+
+
+@pytest.mark.parametrize("p,e", [(0, 2), (1, 1), (2, 1)])
+def test_template_index_matches_linear_scan(p, e):
+    config = SearchConfig(AB, domain_len=2, p=p, e=e)
+    tables = list(enumerate_consistent(config))
+    assert tables
+    for table in tables:
+        scan = next(
+            (
+                t
+                for t in enumerate_templates(AB, 1, (p,), e)
+                if all(t.eval_letters([x]) == y for x, y in table.entries)
+            ),
+            None,
+        )
+        assert template_representable(table, config) == scan
+
+
 def test_explore_two_letters_p1_e0():
     report = explore(SearchConfig(AB, domain_len=2, p=1, e=0))
     assert report.consistent == 4
@@ -182,3 +228,30 @@ def test_candidate_table_render_round_trip():
     rows = [line.split("\t") for line in text.rstrip("\n").split("\n")]
     assert all(len(r) == 2 for r in rows)
     assert dict((a, b) for a, b in rows) == table.as_dict()
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "explore.json"
+FAST_GOLDEN = (
+    [("ab", 2, p, e) for p in range(3) for e in range(3) if (p, e) != (2, 2)]
+    + [("ab", 3, 1, 0), ("abc", 2, 1, 0), ("abc", 2, 0, 1), ("abc", 2, 1, 1)]
+)
+
+
+@pytest.mark.parametrize("letters,maxlen,p,e", FAST_GOLDEN)
+def test_explore_matches_golden_summary(letters, maxlen, p, e):
+    # The benchmark's golden summaries pin every count and the exact render.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    want = golden[f"{letters}-maxlen{maxlen}-p{p}-e{e}"]
+    report = explore(SearchConfig(Alphabet.of(letters), domain_len=maxlen, p=p, e=e))
+    text = report.render().encode()
+    got = {
+        "nodes": report.nodes,
+        "consistent": report.consistent,
+        "representable": report.representable,
+        "non_representable": len(report.non_representable),
+        "family": report.family_size,
+        "exhausted": report.exhausted,
+        "render_sha256": hashlib.sha256(text).hexdigest(),
+        "render_bytes": len(text),
+    }
+    assert got == want

@@ -1,5 +1,4 @@
 import hypothesis
-import hypothesis.strategies as strat
 import pytest
 
 from cpmonoid import (

@@ -9,7 +9,6 @@ from cpmonoid import (
     AlphabetError,
     FormatError,
     Morphism,
-    Word,
     collapse_to,
     count_words,
     erase,
