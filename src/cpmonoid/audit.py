@@ -326,11 +326,19 @@ class RefutedCP:
         )
 
 
+BUDGET_EXHAUSTED = "budget exhausted"
+
+
 @dataclass(frozen=True)
 class Indeterminate:
     diagnosis: NotRCP | None
     checks: int
     note: str = ""
+
+    @property
+    def truncated(self) -> bool:
+        """Whether a family sweep ran out of checks before its last congruence."""
+        return self.note == BUDGET_EXHAUSTED
 
     def render(self) -> str:
         lines = ["verdict: indeterminate", f"checks: {self.checks}"]
@@ -394,5 +402,5 @@ def theorem_check(fn: WordFunction, budgets: Budgets | None = None) -> Verdict:
                     "internal inconsistency: witness failed re-verification"
                 )
             return RefutedCP(result.witness, name, total_checks)
-    note = "budget exhausted" if truncated else "all families exhausted"
+    note = BUDGET_EXHAUSTED if truncated else "all families exhausted"
     return Indeterminate(diagnosis, total_checks, note)

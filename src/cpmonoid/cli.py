@@ -16,9 +16,11 @@ Oracles are named by scheme: ``template:FILE``, ``builtin:NAME``,
 spoken to over the line protocol; ``--arity``/``--alphabet`` supply its
 signature).
 
-Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome or
+Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome
+(``check`` included, when every audit family ran to its end) or
 non-representable candidates; 2 usage or file-format errors; 3 external
-oracle protocol failures; 4 budget exhausted.  The ``CPMONOID_SEED``
+oracle protocol failures; 4 a check, audit or explore budget ran out before
+the sweep or search finished.  The ``CPMONOID_SEED``
 environment variable overrides ``--seed``.  All output is deterministic for
 fixed inputs and seeds.
 """
@@ -31,7 +33,7 @@ import os
 import sys
 from typing import Sequence
 
-from .audit import Budgets, CertifiedCP, RefutedCP, audit, theorem_check
+from .audit import Budgets, CertifiedCP, Indeterminate, audit, theorem_check
 from .explorer import SearchConfig, explore
 from .extraction import (
     NotRCP,
@@ -302,9 +304,9 @@ def _cmd_check(args: argparse.Namespace, fn: WordFunction) -> int:
     print(verdict.render())
     if isinstance(verdict, CertifiedCP):
         return EXIT_OK
-    if isinstance(verdict, RefutedCP):
-        return EXIT_FINDING
-    return EXIT_BUDGET
+    if isinstance(verdict, Indeterminate) and verdict.truncated:
+        return EXIT_BUDGET
+    return EXIT_FINDING  # a witness, or extraction's NOT-RCP after full sweeps
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:

@@ -22,7 +22,6 @@ these caches; it is the independent reference the tests compare against.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -42,7 +41,6 @@ class SearchConfig:
     e: int
     image_len: int = 2
     node_budget: int = 5_000_000
-    time_budget: float | None = None  # seconds; None = unlimited
 
     def __post_init__(self) -> None:
         if self.domain_len < 0:
@@ -53,8 +51,6 @@ class SearchConfig:
             raise ValueError("image length bound must be nonnegative")
         if self.node_budget <= 0:
             raise ValueError("node budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ class SearchStats:
 
 
 class BudgetExhausted(Exception):
-    """The node or time budget ran out mid-search."""
+    """The node budget ran out mid-search."""
 
     def __init__(self, message: str, stats: SearchStats) -> None:
         super().__init__(message)
@@ -166,7 +162,7 @@ def enumerate_consistent(
     first earlier word of its class, all compared as one tuple of images.
 
     Pass a :class:`SearchStats` to observe node counts and the family size.
-    Raises :class:`BudgetExhausted` when the node or time budget trips.
+    Raises :class:`BudgetExhausted` when the node budget trips.
     """
     alphabet = config.alphabet
     letters = alphabet.letters
@@ -197,9 +193,6 @@ def enumerate_consistent(
         peers.append(row)
     pickers = [itemgetter(*(m for m, _ in row)) if row else None for row in peers]
 
-    deadline = (
-        time.monotonic() + config.time_budget if config.time_budget else None
-    )
     budget = config.node_budget
     arranged: dict[tuple[int, ...], list[tuple[str, _Images]]] = {}
     # f(ε) is free apart from its forced length e.
@@ -248,9 +241,6 @@ def enumerate_consistent(
             stats.nodes += 1
             if stats.nodes > budget:
                 raise BudgetExhausted(f"node budget {budget} exhausted", stats)
-            if deadline is not None and stats.nodes % 4096 == 0:
-                if time.monotonic() > deadline:
-                    raise BudgetExhausted("time budget exhausted", stats)
             if pick is not None and pick(imgs) != wanted:
                 continue
             if idx >= stats.deepest:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .oracles import OracleError, WordFunction
 from .templates import LengthCoefficients, Template
@@ -136,9 +136,11 @@ class PeelViolation(OracleError):
 class PeeledFunction(WordFunction):
     """The base function with one head symbol asserted away.
 
-    Evaluation checks the promised prefix on *every* call and raises
-    :class:`PeelViolation` the moment the base function contradicts its
-    classified head, carrying the offending query.
+    :meth:`evaluate` forwards every call to the base function, whose memo
+    already makes repeated probes free (so this oracle keeps none, and its
+    ``query_count`` is the base's), then checks the promised prefix and
+    raises :class:`PeelViolation` the moment the base function contradicts
+    its classified head, carrying the offending query.
     """
 
     def __init__(self, base: WordFunction, case: HeadCase) -> None:
@@ -148,14 +150,11 @@ class PeeledFunction(WordFunction):
             raise ValueError(f"variable index {case.index} out of range")
         if isinstance(case, ConstLetter) and case.letter not in base.alphabet:
             raise ValueError(f"letter {case.letter!r} outside the base alphabet")
-        # No separate cache: the base function's memoization already makes
-        # repeated probes free, and query_count must stay the base's.
         super().__init__(
             f"peel[{render_head_case(case)}]({base.name})",
             base.alphabet,
             base.arity,
             base.supports_extension,
-            cache=False,
         )
         self.base = base
         self.case = case
@@ -164,7 +163,8 @@ class PeeledFunction(WordFunction):
     def query_count(self) -> int:
         return self.base.query_count
 
-    def _compute(self, args: tuple[Word, ...]) -> Word:
+    def evaluate(self, args: Sequence[Word]) -> Word:
+        args = tuple(args)
         out = self.base.evaluate(args)
         if isinstance(self.case, ConstLetter):
             prefix = self.case.letter
@@ -192,9 +192,11 @@ def _empty_tuple(fn: WordFunction) -> tuple[Word, ...]:
     return (Word(fn.alphabet, ""),) * fn.arity
 
 
-def _unit_tuple(fn: WordFunction, position: int, letters: str) -> tuple[Word, ...]:
-    """ε everywhere except ``letters`` at the given 1-based position."""
-    args = [Word(fn.alphabet, "")] * fn.arity
+def _unit_tuple(
+    fn: WordFunction, position: int, letters: str, fill: str
+) -> tuple[Word, ...]:
+    """``fill`` everywhere except ``letters`` at the given 1-based position."""
+    args = [Word(fn.alphabet, fill)] * fn.arity
     args[position - 1] = Word(fn.alphabet, letters)
     return tuple(args)
 
@@ -219,7 +221,7 @@ def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
     p: list[int] = []
     single_probes: list[ProbeRecord] = []
     for i in range(1, fn.arity + 1):
-        args_a = _unit_tuple(fn, i, a)
+        args_a = _unit_tuple(fn, i, a, "")
         out_a = fn.evaluate(args_a)
         probe_a = ProbeRecord(args_a, out_a)
         single_probes.append(probe_a)
@@ -230,7 +232,7 @@ def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
                 (base, probe_a),
                 f"argument {i}: output shrank below the constant term",
             )
-        args_b = _unit_tuple(fn, i, b)
+        args_b = _unit_tuple(fn, i, b, "")
         out_b = fn.evaluate(args_b)
         if len(out_b) != len(out_a):
             return NotRCP(
@@ -241,7 +243,7 @@ def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
         p.append(p_i)
     # Mixed-length probes: a two-letter argument and the all-filled tuple.
     for i in range(1, fn.arity + 1):
-        args_ab = _unit_tuple(fn, i, a + b)
+        args_ab = _unit_tuple(fn, i, a + b, "")
         out_ab = fn.evaluate(args_ab)
         if len(out_ab) != e + 2 * p[i - 1]:
             return NotRCP(
@@ -312,8 +314,8 @@ def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
         return ProbeRecord(args, fn.evaluate(args))
 
     all_c = probe(tuple(Word(fn.alphabet, c) for _ in range(k)))
-    planted_a = [probe(_unit_tuple_fill(fn, i, a, c)) for i in range(1, k + 1)]
-    planted_b = [probe(_unit_tuple_fill(fn, i, b, c)) for i in range(1, k + 1)]
+    planted_a = [probe(_unit_tuple(fn, i, a, c)) for i in range(1, k + 1)]
+    planted_b = [probe(_unit_tuple(fn, i, b, c)) for i in range(1, k + 1)]
     eps = probe(_empty_tuple(fn))
 
     if all_c.output.is_empty:
@@ -377,14 +379,6 @@ def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
     return Variable(idx)
 
 
-def _unit_tuple_fill(
-    fn: WordFunction, position: int, letter: str, fill: str
-) -> tuple[Word, ...]:
-    args = [Word(fn.alphabet, fill)] * fn.arity
-    args[position - 1] = Word(fn.alphabet, letter)
-    return tuple(args)
-
-
 def classify_head(fn: WordFunction) -> HeadCase | NotRCP:
     """Decide how the first output letter arises, by a handful of probes.
 
@@ -423,16 +417,16 @@ def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[Word, ...]]:
     alpha2 = letters[1] if len(letters) > 1 else letters[0]
     if fn.arity == 1:
         for ch in letters:
-            yield _unit_tuple(fn, 1, ch)
+            yield _unit_tuple(fn, 1, ch, "")
         for pair in (alpha1 + alpha1, alpha1 + alpha2, alpha2 + alpha1, alpha2 + alpha2):
-            yield _unit_tuple(fn, 1, pair)
+            yield _unit_tuple(fn, 1, pair, "")
         return
     for ch in letters[:3]:
         yield tuple(Word(fn.alphabet, ch) for _ in range(fn.arity))
     fill = fn.alphabet.letters[2] if len(fn.alphabet) >= 3 else alpha1
     for i in range(1, fn.arity + 1):
-        yield _unit_tuple_fill(fn, i, alpha1, fill)
-        yield _unit_tuple_fill(fn, i, alpha1 + alpha2, fill)
+        yield _unit_tuple(fn, i, alpha1, fill)
+        yield _unit_tuple(fn, i, alpha1 + alpha2, fill)
 
 
 def _validate(
@@ -583,8 +577,9 @@ class _SplitFactor(WordFunction):
 
     ``parent`` evaluated with the fresh letter in front must split into
     exactly ``parts`` factors around it; factor ``index`` of that split is
-    this function's value.  All factors share the parent's memo cache, so
-    sibling factors cost no extra queries.
+    this function's value.  :meth:`evaluate` forwards to the parent, whose
+    memo every factor shares, so sibling factors cost no extra queries and
+    ``query_count`` is the parent's.
     """
 
     def __init__(
@@ -600,9 +595,9 @@ class _SplitFactor(WordFunction):
             parent.alphabet,
             parent.arity - 1,
             supports_extension=True,
-            cache=False,
         )
         self.parent = parent
+        self.lead = Word(parent.alphabet.extended(fresh), fresh)
         self.fresh = fresh
         self.index = index
         self.parts = parts
@@ -612,13 +607,13 @@ class _SplitFactor(WordFunction):
     def query_count(self) -> int:
         return self.parent.query_count
 
-    def _compute(self, args: tuple[Word, ...]) -> Word:
-        lead = Word(self.parent.alphabet.extended(self.fresh), self.fresh)
-        out = self.parent.evaluate((lead,) + args)
+    def evaluate(self, args: Sequence[Word]) -> Word:
+        query = (self.lead, *args)
+        out = self.parent.evaluate(query)
         self.gamma.absorb(out.letters)
         pieces = out.letters.split(self.fresh)
         if len(pieces) != self.parts:
-            raise _SplitMismatch((lead,) + args, out, self.parts, len(pieces))
+            raise _SplitMismatch(query, out, self.parts, len(pieces))
         piece = pieces[self.index]
         return Word(self.alphabet.extended(piece), piece)
 

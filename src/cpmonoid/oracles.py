@@ -6,10 +6,15 @@ alphabet, and an ``evaluate`` method.  Backends exist for templates, Python
 callables (the builtin catalog), finite lookup tables, and external
 processes speaking a one-line-per-query protocol.
 
-Every call goes through a per-instance cache keyed by the argument letters,
-so repeated probes are free and ``query_count`` — the number of *distinct*
-evaluations that reached the backend — is deterministic.  Wrappers (peeled
-heads) report the root backend's count.
+:meth:`WordFunction.evaluate` is the one place where words meet raw strings.
+It checks the :class:`Word` arguments and looks up one memo, keyed by the
+argument letters; only on a miss does it call the backend's ``_compute``,
+which takes and returns plain ``str``, and it wraps that result into a
+:class:`Word` once.  So repeated probes are free and ``query_count`` — the
+number of *distinct* evaluations that reached the backend — is
+deterministic.  Derived oracles (peeled heads, fresh-letter factors)
+override ``evaluate`` to forward to their parent, whose memo they share,
+and report the root backend's count.
 """
 
 from __future__ import annotations
@@ -38,11 +43,11 @@ class OracleProtocolError(OracleError):
 class WordFunction:
     """A deterministic total function from k-tuples of words to words.
 
-    Subclasses implement :meth:`_compute`; the public :meth:`evaluate`
-    validates arguments, consults the cache and wraps the result.  When
-    ``supports_extension`` is true the function accepts (and may emit)
-    letters outside its declared alphabet — the lever that fresh-letter
-    extraction pulls.
+    Subclasses implement :meth:`_compute` on raw letter strings; the public
+    :meth:`evaluate` validates arguments, consults the memo and wraps the
+    result.  When ``supports_extension`` is true the function accepts (and
+    may emit) letters outside its declared alphabet — the lever that
+    fresh-letter extraction pulls.
     """
 
     def __init__(
@@ -51,7 +56,6 @@ class WordFunction:
         alphabet: Alphabet,
         arity: int,
         supports_extension: bool = False,
-        cache: bool = True,
     ) -> None:
         if arity < 0:
             raise ValueError("arity must be nonnegative")
@@ -59,12 +63,13 @@ class WordFunction:
         self.alphabet = alphabet
         self.arity = arity
         self.supports_extension = supports_extension
-        self._cache: dict[tuple[str, ...], Word] | None = {} if cache else None
+        self._cache: dict[tuple[str, ...], Word] = {}
         self._misses = 0
 
     # -- subclass hook ----------------------------------------------------
 
-    def _compute(self, args: tuple[Word, ...]) -> Word:
+    def _compute(self, key: tuple[str, ...]) -> str:
+        """The letters of the result for the argument letters ``key``."""
         raise NotImplementedError
 
     # -- public surface ---------------------------------------------------
@@ -75,26 +80,25 @@ class WordFunction:
         return self._misses
 
     def evaluate(self, args: Sequence[Word]) -> Word:
-        args = tuple(args)
-        if len(args) != self.arity:
+        key = tuple(a.letters for a in args)
+        out = self._cache.get(key)
+        if out is not None:
+            return out  # a memoised key already passed the checks below
+        if len(key) != self.arity:
             raise ValueError(
-                f"{self.name}: expected {self.arity} arguments, got {len(args)}"
+                f"{self.name}: expected {self.arity} arguments, got {len(key)}"
             )
         if not self.supports_extension:
-            for a in args:
-                extraneous = set(a.letters) - self.alphabet.letter_set
+            for letters in key:
+                extraneous = set(letters) - self.alphabet.letter_set
                 if extraneous:
                     raise OracleError(
                         f"{self.name}: letters {sorted(extraneous)} outside "
                         f"alphabet {self.alphabet} (no extension support)"
                     )
-        key = tuple(a.letters for a in args)
-        if self._cache is not None and key in self._cache:
-            return self._cache[key]
         self._misses += 1
-        out = self._compute(args)
-        if self._cache is not None:
-            self._cache[key] = out
+        letters = self._compute(key)
+        out = self._cache[key] = Word(self.alphabet.extended(letters), letters)
         return out
 
     def __call__(self, *args: Word | str) -> Word:
@@ -104,10 +108,6 @@ class WordFunction:
         )
         return self.evaluate(coerced)
 
-    def _wrap(self, letters: str) -> Word:
-        """Wrap backend output, extending the alphabet only when needed."""
-        return Word(self.alphabet.extended(letters), letters)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}/{self.arity} over {self.alphabet}>"
 
@@ -115,18 +115,17 @@ class WordFunction:
 class TemplateFunction(WordFunction):
     """A template used as an oracle; the honest case extraction must recover."""
 
-    def __init__(self, template: Template, cache: bool = True, name: str = "") -> None:
+    def __init__(self, template: Template, name: str = "") -> None:
         super().__init__(
             name or f"template[{template.body_text()}]",
             template.alphabet,
             template.arity,
             supports_extension=True,
-            cache=cache,
         )
         self.template = template
 
-    def _compute(self, args: tuple[Word, ...]) -> Word:
-        return self._wrap(self.template.eval_letters([a.letters for a in args]))
+    def _compute(self, key: tuple[str, ...]) -> str:
+        return self.template.eval_letters(key)
 
 
 class BuiltinFunction(WordFunction):
@@ -139,13 +138,12 @@ class BuiltinFunction(WordFunction):
         fn: Callable[[tuple[str, ...]], str],
         arity: int = 1,
         supports_extension: bool = False,
-        cache: bool = True,
     ) -> None:
-        super().__init__(name, alphabet, arity, supports_extension, cache)
+        super().__init__(name, alphabet, arity, supports_extension)
         self._fn = fn
 
-    def _compute(self, args: tuple[Word, ...]) -> Word:
-        return self._wrap(self._fn(tuple(a.letters for a in args)))
+    def _compute(self, key: tuple[str, ...]) -> str:
+        return self._fn(key)
 
 
 class TableFunction(WordFunction):
@@ -157,15 +155,13 @@ class TableFunction(WordFunction):
         arity: int,
         mapping: Mapping[tuple[str, ...], str],
         name: str = "table",
-        cache: bool = True,
     ) -> None:
-        super().__init__(name, alphabet, arity, supports_extension=False, cache=cache)
+        super().__init__(name, alphabet, arity, supports_extension=False)
         self._table = dict(mapping)
 
-    def _compute(self, args: tuple[Word, ...]) -> Word:
-        key = tuple(a.letters for a in args)
+    def _compute(self, key: tuple[str, ...]) -> str:
         try:
-            return self._wrap(self._table[key])
+            return self._table[key]
         except KeyError:
             raise TableMissError(
                 f"{self.name}: no entry for ({', '.join(repr(k) for k in key)})"
@@ -176,73 +172,35 @@ class TableFunction(WordFunction):
 # Builtin catalog
 
 
-def _require_letters(alphabet: Alphabet, needed: str, name: str) -> None:
-    missing = [ch for ch in needed if ch not in alphabet]
-    if missing:
-        raise ValueError(
-            f"builtin {name!r} needs letters {missing} in the alphabet"
-        )
-
-
 DEFAULT_ALPHABET = Alphabet.of("abc")
 
+# The builtin catalog, each builtin once: name -> (its value on the argument
+# letters over the alphabet, letters the alphabet must hold, whether it
+# accepts letters outside the alphabet).
+_BUILTINS: dict[str, tuple[Callable[[str, Alphabet], str], str, bool]] = {
+    "reverse": (lambda x, _: x[::-1], "", True),
+    "sort_letters": (lambda x, ab: "".join(sorted(x, key=ab.letters.index)), "", False),
+    "square": (lambda x, _: x + x, "", True),
+    "collapse_b_to_a": (lambda x, _: x.replace("b", "a"), "ab", True),
+    "erase_a": (lambda x, _: x.replace("a", ""), "a", True),
+    "first_letter_or_empty": (lambda x, _: x[:1], "", True),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
-def builtin(name: str, alphabet: Alphabet | None = None, cache: bool = True) -> WordFunction:
+
+def builtin(name: str, alphabet: Alphabet | None = None) -> WordFunction:
     """Look up one builtin by name over the given alphabet (default ``abc``)."""
     alphabet = alphabet or DEFAULT_ALPHABET
-    if name == "reverse":
-        return BuiltinFunction(
-            "reverse", alphabet, lambda a: a[0][::-1], supports_extension=True, cache=cache
-        )
-    if name == "sort_letters":
-        order = {ch: i for i, ch in enumerate(alphabet.letters)}
-        return BuiltinFunction(
-            "sort_letters",
-            alphabet,
-            lambda a: "".join(sorted(a[0], key=order.__getitem__)),
-            cache=cache,
-        )
-    if name == "square":
-        return BuiltinFunction(
-            "square", alphabet, lambda a: a[0] + a[0], supports_extension=True, cache=cache
-        )
-    if name == "collapse_b_to_a":
-        _require_letters(alphabet, "ab", name)
-        return BuiltinFunction(
-            "collapse_b_to_a",
-            alphabet,
-            lambda a: a[0].replace("b", "a"),
-            supports_extension=True,
-            cache=cache,
-        )
-    if name == "erase_a":
-        _require_letters(alphabet, "a", name)
-        return BuiltinFunction(
-            "erase_a",
-            alphabet,
-            lambda a: a[0].replace("a", ""),
-            supports_extension=True,
-            cache=cache,
-        )
-    if name == "first_letter_or_empty":
-        return BuiltinFunction(
-            "first_letter_or_empty",
-            alphabet,
-            lambda a: a[0][:1],
-            supports_extension=True,
-            cache=cache,
-        )
-    raise ValueError(f"unknown builtin {name!r}")
-
-
-BUILTIN_NAMES = (
-    "reverse",
-    "sort_letters",
-    "square",
-    "collapse_b_to_a",
-    "erase_a",
-    "first_letter_or_empty",
-)
+    try:
+        fn, needed, extension = _BUILTINS[name]
+    except KeyError:
+        raise ValueError(f"unknown builtin {name!r}") from None
+    missing = [ch for ch in needed if ch not in alphabet]
+    if missing:
+        raise ValueError(f"builtin {name!r} needs letters {missing} in the alphabet")
+    return BuiltinFunction(
+        name, alphabet, lambda key: fn(key[0], alphabet), supports_extension=extension
+    )
 
 
 def builtin_catalog(alphabet: Alphabet | None = None) -> tuple[WordFunction, ...]:
@@ -338,7 +296,6 @@ class ExternalFunction(WordFunction):
         command: Sequence[str] | str,
         arity: int,
         alphabet: Alphabet,
-        cache: bool = True,
     ) -> None:
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
@@ -367,7 +324,7 @@ class ExternalFunction(WordFunction):
             raise OracleProtocolError(
                 f"bad handshake reply {greeting!r} (want 'OK' or 'OK EXT')"
             )
-        super().__init__(f"exec[{argv[0]}]", alphabet, arity, ext, cache)
+        super().__init__(f"exec[{argv[0]}]", alphabet, arity, ext)
 
     def _send(self, line: str) -> None:
         proc = self._proc
@@ -386,11 +343,10 @@ class ExternalFunction(WordFunction):
             raise OracleProtocolError("oracle closed its output mid-session")
         return line.rstrip("\n")
 
-    def _compute(self, args: tuple[Word, ...]) -> Word:
+    def _compute(self, key: tuple[str, ...]) -> str:
         with self._lock:
-            for a in args:
-                self._known_letters.update(a.letters)
-            self._send("\t".join(a.letters for a in args))
+            self._known_letters.update(*key)
+            self._send("\t".join(key))
             reply = self._recv()
         if "\t" in reply:
             raise OracleProtocolError(
@@ -405,7 +361,7 @@ class ExternalFunction(WordFunction):
                 f"reply uses letters {sorted(unknown)} that were never "
                 "declared or sent"
             )
-        return self._wrap(reply)
+        return reply
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)

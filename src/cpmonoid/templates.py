@@ -225,8 +225,8 @@ def extensional_equal(t1: Template, t2: Template, length_bound: int) -> bool:
     return True
 
 
-def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Write ``total`` as ``parts`` ordered nonnegative terms, each <= cap.
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Write ``total`` as ``parts`` ordered nonnegative terms.
 
     Front-loaded: the first part runs from large to small, so for one
     variable slot the ``w_0``-heavy shapes come first.
@@ -235,8 +235,8 @@ def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]
         if total == 0:
             yield ()
         return
-    for first in range(min(total, cap), -1, -1):
-        for rest in _compositions(total - first, parts - 1, cap):
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -245,29 +245,25 @@ def enumerate_templates(
     arity: int,
     p: Sequence[int],
     e: int,
-    max_constant_len: int | None = None,
 ) -> Iterator[Template]:
     """Every template with the given length coefficients, exactly once.
 
     Deterministic order: slot sequences lexicographically, then constant
     length splits (front-loaded), then constant letters in alphabet order.
-    ``max_constant_len`` caps each individual ``w_j`` (default: no cap
-    beyond ``e`` itself).
     """
     p = tuple(p)
     if len(p) != arity:
         raise ValueError("need one length coefficient per argument")
     if any(c < 0 for c in p) or e < 0:
         raise ValueError("length coefficients must be nonnegative")
-    cap = e if max_constant_len is None else max_constant_len
     n = sum(p)
     # Templates share their constant Words: one pool per length, built once.
     pools = [
         [Word(alphabet, s) for s in strings_of_length(alphabet, k)]
-        for k in range(min(e, cap) + 1)
+        for k in range(e + 1)
     ]
     for slots in arrangements(range(1, arity + 1), p):
-        for lengths in _compositions(e, n + 1, cap):
+        for lengths in _compositions(e, n + 1):
             for constants in itertools.product(*(pools[k] for k in lengths)):
                 yield Template(arity, alphabet, constants, slots)
 

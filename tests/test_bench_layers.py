@@ -1,0 +1,68 @@
+"""The benchmark's layer tracer still fits the package it wraps.
+
+``bench/layers.py`` patches functions and methods of ``cpmonoid`` by name.
+Installing it fails when a refactor renames or moves one of them, and
+uninstalling it must put every original back.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from cpmonoid import builtin, extract
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", ROOT / "bench" / "layers.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+def _bindings(layers):
+    """Every attribute of the package modules and of the classes they define."""
+    owners = list(layers.PACKAGE_MODULES)
+    owners += [
+        value
+        for module in layers.PACKAGE_MODULES
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__.startswith("cpmonoid.")
+    ]
+    return {(id(owner), name): value for owner in owners for name, value in vars(owner).items()}
+
+
+def test_tracer_install_uninstall_restores_every_binding(layers):
+    before = _bindings(layers)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        oracles = layers.oracles
+        patched = {(id(owner), attr) for owner, attr, _ in tracer._patches}
+        assert oracles.WordFunction.evaluate.__wrapped__ is before[(id(oracles.WordFunction), "evaluate")]
+        for cls in (
+            oracles.TemplateFunction,
+            oracles.BuiltinFunction,
+            oracles.TableFunction,
+            oracles.ExternalFunction,
+        ):
+            assert (id(cls), "_compute") in patched, cls.__name__
+        fn = builtin("reverse")
+        extract(fn)
+        metrics = tracer.metrics()
+        assert metrics["oracles.queries"] == fn.query_count > 0
+        assert metrics["extraction.peels"] > 0
+    finally:
+        tracer.uninstall()
+    after = _bindings(layers)
+    assert after.keys() == before.keys()
+    changed = [key for key, value in before.items() if after[key] is not value]
+    assert not changed

@@ -171,6 +171,33 @@ def test_check_refutes(capsys):
     assert "WITNESS" in out
 
 
+def test_check_not_rcp_after_full_sweeps_exits_1(capsys, tmp_path):
+    # "cc" x "ac", reversed beyond length 2: extraction's validation catches
+    # it, every audit family runs to its end without a witness, and no
+    # budget runs out, so the NOT-RCP diagnosis decides the exit status.
+    from cpmonoid import iter_words
+
+    rows = []
+    for w in iter_words(ABC, 3):
+        x = w.letters if len(w) <= 2 else w.letters[::-1]
+        rows.append(f"{w.letters}\tcc{x}ac")
+    path = tmp_path / "late_reverse.tsv"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, _ = invoke(capsys, "check", "--oracle", f"table:{path}")
+    assert code == 1
+    assert "verdict: indeterminate" in out
+    assert "note: all families exhausted" in out
+    assert "reason: validation mismatch" in out
+
+
+def test_check_budget_exit(capsys):
+    code, out, _ = invoke(
+        capsys, "check", "--oracle", "builtin:reverse", "--budget", "10"
+    )
+    assert code == 4
+    assert "note: budget exhausted" in out
+
+
 def test_explore_exit_codes(capsys):
     code, out, _ = invoke(capsys, "explore", "--maxlen", "2", "--coeff", "1,0")
     assert code == 1  # non-representable candidates exist over two letters
