@@ -44,11 +44,11 @@ theta = RestrictedCongruence(Morphism.make(abc, {"a": "a", "b": "a", "c": "c"}))
 rng = random.Random(7)
 pairs = list(congruent_pairs(theta, 2))
 x, y = pairs[rng.randrange(len(pairs))]
-print(f"congruent pair under identify(b->a): {x.quoted()} ~ {y.quoted()}")
+print(f'congruent pair under identify(b->a): "{x}" ~ "{y}"')
 u = Template.of(abc, "c", 1, "")
 print(f"  images under u still congruent? "
-      f"{theta.congruent(u.eval([x]), u.eval([y]))}")
-assert theta.congruent(u.eval([x]), u.eval([y]))
+      f"{theta.congruent(u.eval_letters([x]), u.eval_letters([y]))}")
+assert theta.congruent(u.eval_letters([x]), u.eval_letters([y]))
 
 print()
 count = sum(1 for _ in enumerate_templates(abc, arity=1, p=(1,), e=1))

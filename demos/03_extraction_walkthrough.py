@@ -1,7 +1,7 @@
 """Recovering a template from a black box, step by step.
 
-The extractor only ever calls ``evaluate``.  It first learns the length
-law, then classifies the head of the output (constant letter, variable,
+The extractor only ever calls ``evaluate_letters``.  It first learns the
+length law, then classifies the head of the output (constant letter, variable,
 or empty), peels one symbol, and repeats until the budget given by the
 length law is spent.  A final sweep cross-checks the candidate on a
 batch of words.
@@ -48,4 +48,4 @@ print()
 print("reverse obeys |f(x)| = |x| but is not a template:")
 print(f"  refusal reason: {verdict.reason}")
 probe = verdict.probes[0]
-print(f"  counterexample query: {probe.args[0].quoted()} -> {probe.output.quoted()}")
+print(f'  counterexample query: "{probe.args[0]}" -> "{probe.output}"')

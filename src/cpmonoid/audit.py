@@ -46,8 +46,8 @@ from .words import (
     collapse_to,
     erase,
     identify,
-    iter_words,
     project,
+    strings_up_to,
 )
 
 
@@ -68,9 +68,8 @@ class Witness:
         lines.append(f"f(x): {self.out_left.quoted()}")
         lines.append(f"f(y): {self.out_right.quoted()}")
         for tag, out in (("x", self.out_left), ("y", self.out_right)):
-            img = self.spec.word_image(out)
-            shown = img.quoted() if isinstance(img, Word) else str(img)
-            lines.append(f"image(f({tag})): {shown}")
+            image = self.spec.render_image(self.spec.word_image(out.letters))
+            lines.append(f"image(f({tag})): {image}")
         return "\n".join(lines)
 
 
@@ -81,18 +80,18 @@ def verify_witness(fn: WordFunction, witness: Witness) -> bool:
     if len(witness.left) != fn.arity or len(witness.right) != fn.arity:
         return False
     for u, v in zip(witness.left, witness.right):
-        if not spec.congruent(u, v):
+        if not spec.congruent(u.letters, v.letters):
             return False
     out_l = fn.evaluate(witness.left)
     out_r = fn.evaluate(witness.right)
     if out_l != witness.out_left or out_r != witness.out_right:
         return False
-    return spec.word_image(out_l) != spec.word_image(out_r)
+    return spec.word_image(out_l.letters) != spec.word_image(out_r.letters)
 
 
 def _tuple_pair_stream(
     spec: CongruenceSpec, arity: int, length_bound: int
-) -> Iterator[tuple[tuple[Word, ...], tuple[Word, ...]]]:
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Componentwise-congruent tuple pairs, single-position variation first.
 
     Phase one varies one component at a time through every congruent pair
@@ -108,7 +107,7 @@ def _tuple_pair_stream(
         return
     if not pairs:
         return
-    words = list(iter_words(spec.alphabet, length_bound))
+    words = list(strings_up_to(spec.alphabet, length_bound))
     for position in range(arity):
         for u, v in pairs:
             for rest in itertools.product(words, repeat=arity - 1):
@@ -116,7 +115,7 @@ def _tuple_pair_stream(
                 right = rest[:position] + (v,) + rest[position:]
                 yield left, right
     # Mixed variation: diagonal entries first in each component's options.
-    options: list[tuple[Word, Word]] = [(w, w) for w in words] + pairs
+    options: list[tuple[str, str]] = [(w, w) for w in words] + pairs
     diagonal = len(words)
     for combo in itertools.product(range(len(options)), repeat=arity):
         varying = sum(1 for c in combo if c >= diagonal)
@@ -132,15 +131,16 @@ def _scan(
     length_bound: int,
     max_checks: int | None,
 ) -> tuple[Witness | None, int]:
+    evaluate, image = fn.evaluate_letters, spec.word_image
     checked = 0
     for left, right in _tuple_pair_stream(spec, fn.arity, length_bound):
         if max_checks is not None and checked >= max_checks:
             break
         checked += 1
-        out_l = fn.evaluate(left)
-        out_r = fn.evaluate(right)
-        if spec.word_image(out_l) != spec.word_image(out_r):
-            return Witness(spec, left, right, out_l, out_r), checked
+        if image(evaluate(left)) != image(evaluate(right)):
+            # Words are built once, for the witness; the memo supplies its outputs.
+            x, y = (tuple(map(spec.alphabet.word, t)) for t in (left, right))
+            return Witness(spec, x, y, fn.evaluate(x), fn.evaluate(y)), checked
     return None, checked
 
 
@@ -294,8 +294,12 @@ class Budgets:
     length_bound: int = 2
     checks_per_family: int = 200_000
     random_seed: int = 0
-    random_count: int = 40
-    random_image_lens: tuple[int, ...] = (1, 2)
+
+
+# The random phases of theorem_check: the image length bound of each phase,
+# and how many seeded random endomorphisms each phase sweeps.
+RANDOM_IMAGE_LENS = (1, 2)
+RANDOM_COUNT = 40
 
 
 @dataclass(frozen=True)
@@ -375,18 +379,9 @@ def theorem_check(fn: WordFunction, budgets: Budgets | None = None) -> Verdict:
         ("standard", standard_congruences(fn.alphabet)),
         ("finite_monoids", finite_monoid_congruences(fn.alphabet)),
     ]
-    for image_len in budgets.random_image_lens:
-        phases.append(
-            (
-                f"random(image<={image_len})",
-                random_congruences(
-                    fn.alphabet,
-                    budgets.random_seed,
-                    budgets.random_count,
-                    image_len,
-                ),
-            )
-        )
+    for n in RANDOM_IMAGE_LENS:
+        specs = random_congruences(fn.alphabet, budgets.random_seed, RANDOM_COUNT, n)
+        phases.append((f"random(image<={n})", specs))
 
     total_checks = 0
     truncated = False

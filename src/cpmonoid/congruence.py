@@ -8,7 +8,8 @@ Two flavours are supported, both with decidable membership:
   monoid, given by a letter assignment; ``u, v`` are related iff the folded
   products coincide.
 
-Either way a congruence is queried through a *canonical image*: related words
+Either way a congruence is queried through a *canonical image* of a word's
+raw letters (the letters of its image, or a monoid element): related words
 are exactly those with equal images, so bucketing by image enumerates
 congruent pairs without ever materialising the relation itself.
 """
@@ -19,17 +20,15 @@ import abc
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 from .words import (
     Alphabet,
+    AlphabetError,
     FormatError,
     Morphism,
-    Word,
-    iter_words,
+    strings_up_to,
 )
-
-CanonicalImage = Union[Word, str]
 
 
 @dataclass(frozen=True)
@@ -148,14 +147,15 @@ class MonoidMorphism:
     def _map(self) -> dict[str, str]:
         return dict(self.assignment)
 
-    def word_image(self, u: Word) -> str:
-        if u.alphabet != self.alphabet:
-            raise ValueError("word over a different alphabet")
+    def word_image(self, letters: str) -> str:
         acc = self.monoid.identity
         op = self.monoid.op
         m = self._map
-        for ch in u.letters:
-            acc = op(acc, m[ch])
+        try:
+            for ch in letters:
+                acc = op(acc, m[ch])
+        except KeyError as exc:
+            raise AlphabetError(f"letter {exc} not in alphabet {self.alphabet}") from None
         return acc
 
 
@@ -165,14 +165,18 @@ class CongruenceSpec(abc.ABC):
     alphabet: Alphabet
 
     @abc.abstractmethod
-    def word_image(self, u: Word) -> CanonicalImage:
+    def word_image(self, letters: str) -> str:
         """Canonical image; two words are congruent iff images are equal."""
 
     @abc.abstractmethod
     def describe(self) -> str:
         """Multi-line plain-text description used in reports."""
 
-    def congruent(self, u: Word, v: Word) -> bool:
+    def render_image(self, image: str) -> str:
+        """An image as reports show it (a monoid element is shown bare)."""
+        return image
+
+    def congruent(self, u: str, v: str) -> bool:
         return self.word_image(u) == self.word_image(v)
 
 
@@ -193,8 +197,11 @@ class RestrictedCongruence(CongruenceSpec):
     def alphabet(self) -> Alphabet:  # type: ignore[override]
         return self.morphism.source
 
-    def word_image(self, u: Word) -> Word:
-        return self.morphism.apply(u)
+    def word_image(self, letters: str) -> str:
+        return self.morphism.apply_letters(letters)
+
+    def render_image(self, image: str) -> str:
+        return f'"{image}"'  # a word, quoted like every word in reports
 
     def describe(self) -> str:
         from .words import format_morphism
@@ -215,8 +222,8 @@ class FiniteKernelCongruence(CongruenceSpec):
     def alphabet(self) -> Alphabet:  # type: ignore[override]
         return self.monoid_morphism.alphabet
 
-    def word_image(self, u: Word) -> str:
-        return self.monoid_morphism.word_image(u)
+    def word_image(self, letters: str) -> str:
+        return self.monoid_morphism.word_image(letters)
 
     def describe(self) -> str:
         mm = self.monoid_morphism
@@ -230,7 +237,7 @@ class FiniteKernelCongruence(CongruenceSpec):
 
 def congruent_pairs(
     spec: CongruenceSpec, length_bound: int
-) -> Iterator[tuple[Word, Word]]:
+) -> Iterator[tuple[str, str]]:
     """All unordered pairs of distinct congruent words up to ``length_bound``.
 
     Words are scanned shortest-first (then lexicographically) and bucketed by
@@ -238,8 +245,8 @@ def congruent_pairs(
     bucket, so the stream is deterministic and each pair appears once, as
     ``(earlier, later)``.
     """
-    buckets: dict[CanonicalImage, list[Word]] = {}
-    for w in iter_words(spec.alphabet, length_bound):
+    buckets: dict[str, list[str]] = {}
+    for w in strings_up_to(spec.alphabet, length_bound):
         peers = buckets.setdefault(spec.word_image(w), [])
         for u in peers:
             yield (u, w)

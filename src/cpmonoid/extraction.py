@@ -26,13 +26,14 @@ higher arities.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .oracles import OracleError, WordFunction
 from .templates import LengthCoefficients, Template
-from .words import Alphabet, Word, count_words, iter_word_tuples
+from .words import Alphabet, Word, count_words, strings_up_to
 
 # Diagnosis vocabulary for NotRCP outcomes.
 REASON_LENGTH = "length profile inconsistency"
@@ -43,16 +44,20 @@ REASON_VALIDATION = "validation mismatch"
 REASON_SPLIT = "split cardinality mismatch"
 
 
+def _quoted(args: tuple[str, ...]) -> str:
+    """Argument letters in the quoted report syntax: ``"ab" "c"``."""
+    return " ".join(f'"{a}"' for a in args) or '""'
+
+
 @dataclass(frozen=True)
 class ProbeRecord:
-    """One oracle query and what came back."""
+    """One oracle query and what came back, as raw letters."""
 
-    args: tuple[Word, ...]
-    output: Word
+    args: tuple[str, ...]
+    output: str
 
     def render(self) -> str:
-        shown = " ".join(a.quoted() for a in self.args) or '""'
-        return f"query: {shown}\noutput: {self.output.quoted()}"
+        return f'query: {_quoted(self.args)}\noutput: "{self.output}"'
 
 
 @dataclass(frozen=True)
@@ -119,16 +124,15 @@ class PeelViolation(OracleError):
     ``query`` (not Exception's own ``args``) holds the offending arguments.
     """
 
-    def __init__(self, query: tuple[Word, ...], output: Word, expected: str) -> None:
+    def __init__(self, query: tuple[str, ...], output: str, expected: str) -> None:
         self.query = query
         self.output = output
         self.expected = expected
         super().__init__(str(self))
 
     def __str__(self) -> str:
-        shown = " ".join(a.quoted() for a in self.query) or '""'
         return (
-            f"output {self.output.quoted()} on {shown} does not start "
+            f'output "{self.output}" on {_quoted(self.query)} does not start '
             f"with {self.expected!r}"
         )
 
@@ -136,11 +140,11 @@ class PeelViolation(OracleError):
 class PeeledFunction(WordFunction):
     """The base function with one head symbol asserted away.
 
-    :meth:`evaluate` forwards every call to the base function, whose memo
-    already makes repeated probes free (so this oracle keeps none, and its
-    ``query_count`` is the base's), then checks the promised prefix and
+    :meth:`evaluate_letters` forwards every call to the base function, whose
+    memo already makes repeated probes free (so this oracle keeps none, and
+    its ``query_count`` is the base's), then checks the promised prefix and
     raises :class:`PeelViolation` the moment the base function contradicts
-    its classified head, carrying the offending query.
+    its classified head, carrying the offending query's letters.
     """
 
     def __init__(self, base: WordFunction, case: HeadCase) -> None:
@@ -163,16 +167,15 @@ class PeeledFunction(WordFunction):
     def query_count(self) -> int:
         return self.base.query_count
 
-    def evaluate(self, args: Sequence[Word]) -> Word:
-        args = tuple(args)
-        out = self.base.evaluate(args)
+    def evaluate_letters(self, key: tuple[str, ...]) -> str:
+        out = self.base.evaluate_letters(key)
         if isinstance(self.case, ConstLetter):
             prefix = self.case.letter
         else:
-            prefix = args[self.case.index - 1].letters
-        if not out.letters.startswith(prefix):
-            raise PeelViolation(args, out, prefix)
-        return Word(out.alphabet, out.letters[len(prefix):])
+            prefix = key[self.case.index - 1]
+        if not out.startswith(prefix):
+            raise PeelViolation(key, out, prefix)
+        return out[len(prefix):]
 
 
 def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
@@ -188,17 +191,11 @@ def default_validation_len(arity: int, alphabet: Alphabet) -> int:
     return bound
 
 
-def _empty_tuple(fn: WordFunction) -> tuple[Word, ...]:
-    return (Word(fn.alphabet, ""),) * fn.arity
-
-
 def _unit_tuple(
     fn: WordFunction, position: int, letters: str, fill: str
-) -> tuple[Word, ...]:
+) -> tuple[str, ...]:
     """``fill`` everywhere except ``letters`` at the given 1-based position."""
-    args = [Word(fn.alphabet, fill)] * fn.arity
-    args[position - 1] = Word(fn.alphabet, letters)
-    return tuple(args)
+    return (fill,) * (position - 1) + (letters,) + (fill,) * (fn.arity - position)
 
 
 def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
@@ -211,18 +208,16 @@ def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
     if len(fn.alphabet) < 2:
         raise ValueError("length profiling needs at least two letters")
     a, b = fn.alphabet.letters[:2]
-    base_args = _empty_tuple(fn)
-    base_out = fn.evaluate(base_args)
+    base_args = ("",) * fn.arity
+    base_out = fn.evaluate_letters(base_args)
     base = ProbeRecord(base_args, base_out)
     e = len(base_out)
-    offsets = tuple(
-        (ch, base_out.letters.count(ch)) for ch in fn.alphabet.letters
-    )
+    offsets = tuple((ch, base_out.count(ch)) for ch in fn.alphabet.letters)
     p: list[int] = []
     single_probes: list[ProbeRecord] = []
     for i in range(1, fn.arity + 1):
         args_a = _unit_tuple(fn, i, a, "")
-        out_a = fn.evaluate(args_a)
+        out_a = fn.evaluate_letters(args_a)
         probe_a = ProbeRecord(args_a, out_a)
         single_probes.append(probe_a)
         p_i = len(out_a) - e
@@ -233,7 +228,7 @@ def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
                 f"argument {i}: output shrank below the constant term",
             )
         args_b = _unit_tuple(fn, i, b, "")
-        out_b = fn.evaluate(args_b)
+        out_b = fn.evaluate_letters(args_b)
         if len(out_b) != len(out_a):
             return NotRCP(
                 REASON_LENGTH,
@@ -244,15 +239,15 @@ def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
     # Mixed-length probes: a two-letter argument and the all-filled tuple.
     for i in range(1, fn.arity + 1):
         args_ab = _unit_tuple(fn, i, a + b, "")
-        out_ab = fn.evaluate(args_ab)
+        out_ab = fn.evaluate_letters(args_ab)
         if len(out_ab) != e + 2 * p[i - 1]:
             return NotRCP(
                 REASON_LENGTH,
                 (base, single_probes[i - 1], ProbeRecord(args_ab, out_ab)),
                 f"argument {i}: length is not affine in the input length",
             )
-    full_args = tuple(Word(fn.alphabet, a) for _ in range(fn.arity))
-    full_out = fn.evaluate(full_args) if fn.arity else base_out
+    full_args = (a,) * fn.arity
+    full_out = fn.evaluate_letters(full_args) if fn.arity else base_out
     if len(full_out) != e + sum(p):
         return NotRCP(
             REASON_LENGTH,
@@ -271,18 +266,15 @@ def _conflict(
 def _classify_unary(fn: WordFunction) -> HeadCase | NotRCP:
     letters = fn.alphabet.letters[: min(len(fn.alphabet), 4)]
     probes: list[ProbeRecord] = []
-    eps_args = (Word(fn.alphabet, ""),)
-    probes.append(ProbeRecord(eps_args, fn.evaluate(eps_args)))
-    for ch in letters:
-        args = (Word(fn.alphabet, ch),)
-        probes.append(ProbeRecord(args, fn.evaluate(args)))
+    for args in [("",)] + [(ch,) for ch in letters]:
+        probes.append(ProbeRecord(args, fn.evaluate_letters(args)))
     eps_probe, letter_probes = probes[0], probes[1:]
 
-    empties = [pr for pr in letter_probes if pr.output.is_empty]
+    empties = [pr for pr in letter_probes if not pr.output]
     if empties:
         # One empty output on nonempty input forces the constant-ε function.
         for pr in probes:
-            if not pr.output.is_empty:
+            if pr.output:
                 return _conflict(
                     "empty and nonempty outputs cannot share one head",
                     empties[0],
@@ -291,13 +283,12 @@ def _classify_unary(fn: WordFunction) -> HeadCase | NotRCP:
         return ConstEmpty()
 
     for pr in letter_probes:
-        ch = pr.args[0].letters
-        if pr.output.letters[0] != ch:
-            beta = pr.output.letters[0]
+        beta = pr.output[0]
+        if beta != pr.args[0]:
             # A head letter different from the input's first letter can only
             # be a constant; every probe must agree, the ε-probe included.
             for other in probes:
-                if other.output.is_empty or other.output.letters[0] != beta:
+                if not other.output.startswith(beta):
                     return _conflict(
                         f"head letter {beta!r} is not constant", pr, other
                     )
@@ -310,28 +301,28 @@ def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
     a, b, c = fn.alphabet.letters[:3]
     k = fn.arity
 
-    def probe(args: tuple[Word, ...]) -> ProbeRecord:
-        return ProbeRecord(args, fn.evaluate(args))
+    def probe(args: tuple[str, ...]) -> ProbeRecord:
+        return ProbeRecord(args, fn.evaluate_letters(args))
 
-    all_c = probe(tuple(Word(fn.alphabet, c) for _ in range(k)))
+    all_c = probe((c,) * k)
     planted_a = [probe(_unit_tuple(fn, i, a, c)) for i in range(1, k + 1)]
     planted_b = [probe(_unit_tuple(fn, i, b, c)) for i in range(1, k + 1)]
-    eps = probe(_empty_tuple(fn))
+    eps = probe(("",) * k)
 
-    if all_c.output.is_empty:
+    if not all_c.output:
         for pr in (*planted_a, *planted_b, eps):
-            if not pr.output.is_empty:
+            if pr.output:
                 return _conflict(
                     "empty and nonempty outputs cannot share one head", all_c, pr
                 )
         return ConstEmpty()
-    beta = all_c.output.letters[0]
+    beta = all_c.output[0]
 
     if beta != c:
         # No argument can supply β here (they all start with c), so the head
         # must be the constant β — on every probe, ε-probe included.
         for pr in (*planted_a, *planted_b, eps):
-            if pr.output.is_empty or pr.output.letters[0] != beta:
+            if not pr.output.startswith(beta):
                 return _conflict(
                     f"head letter {beta!r} is not constant", all_c, pr
                 )
@@ -339,9 +330,9 @@ def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
 
     heads = []
     for pr in planted_a:
-        if pr.output.is_empty:
+        if not pr.output:
             return _conflict("output vanished on a nonempty probe", all_c, pr)
-        heads.append(pr.output.letters[0])
+        heads.append(pr.output[0])
     foreign = [h for h in heads if h not in (a, c)]
     if foreign:
         i = heads.index(foreign[0])
@@ -355,7 +346,7 @@ def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
     if not marked:
         # Nothing echoes the planted letter: the head is the constant c.
         for pr in (*planted_b, eps):
-            if pr.output.is_empty or pr.output.letters[0] != c:
+            if not pr.output.startswith(c):
                 return _conflict("head letter 'c' is not constant", all_c, pr)
         return ConstLetter(c)
     if len(marked) > 1:
@@ -369,7 +360,7 @@ def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
     # now echo b, everyone else must stay at c.
     for j, pr in enumerate(planted_b, start=1):
         want = b if j == idx else c
-        if pr.output.is_empty or pr.output.letters[0] != want:
+        if not pr.output.startswith(want):
             return _conflict(
                 f"argument {idx} does not hold up as the head on the "
                 "confirmation round",
@@ -397,21 +388,21 @@ def classify_head(fn: WordFunction) -> HeadCase | NotRCP:
     if len(fn.alphabet) < 3:
         raise ValueError("head classification needs at least three letters")
     if fn.arity == 0:
-        out = fn.evaluate(())
-        return ConstEmpty() if out.is_empty else ConstLetter(out.letters[0])
+        out = fn.evaluate_letters(())
+        return ConstLetter(out[0]) if out else ConstEmpty()
     if fn.arity == 1:
         return _classify_unary(fn)
     return _classify_general(fn)
 
 
-def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[Word, ...]]:
+def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[str, ...]]:
     """Inputs for the end-of-loop all-ε check, length-2 words included.
 
     Length-2 inputs matter: a liar that survived single-letter probes (a
     reversal, say) still has to reproduce two-letter prefixes through the
     accumulated peels, which trips the in-peel assertion.
     """
-    yield _empty_tuple(fn)
+    yield ("",) * fn.arity
     letters = fn.alphabet.letters[: min(len(fn.alphabet), 4)]
     alpha1 = letters[0]
     alpha2 = letters[1] if len(letters) > 1 else letters[0]
@@ -422,7 +413,7 @@ def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[Word, ...]]:
             yield _unit_tuple(fn, 1, pair, "")
         return
     for ch in letters[:3]:
-        yield tuple(Word(fn.alphabet, ch) for _ in range(fn.arity))
+        yield (ch,) * fn.arity
     fill = fn.alphabet.letters[2] if len(fn.alphabet) >= 3 else alpha1
     for i in range(1, fn.arity + 1):
         yield _unit_tuple(fn, i, alpha1, fill)
@@ -433,10 +424,11 @@ def _validate(
     fn: WordFunction, template: Template, validation_len: int, queries_before: int
 ) -> ExtractionOutcome:
     """Compare oracle and template on every argument tuple up to the bound."""
-    for args in iter_word_tuples(fn.alphabet, fn.arity, validation_len):
-        got = fn.evaluate(args)
-        want = template.eval_letters([a.letters for a in args])
-        if got.letters != want:
+    words = strings_up_to(fn.alphabet, validation_len)
+    for args in itertools.product(words, repeat=fn.arity):
+        got = fn.evaluate_letters(args)
+        want = template.eval_letters(args)
+        if got != want:
             return NotRCP(
                 REASON_VALIDATION,
                 (ProbeRecord(args, got),),
@@ -503,17 +495,16 @@ def extract(
                 )
         if not emitted_early:
             for args in _residual_probe_args(current):
-                out = current.evaluate(args)
-                if not out.is_empty:
+                if current.evaluate_letters(args):
                     return NotRCP(
                         REASON_BUDGET,
-                        (ProbeRecord(args, fn.evaluate(args)),),
+                        (ProbeRecord(args, fn.evaluate_letters(args)),),
                         f"residue still produces output after {budget} peels",
                     )
     except PeelViolation as violation:
         return NotRCP(
             REASON_PEEL,
-            (ProbeRecord(violation.query, fn.evaluate(violation.query)),),
+            (ProbeRecord(violation.query, fn.evaluate_letters(violation.query)),),
             str(violation),
         )
 
@@ -554,8 +545,8 @@ class _GammaTracker:
 class _SplitMismatch(Exception):
     def __init__(
         self,
-        query: tuple[Word, ...],
-        output: Word,
+        query: tuple[str, ...],
+        output: str,
         expected_parts: int,
         actual_parts: int,
     ) -> None:
@@ -577,8 +568,9 @@ class _SplitFactor(WordFunction):
 
     ``parent`` evaluated with the fresh letter in front must split into
     exactly ``parts`` factors around it; factor ``index`` of that split is
-    this function's value.  :meth:`evaluate` forwards to the parent, whose
-    memo every factor shares, so sibling factors cost no extra queries and
+    this function's value.  :meth:`evaluate_letters` puts the fresh letter in
+    front of the argument letters and forwards to the parent, whose memo
+    every factor shares, so sibling factors cost no extra queries and
     ``query_count`` is the parent's.
     """
 
@@ -597,7 +589,6 @@ class _SplitFactor(WordFunction):
             supports_extension=True,
         )
         self.parent = parent
-        self.lead = Word(parent.alphabet.extended(fresh), fresh)
         self.fresh = fresh
         self.index = index
         self.parts = parts
@@ -607,31 +598,30 @@ class _SplitFactor(WordFunction):
     def query_count(self) -> int:
         return self.parent.query_count
 
-    def evaluate(self, args: Sequence[Word]) -> Word:
-        query = (self.lead, *args)
-        out = self.parent.evaluate(query)
-        self.gamma.absorb(out.letters)
-        pieces = out.letters.split(self.fresh)
+    def evaluate_letters(self, key: tuple[str, ...]) -> str:
+        query = (self.fresh, *key)
+        out = self.parent.evaluate_letters(query)
+        self.gamma.absorb(out)
+        pieces = out.split(self.fresh)
         if len(pieces) != self.parts:
             raise _SplitMismatch(query, out, self.parts, len(pieces))
-        piece = pieces[self.index]
-        return Word(self.alphabet.extended(piece), piece)
+        return pieces[self.index]
 
 
 def _extract_fresh_template(
     fn: WordFunction, gamma: _GammaTracker
 ) -> Template | NotRCP:
     if fn.arity == 0:
-        out = fn.evaluate(())
-        gamma.absorb(out.letters)
+        out = fn.evaluate_letters(())
+        gamma.absorb(out)
         return _constant_template(fn, out)
 
     if fn.arity == 1:
         fresh = gamma.fresh()
-        args = (Word(fn.alphabet.extended(fresh), fresh),)
-        out = fn.evaluate(args)
-        gamma.absorb(out.letters)
-        pieces = out.letters.split(fresh)
+        args = (fresh,)
+        out = fn.evaluate_letters(args)
+        gamma.absorb(out)
+        pieces = out.split(fresh)
         return _assemble_unary(fn, args, out, pieces)
 
     profile = length_profile(fn)
@@ -651,21 +641,21 @@ def _extract_fresh_template(
     return _splice(fn, sub_templates)
 
 
-def _constant_template(fn: WordFunction, out: Word) -> Template | NotRCP:
-    bad = set(out.letters) - fn.alphabet.letter_set
+def _constant_template(fn: WordFunction, out: str) -> Template | NotRCP:
+    bad = set(out) - fn.alphabet.letter_set
     if bad:
         return NotRCP(
             REASON_SPLIT,
             (ProbeRecord((), out),),
             f"constant output uses letters {sorted(bad)} outside the alphabet",
         )
-    return Template(0, fn.alphabet, (Word(fn.alphabet, out.letters),), ())
+    return Template(0, fn.alphabet, (Word(fn.alphabet, out),), ())
 
 
 def _assemble_unary(
     fn: WordFunction,
-    args: tuple[Word, ...],
-    out: Word,
+    args: tuple[str, ...],
+    out: str,
     pieces: list[str],
 ) -> Template | NotRCP:
     bad = sorted(set("".join(pieces)) - fn.alphabet.letter_set)

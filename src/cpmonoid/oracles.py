@@ -2,19 +2,19 @@
 
 Extraction and auditing only ever see a :class:`WordFunction`: something
 with an arity, an alphabet, maybe the ability to accept letters outside that
-alphabet, and an ``evaluate`` method.  Backends exist for templates, Python
-callables (the builtin catalog), finite lookup tables, and external
+alphabet, and an ``evaluate_letters`` method.  Backends exist for templates,
+Python callables (the builtin catalog), finite lookup tables, and external
 processes speaking a one-line-per-query protocol.
 
-:meth:`WordFunction.evaluate` is the one place where words meet raw strings.
-It checks the :class:`Word` arguments and looks up one memo, keyed by the
-argument letters; only on a miss does it call the backend's ``_compute``,
-which takes and returns plain ``str``, and it wraps that result into a
-:class:`Word` once.  So repeated probes are free and ``query_count`` — the
-number of *distinct* evaluations that reached the backend — is
-deterministic.  Derived oracles (peeled heads, fresh-letter factors)
-override ``evaluate`` to forward to their parent, whose memo they share,
-and report the root backend's count.
+:meth:`WordFunction.evaluate_letters` is the core: it takes and returns raw
+letter strings, checks the arity and letters of a new argument tuple, and
+looks it up in one memo; only on a miss does it call the backend's
+``_compute``.  So repeated probes are free and ``query_count`` — the number
+of *distinct* evaluations that reached the backend — is deterministic.
+:meth:`WordFunction.evaluate` is the :class:`Word` boundary around it, for
+callers outside the hot loops.  Derived oracles (peeled heads, fresh-letter
+factors) override ``evaluate_letters`` to forward to their parent, whose
+memo they share, and report the root backend's count.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ class OracleProtocolError(OracleError):
 class WordFunction:
     """A deterministic total function from k-tuples of words to words.
 
-    Subclasses implement :meth:`_compute` on raw letter strings; the public
-    :meth:`evaluate` validates arguments, consults the memo and wraps the
-    result.  When ``supports_extension`` is true the function accepts (and
-    may emit) letters outside its declared alphabet — the lever that
-    fresh-letter extraction pulls.
+    Subclasses implement :meth:`_compute` on raw letter strings;
+    :meth:`evaluate_letters` validates arguments and consults the memo, and
+    :meth:`evaluate` wraps it for :class:`Word` callers.  When
+    ``supports_extension`` is true the function accepts (and may emit)
+    letters outside its declared alphabet — the lever that fresh-letter
+    extraction pulls.
     """
 
     def __init__(
@@ -63,7 +64,7 @@ class WordFunction:
         self.alphabet = alphabet
         self.arity = arity
         self.supports_extension = supports_extension
-        self._cache: dict[tuple[str, ...], Word] = {}
+        self._cache: dict[tuple[str, ...], str] = {}
         self._misses = 0
 
     # -- subclass hook ----------------------------------------------------
@@ -79,8 +80,8 @@ class WordFunction:
         """Distinct argument tuples evaluated by the underlying backend."""
         return self._misses
 
-    def evaluate(self, args: Sequence[Word]) -> Word:
-        key = tuple(a.letters for a in args)
+    def evaluate_letters(self, key: tuple[str, ...]) -> str:
+        """The result letters for the argument letters ``key``, memoised."""
         out = self._cache.get(key)
         if out is not None:
             return out  # a memoised key already passed the checks below
@@ -97,9 +98,12 @@ class WordFunction:
                         f"alphabet {self.alphabet} (no extension support)"
                     )
         self._misses += 1
-        letters = self._compute(key)
-        out = self._cache[key] = Word(self.alphabet.extended(letters), letters)
+        out = self._cache[key] = self._compute(key)
         return out
+
+    def evaluate(self, args: Sequence[Word]) -> Word:
+        letters = self.evaluate_letters(tuple(a.letters for a in args))
+        return Word(self.alphabet.extended(letters), letters)
 
     def __call__(self, *args: Word | str) -> Word:
         coerced = tuple(

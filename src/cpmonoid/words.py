@@ -242,7 +242,10 @@ class Morphism:
     def apply_letters(self, letters: str) -> str:
         """Apply to a raw letter string (hot path for search loops)."""
         m = self._map
-        return "".join(m[ch] for ch in letters)
+        try:
+            return "".join([m[ch] for ch in letters])
+        except KeyError as exc:
+            raise AlphabetError(f"letter {exc} not in alphabet {self.source}") from None
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """``self after inner``: the result maps ``u`` to ``self(inner(u))``."""
@@ -326,6 +329,8 @@ def strings_of_length(alphabet: Alphabet, n: int) -> Iterator[str]:
 def strings_up_to(alphabet: Alphabet, max_len: int) -> Iterator[str]:
     """All raw letter strings of length at most ``max_len``, shortest first,
     then as in :func:`strings_of_length`."""
+    if max_len < 0:
+        raise ValueError(f"negative length bound {max_len}")
     for n in range(max_len + 1):
         yield from strings_of_length(alphabet, n)
 
@@ -362,8 +367,6 @@ def arrangements(
 def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """All words of length at most ``max_len``, shortest first, then in
     lexicographic order of the alphabet's declared letter order."""
-    if max_len < 0:
-        raise ValueError(f"negative length bound {max_len}")
     for letters in strings_up_to(alphabet, max_len):
         yield Word(alphabet, letters)
 

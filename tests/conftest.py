@@ -12,6 +12,19 @@ def words(alphabet=ABC, max_len=6):
     )
 
 
+def count_word_constructions(monkeypatch):
+    """Count every ``Word`` built from now on; returns a one-item list."""
+    built = [0]
+    original = Word.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    return built
+
+
 def templates(alphabet=ABC, max_arity=3, max_slots=3, max_const=2):
     """Random templates: a slot sequence over 1..arity plus constants."""
 

@@ -1,6 +1,7 @@
 import pytest
 
 from cpmonoid import (
+    BUILTIN_NAMES,
     AuditResult,
     Budgets,
     CertifiedCP,
@@ -25,7 +26,7 @@ from cpmonoid import (
     verify_witness,
 )
 
-from conftest import ABC
+from conftest import ABC, count_word_constructions
 
 
 def brute_first_witness(fn, spec, bound):
@@ -33,10 +34,10 @@ def brute_first_witness(fn, spec, bound):
     ws = list(iter_words(spec.alphabet, bound))
     classes = {}
     for w in ws:
-        classes.setdefault(spec.word_image(w), []).append(w)
+        classes.setdefault(spec.word_image(w.letters), []).append(w)
     for x, y in congruent_pairs(spec, bound):
-        if spec.word_image(fn(x.letters)) != spec.word_image(fn(y.letters)):
-            return (x.letters, y.letters)
+        if spec.word_image(fn(x).letters) != spec.word_image(fn(y).letters):
+            return (x, y)
     return None
 
 
@@ -102,8 +103,8 @@ def test_reverse_witness_ab_cbb_is_valid():
         fn("ab"),
         fn("cbb"),
     )
-    assert spec.word_image(ABC.word("ab")).letters == "abb"
-    assert spec.word_image(ABC.word("cbb")).letters == "abb"
+    assert spec.word_image("ab") == "abb"
+    assert spec.word_image("cbb") == "abb"
     assert verify_witness(fn, w)
 
 
@@ -222,11 +223,28 @@ def test_theorem_check_reverse_needs_finite_monoids():
 
 
 def test_theorem_check_indeterminate_under_starvation():
-    budgets = Budgets(checks_per_family=2, random_count=1, random_image_lens=(1,))
+    budgets = Budgets(checks_per_family=2)
     verdict = theorem_check(builtin("reverse", ABC), budgets)
     assert isinstance(verdict, Indeterminate)
     assert "budget exhausted" in verdict.note
     assert "indeterminate" in verdict.render()
+
+
+def test_theorem_check_builds_no_word_per_check(monkeypatch):
+    fn = builtin("reverse", ABC)
+    built = count_word_constructions(monkeypatch)
+    verdict = theorem_check(fn)
+    assert isinstance(verdict, RefutedCP)
+    assert verdict.checks == 1280
+    assert built[0] < 50
+
+
+@pytest.mark.parametrize("family", ["standard", "finite_monoids", "random"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_audit_witness_replays_on_fresh_oracle(name, family):
+    result = audit(builtin(name, ABC), family=family)
+    if result.witness is not None:
+        assert verify_witness(builtin(name, ABC), result.witness)
 
 
 def test_theorem_check_requires_three_letters():

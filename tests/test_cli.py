@@ -2,13 +2,16 @@
 
 import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
-from cpmonoid import Template, TemplateFunction, format_template
+from cpmonoid import BUILTIN_NAMES, Template, TemplateFunction, format_template
 from cpmonoid.cli import run
 
 from conftest import ABC, AB
+
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli"
 
 
 def invoke(capsys, *argv):
@@ -90,6 +93,26 @@ def test_extract_reverse_not_rcp(capsys):
     code, out, _ = invoke(capsys, "extract", "--oracle", "builtin:reverse")
     assert code == 1
     assert "reason: peel prefix violation" in out
+    assert out == (
+        "NOT-RCP\n"
+        "reason: peel prefix violation\n"
+        'query: "ab"\n'
+        'output: "ba"\n'
+        "detail: output \"ba\" on \"ab\" does not start with 'ab'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--oracle", "builtin:reverse", "--bound", "-1"),
+        ("extract", "--oracle", "builtin:square", "--validate-len", "-1"),
+    ],
+)
+def test_negative_length_bound_is_usage_error(capsys, argv):
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2
+    assert "negative length bound" in err
 
 
 def test_extract_fresh_flag(capsys, template_file):
@@ -188,6 +211,16 @@ def test_check_not_rcp_after_full_sweeps_exits_1(capsys, tmp_path):
     assert "verdict: indeterminate" in out
     assert "note: all families exhausted" in out
     assert "reason: validation mismatch" in out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_check_matches_golden(capsys, monkeypatch, name):
+    # byte-identical to the checked-in benchmark golden output, which covers
+    # quoted word images and bare finite-monoid images in witnesses
+    monkeypatch.delenv("CPMONOID_SEED", raising=False)
+    code, out, _ = invoke(capsys, "check", "--oracle", f"builtin:{name}")
+    assert out.encode() == (GOLDEN_CLI / f"check-{name}.out").read_bytes()
+    assert code == int((GOLDEN_CLI / f"check-{name}.code").read_text())
 
 
 def test_check_budget_exit(capsys):

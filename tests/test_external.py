@@ -161,3 +161,24 @@ def test_closed_oracle_refuses_queries():
     fn.close()
     with pytest.raises(OracleProtocolError):
         fn("ab")
+
+
+def test_check_reports_a_fresh_letter_leaking_into_audit(capsys):
+    # reverses its input and, once it has been sent a fresh letter, appends
+    # that letter to every reply; the audit then meets an output outside the
+    # alphabet, which must be a clean usage error, not a traceback
+    from cpmonoid.cli import run
+
+    body = (
+        "import sys\n"
+        "input()\n"
+        "print('OK EXT', flush=True)\n"
+        "extra = ''\n"
+        "for line in sys.stdin:\n"
+        "    line = line.rstrip('\\n')\n"
+        "    extra = extra or ''.join(c for c in line if c not in 'abc\\t')[:1]\n"
+        "    print(line.replace('\\t', '')[::-1] + extra, flush=True)\n"
+    )
+    code = run(["check", "--oracle", "exec:" + script(body)])
+    assert code == 2
+    assert "alphabet" in capsys.readouterr().err

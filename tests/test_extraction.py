@@ -22,7 +22,7 @@ from cpmonoid import (
 )
 from cpmonoid.extraction import default_validation_len
 
-from conftest import ABC, AB, templates
+from conftest import ABC, AB, count_word_constructions, templates
 
 
 def fn_of(*parts, alphabet=ABC, arity=None):
@@ -163,8 +163,8 @@ def test_peel_violation_carries_query():
     with pytest.raises(PeelViolation) as exc_info:
         peeled("ab")
     v = exc_info.value
-    assert tuple(w.letters for w in v.query) == ("ab",)
-    assert v.output.letters == "ba"
+    assert v.query == ("ab",)
+    assert v.output == "ba"
     assert v.expected == "ab"
 
 
@@ -228,8 +228,8 @@ def test_extract_reverse_fails_at_peel():
     assert out.reason == "peel prefix violation"
     # the offending probe and raw output are carried for reporting
     (probe,) = out.probes
-    assert probe.output.letters == "".join(
-        reversed(probe.args[0].letters)
+    assert probe.output == "".join(
+        reversed(probe.args[0])
     )
 
 
@@ -283,6 +283,15 @@ def test_extract_validation_catches_liars():
     assert isinstance(out, NotRCP)
     assert out.reason == "validation mismatch"
     assert "predicts" in out.detail  # names the candidate and its prediction
+
+
+def test_extract_builds_no_word_per_query(monkeypatch):
+    fn = fn_of("", 1, "", 2, "", 3, "ab")
+    built = count_word_constructions(monkeypatch)
+    got = extract(fn)
+    assert isinstance(got, Extracted)
+    assert got.query_count == 2197
+    assert built[0] < 50
 
 
 def test_default_validation_len():

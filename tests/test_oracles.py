@@ -1,8 +1,13 @@
+import shlex
+import sys
+
 import pytest
 
 from cpmonoid import (
     BUILTIN_NAMES,
     BuiltinFunction,
+    ConstLetter,
+    ExternalFunction,
     FormatError,
     TableFunction,
     TableMissError,
@@ -13,7 +18,9 @@ from cpmonoid import (
     builtin_catalog,
     format_table,
     parse_table,
+    peel,
 )
+from cpmonoid.extraction import _GammaTracker, _SplitFactor
 
 from conftest import ABC, AB
 
@@ -54,6 +61,61 @@ def test_template_function_accepts_fresh_letters():
     assert fn.supports_extension
     out = fn.evaluate((Word(ABC.extended("Z"), "Z"),))
     assert out.letters == "aZb"
+
+
+def _split_factor():
+    # factor 1 of "a" x1 "b" x2 "c" at the fresh letter 0: "b" x2 "c"
+    parent = TemplateFunction(Template.of(ABC, "a", 1, "b", 2, "c"))
+    return _SplitFactor(parent, "0", 1, 2, _GammaTracker(ABC))
+
+
+# name -> (oracle factory, two argument keys and their results)
+MEMO_CASES = {
+    "template": (
+        lambda: TemplateFunction(Template.of(ABC, "a", 1, "b")),
+        {("c",): "acb", ("",): "ab"},
+    ),
+    "builtin": (lambda: builtin("reverse", ABC), {("abc",): "cba", ("ab",): "ba"}),
+    "table": (
+        lambda: TableFunction(ABC, 1, {("a",): "b", ("ab",): "ba"}),
+        {("a",): "b", ("ab",): "ba"},
+    ),
+    "exec": (
+        lambda: ExternalFunction(
+            f"{shlex.quote(sys.executable)} -m cpmonoid.identity_oracle", 2, ABC
+        ),
+        {("ab", "c"): "abc", ("", "b"): "b"},
+    ),
+    "peeled": (
+        lambda: peel(TemplateFunction(Template.of(ABC, "c", 1, "")), ConstLetter("c")),
+        {("ab",): "ab", ("",): ""},
+    ),
+    "split_factor": (_split_factor, {("ab",): "babc", ("",): "bc"}),
+}
+
+
+@pytest.mark.parametrize("kind", MEMO_CASES)
+def test_evaluate_and_evaluate_letters_share_one_memo(kind):
+    make, answers = MEMO_CASES[kind]
+    fn = make()
+    try:
+        (key1, want1), (key2, want2) = answers.items()
+        words = lambda key: tuple(Word(ABC, k) for k in key)
+        # letters first, then the Word boundary on the same key
+        assert fn.evaluate_letters(key1) == want1
+        assert fn.query_count == 1
+        assert fn.evaluate(words(key1)) == Word(ABC, want1)
+        assert fn.evaluate_letters(key1) == want1
+        assert fn.query_count == 1
+        # the Word boundary first, then letters
+        assert fn.evaluate(words(key2)).letters == want2
+        assert fn.query_count == 2
+        assert fn.evaluate_letters(key2) == want2
+        assert fn.evaluate(words(key2)).letters == want2
+        assert fn.query_count == 2
+    finally:
+        if isinstance(fn, ExternalFunction):
+            fn.close()
 
 
 def test_builtin_reverse():

@@ -103,8 +103,8 @@ def test_congruence_preservation_law(t, data):
         x, y = data.draw(strat.sampled_from(pairs))
         if data.draw(strat.booleans()):
             x, y = y, x
-        args_x.append(x)
-        args_y.append(y)
+        args_x.append(ABC.word(x))
+        args_y.append(ABC.word(y))
     assert phi.apply(t.eval(args_x)) == phi.apply(t.eval(args_y))
 
 
