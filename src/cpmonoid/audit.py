@@ -1,9 +1,11 @@
 """Hunt for congruence-preservation violations, and deliver verdicts.
 
 A function preserves a congruence when congruent inputs (componentwise, for
-higher arities) always produce congruent outputs.  :func:`check_preservation`
-tests one congruence exhaustively up to a length bound; :func:`audit` sweeps
-a whole family of congruences; :func:`theorem_check` combines extraction and
+higher arities) always produce congruent outputs.  That holds exactly when it
+preserves the congruence in each argument while the others stay fixed, so
+:func:`check_preservation` varies one argument at a time, which tests one
+congruence exhaustively up to a length bound; :func:`audit` sweeps a whole
+family of congruences; :func:`theorem_check` combines extraction and
 auditing into a three-way verdict:
 
 * :class:`CertifiedCP` — a validated template was extracted.  Template
@@ -92,20 +94,19 @@ def verify_witness(fn: WordFunction, witness: Witness) -> bool:
 def _tuple_pair_stream(
     spec: CongruenceSpec, arity: int, length_bound: int
 ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Componentwise-congruent tuple pairs, single-position variation first.
+    """Componentwise-congruent tuple pairs that differ in one position.
 
-    Phase one varies one component at a time through every congruent pair
-    while the other components run over all short words (a cheap, highly
-    effective slice); phase two mixes: every component independently either
-    stays on the diagonal or takes a congruent pair, with at least two
-    components varying.
+    Each position in turn takes every congruent pair while the other
+    positions run over all short words.  Varying one argument at a time
+    loses no witness: if ū and v̄ are componentwise congruent, change ū into
+    v̄ one position at a time; when the two ends' outputs are not congruent,
+    some step's outputs are not congruent either, and that step is a pair
+    of this stream within the same length bound.
     """
     pairs = list(congruent_pairs(spec, length_bound))
     if arity == 1:
         for u, v in pairs:
             yield (u,), (v,)
-        return
-    if not pairs:
         return
     words = list(strings_up_to(spec.alphabet, length_bound))
     for position in range(arity):
@@ -114,15 +115,6 @@ def _tuple_pair_stream(
                 left = rest[:position] + (u,) + rest[position:]
                 right = rest[:position] + (v,) + rest[position:]
                 yield left, right
-    # Mixed variation: diagonal entries first in each component's options.
-    options: list[tuple[str, str]] = [(w, w) for w in words] + pairs
-    diagonal = len(words)
-    for combo in itertools.product(range(len(options)), repeat=arity):
-        varying = sum(1 for c in combo if c >= diagonal)
-        if varying < 2:
-            continue
-        chosen = [options[c] for c in combo]
-        yield tuple(u for u, _ in chosen), tuple(v for _, v in chosen)
 
 
 def _scan(
@@ -148,7 +140,6 @@ def check_preservation(
     fn: WordFunction,
     spec: CongruenceSpec,
     length_bound: int,
-    max_checks: int | None = None,
 ) -> Witness | None:
     """First witness against one congruence, or ``None`` if all checks pass.
 
@@ -156,7 +147,7 @@ def check_preservation(
     """
     if spec.alphabet != fn.alphabet:
         raise ValueError("congruence and function alphabets differ")
-    witness, _ = _scan(fn, spec, length_bound, max_checks)
+    witness, _ = _scan(fn, spec, length_bound, None)
     return witness
 
 

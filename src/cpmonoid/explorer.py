@@ -71,7 +71,6 @@ class CandidateTable:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    deepest: int = 0
     tables: int = 0
     family_size: int = 0
 
@@ -243,8 +242,6 @@ def enumerate_consistent(
                 raise BudgetExhausted(f"node budget {budget} exhausted", stats)
             if pick is not None and pick(imgs) != wanted:
                 continue
-            if idx >= stats.deepest:
-                stats.deepest = idx + 1
             entries.append(entry)
             if idx == last:
                 stats.tables += 1

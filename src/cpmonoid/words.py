@@ -57,6 +57,9 @@ class Alphabet:
     letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.letters, tuple):
+            kind = type(self.letters).__name__
+            raise AlphabetError(f"letters must be a tuple, not {kind}: use Alphabet.of")
         if not self.letters:
             raise AlphabetError("alphabet must contain at least one letter")
         seen: set[str] = set()

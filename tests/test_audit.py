@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from cpmonoid import (
     BUILTIN_NAMES,
     AuditResult,
     Budgets,
+    BuiltinFunction,
     CertifiedCP,
     Indeterminate,
     Morphism,
@@ -112,6 +115,99 @@ def test_check_preservation_none_for_templates():
     fn = TemplateFunction(Template.of(ABC, "b", 1, "", 1, ""))
     for spec in standard_congruences(ABC):
         assert check_preservation(fn, spec, length_bound=2) is None
+
+
+def brute_separates(fn, spec, bound):
+    """Independent oracle over every componentwise-congruent tuple pair: each
+    position takes a diagonal entry or a congruent pair, in any mix."""
+    words = [w.letters for w in iter_words(spec.alphabet, bound)]
+    options = [(w, w) for w in words] + list(congruent_pairs(spec, bound))
+    image = spec.word_image
+    for chosen in itertools.product(options, repeat=fn.arity):
+        left = tuple(u for u, _ in chosen)
+        right = tuple(v for _, v in chosen)
+        if image(fn.evaluate_letters(left)) != image(fn.evaluate_letters(right)):
+            return True
+    return False
+
+
+SLOT_MAPS = {
+    "reversed": lambda x: x[::-1],
+    "sorted": lambda x: "".join(sorted(x)),
+    "first_letter": lambda x: x[:1],
+}
+
+
+def slot_perturbed(arity, slot, g):
+    """``"c" x1 ⋯ xn "a"`` with the argument at ``slot`` replaced by g(x·"ba"),
+    so that g sees more than one letter when every argument has length ≤ 1."""
+
+    def f(args):
+        return "c" + "".join(g(x + "ba") if i == slot else x for i, x in enumerate(args)) + "a"
+
+    return BuiltinFunction("perturbed", ABC, f, arity=arity)
+
+
+@pytest.mark.parametrize(
+    "arity, kind, slot",
+    [(n, kind, slot) for n in (2, 3) for kind in SLOT_MAPS for slot in range(n)]
+    + [(2, "honest", None), (3, "honest", None)],
+)
+def test_one_varying_argument_finds_every_witness(arity, kind, slot):
+    # A function preserves a congruence iff it does so in each argument with
+    # the others fixed, so the one-position scan misses no witness that the
+    # full product of componentwise-congruent pairs holds.
+    if kind == "honest":
+        fn = TemplateFunction(Template.of(ABC, "b", arity, "", 1, "a", arity, "c"))
+    else:
+        fn = slot_perturbed(arity, slot, SLOT_MAPS[kind])
+    specs = list(standard_congruences(ABC))
+    specs += list(finite_monoid_congruences(ABC))[::37]
+    found = []
+    for spec in specs:
+        separates = brute_separates(fn, spec, 1)
+        assert (check_preservation(fn, spec, 1) is not None) == separates, spec.describe()
+        found.append(separates)
+    # On words of length ≤ 1 reversal is a template, rev(x·"ba") = "ab"·x, so
+    # only sorting and first-letter leave a witness at this bound.
+    assert any(found) == (kind in ("sorted", "first_letter"))
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        Template.of(ABC, "ab", arity=0),
+        Template.of(ABC, "a", 1, "b"),
+        Template.of(ABC, "", 2, "c", 1, ""),
+        Template.of(ABC, "b", 3, "", 1, "a", 2, ""),
+    ],
+    ids=lambda t: f"arity{t.arity}",
+)
+def test_audit_check_count_is_one_position_at_a_time(template):
+    fn = TemplateFunction(template)
+    n_words = sum(1 for _ in iter_words(ABC, 2))
+    expected = sum(
+        fn.arity * len(list(congruent_pairs(spec, 2))) * n_words ** (fn.arity - 1)
+        for spec in standard_congruences(ABC)
+    )
+    result = audit(fn, family="standard", budget=None)
+    assert result.ok and not result.truncated
+    assert result.checks == expected
+
+
+def test_theorem_check_reaches_a_later_congruence_at_arity_3():
+    # "" x1 "a" x2 "c" sorted(x2) "c": the congruence that refutes it comes
+    # late in the standard family, so the sweep must reach it within the
+    # family's budget of 200,000 checks
+    def f(args):
+        return args[0] + "a" + args[1] + "c" + "".join(sorted(args[1])) + "c"
+
+    fn = BuiltinFunction("sorted@slot3", ABC, f, arity=3, supports_extension=True)
+    verdict = theorem_check(fn)
+    assert isinstance(verdict, RefutedCP), verdict.render()
+    assert verdict.family == "standard"
+    assert verdict.checks == 126_582
+    assert verify_witness(fn, verdict.witness)
 
 
 def test_check_preservation_alphabet_mismatch():

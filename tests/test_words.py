@@ -45,6 +45,14 @@ def test_alphabet_rejects_bad_letters():
         Alphabet.of("")
 
 
+@pytest.mark.parametrize("letters", ["abc", ["a", "b", "c"]], ids=["str", "list"])
+def test_alphabet_rejects_letters_that_are_not_a_tuple(letters):
+    # Alphabet("abc") would hold a str and compare unequal to Alphabet.of("abc")
+    with pytest.raises(AlphabetError, match="Alphabet.of"):
+        Alphabet(letters)
+    assert Alphabet.of(letters) == Alphabet(("a", "b", "c"))
+
+
 def test_alphabet_extended():
     ext = ABC.extended("xy")
     assert str(ext) == "abcxy"
