@@ -19,7 +19,6 @@ from .words import (
     erase,
     format_morphism,
     identify,
-    identity_morphism,
     iter_word_tuples,
     iter_words,
     parse_morphism,
@@ -63,8 +62,6 @@ from .oracles import (
     TemplateFunction,
     WordFunction,
     builtin,
-    builtin_catalog,
-    format_table,
     parse_table,
 )
 from .extraction import (

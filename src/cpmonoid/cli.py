@@ -12,24 +12,23 @@ Subcommands::
     cpmonoid explore  --alphabet AB ...     two-letter candidate search
 
 Oracles are named by scheme: ``template:FILE``, ``builtin:NAME``,
-``table:FILE`` or ``exec:COMMANDLINE`` (the command is split shell-style and
-spoken to over the line protocol; ``--arity``/``--alphabet`` supply its
-signature).
+``table:FILE`` or ``exec:COMMANDLINE`` (split shell-style and spoken to over
+the line protocol).  ``--arity`` and ``--alphabet`` (default ``abc``) give the
+signature; a table's alphabet is its own letters unless ``--alphabet`` is set.
 
 Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome
 (``check`` included, when every audit family ran to its end) or
 non-representable candidates; 2 usage or file-format errors; 3 external
 oracle protocol failures; 4 a check, audit or explore budget ran out before
-the sweep or search finished.  The ``CPMONOID_SEED``
-environment variable overrides ``--seed``.  All output is deterministic for
-fixed inputs and seeds.
+the sweep or search finished.  A negative ``--budget``, ``--image-len`` or
+``--arity``, or a ``--count`` below 1, exits 2.  All output is
+deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from typing import Sequence
 
@@ -45,6 +44,7 @@ from .extraction import (
     render_head_case,
 )
 from .oracles import (
+    DEFAULT_ALPHABET,
     ExternalFunction,
     OracleError,
     OracleProtocolError,
@@ -76,7 +76,7 @@ def _read_file(path: str) -> str:
 
 
 def _load_oracle(
-    spec: str, alphabet: Alphabet, arity: int, stack: contextlib.ExitStack
+    spec: str, alphabet: Alphabet | None, arity: int, stack: contextlib.ExitStack
 ) -> WordFunction:
     scheme, sep, rest = spec.partition(":")
     if not sep:
@@ -91,9 +91,9 @@ def _load_oracle(
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     if scheme == "table":
-        return parse_table(_read_file(rest), name=f"table[{rest}]")
+        return parse_table(_read_file(rest), alphabet, name=f"table[{rest}]")
     if scheme == "exec":
-        fn = ExternalFunction(rest, arity, alphabet)
+        fn = ExternalFunction(rest, arity, alphabet or DEFAULT_ALPHABET)
         stack.callback(fn.close)
         return fn
     raise _UsageError(f"unknown oracle scheme {scheme!r}")
@@ -104,6 +104,19 @@ def _alphabet_arg(text: str) -> Alphabet:
         return Alphabet.of(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _coeff_arg(text: str) -> tuple[int, int]:
@@ -124,11 +137,11 @@ def _add_oracle_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--alphabet",
         type=_alphabet_arg,
-        default=Alphabet.of("abc"),
-        help="alphabet for builtin/table/exec oracles (default: abc)",
+        help="alphabet for builtin/exec oracles (default: abc); "
+        "a table's letters must lie in it (default: inferred from the file)",
     )
     sub.add_argument(
-        "--arity", type=int, default=1, help="arity for exec oracles (default: 1)"
+        "--arity", type=_int_at_least(0), default=1, help="arity for exec oracles (default: 1)"
     )
 
 
@@ -177,15 +190,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default="standard",
     )
     p_audit.add_argument("--bound", type=int, default=2, help="input length bound")
-    p_audit.add_argument("--budget", type=int, default=200_000, help="max pair checks")
+    p_audit.add_argument("--budget", type=_int_at_least(0), default=200_000, help="max pair checks")
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--count", type=int, default=40, help="random family size")
-    p_audit.add_argument("--image-len", type=int, default=2, dest="image_len")
+    p_audit.add_argument("--count", type=_int_at_least(1), default=40, help="random family size")
+    p_audit.add_argument("--image-len", type=_int_at_least(0), default=2, dest="image_len")
 
     p_check = subs.add_parser("check", help="full verdict for an oracle")
     _add_oracle_options(p_check)
     p_check.add_argument("--bound", type=int, default=2)
-    p_check.add_argument("--budget", type=int, default=200_000)
+    p_check.add_argument("--budget", type=_int_at_least(0), default=200_000)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
         "--validate-len", type=int, default=None, dest="validate_len"
@@ -202,20 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--coeff", type=_coeff_arg, required=True, metavar="P,E",
         help="forced length law |f(x)| = P|x| + E",
     )
-    p_explore.add_argument("--image-len", type=int, default=2, dest="image_len")
+    p_explore.add_argument("--image-len", type=_int_at_least(0), default=2, dest="image_len")
     p_explore.add_argument("--node-budget", type=int, default=5_000_000, dest="node_budget")
 
     return parser
-
-
-def _seed_from_env(seed: int) -> int:
-    raw = os.environ.get("CPMONOID_SEED")
-    if raw is None:
-        return seed
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"CPMONOID_SEED must be an integer, got {raw!r}") from exc
 
 
 def _render_profile(coeffs: LengthCoefficients) -> str:
@@ -279,7 +282,7 @@ def _cmd_audit(args: argparse.Namespace, fn: WordFunction) -> int:
         family=args.family,
         length_bound=args.bound,
         budget=args.budget,
-        seed=_seed_from_env(args.seed),
+        seed=args.seed,
         count=args.count,
         image_len=args.image_len,
     )
@@ -298,7 +301,7 @@ def _cmd_check(args: argparse.Namespace, fn: WordFunction) -> int:
         validation_len=args.validate_len,
         length_bound=args.bound,
         checks_per_family=args.budget,
-        random_seed=_seed_from_env(args.seed),
+        random_seed=args.seed,
     )
     verdict = theorem_check(fn, budgets)
     print(verdict.render())

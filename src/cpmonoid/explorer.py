@@ -12,20 +12,22 @@ it satisfies finitely many constraints on a finite domain, and might be
 ruled out by a longer domain, a richer family, or an extension argument.
 The report says so explicitly.
 
-A search builds its kernel family and its template index once: each
-consistent table is classified by one lookup in :func:`template_index`, and
-the backtracker compares cached tuples of images under the whole family
-(see :func:`enumerate_consistent`).  :func:`recheck_table` uses none of
-these caches; it is the independent reference the tests compare against.
+A search builds its kernel family, each kernel a :class:`RestrictedCongruence`,
+and its template index once: each consistent table is classified by one
+lookup in :func:`template_index`, and the backtracker compares cached tuples
+of images under the whole family (see :func:`enumerate_consistent`).
+:func:`recheck_table` uses none of these caches; it is the independent
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
+from .congruence import RestrictedCongruence, congruent_pairs
 from .templates import Template, enumerate_templates
 from .words import Alphabet, Morphism, arrangements, strings_of_length, strings_up_to
 
@@ -172,12 +174,10 @@ def enumerate_consistent(
         stats = SearchStats()
     stats.family_size = len(family)
 
-    # Domain and candidate words are in-alphabet: each morphism is a
-    # translate table, and a word's images under the family are one tuple.
-    translations = [str.maketrans(dict(phi.image)) for phi in family]
+    images = [RestrictedCongruence(phi).word_image for phi in family]
 
     def with_images(words: Iterable[str]) -> list[tuple[str, _Images]]:
-        return [(w, tuple(w.translate(t) for t in translations)) for w in words]
+        return [(w, tuple(image(w) for image in images)) for w in words]
 
     # For each domain word: the morphisms under which an earlier word shares
     # its kernel class, each with the first such earlier word.
@@ -311,15 +311,10 @@ def recheck_table(table: CandidateTable, config: SearchConfig) -> bool:
                 return False
     dedup_bound = max(config.domain_len, config.p * config.domain_len + config.e)
     for phi in endomorphism_family(config.alphabet, config.image_len, dedup_bound):
-        images: dict[str, str] = {}
-        for x in domain:
-            img = phi.apply_letters(x)
-            if img in images:
-                other = images[img]
-                if phi.apply_letters(mapping[x]) != phi.apply_letters(mapping[other]):
-                    return False
-            else:
-                images[img] = x
+        spec = RestrictedCongruence(phi)
+        for u, v in congruent_pairs(spec, config.domain_len):
+            if not spec.congruent(mapping[u], mapping[v]):
+                return False
     return True
 
 
@@ -329,9 +324,9 @@ class ExploreReport:
     family_size: int
     consistent: int
     representable: int
-    non_representable: tuple[CandidateTable, ...] = field(default=())
-    exhausted: bool = False
-    nodes: int = 0
+    non_representable: tuple[CandidateTable, ...]
+    exhausted: bool
+    nodes: int
 
     def render(self) -> str:
         cfg = self.config

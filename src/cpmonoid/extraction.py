@@ -438,19 +438,13 @@ def _validate(
 
 
 def extract(
-    fn: WordFunction,
-    validation_len: int | None = None,
-    check_invariants: bool = False,
+    fn: WordFunction, validation_len: int | None = None
 ) -> ExtractionOutcome:
     """Recover a template from the oracle by head-peeling, then validate.
 
     Needs at least three letters; smaller alphabets are outside the method's
     guarantees (on two letters the question is genuinely open) and are
     refused with a :exc:`ValueError` rather than answered unreliably.
-
-    With ``check_invariants`` every peel re-profiles the residue and asserts
-    the size ``Σ p_i + e`` dropped by exactly one — slow, but a sharp way to
-    catch probe-set bugs in tests.
     """
     if len(fn.alphabet) < 3:
         raise ValueError(
@@ -471,7 +465,7 @@ def extract(
     current: WordFunction = fn
     try:
         emitted_early = False
-        for step in range(budget):
+        for _ in range(budget):
             case = classify_head(current)
             if isinstance(case, NotRCP):
                 return case
@@ -486,13 +480,6 @@ def extract(
                 slots.append(case.index)
                 constants.append("")
             current = peel(current, case)
-            if check_invariants:
-                reprofile = length_profile(current)
-                assert isinstance(reprofile, LengthCoefficients), reprofile
-                assert reprofile.size == budget - step - 1, (
-                    f"peel did not shrink the profile: {reprofile.size} "
-                    f"after {step + 1} of {budget}"
-                )
         if not emitted_early:
             for args in _residual_probe_args(current):
                 if current.evaluate_letters(args):

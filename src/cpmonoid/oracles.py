@@ -207,28 +207,9 @@ def builtin(name: str, alphabet: Alphabet | None = None) -> WordFunction:
     )
 
 
-def builtin_catalog(alphabet: Alphabet | None = None) -> tuple[WordFunction, ...]:
-    """All builtins constructible over the alphabet, in a fixed order."""
-    alphabet = alphabet or DEFAULT_ALPHABET
-    out = []
-    for name in BUILTIN_NAMES:
-        try:
-            out.append(builtin(name, alphabet))
-        except ValueError:
-            continue  # alphabet lacks the letters this builtin manipulates
-    return tuple(out)
-
-
 # --------------------------------------------------------------------------
 # Table file format: one line per entry, k+1 TAB-separated fields
 # (k arguments, then the result); an empty field is the empty word.
-
-
-def format_table(fn: TableFunction) -> str:
-    lines = []
-    for key in sorted(fn._table, key=lambda k: (tuple(map(len, k)), k)):
-        lines.append("\t".join(key) + "\t" + fn._table[key])
-    return "\n".join(lines) + "\n"
 
 
 def parse_table(

@@ -93,12 +93,6 @@ class Alphabet:
     def __str__(self) -> str:
         return "".join(self.letters)
 
-    def index(self, letter: str) -> int:
-        try:
-            return self.letters.index(letter)
-        except ValueError:
-            raise AlphabetError(f"letter {letter!r} not in alphabet {self}") from None
-
     def word(self, letters: str = "") -> "Word":
         """Build a word over this alphabet (the empty word by default)."""
         return Word(self, letters)
@@ -139,10 +133,6 @@ class Word:
         """The word in the quoted surface syntax used by reports: ``"ab"``."""
         return f'"{self.letters}"'
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
     def concat(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise AlphabetError(
@@ -165,20 +155,6 @@ class Word:
         if letter not in self.alphabet:
             raise AlphabetError(f"letter {letter!r} not in alphabet {self.alphabet}")
         return self.letters.count(letter)
-
-    def has_prefix(self, prefix: "Word | str") -> bool:
-        text = prefix if isinstance(prefix, str) else prefix.letters
-        return self.letters.startswith(text)
-
-    def split_on_letter(self, letter: str) -> list["Word"]:
-        """Maximal ``letter``-free factors, in order.
-
-        A word with ``n`` occurrences of the letter yields exactly ``n + 1``
-        factors, so the original word can be rebuilt by interleaving.
-        """
-        if letter not in self.alphabet:
-            raise AlphabetError(f"letter {letter!r} not in alphabet {self.alphabet}")
-        return [Word(self.alphabet, part) for part in self.letters.split(letter)]
 
 
 @dataclass(frozen=True)
@@ -267,12 +243,6 @@ class Morphism:
 
     def __matmul__(self, inner: "Morphism") -> "Morphism":
         return self.compose(inner)
-
-
-def identity_morphism(alphabet: Alphabet) -> Morphism:
-    return Morphism.make(
-        alphabet, {ch: ch for ch in alphabet}, label="identity"
-    )
 
 
 def collapse_to(alphabet: Alphabet, letter: str) -> Morphism:

@@ -147,6 +147,26 @@ def test_table_oracle(capsys, tmp_path):
     assert "p 1" in out
 
 
+def test_table_oracle_alphabet_flag(capsys, tmp_path):
+    from cpmonoid import iter_words
+
+    fn = TemplateFunction(Template.of(ABC, "a", 1, ""))
+    rows = [f"{w.letters}\t{fn(w.letters).letters}" for w in iter_words(ABC, 4)]
+    path = tmp_path / "t.tsv"
+    path.write_text("\n".join(rows) + "\n")
+    # an explicit alphabet replaces inference, so the file's c rows break it
+    code, out, err = invoke(
+        capsys, "profile", "--oracle", f"table:{path}", "--alphabet", "ab"
+    )
+    assert code == 2
+    assert out == ""
+    assert "outside alphabet" in err
+    # without the flag the alphabet is inferred from the file, as before
+    code, out, _ = invoke(capsys, "profile", "--oracle", f"table:{path}")
+    assert code == 0
+    assert "p 1" in out
+
+
 def test_audit_standard_collapse(capsys):
     code, out, _ = invoke(capsys, "audit", "--oracle", "builtin:collapse_b_to_a")
     assert code == 1
@@ -165,20 +185,6 @@ def test_audit_budget_exit(capsys):
     )
     assert code == 4
     assert "budget exhausted" in out
-
-
-def test_audit_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CPMONOID_SEED", "123")
-    code, out, _ = invoke(
-        capsys, "audit", "--oracle", "builtin:square", "--family", "random"
-    )
-    assert code == 0
-    monkeypatch.setenv("CPMONOID_SEED", "not-a-number")
-    code, _, err = invoke(
-        capsys, "audit", "--oracle", "builtin:square", "--family", "random"
-    )
-    assert code == 2
-    assert "CPMONOID_SEED" in err
 
 
 def test_check_certifies(capsys, template_file):
@@ -214,10 +220,9 @@ def test_check_not_rcp_after_full_sweeps_exits_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_check_matches_golden(capsys, monkeypatch, name):
+def test_check_matches_golden(capsys, name):
     # byte-identical to the checked-in benchmark golden output, which covers
     # quoted word images and bare finite-monoid images in witnesses
-    monkeypatch.delenv("CPMONOID_SEED", raising=False)
     code, out, _ = invoke(capsys, "check", "--oracle", f"builtin:{name}")
     assert out.encode() == (GOLDEN_CLI / f"check-{name}.out").read_bytes()
     assert code == int((GOLDEN_CLI / f"check-{name}.code").read_text())
@@ -249,6 +254,29 @@ def test_explore_budget_exit(capsys):
     )
     assert code == 4
     assert "budget exhausted" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("audit", "--oracle", "builtin:square", "--family", "random", "--count", "-3"), 2),
+        (("audit", "--oracle", "builtin:square", "--family", "random", "--count", "0"), 2),
+        (("audit", "--oracle", "builtin:reverse", "--budget", "-5"), 2),
+        (("check", "--oracle", "builtin:reverse", "--budget", "-5"), 2),
+        (("audit", "--oracle", "builtin:square", "--family", "random", "--image-len", "-1"), 2),
+        (("explore", "--maxlen", "2", "--coeff", "1,0", "--image-len", "-1"), 2),
+        # echo would fail the handshake (exit 3): the flag is refused first
+        (("extract", "--oracle", "exec:echo NOPE", "--arity", "-1"), 2),
+        (("audit", "--oracle", "builtin:reverse", "--budget", "many"), 2),
+        (("audit", "--oracle", "builtin:reverse", "--budget", "0"), 4),
+    ],
+)
+def test_numeric_flag_bounds(capsys, argv, code):
+    got, out, err = invoke(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert "must be at least" in err or "expected an integer" in err
 
 
 def test_explore_bad_coeff(capsys):

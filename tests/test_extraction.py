@@ -5,6 +5,7 @@ from cpmonoid import (
     ConstEmpty,
     ConstLetter,
     Extracted,
+    LengthCoefficients,
     NotRCP,
     PeelViolation,
     Template,
@@ -205,12 +206,30 @@ def test_extract_refuses_small_alphabets():
         extract(fn_of("", 1, "", alphabet=AB))
 
 
+def assert_each_peel_shrinks_profile(fn):
+    """Walk extract's classify/peel loop on ``fn``, re-profiling every
+    residue: each peel must lower the size ``Σ p_i + e`` by exactly one."""
+    size = length_profile(fn).size
+    current = fn
+    for step in range(size):
+        case = classify_head(current)
+        assert isinstance(case, (ConstLetter, Variable)), case
+        current = peel(current, case)
+        reprofile = length_profile(current)
+        assert isinstance(reprofile, LengthCoefficients), reprofile
+        assert reprofile.size == size - step - 1, (
+            f"peel did not shrink the profile: {reprofile.size} "
+            f"after {step + 1} of {size}"
+        )
+
+
 @hypothesis.given(templates())
 @hypothesis.settings(deadline=None, max_examples=40)
 def test_extract_round_trip(t):
-    got = extract(TemplateFunction(t), check_invariants=True)
+    got = extract(TemplateFunction(t))
     assert isinstance(got, Extracted), got.render() if isinstance(got, NotRCP) else got
     assert extensional_equal(got.template, t, 2)
+    assert_each_peel_shrinks_profile(TemplateFunction(t))
 
 
 def test_extract_unary_query_budget():

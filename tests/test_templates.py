@@ -157,7 +157,7 @@ def test_parse_rejects_malformed():
 def test_parse_accepts_empty_constants():
     t = parse_template('arity 2\nalphabet abc\n"" x2 "" x1 ""\n')
     assert t.variables == (2, 1)
-    assert all(c.is_empty for c in t.constants)
+    assert all(c.letters == "" for c in t.constants)
 
 
 def enumerate_count(alphabet, arity, p, e):
