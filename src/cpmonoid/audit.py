@@ -4,9 +4,11 @@ A function preserves a congruence when congruent inputs (componentwise, for
 higher arities) always produce congruent outputs.  That holds exactly when it
 preserves the congruence in each argument while the others stay fixed, so
 :func:`check_preservation` varies one argument at a time, which tests one
-congruence exhaustively up to a length bound; :func:`audit` sweeps a whole
-family of congruences; :func:`theorem_check` combines extraction and
-auditing into a three-way verdict:
+congruence exhaustively up to a length bound (a word is evaluated against
+the first word of its congruence class only; its other pairs follow by
+transitivity); :func:`audit` sweeps a whole family of congruences;
+:func:`theorem_check` combines extraction and auditing into a three-way
+verdict:
 
 * :class:`CertifiedCP` — a validated template was extracted.  Template
   functions preserve every congruence of the kinds handled here, so the
@@ -28,14 +30,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .congruence import (
     CongruenceSpec,
     FiniteKernelCongruence,
     MonoidMorphism,
     RestrictedCongruence,
-    congruent_pairs,
     monoid_catalog,
 )
 from .extraction import NotRCP, extract, extract_fresh, Extracted
@@ -91,48 +92,67 @@ def verify_witness(fn: WordFunction, witness: Witness) -> bool:
     return spec.word_image(out_l.letters) != spec.word_image(out_r.letters)
 
 
-def _tuple_pair_stream(
-    spec: CongruenceSpec, arity: int, length_bound: int
-) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Componentwise-congruent tuple pairs that differ in one position.
-
-    Each position in turn takes every congruent pair while the other
-    positions run over all short words.  Varying one argument at a time
-    loses no witness: if ū and v̄ are componentwise congruent, change ū into
-    v̄ one position at a time; when the two ends' outputs are not congruent,
-    some step's outputs are not congruent either, and that step is a pair
-    of this stream within the same length bound.
-    """
-    pairs = list(congruent_pairs(spec, length_bound))
-    if arity == 1:
-        for u, v in pairs:
-            yield (u,), (v,)
-        return
-    words = list(strings_up_to(spec.alphabet, length_bound))
-    for position in range(arity):
-        for u, v in pairs:
-            for rest in itertools.product(words, repeat=arity - 1):
-                left = rest[:position] + (u,) + rest[position:]
-                right = rest[:position] + (v,) + rest[position:]
-                yield left, right
-
-
 def _scan(
     fn: WordFunction,
     spec: CongruenceSpec,
-    length_bound: int,
+    words: Sequence[str],
     max_checks: int | None,
 ) -> tuple[Witness | None, int]:
-    evaluate, image = fn.evaluate_letters, spec.word_image
+    """First witness in the one-position stream of congruent tuple pairs,
+    and the number of pairs of that stream checked.
+
+    The stream takes each position in turn; there every pair ``(u, w)`` of
+    distinct congruent words among ``words``, ``u`` the earlier, meets every
+    context of the other arguments (all tuples of ``words``).  Varying one
+    argument at a time loses no witness: if ū and v̄ are componentwise
+    congruent, change ū into v̄ one position at a time; when the two ends'
+    outputs are not congruent, some step's outputs are not congruent either,
+    and that step is a pair of this stream within the same length bound.
+
+    Only pairs against the first word of a class are evaluated.  A word that
+    joins a class of k earlier words is compared with the first of them in
+    every context; its other k - 1 pairs are counted as checked without
+    evaluation, since each earlier member already matched the first word in
+    every context, so they hold by transitivity.  The witness, the count,
+    the point where ``max_checks`` cuts the stream and the oracle queries
+    are those of evaluating every pair in stream order.
+    """
+    evaluate, word_image = fn.evaluate_letters, spec.word_image
+    first: dict[str, tuple[str, int]] = {}  # input image -> (first word, size)
+    joins: list[tuple[str, str, int]] = []  # (word, its class's first word, k)
+    for w in words:
+        key = word_image(w)
+        head, size = first.get(key, (w, 0))
+        if size:
+            joins.append((w, head, size))
+        first[key] = head, size + 1
+    contexts = len(words) ** (fn.arity - 1) if fn.arity else 0
+    images: dict[str, str] = {}  # output letters -> image, for this scan
     checked = 0
-    for left, right in _tuple_pair_stream(spec, fn.arity, length_bound):
-        if max_checks is not None and checked >= max_checks:
-            break
-        checked += 1
-        if image(evaluate(left)) != image(evaluate(right)):
-            # Words are built once, for the witness; the memo supplies its outputs.
-            x, y = (tuple(map(spec.alphabet.word, t)) for t in (left, right))
-            return Witness(spec, x, y, fn.evaluate(x), fn.evaluate(y)), checked
+    for position in range(fn.arity):
+        slots: list[Sequence[str]] = [words] * fn.arity
+        for w, head, earlier in joins:
+            slots[position] = (head,)
+            lefts = itertools.product(*slots)
+            slots[position] = (w,)
+            pairs = zip(lefts, itertools.product(*slots))
+            take = contexts if max_checks is None else min(contexts, max_checks - checked)
+            for left, right in itertools.islice(pairs, take):
+                checked += 1
+                out_l, out_r = evaluate(left), evaluate(right)
+                image_l = images.get(out_l)
+                if image_l is None:
+                    image_l = images[out_l] = word_image(out_l)
+                image_r = images.get(out_r)
+                if image_r is None:
+                    image_r = images[out_r] = word_image(out_r)
+                if image_l != image_r:
+                    # Words are built once, for the witness; the memo supplies its outputs.
+                    x, y = (tuple(map(spec.alphabet.word, t)) for t in (left, right))
+                    return Witness(spec, x, y, fn.evaluate(x), fn.evaluate(y)), checked
+            checked += (earlier - 1) * contexts
+            if max_checks is not None and checked >= max_checks:
+                return None, max_checks
     return None, checked
 
 
@@ -147,7 +167,8 @@ def check_preservation(
     """
     if spec.alphabet != fn.alphabet:
         raise ValueError("congruence and function alphabets differ")
-    witness, _ = _scan(fn, spec, length_bound, None)
+    words = list(strings_up_to(fn.alphabet, length_bound))
+    witness, _ = _scan(fn, spec, words, None)
     return witness
 
 
@@ -225,7 +246,7 @@ class AuditResult:
 
     witness: Witness | None
     specs_checked: int
-    checks: int
+    checks: int  # congruent pairs of the stream, evaluated or settled
     truncated: bool  # ran out of budget before finishing the family
 
     @property
@@ -244,8 +265,11 @@ def audit(
 ) -> AuditResult:
     """Sweep one family of congruences; the first witness wins.
 
-    ``budget`` caps the total number of input-pair checks across the whole
-    sweep.  Results are deterministic for fixed arguments (the random family
+    ``checks`` counts every congruent pair of the one-position stream (see
+    :func:`_scan`), and ``budget`` caps that count across the whole sweep.
+    Only a word's pairs with the first word of its class are evaluated; its
+    pairs with later members are settled by transitivity and counted all the
+    same.  Results are deterministic for fixed arguments (the random family
     is seeded).
     """
     specs = family_congruences(family, fn.alphabet, seed, count, image_len)
@@ -258,6 +282,7 @@ def _audit_specs(
     length_bound: int,
     budget: int | None,
 ) -> AuditResult:
+    words = list(strings_up_to(fn.alphabet, length_bound))
     total = 0
     seen = 0
     for spec in specs:
@@ -265,7 +290,7 @@ def _audit_specs(
         remaining = None if budget is None else budget - total
         if remaining is not None and remaining <= 0:
             return AuditResult(None, seen - 1, total, truncated=True)
-        witness, used = _scan(fn, spec, length_bound, remaining)
+        witness, used = _scan(fn, spec, words, remaining)
         total += used
         if witness is not None:
             return AuditResult(witness, seen, total, truncated=False)

@@ -20,15 +20,18 @@ Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome
 (``check`` included, when every audit family ran to its end) or
 non-representable candidates; 2 usage or file-format errors; 3 external
 oracle protocol failures; 4 a check, audit or explore budget ran out before
-the sweep or search finished.  A negative ``--budget``, ``--image-len`` or
-``--arity``, or a ``--count`` below 1, exits 2.  All output is
-deterministic for fixed inputs and seeds.
+the sweep or search finished; 141 standard output was closed early (as when
+piped into ``head``), which ends the run quietly.  A negative ``--budget``,
+``--bound``, ``--validate-len``, ``--image-len`` or ``--arity``, or a
+``--count`` below 1, exits 2 before any query.  All output is deterministic
+for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Sequence
 
@@ -61,6 +64,7 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_PROTOCOL = 3
 EXIT_BUDGET = 4
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE: what a shell reports for a writer its reader left
 
 
 class _UsageError(Exception):
@@ -177,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_extract.add_argument(
         "--validate-len",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="validation length bound (default: 3 unary / 2 k-ary)",
     )
@@ -189,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("standard", "finite_monoids", "random", "all"),
         default="standard",
     )
-    p_audit.add_argument("--bound", type=int, default=2, help="input length bound")
+    p_audit.add_argument("--bound", type=_int_at_least(0), default=2, help="input length bound")
     p_audit.add_argument("--budget", type=_int_at_least(0), default=200_000, help="max pair checks")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--count", type=_int_at_least(1), default=40, help="random family size")
@@ -197,11 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("check", help="full verdict for an oracle")
     _add_oracle_options(p_check)
-    p_check.add_argument("--bound", type=int, default=2)
+    p_check.add_argument("--bound", type=_int_at_least(0), default=2)
     p_check.add_argument("--budget", type=_int_at_least(0), default=200_000)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
-        "--validate-len", type=int, default=None, dest="validate_len"
+        "--validate-len", type=_int_at_least(0), default=None, dest="validate_len"
     )
 
     p_explore = subs.add_parser(
@@ -369,7 +373,16 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The recipe of the Python signal docs: send the rest of the output
+        # to devnull, so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        status = EXIT_CLOSED_STDOUT
+    sys.exit(status)
 
 
 if __name__ == "__main__":

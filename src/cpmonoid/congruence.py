@@ -73,6 +73,15 @@ class FiniteMonoid:
     def op(self, x: str, y: str) -> str:
         return self.table[self._index[x]][self._index[y]]
 
+    @functools.cached_property
+    def right_action(self) -> tuple[tuple[int, ...], ...]:
+        """``right_action[j][i]`` is the index of ``elements[i] * elements[j]``:
+        right multiplication by each element, as a map on element indices."""
+        index = self._index
+        return tuple(
+            tuple(index[row[j]] for row in self.table) for j in range(len(self.elements))
+        )
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -144,19 +153,22 @@ class MonoidMorphism:
         )
 
     @functools.cached_property
-    def _map(self) -> dict[str, str]:
-        return dict(self.assignment)
+    def _steps(self) -> dict[str, tuple[int, ...]]:
+        """Each letter's right action on element indices."""
+        monoid = self.monoid
+        index, action = monoid._index, monoid.right_action
+        return {letter: action[index[el]] for letter, el in self.assignment}
 
     def word_image(self, letters: str) -> str:
-        acc = self.monoid.identity
-        op = self.monoid.op
-        m = self._map
+        monoid = self.monoid
+        steps = self._steps
+        acc = monoid._index[monoid.identity]
         try:
             for ch in letters:
-                acc = op(acc, m[ch])
+                acc = steps[ch][acc]
         except KeyError as exc:
             raise AlphabetError(f"letter {exc} not in alphabet {self.alphabet}") from None
-        return acc
+        return monoid.elements[acc]
 
 
 class CongruenceSpec(abc.ABC):

@@ -195,6 +195,128 @@ def test_audit_check_count_is_one_position_at_a_time(template):
     assert result.checks == expected
 
 
+def reference_pair_stream(spec, arity, bound):
+    """The audit's one-position stream with every congruent pair spelt out:
+    each position takes every pair of ``congruent_pairs`` while the other
+    positions run over all words up to the bound."""
+    pairs = list(congruent_pairs(spec, bound))
+    words = [w.letters for w in iter_words(spec.alphabet, bound)]
+    for position in range(arity):
+        for u, v in pairs:
+            for rest in itertools.product(words, repeat=arity - 1):
+                yield rest[:position] + (u,) + rest[position:], rest[:position] + (v,) + rest[position:]
+
+
+def reference_audit(fn, family, bound, budget):
+    """All-pairs reference for ``audit``: every pair of the stream evaluated.
+
+    Returns ``(witness, specs_checked, checks, truncated)`` and the stream
+    indices of the pairs ``(u, w)`` whose ``u`` is not the first word of its
+    class (the pairs the audit settles by transitivity)."""
+    total = seen = 0
+    settled = []
+    for spec in family_congruences(family, fn.alphabet):
+        seen += 1
+        if budget is not None and budget - total <= 0:
+            return (None, seen - 1, total, True), settled
+        first = {}
+        for w in iter_words(spec.alphabet, bound):
+            first.setdefault(spec.word_image(w.letters), w.letters)
+        for left, right in reference_pair_stream(spec, fn.arity, bound):
+            if budget is not None and total >= budget:
+                break
+            total += 1
+            u = next(a for a, b in zip(left, right) if a != b)
+            if first[spec.word_image(u)] != u:
+                settled.append(total)
+            out_l, out_r = fn.evaluate_letters(left), fn.evaluate_letters(right)
+            if spec.word_image(out_l) != spec.word_image(out_r):
+                return ((spec.describe(), left, right), seen, total, False), settled
+    return (None, seen, total, False), settled
+
+
+def recording(fn):
+    """``fn`` with every oracle miss appended to the returned list, in order."""
+    misses = []
+    compute = fn._compute
+
+    def record(key):
+        misses.append(key)
+        return compute(key)
+
+    fn._compute = record
+    return fn, misses
+
+
+EQUIVALENCE_FUNCTIONS = {
+    "honest0": lambda: TemplateFunction(Template.of(ABC, "ab", arity=0)),
+    "honest1": lambda: TemplateFunction(Template.of(ABC, "a", 1, "b", 1, "")),
+    "reverse": lambda: builtin("reverse", ABC),
+    "sort_letters": lambda: builtin("sort_letters", ABC),
+    "erase_a": lambda: builtin("erase_a", ABC),
+    "collapse_b_to_a": lambda: builtin("collapse_b_to_a", ABC),
+    "honest2": lambda: TemplateFunction(Template.of(ABC, "b", 2, "", 1, "a", 2, "")),
+    "sorted@slot2": lambda: slot_perturbed(2, 1, SLOT_MAPS["sorted"]),
+    "reversed@slot1": lambda: slot_perturbed(2, 0, SLOT_MAPS["reversed"]),
+    "honest3": lambda: TemplateFunction(Template.of(ABC, "c", 3, "", 1, "a", 2, "")),
+    "first_letter@slot3": lambda: slot_perturbed(3, 2, SLOT_MAPS["first_letter"]),
+}
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("family", ["standard", "finite_monoids", "random"])
+@pytest.mark.parametrize("name", list(EQUIVALENCE_FUNCTIONS))
+def test_audit_matches_all_pairs_reference(name, family, bound):
+    # Comparing a word only with the first word of its class must give what
+    # evaluating every congruent pair gives: the same witness, counts,
+    # truncation, queries and order of oracle misses, for every budget,
+    # including budgets that end inside a block of pairs settled by
+    # transitivity.
+    make = EQUIVALENCE_FUNCTIONS[name]
+    arity = make().arity
+    # arity ≥ 2 sweeps at bound 2 are cut, to keep the reference quick
+    cap = None if arity < 2 or bound < 2 else 3_000
+    _, settled = reference_audit(make(), family, bound, cap)
+    if name.startswith("honest") and arity and bound:
+        assert settled  # no witness, and classes of three or more words
+    budgets = {cap, 1, 7, 50, 333}
+    if settled:
+        budgets |= {settled[0], settled[len(settled) // 2], settled[-1] - 1}
+    for budget in sorted(budgets, key=lambda b: (b is None, b)):
+        ref_fn, ref_misses = recording(make())
+        expected, _ = reference_audit(ref_fn, family, bound, budget)
+        fn, misses = recording(make())
+        result = audit(fn, family=family, length_bound=bound, budget=budget)
+        witness = result.witness
+        if witness is not None:
+            witness = (
+                witness.spec.describe(),
+                tuple(w.letters for w in witness.left),
+                tuple(w.letters for w in witness.right),
+            )
+        got = (witness, result.specs_checked, result.checks, result.truncated)
+        assert got == expected, budget
+        assert fn.query_count == ref_fn.query_count, budget
+        assert misses == ref_misses, budget
+
+
+def test_nine_ary_liar_exhausts_the_budget():
+    # Arity stress case: a 9-ary sweep has 13^8 contexts per pair, which the
+    # scan visits lazily; "".join(args) that appends "a" once an argument is
+    # longer than 1 agrees with a template on every tuple the validation looks
+    # at, and every family runs out of budget before a refuting congruence.
+    def liar(args):
+        out = "".join(args)
+        return out + "a" if any(len(x) > 1 for x in args) else out
+
+    fn = BuiltinFunction("liar9", ABC, liar, arity=9, supports_extension=True)
+    verdict = theorem_check(fn)
+    assert isinstance(verdict, Indeterminate), verdict.render()
+    assert verdict.note == "budget exhausted"
+    assert verdict.checks == 800_000
+    assert fn.query_count == 600_007
+
+
 def test_theorem_check_reaches_a_later_congruence_at_arity_3():
     # "" x1 "a" x2 "c" sorted(x2) "c": the congruence that refutes it comes
     # late in the standard family, so the sweep must reach it within the

@@ -1,6 +1,8 @@
 """End-to-end CLI coverage through run(), plus golden text for key outputs."""
 
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -107,12 +109,23 @@ def test_extract_reverse_not_rcp(capsys):
     [
         ("audit", "--oracle", "builtin:reverse", "--bound", "-1"),
         ("extract", "--oracle", "builtin:square", "--validate-len", "-1"),
+        # square is certified by extraction alone, so only the flag's type
+        # keeps it from printing a verdict without ever looking at the bound
+        ("check", "--oracle", "builtin:square", "--bound", "-1"),
+        ("check", "--oracle", "builtin:square", "--validate-len", "-1"),
     ],
 )
-def test_negative_length_bound_is_usage_error(capsys, argv):
-    code, _, err = invoke(capsys, *argv)
+def test_negative_length_bound_is_usage_error(capsys, monkeypatch, argv):
+    import cpmonoid.cli
+
+    def no_oracle(*_):
+        raise AssertionError("oracle loaded despite a negative length bound")
+
+    monkeypatch.setattr(cpmonoid.cli, "_load_oracle", no_oracle)
+    code, out, err = invoke(capsys, *argv)
     assert code == 2
-    assert "negative length bound" in err
+    assert out == ""
+    assert "must be at least 0, got -1" in err
 
 
 def test_extract_fresh_flag(capsys, template_file):
@@ -277,6 +290,23 @@ def test_numeric_flag_bounds(capsys, argv, code):
     if code == 2:
         assert out == ""
         assert "must be at least" in err or "expected an integer" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # `cpmonoid check ... | head -1` without the race: the reader is gone
+    # before the verdict is written
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cpmonoid.cli", "check", "--oracle", "builtin:reverse"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_explore_bad_coeff(capsys):

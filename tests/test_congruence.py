@@ -1,3 +1,5 @@
+import itertools
+
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
@@ -128,6 +130,21 @@ def test_monoid_morphism_word_image():
     assert phi.word_image("abc") == "1"
     assert phi.word_image("") == "0"
     assert phi.word_image("ab") == "0"
+
+
+def test_word_image_folds_the_multiplication_table():
+    # the integer right-action fold agrees with multiplying element names
+    # through op, for every catalog monoid (noncommutative ones included)
+    for m in monoid_catalog():
+        assert m.right_action is m.right_action  # built once per monoid
+        for images in list(itertools.product(m.elements, repeat=3))[:40]:
+            assignment = dict(zip(ABC.letters, images))
+            phi = MonoidMorphism.make(ABC, m, assignment)
+            for w in iter_words(ABC, 3):
+                acc = m.identity
+                for ch in w.letters:
+                    acc = m.op(acc, assignment[ch])
+                assert phi.word_image(w.letters) == acc
 
 
 def test_monoid_morphism_rejects_unknown_element():
