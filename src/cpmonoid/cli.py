@@ -35,17 +35,8 @@ import os
 import sys
 from typing import Sequence
 
-from .audit import Budgets, CertifiedCP, Indeterminate, audit, theorem_check
-from .explorer import SearchConfig, explore
-from .extraction import (
-    NotRCP,
-    Extracted,
-    classify_head,
-    extract,
-    extract_fresh,
-    length_profile,
-    render_head_case,
-)
+# Each command imports the modules it runs in its handler, so that start-up
+# loads only those; run()'s except clauses and the argument types need these.
 from .oracles import (
     DEFAULT_ALPHABET,
     ExternalFunction,
@@ -253,6 +244,8 @@ def _cmd_morphism(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace, fn: WordFunction) -> int:
+    from .extraction import NotRCP, length_profile
+
     result = length_profile(fn)
     if isinstance(result, NotRCP):
         print(result.render())
@@ -262,6 +255,8 @@ def _cmd_profile(args: argparse.Namespace, fn: WordFunction) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, fn: WordFunction) -> int:
+    from .extraction import NotRCP, classify_head, render_head_case
+
     result = classify_head(fn)
     if isinstance(result, NotRCP):
         print(result.render())
@@ -271,6 +266,8 @@ def _cmd_classify(args: argparse.Namespace, fn: WordFunction) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace, fn: WordFunction) -> int:
+    from .extraction import Extracted, extract, extract_fresh
+
     runner = extract_fresh if args.fresh else extract
     outcome = runner(fn, validation_len=args.validate_len)
     if isinstance(outcome, Extracted):
@@ -281,6 +278,8 @@ def _cmd_extract(args: argparse.Namespace, fn: WordFunction) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace, fn: WordFunction) -> int:
+    from .audit import audit
+
     result = audit(
         fn,
         family=args.family,
@@ -301,6 +300,8 @@ def _cmd_audit(args: argparse.Namespace, fn: WordFunction) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, fn: WordFunction) -> int:
+    from .audit import Budgets, CertifiedCP, Indeterminate, theorem_check
+
     budgets = Budgets(
         validation_len=args.validate_len,
         length_bound=args.bound,
@@ -317,6 +318,8 @@ def _cmd_check(args: argparse.Namespace, fn: WordFunction) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from .explorer import SearchConfig, explore
+
     p, e = args.coeff
     config = SearchConfig(
         alphabet=args.alphabet,

@@ -19,8 +19,6 @@ memo they share, and report the root backend's count.
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 import threading
 from typing import Callable, Mapping, Sequence
 
@@ -282,12 +280,18 @@ class ExternalFunction(WordFunction):
         arity: int,
         alphabet: Alphabet,
     ) -> None:
+        import shlex  # only exec: oracles pay for these imports
+        import subprocess
+
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise ValueError("empty oracle command")
         self._argv = argv
         self._lock = threading.Lock()
         self._known_letters = set(alphabet.letters)
+        # close() may run from __del__ at interpreter shutdown, when an
+        # import can fail, so it finds the exception class here
+        self._timeout_expired = subprocess.TimeoutExpired
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -358,7 +362,7 @@ class ExternalFunction(WordFunction):
                 proc.stdin.flush()
                 proc.stdin.close()
             proc.wait(timeout=5)
-        except (OSError, ValueError, subprocess.TimeoutExpired):
+        except (OSError, ValueError, self._timeout_expired):
             proc.kill()
             proc.wait()
 

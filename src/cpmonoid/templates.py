@@ -20,7 +20,6 @@ oracle-side length profiler.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,8 +32,6 @@ from .words import (
     iter_word_tuples,
     strings_of_length,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -203,10 +200,9 @@ class Template:
 def extensional_equal(t1: Template, t2: Template, length_bound: int) -> bool:
     """Compare two templates pointwise on all argument tuples up to a bound.
 
-    Requires equal arity and alphabet.  When two *structurally different*
-    templates agree everywhere within the bound the fact is logged — over a
-    one-letter alphabet this genuinely happens (``"a"·x`` and ``x·"a"``),
-    elsewhere it would hint at too small a bound.
+    Requires equal arity and alphabet.  Structurally different templates
+    can agree everywhere: over a one-letter alphabet ``"a"·x`` and ``x·"a"``
+    are the same function.
     """
     if t1.arity != t2.arity:
         raise ValueError("templates of different arity are never compared")
@@ -215,13 +211,6 @@ def extensional_equal(t1: Template, t2: Template, length_bound: int) -> bool:
     for args in iter_word_tuples(t1.alphabet, t1.arity, length_bound):
         if t1.eval(args) != t2.eval(args):
             return False
-    if (t1.constants, t1.variables) != (t2.constants, t2.variables):
-        logger.info(
-            "structurally distinct templates agree up to length %d: %s vs %s",
-            length_bound,
-            t1,
-            t2,
-        )
     return True
 
 

@@ -8,11 +8,19 @@ acceptance gate.  In Python files a reference is a load of the name, an
 attribute of that name, or a string constant spelling it (the benchmark
 patches functions by name); a name's uses inside its own definition do not
 count.  In the README it is the name as a whole word.
+
+The package namespace is pinned too: the exported names, and ``audit``
+naming the function whichever route loaded the module of the same name.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cpmonoid
 
@@ -91,3 +99,72 @@ def test_keep_list_is_current():
     used = used_names()
     stale = sorted(name for name in KEEP if name not in cpmonoid.__all__ or name in used)
     assert stale == [], f"keep-list entries that are used or gone: {stale}"
+
+
+# cpmonoid.__all__ when the package imported its modules eagerly
+EXPORTS = [
+    "Alphabet", "AlphabetError", "AuditResult", "BUILTIN_NAMES", "BudgetExhausted",
+    "Budgets", "BuiltinFunction", "CandidateTable", "CertifiedCP", "CongruenceSpec",
+    "ConstEmpty", "ConstLetter", "ExploreReport", "ExternalFunction", "Extracted",
+    "FiniteKernelCongruence", "FiniteMonoid", "FormatError", "Indeterminate",
+    "LengthCoefficients", "MonoidMorphism", "MonoidViolation", "Morphism", "NotRCP",
+    "OracleError", "OracleProtocolError", "PeelViolation", "ProbeRecord", "RefutedCP",
+    "RestrictedCongruence", "SearchConfig", "SearchStats", "TableFunction",
+    "TableMissError", "Template", "TemplateFunction", "Variable", "Witness", "Word",
+    "WordFunction", "audit", "builtin", "check_preservation", "classify_head",
+    "collapse_to", "congruent_pairs", "count_words", "cyclic_additive",
+    "cyclic_multiplicative", "endomorphism_family", "enumerate_consistent",
+    "enumerate_templates", "erase", "explore", "extensional_equal", "extract",
+    "extract_fresh", "family_congruences", "finite_monoid_congruences",
+    "format_finite_monoid", "format_monoid_morphism", "format_morphism",
+    "format_template", "identify", "iter_word_tuples", "iter_words",
+    "left_zero_with_identity", "length_profile", "monoid_catalog", "monoid_validate",
+    "parse_finite_monoid", "parse_monoid_morphism", "parse_morphism", "parse_table",
+    "parse_template", "peel", "project", "random_congruences", "recheck_table",
+    "render_head_case", "standard_congruences", "template_index",
+    "template_representable", "theorem_check", "transformations_on_two_points",
+    "verify_witness",
+]
+
+
+def test_all_is_pinned():
+    assert cpmonoid.__all__ == EXPORTS
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from cpmonoid import *", namespace)
+    assert set(EXPORTS) <= set(namespace)
+
+
+def test_dir_lists_every_export():
+    assert set(EXPORTS) <= set(dir(cpmonoid))
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cpmonoid.no_such_name
+
+
+@pytest.mark.parametrize(
+    "prelude",
+    [
+        "import cpmonoid.audit",
+        "from cpmonoid.audit import random_endomorphism",
+        "import contextlib, io, cpmonoid.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cpmonoid.cli.run(['check', '--oracle', 'builtin:reverse'])",
+    ],
+    ids=("import-module", "from-module-import", "cli-check"),
+)
+def test_audit_names_the_function_after_its_module_loads(prelude):
+    code = prelude + "\nimport sys, cpmonoid\nprint(cpmonoid.audit is sys.modules['cpmonoid.audit'].audit)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

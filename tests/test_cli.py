@@ -13,7 +13,10 @@ from cpmonoid.cli import run
 
 from conftest import ABC, AB
 
-GOLDEN_CLI = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_CLI = ROOT / "bench" / "golden" / "cli"
+# fresh interpreters import the package from this checkout
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def invoke(capsys, *argv):
@@ -295,12 +298,11 @@ def test_numeric_flag_bounds(capsys, argv, code):
 def test_closed_stdout_exits_quietly():
     # `cpmonoid check ... | head -1` without the race: the reader is gone
     # before the verdict is written
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cpmonoid.cli", "check", "--oracle", "builtin:reverse"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=FRESH_ENV,
     )
     proc.stdout.close()
     err = proc.stderr.read()
@@ -341,3 +343,48 @@ def test_unknown_subcommand(capsys):
 def test_no_args_usage(capsys):
     code, _, _ = invoke(capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (("eval", "-t", "{template}", "ba"), ()),
+        (("morphism", "apply", "-m", "{morphism}", "cab"), ()),
+        (("explore", "--maxlen", "2", "--coeff", "1,1"), ("congruence", "explorer")),
+        (("extract", "--oracle", "builtin:square"), ("extraction",)),
+        (("check", "--oracle", "builtin:reverse"), ("audit", "congruence", "extraction")),
+    ],
+    ids=("eval", "morphism", "explore", "extract", "check"),
+)
+def test_subcommand_loads_only_its_modules(template_file, morphism_file, argv, modules):
+    argv = [arg.format(template=template_file, morphism=morphism_file) for arg in argv]
+    code = (
+        "import contextlib, io, sys\n"
+        "from cpmonoid.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    run({argv!r})\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('cpmonoid.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = sorted({"cli", "oracles", "templates", "words", *modules})
+    assert proc.stdout.split() == [f"cpmonoid.{name}" for name in expected]
+
+
+def test_identity_oracle_loads_only_itself():
+    # -X importtime names every module the oracle child imports, on stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cpmonoid.identity_oracle"],
+        input="HELLO 1 abc\nab\nBYE\n",
+        capture_output=True,
+        text=True,
+        env=FRESH_ENV,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "OK\nab\n"
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert "cpmonoid" in imported
+    assert {m for m in imported if m.startswith("cpmonoid.")} <= {"cpmonoid.identity_oracle"}
