@@ -346,24 +346,15 @@ class RefutedCP:
         )
 
 
-BUDGET_EXHAUSTED = "budget exhausted"
-
-
 @dataclass(frozen=True)
 class Indeterminate:
     diagnosis: NotRCP | None
     checks: int
-    note: str = ""
-
-    @property
-    def truncated(self) -> bool:
-        """Whether a family sweep ran out of checks before its last congruence."""
-        return self.note == BUDGET_EXHAUSTED
+    truncated: bool  # a family sweep ran out of checks before its last congruence
 
     def render(self) -> str:
-        lines = ["verdict: indeterminate", f"checks: {self.checks}"]
-        if self.note:
-            lines.append(f"note: {self.note}")
+        note = "budget exhausted" if self.truncated else "all families exhausted"
+        lines = ["verdict: indeterminate", f"checks: {self.checks}", f"note: {note}"]
         if self.diagnosis is not None:
             lines.append(self.diagnosis.render())
         return "\n".join(lines)
@@ -413,5 +404,4 @@ def theorem_check(fn: WordFunction, budgets: Budgets | None = None) -> Verdict:
                     "internal inconsistency: witness failed re-verification"
                 )
             return RefutedCP(result.witness, name, total_checks)
-    note = BUDGET_EXHAUSTED if truncated else "all families exhausted"
-    return Indeterminate(diagnosis, total_checks, note)
+    return Indeterminate(diagnosis, total_checks, truncated)

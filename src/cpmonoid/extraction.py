@@ -20,8 +20,11 @@ naming the offending queries — never as a wrong template.
 
 When the oracle accepts letters outside its declared alphabet there is a
 shortcut (:func:`extract_fresh`): evaluate at a never-seen letter and read
-the template off the output directly, recursing through derived oracles for
-higher arities.
+the template off the output directly, recursing through fresh-letter
+factors for higher arities.
+
+A peeled head and a fresh-letter factor are the same kind of derived
+oracle: it asks its parent, checks the promise the step made, and answers.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .oracles import OracleError, WordFunction
 from .templates import LengthCoefficients, Template
@@ -137,50 +140,54 @@ class PeelViolation(OracleError):
         )
 
 
-class PeeledFunction(WordFunction):
-    """The base function with one head symbol asserted away.
+class _Derived(WordFunction):
+    """A function answered by asking ``parent`` and checking a promise.
 
-    :meth:`evaluate_letters` forwards every call to the base function, whose
-    memo already makes repeated probes free (so this oracle keeps none, and
-    its ``query_count`` is the base's), then checks the promised prefix and
-    raises :class:`PeelViolation` the moment the base function contradicts
-    its classified head, carrying the offending query's letters.
+    Peeled heads and fresh-letter factors are both this shape: ``answer``
+    forwards a key to the parent, whose memo already makes repeated probes
+    free (so this oracle keeps none, and its ``query_count`` is the
+    parent's), and raises the moment the parent breaks the promise.
     """
 
-    def __init__(self, base: WordFunction, case: HeadCase) -> None:
-        if isinstance(case, ConstEmpty):
-            raise ValueError("cannot peel the constant-empty head")
-        if isinstance(case, Variable) and not 1 <= case.index <= base.arity:
-            raise ValueError(f"variable index {case.index} out of range")
-        if isinstance(case, ConstLetter) and case.letter not in base.alphabet:
-            raise ValueError(f"letter {case.letter!r} outside the base alphabet")
-        super().__init__(
-            f"peel[{render_head_case(case)}]({base.name})",
-            base.alphabet,
-            base.arity,
-            base.supports_extension,
-        )
-        self.base = base
-        self.case = case
+    def __init__(
+        self,
+        parent: WordFunction,
+        name: str,
+        arity: int,
+        answer: Callable[[tuple[str, ...]], str],
+    ) -> None:
+        super().__init__(name, parent.alphabet, arity, parent.supports_extension)
+        self.parent = parent
+        self._answer = answer
 
     @property
     def query_count(self) -> int:
-        return self.base.query_count
+        return self.parent.query_count
 
     def evaluate_letters(self, key: tuple[str, ...]) -> str:
-        out = self.base.evaluate_letters(key)
-        if isinstance(self.case, ConstLetter):
-            prefix = self.case.letter
-        else:
-            prefix = key[self.case.index - 1]
+        return self._answer(key)
+
+
+def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
+    """Strip a classified head; the result asserts the prefix on every call.
+
+    It raises :class:`PeelViolation` the moment ``fn`` contradicts the head.
+    """
+    if isinstance(case, ConstEmpty):
+        raise ValueError("cannot peel the constant-empty head")
+    if isinstance(case, Variable) and not 1 <= case.index <= fn.arity:
+        raise ValueError(f"variable index {case.index} out of range")
+    if isinstance(case, ConstLetter) and case.letter not in fn.alphabet:
+        raise ValueError(f"letter {case.letter!r} outside the base alphabet")
+
+    def answer(key: tuple[str, ...]) -> str:
+        out = fn.evaluate_letters(key)
+        prefix = case.letter if isinstance(case, ConstLetter) else key[case.index - 1]
         if not out.startswith(prefix):
             raise PeelViolation(key, out, prefix)
         return out[len(prefix):]
 
-
-def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
-    """Strip a classified head; the result asserts the prefix on every call."""
-    return PeeledFunction(fn, case)
+    return _Derived(fn, f"peel[{render_head_case(case)}]({fn.name})", fn.arity, answer)
 
 
 def default_validation_len(arity: int, alphabet: Alphabet) -> int:
@@ -421,9 +428,11 @@ def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[str, ...]]:
 
 
 def _validate(
-    fn: WordFunction, template: Template, validation_len: int, queries_before: int
+    fn: WordFunction, template: Template, validation_len: int | None, queries_before: int
 ) -> ExtractionOutcome:
     """Compare oracle and template on every argument tuple up to the bound."""
+    if validation_len is None:
+        validation_len = default_validation_len(fn.arity, fn.alphabet)
     words = strings_up_to(fn.alphabet, validation_len)
     for args in itertools.product(words, repeat=fn.arity):
         got = fn.evaluate_letters(args)
@@ -451,8 +460,6 @@ def extract(
             "extraction requires an alphabet of at least three letters; "
             f"got {fn.alphabet} (the two-letter case has no known method)"
         )
-    if validation_len is None:
-        validation_len = default_validation_len(fn.arity, fn.alphabet)
     queries_before = fn.query_count
 
     profile = length_profile(fn)
@@ -464,7 +471,6 @@ def extract(
     slots: list[int] = []
     current: WordFunction = fn
     try:
-        emitted_early = False
         for _ in range(budget):
             case = classify_head(current)
             if isinstance(case, NotRCP):
@@ -472,7 +478,6 @@ def extract(
             if isinstance(case, ConstEmpty):
                 # The residue claims to be done ahead of its budget; the
                 # final validation will judge the whole story.
-                emitted_early = True
                 break
             if isinstance(case, ConstLetter):
                 constants[-1] += case.letter
@@ -480,7 +485,7 @@ def extract(
                 slots.append(case.index)
                 constants.append("")
             current = peel(current, case)
-        if not emitted_early:
+        else:
             for args in _residual_probe_args(current):
                 if current.evaluate_letters(args):
                     return NotRCP(
@@ -512,148 +517,85 @@ def extract(
 _FRESH_POOL = string.digits + string.ascii_uppercase + string.ascii_lowercase + "@#$%&*+-/:;<>?^_~"
 
 
-class _GammaTracker:
-    """Letters known so far: the base alphabet plus everything output."""
-
-    def __init__(self, alphabet: Alphabet) -> None:
-        self.seen: set[str] = set(alphabet.letters)
-
-    def absorb(self, letters: str) -> None:
-        self.seen.update(letters)
-
-    def fresh(self) -> str:
-        for ch in _FRESH_POOL:
-            if ch not in self.seen:
-                self.seen.add(ch)
-                return ch
-        raise OracleError("ran out of candidate fresh letters")
+def _fresh_letter(seen: set[str]) -> str:
+    """The first pool letter not in ``seen``, which is then marked seen."""
+    for ch in _FRESH_POOL:
+        if ch not in seen:
+            seen.add(ch)
+            return ch
+    raise OracleError("ran out of candidate fresh letters")
 
 
 class _SplitMismatch(Exception):
-    def __init__(
-        self,
-        query: tuple[str, ...],
-        output: str,
-        expected_parts: int,
-        actual_parts: int,
-    ) -> None:
-        self.query = query
-        self.output = output
-        self.expected_parts = expected_parts
-        self.actual_parts = actual_parts
-        super().__init__(str(self))
+    """A split at a fresh letter gave the wrong number of factors.
 
-    def __str__(self) -> str:
-        return (
-            f"expected {self.expected_parts} fresh-letter factors, "
-            f"got {self.actual_parts}"
-        )
-
-
-class _SplitFactor(WordFunction):
-    """One fresh-letter factor of ``parent(fresh, x⃗)`` as a derived oracle.
-
-    ``parent`` evaluated with the fresh letter in front must split into
-    exactly ``parts`` factors around it; factor ``index`` of that split is
-    this function's value.  :meth:`evaluate_letters` puts the fresh letter in
-    front of the argument letters and forwards to the parent, whose memo
-    every factor shares, so sibling factors cost no extra queries and
-    ``query_count`` is the parent's.
+    ``args[0]`` is the :class:`NotRCP` that reports it.
     """
 
-    def __init__(
-        self,
-        parent: WordFunction,
-        fresh: str,
-        index: int,
-        parts: int,
-        gamma: _GammaTracker,
-    ) -> None:
-        super().__init__(
-            f"{parent.name}/factor{index}",
-            parent.alphabet,
-            parent.arity - 1,
-            supports_extension=True,
-        )
-        self.parent = parent
-        self.fresh = fresh
-        self.index = index
-        self.parts = parts
-        self.gamma = gamma
 
-    @property
-    def query_count(self) -> int:
-        return self.parent.query_count
+def _split_factor(
+    parent: WordFunction, fresh: str, index: int, parts: int, seen: set[str]
+) -> WordFunction:
+    """Factor ``index`` of ``parent(fresh, x⃗)`` as a derived oracle.
 
-    def evaluate_letters(self, key: tuple[str, ...]) -> str:
-        query = (self.fresh, *key)
-        out = self.parent.evaluate_letters(query)
-        self.gamma.absorb(out)
-        pieces = out.split(self.fresh)
-        if len(pieces) != self.parts:
-            raise _SplitMismatch(query, out, self.parts, len(pieces))
-        return pieces[self.index]
+    The output, with the fresh letter in front of the argument letters, must
+    split into exactly ``parts`` factors around it; its letters join
+    ``seen``.  Sibling factors share the parent's memo, so they cost no
+    extra queries.
+    """
 
-
-def _extract_fresh_template(
-    fn: WordFunction, gamma: _GammaTracker
-) -> Template | NotRCP:
-    if fn.arity == 0:
-        out = fn.evaluate_letters(())
-        gamma.absorb(out)
-        return _constant_template(fn, out)
-
-    if fn.arity == 1:
-        fresh = gamma.fresh()
-        args = (fresh,)
-        out = fn.evaluate_letters(args)
-        gamma.absorb(out)
+    def answer(key: tuple[str, ...]) -> str:
+        query = (fresh, *key)
+        out = parent.evaluate_letters(query)
+        seen.update(out)
         pieces = out.split(fresh)
-        return _assemble_unary(fn, args, out, pieces)
+        if len(pieces) != parts:
+            raise _SplitMismatch(NotRCP(
+                REASON_SPLIT,
+                (ProbeRecord(query, out),),
+                f"expected {parts} fresh-letter factors, got {len(pieces)}",
+            ))
+        return pieces[index]
 
-    profile = length_profile(fn)
-    if isinstance(profile, NotRCP):
-        return profile
-    parts = profile.p[0] + 1
-    fresh = gamma.fresh()
-    factors = [
-        _SplitFactor(fn, fresh, i, parts, gamma) for i in range(parts)
-    ]
-    sub_templates: list[Template] = []
-    for factor in factors:
-        sub = _extract_fresh_template(factor, gamma)
-        if isinstance(sub, NotRCP):
-            return sub
-        sub_templates.append(sub)
-    return _splice(fn, sub_templates)
+    return _Derived(parent, f"{parent.name}/factor{index}", parent.arity - 1, answer)
 
 
-def _constant_template(fn: WordFunction, out: str) -> Template | NotRCP:
-    bad = set(out) - fn.alphabet.letter_set
-    if bad:
-        return NotRCP(
-            REASON_SPLIT,
-            (ProbeRecord((), out),),
-            f"constant output uses letters {sorted(bad)} outside the alphabet",
-        )
-    return Template(0, fn.alphabet, (Word(fn.alphabet, out),), ())
+def _extract_fresh_template(fn: WordFunction, seen: set[str]) -> Template | NotRCP:
+    """The template read off fresh-letter outputs; ``seen`` holds used letters."""
+    if fn.arity >= 2:
+        profile = length_profile(fn)
+        if isinstance(profile, NotRCP):
+            return profile
+        parts = profile.p[0] + 1
+        fresh = _fresh_letter(seen)
+        subs: list[Template] = []
+        for i in range(parts):
+            factor = _split_factor(fn, fresh, i, parts, seen)
+            sub = _extract_fresh_template(factor, seen)
+            if isinstance(sub, NotRCP):
+                return sub
+            subs.append(sub)
+        return _splice(fn, subs)
 
-
-def _assemble_unary(
-    fn: WordFunction,
-    args: tuple[str, ...],
-    out: str,
-    pieces: list[str],
-) -> Template | NotRCP:
+    # Arity 0 reads its one constant; arity 1 splits at a fresh letter.
+    if fn.arity == 0:
+        args: tuple[str, ...] = ()
+        what = "constant output uses"
+    else:
+        args = (_fresh_letter(seen),)
+        what = "fresh-letter factors use"
+    out = fn.evaluate_letters(args)
+    seen.update(out)
+    pieces = out.split(args[0]) if args else [out]
     bad = sorted(set("".join(pieces)) - fn.alphabet.letter_set)
     if bad:
         return NotRCP(
             REASON_SPLIT,
             (ProbeRecord(args, out),),
-            f"fresh-letter factors use letters {bad} outside the alphabet",
+            f"{what} letters {bad} outside the alphabet",
         )
     return Template(
-        1,
+        fn.arity,
         fn.alphabet,
         tuple(Word(fn.alphabet, piece) for piece in pieces),
         (1,) * (len(pieces) - 1),
@@ -665,14 +607,15 @@ def _splice(fn: WordFunction, subs: list[Template]) -> Template:
 
     Each factor keeps its own constant/slot alternation (its slots shifted
     up by one, since inner x_j is outer x_{j+1}) and the factor boundaries
-    contribute the x1 slots, so the counts line up by construction.
+    contribute the x1 slots, so the counts line up by construction.  The
+    factors share ``fn``'s alphabet, so their constants are reused as is.
     """
     constants: list[Word] = []
     slots: list[int] = []
     for i, sub in enumerate(subs):
         if i:
             slots.append(1)
-        constants.extend(Word(fn.alphabet, w.letters) for w in sub.constants)
+        constants.extend(sub.constants)
         slots.extend(v + 1 for v in sub.variables)
     return Template(fn.arity, fn.alphabet, tuple(constants), tuple(slots))
 
@@ -686,9 +629,9 @@ def extract_fresh(
     fresh letter and splitting the output on it exposes the constants
     directly.  A k-ary oracle is profiled, evaluated with a fresh letter in
     front, and its fresh-letter factors are recursively extracted as
-    (k-1)-ary oracles; the results are spliced back together.  Validation
-    against the oracle on short base-alphabet inputs is the same as for
-    :func:`extract`.
+    (k-1)-ary derived oracles; the results are spliced back together.
+    Validation against the oracle on short base-alphabet inputs is the same
+    as for :func:`extract`.
 
     Requires ``fn.supports_extension``; for oracles pinned to their alphabet
     use :func:`extract`.
@@ -698,18 +641,11 @@ def extract_fresh(
             f"{fn.name} does not accept letters outside its alphabet; "
             "fresh-letter extraction is unavailable"
         )
-    if validation_len is None:
-        validation_len = default_validation_len(fn.arity, fn.alphabet)
     queries_before = fn.query_count
-    gamma = _GammaTracker(fn.alphabet)
     try:
-        template = _extract_fresh_template(fn, gamma)
+        template = _extract_fresh_template(fn, set(fn.alphabet.letters))
     except _SplitMismatch as mismatch:
-        return NotRCP(
-            REASON_SPLIT,
-            (ProbeRecord(mismatch.query, mismatch.output),),
-            str(mismatch),
-        )
+        return mismatch.args[0]
     if isinstance(template, NotRCP):
         return template
     return _validate(fn, template, validation_len, queries_before)

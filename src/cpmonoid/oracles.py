@@ -12,9 +12,10 @@ looks it up in one memo; only on a miss does it call the backend's
 ``_compute``.  So repeated probes are free and ``query_count`` — the number
 of *distinct* evaluations that reached the backend — is deterministic.
 :meth:`WordFunction.evaluate` is the :class:`Word` boundary around it, for
-callers outside the hot loops.  Derived oracles (peeled heads, fresh-letter
-factors) override ``evaluate_letters`` to forward to their parent, whose
-memo they share, and report the root backend's count.
+callers outside the hot loops.  Extraction's derived oracles (peeled heads,
+fresh-letter factors) are one class whose ``evaluate_letters`` asks the
+parent and checks a promise; they keep no memo of their own, share the
+parent's, and report the root backend's count.
 """
 
 from __future__ import annotations
@@ -286,7 +287,6 @@ class ExternalFunction(WordFunction):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise ValueError("empty oracle command")
-        self._argv = argv
         self._lock = threading.Lock()
         self._known_letters = set(alphabet.letters)
         # close() may run from __del__ at interpreter shutdown, when an
@@ -302,18 +302,17 @@ class ExternalFunction(WordFunction):
             )
         except OSError as exc:
             raise OracleProtocolError(f"cannot start oracle {argv[0]!r}: {exc}") from exc
-        self._send(f"HELLO {arity} {alphabet}")
-        greeting = self._recv()
-        if greeting == "OK":
-            ext = False
-        elif greeting == "OK EXT":
-            ext = True
-        else:
+        try:
+            self._send(f"HELLO {arity} {alphabet}")
+            greeting = self._recv()
+            if greeting not in ("OK", "OK EXT"):
+                raise OracleProtocolError(
+                    f"bad handshake reply {greeting!r} (want 'OK' or 'OK EXT')"
+                )
+        except OracleProtocolError:
             self.close()
-            raise OracleProtocolError(
-                f"bad handshake reply {greeting!r} (want 'OK' or 'OK EXT')"
-            )
-        super().__init__(f"exec[{argv[0]}]", alphabet, arity, ext)
+            raise
+        super().__init__(f"exec[{argv[0]}]", alphabet, arity, greeting == "OK EXT")
 
     def _send(self, line: str) -> None:
         proc = self._proc
@@ -354,17 +353,25 @@ class ExternalFunction(WordFunction):
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
-        if proc is None or proc.poll() is not None:
+        if proc is None:
             return
-        try:
-            if proc.stdin is not None:
-                proc.stdin.write("BYE\n")
-                proc.stdin.flush()
-                proc.stdin.close()
-            proc.wait(timeout=5)
-        except (OSError, ValueError, self._timeout_expired):
-            proc.kill()
-            proc.wait()
+        if proc.poll() is None:
+            try:
+                if proc.stdin is not None:
+                    proc.stdin.write("BYE\n")
+                    proc.stdin.flush()
+                    proc.stdin.close()
+                proc.wait(timeout=5)
+            except (OSError, ValueError, self._timeout_expired):
+                proc.kill()
+                proc.wait()
+        # the child is reaped: release both pipes, whichever way it ended
+        for pipe in (proc.stdin, proc.stdout):
+            try:
+                if pipe is not None:
+                    pipe.close()
+            except OSError:  # unflushed bytes for a child that is gone
+                pass
 
     def __enter__(self) -> "ExternalFunction":
         return self

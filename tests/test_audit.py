@@ -312,7 +312,8 @@ def test_nine_ary_liar_exhausts_the_budget():
     fn = BuiltinFunction("liar9", ABC, liar, arity=9, supports_extension=True)
     verdict = theorem_check(fn)
     assert isinstance(verdict, Indeterminate), verdict.render()
-    assert verdict.note == "budget exhausted"
+    assert verdict.truncated
+    assert "note: budget exhausted" in verdict.render().splitlines()
     assert verdict.checks == 800_000
     assert fn.query_count == 600_007
 
@@ -444,7 +445,8 @@ def test_theorem_check_indeterminate_under_starvation():
     budgets = Budgets(checks_per_family=2)
     verdict = theorem_check(builtin("reverse", ABC), budgets)
     assert isinstance(verdict, Indeterminate)
-    assert "budget exhausted" in verdict.note
+    assert verdict.truncated
+    assert "note: budget exhausted" in verdict.render().splitlines()
     assert "indeterminate" in verdict.render()
 
 

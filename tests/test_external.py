@@ -4,7 +4,9 @@ Each misbehaving oracle is a one-liner Python script; the harness must turn
 every deviation into OracleProtocolError rather than wrong answers.
 """
 
+import os
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -154,6 +156,33 @@ def test_close_is_idempotent():
     assert fn("ab").letters == "ab"
     fn.close()
     fn.close()
+
+
+def test_close_releases_the_pipes():
+    fn = ExternalFunction(IDENTITY, 1, ABC)
+    assert fn("ab").letters == "ab"
+    fn.close()
+    assert fn._proc.stdin.closed and fn._proc.stdout.closed
+
+
+def test_open_query_close_leaves_no_unclosed_file():
+    # dev mode turns every unclosed pipe into a ResourceWarning on stderr
+    body = (
+        "from cpmonoid import Alphabet, ExternalFunction\n"
+        f"fn = ExternalFunction({IDENTITY!r}, 1, Alphabet.of('abc'))\n"
+        "assert fn('ab').letters == 'ab'\n"
+        "fn.close()\n"
+        "del fn\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", body],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr
 
 
 def test_closed_oracle_refuses_queries():

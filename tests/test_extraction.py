@@ -393,3 +393,69 @@ def test_extract_fresh_rejects_reverse():
 def test_extract_fresh_rejects_erase():
     out = extract_fresh(builtin("erase_a", ABC))
     assert isinstance(out, NotRCP)
+
+
+# ------------------------------------------- NotRCP renders, byte for byte
+
+
+def _render(outcome):
+    assert isinstance(outcome, NotRCP)
+    return outcome.render()
+
+
+def test_render_split_mismatch():
+    # on alphabet inputs x+y, but a foreign y comes back alone: factor 0 of
+    # the split at the fresh letter "0" finds one piece instead of two
+    from cpmonoid import BuiltinFunction
+
+    def f(args):
+        x, y = args
+        return x + y if set(y) <= set("abc") else y
+
+    fn = BuiltinFunction("f", ABC, f, arity=2, supports_extension=True)
+    assert _render(extract_fresh(fn)) == (
+        "NOT-RCP\n"
+        "reason: split cardinality mismatch\n"
+        'query: "0" "1"\n'
+        'output: "1"\n'
+        "detail: expected 2 fresh-letter factors, got 1"
+    )
+
+
+def test_render_peel_violation():
+    from cpmonoid import BuiltinFunction
+
+    fn = BuiltinFunction("f", ABC, lambda a: a[0] if len(a[0]) < 2 else a[0][::-1])
+    assert _render(extract(fn)) == (
+        "NOT-RCP\n"
+        "reason: peel prefix violation\n"
+        'query: "ab"\n'
+        'output: "ba"\n'
+        "detail: output \"ba\" on \"ab\" does not start with 'ab'"
+    )
+
+
+def test_render_letter_leak_unary():
+    from cpmonoid import BuiltinFunction
+
+    fn = BuiltinFunction("f", ABC, lambda a: a[0] + "Z", supports_extension=True)
+    assert _render(extract_fresh(fn)) == (
+        "NOT-RCP\n"
+        "reason: split cardinality mismatch\n"
+        'query: "0"\n'
+        'output: "0Z"\n'
+        "detail: fresh-letter factors use letters ['Z'] outside the alphabet"
+    )
+
+
+def test_render_letter_leak_constant():
+    from cpmonoid import BuiltinFunction
+
+    fn = BuiltinFunction("f", ABC, lambda a: "aZ", arity=0, supports_extension=True)
+    assert _render(extract_fresh(fn)) == (
+        "NOT-RCP\n"
+        "reason: split cardinality mismatch\n"
+        'query: ""\n'
+        'output: "aZ"\n'
+        "detail: constant output uses letters ['Z'] outside the alphabet"
+    )

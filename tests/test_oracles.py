@@ -18,7 +18,7 @@ from cpmonoid import (
     parse_table,
     peel,
 )
-from cpmonoid.extraction import _GammaTracker, _SplitFactor
+from cpmonoid.extraction import _split_factor
 
 from conftest import ABC, AB
 
@@ -61,10 +61,10 @@ def test_template_function_accepts_fresh_letters():
     assert out.letters == "aZb"
 
 
-def _split_factor():
+def _factor():
     # factor 1 of "a" x1 "b" x2 "c" at the fresh letter 0: "b" x2 "c"
     parent = TemplateFunction(Template.of(ABC, "a", 1, "b", 2, "c"))
-    return _SplitFactor(parent, "0", 1, 2, _GammaTracker(ABC))
+    return _split_factor(parent, "0", 1, 2, set(ABC.letters))
 
 
 # name -> (oracle factory, two argument keys and their results)
@@ -88,7 +88,7 @@ MEMO_CASES = {
         lambda: peel(TemplateFunction(Template.of(ABC, "c", 1, "")), ConstLetter("c")),
         {("ab",): "ab", ("",): ""},
     ),
-    "split_factor": (_split_factor, {("ab",): "babc", ("",): "bc"}),
+    "split_factor": (_factor, {("ab",): "babc", ("",): "bc"}),
 }
 
 
