@@ -434,9 +434,10 @@ def _validate(
     if validation_len is None:
         validation_len = default_validation_len(fn.arity, fn.alphabet)
     words = strings_up_to(fn.alphabet, validation_len)
+    evaluate, predict = fn.evaluate_letters, template._format
     for args in itertools.product(words, repeat=fn.arity):
-        got = fn.evaluate_letters(args)
-        want = template.eval_letters(args)
+        got = evaluate(args)
+        want = predict(*args)
         if got != want:
             return NotRCP(
                 REASON_VALIDATION,

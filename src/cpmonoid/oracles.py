@@ -116,7 +116,11 @@ class WordFunction:
 
 
 class TemplateFunction(WordFunction):
-    """A template used as an oracle; the honest case extraction must recover."""
+    """A template used as an oracle; the honest case extraction must recover.
+
+    Each miss is one call of the template's compiled ``str.format`` pattern,
+    built once per template with the braces in its constants escaped.
+    """
 
     def __init__(self, template: Template, name: str = "") -> None:
         super().__init__(
@@ -128,7 +132,7 @@ class TemplateFunction(WordFunction):
         self.template = template
 
     def _compute(self, key: tuple[str, ...]) -> str:
-        return self.template.eval_letters(key)
+        return self.template._format(*key)
 
 
 class BuiltinFunction(WordFunction):

@@ -15,13 +15,19 @@ The induced length behaviour is affine: ``|t(x⃗)| = Σ p_i·|x_i| + e`` where
 constant length.  :class:`LengthCoefficients` packages those numbers (plus
 the per-letter offsets contributed by the constants) and is shared with the
 oracle-side length profiler.
+
+Evaluation is one C-level ``str.format`` call: each template compiles itself,
+once and on first use, into a pattern with ``{i}`` for a slot naming argument
+``i+1`` and every ``{`` and ``}`` of its constants doubled (both are valid
+letters).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .words import (
     Alphabet,
@@ -29,8 +35,8 @@ from .words import (
     Morphism,
     Word,
     arrangements,
-    iter_word_tuples,
     strings_of_length,
+    strings_up_to,
 )
 
 
@@ -82,6 +88,11 @@ class LengthCoefficients:
         if len(arg_counts) != self.arity:
             raise ValueError("wrong number of argument counts")
         return sum(pi * n for pi, n in zip(self.p, arg_counts)) + self.offset(letter)
+
+
+def _escape(letters: str) -> str:
+    """``letters`` as literal text inside a ``str.format`` pattern."""
+    return letters.replace("{", "{{").replace("}", "}}")
 
 
 @dataclass(frozen=True)
@@ -152,14 +163,24 @@ class Template:
     def eval_letters(self, args: Sequence[str]) -> str:
         """Evaluate on raw letter strings (no alphabet check; hot path).
 
-        Extraction feeds arguments containing letters outside the template's
-        own alphabet through this entry point.
+        One call of the template's compiled ``str.format`` pattern, built on
+        first use.  Extraction feeds arguments containing letters outside the
+        template's own alphabet through this entry point.
         """
-        out = [self.constants[0].letters]
+        return self._format(*args)
+
+    @functools.cached_property
+    def _format(self) -> Callable[..., str]:
+        """The bound ``format`` of ``w_0{i_1-1}w_1…``, braces in constants doubled.
+
+        Cached in the instance ``__dict__``, so equality and hashing stay
+        field-based.
+        """
+        parts = [_escape(self.constants[0].letters)]
         for v, w in zip(self.variables, self.constants[1:]):
-            out.append(args[v - 1])
-            out.append(w.letters)
-        return "".join(out)
+            parts.append(f"{{{v - 1}}}")
+            parts.append(_escape(w.letters))
+        return "".join(parts).format
 
     def coefficients(self) -> LengthCoefficients:
         p = [0] * self.arity
@@ -208,8 +229,10 @@ def extensional_equal(t1: Template, t2: Template, length_bound: int) -> bool:
         raise ValueError("templates of different arity are never compared")
     if t1.alphabet != t2.alphabet:
         raise ValueError("templates over different alphabets are never compared")
-    for args in iter_word_tuples(t1.alphabet, t1.arity, length_bound):
-        if t1.eval(args) != t2.eval(args):
+    # a list, so that a negative bound raises even at arity 0
+    words = list(strings_up_to(t1.alphabet, length_bound))
+    for args in itertools.product(words, repeat=t1.arity):
+        if t1.eval_letters(args) != t2.eval_letters(args):
             return False
     return True
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cpmonoid import builtin, extract
+from cpmonoid import Alphabet, Template, builtin, extract
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,10 +55,14 @@ def test_tracer_install_uninstall_restores_every_binding(layers):
             oracles.ExternalFunction,
         ):
             assert (id(cls), "_compute") in patched, cls.__name__
+        assert (id(layers.templates.Template), "eval_letters") in patched
         fn = builtin("reverse")
         extract(fn)
+        template = Template.of(Alphabet.of("ab"), "a", 1, "")
+        assert template.eval([template.alphabet.word("b")]).letters == "ab"
         metrics = tracer.metrics()
         assert metrics["oracles.queries"] == fn.query_count > 0
+        assert metrics["templates.eval_calls"] >= 1
         assert metrics["extraction.peels"] > 0
     finally:
         tracer.uninstall()

@@ -1,3 +1,5 @@
+import itertools
+
 import hypothesis
 import pytest
 
@@ -22,6 +24,7 @@ from cpmonoid import (
     render_head_case,
 )
 from cpmonoid.extraction import default_validation_len
+from cpmonoid.words import strings_up_to
 
 from conftest import ABC, AB, count_word_constructions, templates
 
@@ -302,6 +305,45 @@ def test_extract_validation_catches_liars():
     assert isinstance(out, NotRCP)
     assert out.reason == "validation mismatch"
     assert "predicts" in out.detail  # names the candidate and its prediction
+
+
+def test_extract_validation_sweeps_to_the_last_tuple(monkeypatch):
+    # a binary liar that departs from its template only on the last tuple
+    # the default sweep (words of length <= 2) reaches
+    from cpmonoid import BuiltinFunction, ProbeRecord
+    from cpmonoid import extraction
+
+    t = Template.of(ABC, "a", 1, "b", 2, "")
+    swept = list(itertools.product(strings_up_to(ABC, 2), repeat=2))
+    last = swept[-1]
+    assert last == ("cc", "cc")
+    calls = []
+
+    def liar(args):
+        calls.append(args)
+        return "acccbc" if args == last else t.eval_letters(args)
+
+    sweep_start = []
+    validate = extraction._validate
+
+    def recording_validate(*args):
+        sweep_start.append(len(calls))
+        return validate(*args)
+
+    monkeypatch.setattr(extraction, "_validate", recording_validate)
+    fn = BuiltinFunction("liar", ABC, liar, arity=2)
+    out = extract(fn)
+    assert out == NotRCP(
+        "validation mismatch",
+        (ProbeRecord(last, "acccbc"),),
+        'candidate template "a" x1 "b" x2 "" predicts "accbcc"',
+    )
+    (n,) = sweep_start
+    probes = calls[:n]
+    # the sweep asks every tuple in enumeration order, the memo answering
+    # the ones extraction already probed, and stops at the mismatch
+    assert calls[n:] == [args for args in swept if args not in set(probes)]
+    assert fn.query_count == len(set(probes) | set(swept)) == len(calls)
 
 
 def test_extract_builds_no_word_per_query(monkeypatch):

@@ -3,6 +3,7 @@ import hypothesis.strategies as strat
 import pytest
 
 from cpmonoid import (
+    Alphabet,
     FormatError,
     Morphism,
     Template,
@@ -230,3 +231,69 @@ def test_extensional_equal_one_letter_collision():
     s1 = Template.of(single, "a", 1, "")
     s2 = Template.of(single, "", 1, "a")
     assert extensional_equal(s1, s2, 4)
+
+
+def test_extensional_equal_rejections():
+    with pytest.raises(ValueError, match="different arity"):
+        extensional_equal(Template.of(ABC, "a"), Template.of(ABC, "", 1, ""), 2)
+    with pytest.raises(ValueError, match="different alphabets"):
+        extensional_equal(Template.of(ABC, "a"), Template.of(AB, "a"), 2)
+    for t in (Template.of(ABC, "a"), Template.of(ABC, "", 1, "")):
+        with pytest.raises(ValueError, match="negative length bound"):
+            extensional_equal(t, t, -1)
+
+
+# Both braces are letters: the compiled str.format pattern must escape them.
+BRACES = Alphabet.of("{}0a")
+
+
+def reference_eval(t, args):
+    """Interleave constants and slot arguments one piece at a time."""
+    out = t.constants[0].letters
+    for v, w in zip(t.variables, t.constants[1:]):
+        out += args[v - 1] + w.letters
+    return out
+
+
+def test_eval_letters_escapes_braces():
+    # "{0}" spells a format field; as a constant it must stay literal
+    t = Template.of(BRACES, "{0}", 1, "}", 2, "{", 1, "{}")
+    assert t.eval_letters(("a{", "}0")) == "{0}a{}}0{a{{}"
+    assert t.eval_letters(["{1}", "{"]) == "{0}{1}}{{{1}{}"
+    assert t.eval([BRACES.word("}"), BRACES.word("")]).letters == "{0}}}{}{}"
+
+
+def test_eval_letters_arity_zero():
+    for const in ("", "{}", "{0}", "a}{"):
+        t = Template.of(BRACES, const)
+        assert t.arity == 0
+        assert t.eval_letters(()) == t.eval_letters([]) == const
+
+
+def test_eval_letters_repeated_slots_and_sequence_types():
+    t = Template.of(ABC, "c", 2, "", 2, "a", 1, "", 2, "b")
+    assert t.eval_letters(("ab", "c")) == "ccca" + "ab" + "cb"
+    assert t.eval_letters(["ab", "c"]) == t.eval_letters(("ab", "c"))
+    assert Template.of(ABC, "", 1, "", 1, "").eval_letters(["{x}"]) == "{x}{x}"
+
+
+@hypothesis.given(templates(BRACES, max_const=3), strat.data())
+def test_eval_letters_matches_reference(t, data):
+    args = data.draw(
+        strat.lists(
+            strat.text(alphabet=list("{}0a#"), max_size=4),
+            min_size=t.arity,
+            max_size=t.arity,
+        )
+    )
+    assert t.eval_letters(args) == reference_eval(t, args)
+    assert t.eval_letters(tuple(args)) == reference_eval(t, args)
+
+
+def test_evaluated_template_keeps_equality_and_hash():
+    used = Template.of(BRACES, "{", 1, "}", 1, "")
+    fresh = Template.of(BRACES, "{", 1, "}", 1, "")
+    assert used.eval_letters(["0"]) == "{0}0"
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert {used: 1}[fresh] == 1
