@@ -20,11 +20,12 @@ Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome
 (``check`` included, when every audit family ran to its end) or
 non-representable candidates; 2 usage or file-format errors; 3 external
 oracle protocol failures; 4 a check, audit or explore budget ran out before
-the sweep or search finished; 141 standard output was closed early (as when
-piped into ``head``), which ends the run quietly.  A negative ``--budget``,
-``--bound``, ``--validate-len``, ``--image-len`` or ``--arity``, or a
-``--count`` below 1, exits 2 before any query.  All output is deterministic
-for fixed inputs and seeds.
+the sweep or search finished; 5 internal inconsistency (a witness that failed
+its re-verification), reported on standard error; 141 standard output was
+closed early (as when piped into ``head``), which ends the run quietly.  A
+negative ``--budget``, ``--bound``, ``--validate-len``, ``--image-len`` or
+``--arity``, or a ``--count`` below 1, exits 2 before any query.  All output
+is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_PROTOCOL = 3
 EXIT_BUDGET = 4
+EXIT_INCONSISTENT = 5
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE: what a shell reports for a writer its reader left
 
 
@@ -373,6 +375,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # internal, as when a witness fails its re-verification
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 def main() -> None:

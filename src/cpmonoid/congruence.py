@@ -237,6 +237,35 @@ class FiniteKernelCongruence(CongruenceSpec):
     def word_image(self, letters: str) -> str:
         return self.monoid_morphism.word_image(letters)
 
+    @functools.cached_property
+    def kernel_key(self) -> tuple[tuple[int, ...], ...]:
+        """The kernel, exactly: two assignments have equal keys iff they
+        relate the same words.
+
+        The key is the right Cayley graph of the submonoid the letter images
+        generate.  Its states are numbered breadth-first from the identity,
+        taking the letters in alphabet order, and row ``s`` lists the state
+        that each letter moves state ``s`` to.  A word's state is its class,
+        so equal keys give equal kernels; conversely the kernel alone fixes
+        the classes, their successors and hence the numbering.
+        """
+        mm = self.monoid_morphism
+        steps = [mm._steps[letter] for letter in mm.alphabet.letters]
+        start = mm.monoid._index[mm.monoid.identity]
+        number = {start: 0}
+        order = [start]  # grows while it is walked: the breadth-first queue
+        rows = []
+        for element in order:
+            row = []
+            for step in steps:
+                target = step[element]
+                if target not in number:
+                    number[target] = len(order)
+                    order.append(target)
+                row.append(number[target])
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def describe(self) -> str:
         mm = self.monoid_morphism
         lines = [f"congruence: kernel of morphism into {mm.monoid.name}"]

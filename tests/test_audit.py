@@ -1,9 +1,11 @@
+import importlib
 import itertools
 
 import pytest
 
 from cpmonoid import (
     BUILTIN_NAMES,
+    Alphabet,
     AuditResult,
     Budgets,
     BuiltinFunction,
@@ -28,6 +30,9 @@ from cpmonoid import (
     theorem_check,
     verify_witness,
 )
+
+from cpmonoid.audit import _audit_specs, _scan
+from cpmonoid.words import AlphabetError, strings_up_to
 
 from conftest import ABC, count_word_constructions
 
@@ -298,6 +303,205 @@ def test_audit_matches_all_pairs_reference(name, family, bound):
         assert got == expected, budget
         assert fn.query_count == ref_fn.query_count, budget
         assert misses == ref_misses, budget
+
+
+# --------------------------------------------------------------------------
+# Finite kernels: each distinct kernel once, and the whole-table check, against
+# the plain sweep that scans every spec on its own
+
+
+def plain_audit_specs(fn, specs, bound, budget):
+    """The audit sweep with every spec scanned by itself through ``_scan``:
+    no kernel is skipped and no output table is read."""
+    words = list(strings_up_to(fn.alphabet, bound))
+    total = seen = 0
+    for spec in specs:
+        seen += 1
+        remaining = None if budget is None else budget - total
+        if remaining is not None and remaining <= 0:
+            return AuditResult(None, seen - 1, total, truncated=True)
+        witness, used = _scan(fn, spec, words, remaining)
+        total += used
+        if witness is not None:
+            return AuditResult(witness, seen, total, truncated=False)
+    return AuditResult(None, seen, total, truncated=False)
+
+
+def sweep_outcome(sweep, make, specs, bound, budget):
+    """What a sweep returns or raises, its query count and its oracle misses."""
+    fn, misses = recording(make())
+    try:
+        result = sweep(fn, specs, bound, budget)
+    except AlphabetError as exc:
+        return ("AlphabetError", str(exc)), fn.query_count, misses
+    witness = result.witness
+    if witness is not None:
+        witness = (witness.spec.describe(), witness.left, witness.right, witness.out_left, witness.out_right)
+    return (witness, result.specs_checked, result.checks, result.truncated), fn.query_count, misses
+
+
+def assert_sweeps_agree(make, specs, bound, budgets):
+    for budget in budgets:
+        expected = sweep_outcome(plain_audit_specs, make, specs, bound, budget)
+        assert sweep_outcome(_audit_specs, make, specs, bound, budget) == expected, budget
+
+
+def unary(name, f, extension=True):
+    return lambda: BuiltinFunction(name, ABC, lambda args: f(args[0]), arity=1, supports_extension=extension)
+
+
+# x·"a"·rev(x)·x·"ca" and x·"a"·x·x reversed past length 2: every family runs
+# to its end at bound 2 without a witness
+SLOT2 = unary("reversed@slot2", lambda x: x + "a" + x[::-1] + x + "ca")
+BEYOND2 = unary("reversed_beyond_2", lambda x: (x + "a" + x + x)[:: -1 if len(x) > 2 else 1])
+
+FINITE_FUNCTIONS = {
+    "reversed@slot2": (SLOT2, 2),
+    "reversed_beyond_2": (BEYOND2, 2),
+    "reverse": (lambda: builtin("reverse", ABC), 2),
+    "honest2": (EQUIVALENCE_FUNCTIONS["honest2"], 1),
+    "reversed@slot1": (EQUIVALENCE_FUNCTIONS["reversed@slot1"], 1),
+    "first_letter@slot3": (EQUIVALENCE_FUNCTIONS["first_letter@slot3"], 1),
+    "honest3": (EQUIVALENCE_FUNCTIONS["honest3"], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(FINITE_FUNCTIONS))
+def test_finite_sweep_matches_plain_scans_around_spec_totals(name):
+    # Budgets one check before, at and one after the running total at the
+    # end of the first spec whose kernel an earlier spec had, of the first
+    # spec after it with a new kernel (the output table checks those once
+    # every word has been in a class of two or more), and of the last spec
+    # scanned.
+    make, bound = FINITE_FUNCTIONS[name]
+    specs = list(finite_monoid_congruences(ABC))
+    fn = make()
+    words = list(strings_up_to(ABC, bound))
+    ends, keys, total = [], [], 0
+    for spec in specs:
+        witness, used = _scan(fn, spec, words, None)
+        total += used
+        ends.append(total)
+        keys.append(spec.kernel_key)
+        if witness is not None:
+            break
+    repeat = next((i for i, key in enumerate(keys) if key in keys[:i]), len(keys) - 1)
+    fresh = next((i for i in range(repeat + 1, len(keys)) if keys[i] not in keys[:i]), repeat)
+    budgets = {None}
+    for i in (repeat, fresh, len(ends) - 1):
+        budgets |= {ends[i] - 1, ends[i], ends[i] + 1}
+    assert_sweeps_agree(make, specs, bound, sorted(budgets, key=lambda b: (b is None, b)))
+
+
+def test_finite_sweep_matches_plain_scans_at_arity_0():
+    specs = list(finite_monoid_congruences(ABC))
+    for make in (
+        EQUIVALENCE_FUNCTIONS["honest0"],
+        lambda: BuiltinFunction("z", ABC, lambda args: "z", arity=0, supports_extension=True),
+    ):
+        assert_sweeps_agree(make, specs, 2, [None, 1, 2])
+
+
+def test_out_of_alphabet_output_on_a_singleton_class_word():
+    # "cc" maps to "z" and every other word to itself.  Kernels with "cc"
+    # alone in its class never image "z", so both sweeps pass them; the
+    # first kernel that puts "cc" with another word raises in both.
+    make = unary("z_at_cc", lambda x: "z" if x == "cc" else x)
+    specs = list(finite_monoid_congruences(ABC))
+    alone = [spec for spec in specs if sum(spec.congruent("cc", w) for w in strings_up_to(ABC, 2)) == 1]
+    joined = next(spec for spec in specs if spec not in alone)
+    assert len(alone) > len({spec.kernel_key for spec in alone}) > 1
+    assert_sweeps_agree(make, alone, 2, [None, 100])
+    raised = sweep_outcome(_audit_specs, make, alone + [joined], 2, None)
+    assert raised[0][0] == "AlphabetError"
+    assert_sweeps_agree(make, alone + [joined], 2, [None])
+
+
+@pytest.mark.parametrize("name", ["reversed@slot2", "reversed_beyond_2", "reverse", "reversed@slot1"])
+def test_theorem_check_finite_phase_after_a_full_standard_phase(name, monkeypatch):
+    # The standard phase runs to its end first and fills the memo; the
+    # verdict, the counts and the oracle misses match plain scans.
+    make, _ = FINITE_FUNCTIONS[name]
+    fn, misses = recording(make())
+    verdict = theorem_check(fn)
+    audit_module = importlib.import_module("cpmonoid.audit")
+    monkeypatch.setattr(audit_module, "_audit_specs", plain_audit_specs)
+    ref_fn, ref_misses = recording(make())
+    expected = theorem_check(ref_fn)
+    assert verdict.render() == expected.render()
+    assert (fn.query_count, misses) == (ref_fn.query_count, ref_misses)
+    if name.startswith("reversed_beyond") or name.endswith("slot2"):
+        assert isinstance(verdict, Indeterminate) and not verdict.truncated
+    else:
+        assert verdict.family == "finite_monoids"
+
+
+def test_equal_bounded_partitions_with_different_kernels_stay_separate():
+    # 417 kernels on abc, but only 331 partitions of the words up to length
+    # 2.  Two kernels with one bounded partition differ on longer words: a
+    # function whose outputs only the later kernel separates passes the
+    # earlier one and is refuted by the later.
+    specs = list(finite_monoid_congruences(ABC))
+    words = list(strings_up_to(ABC, 2))
+
+    def partition(spec):
+        first = {}
+        return tuple(first.setdefault(spec.word_image(w), i) for i, w in enumerate(words))
+
+    groups = {}
+    for spec in specs:
+        groups.setdefault(partition(spec), []).append(spec)
+    assert len(groups) == 331
+    for group in groups.values():
+        for earlier, later in itertools.combinations(group, 2):
+            if earlier.kernel_key == later.kernel_key:
+                continue
+            pair = next(
+                ((p, q) for p, q in congruent_pairs(earlier, 5) if not later.congruent(p, q)), None
+            )
+            if pair is not None:
+                break
+        else:
+            continue
+        break
+    p, q = pair
+    head, member = next(congruent_pairs(earlier, 2))
+    make = unary("apart", lambda x: q if x == member else p, extension=False)
+    result = _audit_specs(make(), [earlier, later], 2, None)
+    assert result.witness is not None and result.witness.spec == later
+    assert result.specs_checked == 2
+    assert_sweeps_agree(make, [earlier, later], 2, [None])
+
+
+def test_finite_family_memo_grows_lazily_up_to_its_limit(monkeypatch):
+    # A sweep refuted early builds only the specs it reached; every sweep of
+    # one alphabet shares the same specs, up to the memo's limit, and past it
+    # builds equal ones afresh.
+    audit_module = importlib.import_module("cpmonoid.audit")
+    xyz = Alphabet.of("xyz")  # swept by no other test
+    result = audit(builtin("reverse", xyz), family="finite_monoids")
+    assert result.witness is not None
+    assert len(audit_module._FINITE_FAMILIES[xyz]) == result.specs_checked < 971
+    first, second = list(finite_monoid_congruences(xyz)), list(finite_monoid_congruences(xyz))
+    assert len(first) == 971 and all(a is b for a, b in zip(first, second))
+    monkeypatch.setattr(audit_module, "_FINITE_MEMO_LIMIT", 100)
+    uvw = Alphabet.of("uvw")
+    first, second = list(finite_monoid_congruences(uvw)), list(finite_monoid_congruences(uvw))
+    assert first == second and len(audit_module._FINITE_FAMILIES[uvw]) == 100
+    assert first[99] is second[99] and first[100] is not second[100]
+
+
+@pytest.mark.parametrize(
+    "make, queries", [(BEYOND2, 16), (SLOT2, 14)], ids=["reversed_beyond_2", "reversed@slot2"]
+)
+def test_family_exhausting_unary_items_keep_their_counts(make, queries):
+    # Exact counts of sweeps that exhaust every family, as scanning every
+    # finite spec on its own gives them.
+    fn = make()
+    verdict = theorem_check(fn)
+    assert isinstance(verdict, Indeterminate) and not verdict.truncated
+    assert verdict.checks == 25_942
+    assert fn.query_count == queries
 
 
 def test_nine_ary_liar_exhausts_the_budget():

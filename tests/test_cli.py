@@ -252,6 +252,20 @@ def test_check_budget_exit(capsys):
     assert "note: budget exhausted" in out
 
 
+def test_check_failed_witness_verification_exits_5(capsys, monkeypatch):
+    # A witness that fails its re-verification is an internal inconsistency:
+    # exit 5 with one line on standard error, not a traceback.
+    import importlib
+
+    audit_module = importlib.import_module("cpmonoid.audit")
+    monkeypatch.setattr(audit_module, "verify_witness", lambda fn, witness: False)
+    code, out, err = invoke(capsys, "check", "--oracle", "builtin:erase_a")
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal inconsistency: witness failed re-verification\n"
+    assert "Traceback" not in err
+
+
 def test_explore_exit_codes(capsys):
     code, out, _ = invoke(capsys, "explore", "--maxlen", "2", "--coeff", "1,0")
     assert code == 1  # non-representable candidates exist over two letters

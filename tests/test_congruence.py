@@ -293,3 +293,46 @@ def test_lz2_refutes_reversal_style_swaps():
     assert phi.word_image("bc") == "x"
     assert phi.word_image("cb") == "y"
     assert phi.word_image("abc") == "x"
+
+
+def _partition(spec, bound):
+    """The classes of ``spec`` on the words up to ``bound``: each word's
+    class as the index of its first word."""
+    first = {}
+    return tuple(
+        first.setdefault(spec.word_image(w.letters), i)
+        for i, w in enumerate(iter_words(spec.alphabet, bound))
+    )
+
+
+def test_kernel_key_is_exact_on_the_catalog():
+    # Equal keys exactly when the kernels agree; the words up to length 5
+    # already tell every pair of the 417 kernels on abc apart.
+    from cpmonoid import finite_monoid_congruences
+
+    specs = list(finite_monoid_congruences(ABC))
+    assert len(specs) == 971
+    keys = [spec.kernel_key for spec in specs]
+    assert len(set(keys)) == 417
+    partitions = [_partition(spec, 5) for spec in specs]
+    assert len(set(zip(keys, partitions))) == len(set(keys)) == len(set(partitions))
+
+
+def test_kernel_key_is_shared_by_conjugate_assignments():
+    # doubling is an automorphism of Z5+, so it keeps the kernel
+    z5 = cyclic_additive(5)
+    one = FiniteKernelCongruence(MonoidMorphism.make(ABC, z5, {"a": "1", "b": "2", "c": "3"}))
+    two = FiniteKernelCongruence(MonoidMorphism.make(ABC, z5, {"a": "2", "b": "4", "c": "1"}))
+    assert one != two
+    assert one.kernel_key == two.kernel_key
+    assert _partition(one, 4) == _partition(two, 4)
+    other = FiniteKernelCongruence(MonoidMorphism.make(ABC, z5, {"a": "1", "b": "2", "c": "4"}))
+    assert other.kernel_key != one.kernel_key
+
+
+def test_kernel_key_numbers_states_breadth_first():
+    # Z2+ with a=1, b=0, c=1: the identity, then the class a reaches first
+    spec = FiniteKernelCongruence(
+        MonoidMorphism.make(ABC, cyclic_additive(2), {"a": "1", "b": "0", "c": "1"})
+    )
+    assert spec.kernel_key == ((1, 0, 1), (0, 1, 0))
