@@ -46,8 +46,8 @@ _EXPORTS = {
     ),
     "audit": (
         "AuditResult", "Budgets", "CertifiedCP", "Indeterminate", "RefutedCP", "Witness",
-        "audit", "check_preservation", "family_congruences", "finite_monoid_congruences",
-        "random_congruences", "standard_congruences", "theorem_check", "verify_witness",
+        "audit", "check_preservation", "finite_monoid_congruences", "random_congruences",
+        "standard_congruences", "theorem_check", "verify_witness",
     ),
     "explorer": (
         "BudgetExhausted", "CandidateTable", "ExploreReport", "SearchConfig", "SearchStats",

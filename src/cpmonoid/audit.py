@@ -6,9 +6,9 @@ preserves the congruence in each argument while the others stay fixed, so
 :func:`check_preservation` varies one argument at a time, which tests one
 congruence exhaustively up to a length bound (a word is evaluated against
 the first word of its congruence class only; its other pairs follow by
-transitivity); :func:`audit` sweeps a whole family of congruences;
-:func:`theorem_check` combines extraction and auditing into a three-way
-verdict:
+transitivity); :func:`audit` sweeps the phases of the audit schedule that
+a family selects; :func:`theorem_check` combines extraction and the whole
+schedule into a three-way verdict:
 
 * :class:`CertifiedCP` — a validated template was extracted.  Template
   functions preserve every congruence of the kinds handled here, so the
@@ -19,10 +19,10 @@ verdict:
 * :class:`Indeterminate` — extraction failed but no witness surfaced within
   budget.  The extraction diagnosis is attached for whoever digs further.
 
-The families, in escalation order: kernels of the standard letter
+The schedule's phases, in escalation order: kernels of the standard letter
 endomorphisms (collapse, project, erase, identify), kernels of morphisms
-into a catalog of small finite monoids, and random endomorphisms with
-growing image lengths.
+into a catalog of small finite monoids, and kernels of seeded random
+endomorphisms with images of length at most 1, then at most 2.
 
 Many letter assignments into the catalog share a kernel, and a sweep scans
 each distinct finite kernel once: a later assignment with a kernel that
@@ -362,26 +362,23 @@ def random_congruences(
         yield RestrictedCongruence(random_endomorphism(alphabet, rng, image_len))
 
 
-def family_congruences(
-    family: str,
-    alphabet: Alphabet,
-    seed: int = 0,
-    count: int = 40,
-    image_len: int = 2,
-) -> Iterator[CongruenceSpec]:
-    if family == "standard":
-        return standard_congruences(alphabet)
-    if family == "finite_monoids":
-        return finite_monoid_congruences(alphabet)
-    if family == "random":
-        return random_congruences(alphabet, seed, count, image_len)
-    if family == "all":
-        return itertools.chain(
-            standard_congruences(alphabet),
-            finite_monoid_congruences(alphabet),
-            random_congruences(alphabet, seed, count, image_len),
-        )
-    raise ValueError(f"unknown family {family!r} (want standard, finite_monoids, random or all)")
+# The audit schedule: each phase's name and congruences, in escalation order.
+# A phase looks its generator up when it runs, so rebinding one in this module
+# (as bench/layers.py does, to charge each phase its scans) reaches it.
+_SCHEDULE = (
+    ("standard", lambda alphabet, seed: standard_congruences(alphabet)),
+    ("finite_monoids", lambda alphabet, seed: finite_monoid_congruences(alphabet)),
+    ("random(image<=1)", lambda alphabet, seed: random_congruences(alphabet, seed, 40, 1)),
+    ("random(image<=2)", lambda alphabet, seed: random_congruences(alphabet, seed, 40, 2)),
+)
+
+# The phases that each ``family`` of :func:`audit` selects.
+_FAMILIES = {
+    "standard": _SCHEDULE[:1],
+    "finite_monoids": _SCHEDULE[1:2],
+    "random": _SCHEDULE[2:],
+    "all": _SCHEDULE,
+}
 
 
 @dataclass
@@ -391,7 +388,8 @@ class AuditResult:
     witness: Witness | None
     specs_checked: int
     checks: int  # congruent pairs of the stream, evaluated or settled
-    truncated: bool  # ran out of budget before finishing the family
+    truncated: bool  # a phase ran out of budget before its last congruence
+    family: str | None = None  # the phase that found the witness
 
     @property
     def ok(self) -> bool:
@@ -404,20 +402,30 @@ def audit(
     length_bound: int = 2,
     budget: int | None = 200_000,
     seed: int = 0,
-    count: int = 40,
-    image_len: int = 2,
 ) -> AuditResult:
-    """Sweep one family of congruences; the first witness wins.
+    """Sweep the phases of the schedule that ``family`` selects (``random``
+    is both random phases, ``all`` every phase); the first witness wins.
 
     ``checks`` counts every congruent pair of the one-position stream (see
-    :func:`_scan`), and ``budget`` caps that count across the whole sweep.
-    Only a word's pairs with the first word of its class are evaluated; its
-    pairs with later members are settled by transitivity and counted all the
-    same.  Results are deterministic for fixed arguments (the random family
-    is seeded).
+    :func:`_scan`), and ``budget`` caps that count in each phase.  Only a
+    word's pairs with the first word of its class are evaluated; its pairs
+    with later members are settled by transitivity and counted all the same.
+    Results are deterministic for fixed arguments (the random phases are
+    seeded).
     """
-    specs = family_congruences(family, fn.alphabet, seed, count, image_len)
-    return _audit_specs(fn, specs, length_bound, budget)
+    phases = _FAMILIES.get(family)
+    if phases is None:
+        raise ValueError(f"unknown family {family!r} (want {', '.join(_FAMILIES)})")
+    specs = checks = 0
+    truncated = False
+    for name, congruences in phases:
+        result = _audit_specs(fn, congruences(fn.alphabet, seed), length_bound, budget)
+        specs += result.specs_checked
+        checks += result.checks
+        truncated = truncated or result.truncated
+        if result.witness is not None:
+            return AuditResult(result.witness, specs, checks, truncated, name)
+    return AuditResult(None, specs, checks, truncated)
 
 
 def _audit_specs(
@@ -455,18 +463,14 @@ def _audit_specs(
 @dataclass(frozen=True)
 class Budgets:
     """Knobs for :func:`theorem_check`; the defaults refute every stock
-    non-preserving example within seconds."""
+    non-preserving example within seconds.  ``checks_per_family`` caps the
+    checks of each phase of the audit schedule, and ``random_seed`` seeds
+    its random phases."""
 
     validation_len: int | None = None
     length_bound: int = 2
     checks_per_family: int = 200_000
     random_seed: int = 0
-
-
-# The random phases of theorem_check: the image length bound of each phase,
-# and how many seeded random endomorphisms each phase sweeps.
-RANDOM_IMAGE_LENS = (1, 2)
-RANDOM_COUNT = 40
 
 
 @dataclass(frozen=True)
@@ -515,7 +519,8 @@ Verdict = Union[CertifiedCP, RefutedCP, Indeterminate]
 
 
 def theorem_check(fn: WordFunction, budgets: Budgets | None = None) -> Verdict:
-    """Extraction first; on failure, escalate through audit families.
+    """Extraction first; on failure, escalate through the audit schedule
+    (``audit(fn, "all", ...)``), re-verifying any witness it finds.
 
     Requires at least three letters — with fewer, extraction offers no
     certificate and a missing witness proves nothing.
@@ -533,26 +538,11 @@ def theorem_check(fn: WordFunction, budgets: Budgets | None = None) -> Verdict:
         return CertifiedCP(outcome.template, outcome.query_count)
     diagnosis = outcome
 
-    phases: list[tuple[str, Iterable[CongruenceSpec]]] = [
-        ("standard", standard_congruences(fn.alphabet)),
-        ("finite_monoids", finite_monoid_congruences(fn.alphabet)),
-    ]
-    for n in RANDOM_IMAGE_LENS:
-        specs = random_congruences(fn.alphabet, budgets.random_seed, RANDOM_COUNT, n)
-        phases.append((f"random(image<={n})", specs))
-
-    total_checks = 0
-    truncated = False
-    for name, specs in phases:
-        result = _audit_specs(
-            fn, specs, budgets.length_bound, budgets.checks_per_family
-        )
-        total_checks += result.checks
-        truncated = truncated or result.truncated
-        if result.witness is not None:
-            if not verify_witness(fn, result.witness):
-                raise RuntimeError(
-                    "internal inconsistency: witness failed re-verification"
-                )
-            return RefutedCP(result.witness, name, total_checks)
-    return Indeterminate(diagnosis, total_checks, truncated)
+    result = audit(
+        fn, "all", budgets.length_bound, budgets.checks_per_family, budgets.random_seed
+    )
+    if result.witness is None:
+        return Indeterminate(diagnosis, result.checks, result.truncated)
+    if not verify_witness(fn, result.witness):
+        raise RuntimeError("internal inconsistency: witness failed re-verification")
+    return RefutedCP(result.witness, result.family, result.checks)

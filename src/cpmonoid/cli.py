@@ -13,8 +13,10 @@ Subcommands::
 
 Oracles are named by scheme: ``template:FILE``, ``builtin:NAME``,
 ``table:FILE`` or ``exec:COMMANDLINE`` (split shell-style and spoken to over
-the line protocol).  ``--arity`` and ``--alphabet`` (default ``abc``) give the
-signature; a table's alphabet is its own letters unless ``--alphabet`` is set.
+the line protocol).  ``--arity`` (default 1) and ``--alphabet`` (default
+``abc``) give an ``exec:`` oracle's signature; the other schemes carry their
+own arity, which a given ``--arity`` must match.  A table's alphabet is its
+own letters unless ``--alphabet`` is set.
 
 Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome
 (``check`` included, when every audit family ran to its end) or
@@ -23,9 +25,9 @@ oracle protocol failures; 4 a check, audit or explore budget ran out before
 the sweep or search finished; 5 internal inconsistency (a witness that failed
 its re-verification), reported on standard error; 141 standard output was
 closed early (as when piped into ``head``), which ends the run quietly.  A
-negative ``--budget``, ``--bound``, ``--validate-len``, ``--image-len`` or
-``--arity``, or a ``--count`` below 1, exits 2 before any query.  All output
-is deterministic for fixed inputs and seeds.
+negative ``--budget``, ``--bound``, ``--validate-len``, ``--image-len``,
+``--arity`` or ``--maxlen``, or a ``--node-budget`` below 1, exits 2 before
+any query.  All output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _read_file(path: str) -> str:
 
 
 def _load_oracle(
-    spec: str, alphabet: Alphabet | None, arity: int, stack: contextlib.ExitStack
+    spec: str, alphabet: Alphabet | None, arity: int | None, stack: contextlib.ExitStack
 ) -> WordFunction:
     scheme, sep, rest = spec.partition(":")
     if not sep:
@@ -90,7 +92,7 @@ def _load_oracle(
     if scheme == "table":
         return parse_table(_read_file(rest), alphabet, name=f"table[{rest}]")
     if scheme == "exec":
-        fn = ExternalFunction(rest, arity, alphabet or DEFAULT_ALPHABET)
+        fn = ExternalFunction(rest, 1 if arity is None else arity, alphabet or DEFAULT_ALPHABET)
         stack.callback(fn.close)
         return fn
     raise _UsageError(f"unknown oracle scheme {scheme!r}")
@@ -138,7 +140,7 @@ def _add_oracle_options(sub: argparse.ArgumentParser) -> None:
         "a table's letters must lie in it (default: inferred from the file)",
     )
     sub.add_argument(
-        "--arity", type=_int_at_least(0), default=1, help="arity for exec oracles (default: 1)"
+        "--arity", type=_int_at_least(0), help="exec oracle arity (default: 1); others must match"
     )
 
 
@@ -185,12 +187,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--family",
         choices=("standard", "finite_monoids", "random", "all"),
         default="standard",
+        help="phases of check's audit schedule to sweep",
     )
     p_audit.add_argument("--bound", type=_int_at_least(0), default=2, help="input length bound")
-    p_audit.add_argument("--budget", type=_int_at_least(0), default=200_000, help="max pair checks")
+    p_audit.add_argument(
+        "--budget", type=_int_at_least(0), default=200_000, help="max pair checks per phase"
+    )
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--count", type=_int_at_least(1), default=40, help="random family size")
-    p_audit.add_argument("--image-len", type=_int_at_least(0), default=2, dest="image_len")
 
     p_check = subs.add_parser("check", help="full verdict for an oracle")
     _add_oracle_options(p_check)
@@ -207,13 +210,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument(
         "--alphabet", type=_alphabet_arg, default=Alphabet.of("ab")
     )
-    p_explore.add_argument("--maxlen", type=int, required=True, help="domain length bound")
+    p_explore.add_argument(
+        "--maxlen", type=_int_at_least(0), required=True, help="domain length bound"
+    )
     p_explore.add_argument(
         "--coeff", type=_coeff_arg, required=True, metavar="P,E",
         help="forced length law |f(x)| = P|x| + E",
     )
     p_explore.add_argument("--image-len", type=_int_at_least(0), default=2, dest="image_len")
-    p_explore.add_argument("--node-budget", type=int, default=5_000_000, dest="node_budget")
+    p_explore.add_argument("--node-budget", type=_int_at_least(1), default=5_000_000)
 
     return parser
 
@@ -283,13 +288,7 @@ def _cmd_audit(args: argparse.Namespace, fn: WordFunction) -> int:
     from .audit import audit
 
     result = audit(
-        fn,
-        family=args.family,
-        length_bound=args.bound,
-        budget=args.budget,
-        seed=args.seed,
-        count=args.count,
-        image_len=args.image_len,
+        fn, family=args.family, length_bound=args.bound, budget=args.budget, seed=args.seed
     )
     if result.witness is not None:
         print(result.witness.render())
@@ -358,6 +357,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             if args.command == "explore":
                 return _cmd_explore(args)
             fn = _load_oracle(args.oracle, args.alphabet, args.arity, stack)
+            if args.arity not in (None, fn.arity):
+                raise _UsageError(f"--arity {args.arity}, but the oracle has arity {fn.arity}")
             handler = {
                 "profile": _cmd_profile,
                 "classify": _cmd_classify,

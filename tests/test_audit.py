@@ -22,7 +22,6 @@ from cpmonoid import (
     check_preservation,
     collapse_to,
     congruent_pairs,
-    family_congruences,
     finite_monoid_congruences,
     iter_words,
     random_congruences,
@@ -31,7 +30,7 @@ from cpmonoid import (
     verify_witness,
 )
 
-from cpmonoid.audit import _audit_specs, _scan
+from cpmonoid.audit import _FAMILIES, _SCHEDULE, _audit_specs, _scan
 from cpmonoid.words import AlphabetError, strings_up_to
 
 from conftest import ABC, count_word_constructions
@@ -75,13 +74,21 @@ def test_random_family_deterministic():
     assert a != c
 
 
-def test_family_congruences_all():
-    n_all = sum(1 for _ in family_congruences("all", ABC, count=3))
-    n_std = sum(1 for _ in family_congruences("standard", ABC))
-    n_fin = sum(1 for _ in family_congruences("finite_monoids", ABC))
-    assert n_all == n_std + n_fin + 3
+def test_audit_schedule_census():
+    # check's phases in escalation order, and the phases each family selects
+    names = [name for name, _ in _SCHEDULE]
+    assert names == ["standard", "finite_monoids", "random(image<=1)", "random(image<=2)"]
+    sizes = [sum(1 for _ in congruences(ABC, 0)) for _, congruences in _SCHEDULE]
+    assert sizes == [15, 971, 40, 40]
+    selected = {family: [name for name, _ in phases] for family, phases in _FAMILIES.items()}
+    assert selected == {
+        "standard": names[:1],
+        "finite_monoids": names[1:2],
+        "random": names[2:],
+        "all": names,
+    }
     with pytest.raises(ValueError):
-        list(family_congruences("bogus", ABC))
+        audit(builtin("reverse", ABC), family="bogus")
 
 
 def test_check_preservation_finds_reverse_witness():
@@ -212,32 +219,49 @@ def reference_pair_stream(spec, arity, bound):
                 yield rest[:position] + (u,) + rest[position:], rest[:position] + (v,) + rest[position:]
 
 
-def reference_audit(fn, family, bound, budget):
-    """All-pairs reference for ``audit``: every pair of the stream evaluated.
+def reference_phases(family, alphabet):
+    """The phases ``audit`` sweeps for ``family``, spelt out from the
+    family generators: names and congruences."""
+    standard = [("standard", standard_congruences(alphabet))]
+    finite = [("finite_monoids", finite_monoid_congruences(alphabet))]
+    randoms = [(f"random(image<={n})", random_congruences(alphabet, 0, 40, n)) for n in (1, 2)]
+    return {"standard": standard, "finite_monoids": finite, "random": randoms}[family]
 
-    Returns ``(witness, specs_checked, checks, truncated)`` and the stream
-    indices of the pairs ``(u, w)`` whose ``u`` is not the first word of its
-    class (the pairs the audit settles by transitivity)."""
-    total = seen = 0
+
+def reference_audit(fn, family, bound, budget):
+    """All-pairs reference for ``audit``: every pair of the stream evaluated,
+    one phase after another, each phase within ``budget`` checks.
+
+    Returns ``(witness, specs_checked, checks, truncated, phase)`` and the
+    indices within their phase's stream of the pairs ``(u, w)`` whose ``u``
+    is not the first word of its class (the pairs the audit settles by
+    transitivity)."""
+    seen = checks = 0
+    truncated = False
     settled = []
-    for spec in family_congruences(family, fn.alphabet):
-        seen += 1
-        if budget is not None and budget - total <= 0:
-            return (None, seen - 1, total, True), settled
-        first = {}
-        for w in iter_words(spec.alphabet, bound):
-            first.setdefault(spec.word_image(w.letters), w.letters)
-        for left, right in reference_pair_stream(spec, fn.arity, bound):
-            if budget is not None and total >= budget:
+    for name, specs in reference_phases(family, fn.alphabet):
+        total = 0
+        for spec in specs:
+            if budget is not None and budget - total <= 0:
+                truncated = True
                 break
-            total += 1
-            u = next(a for a, b in zip(left, right) if a != b)
-            if first[spec.word_image(u)] != u:
-                settled.append(total)
-            out_l, out_r = fn.evaluate_letters(left), fn.evaluate_letters(right)
-            if spec.word_image(out_l) != spec.word_image(out_r):
-                return ((spec.describe(), left, right), seen, total, False), settled
-    return (None, seen, total, False), settled
+            seen += 1
+            first = {}
+            for w in iter_words(spec.alphabet, bound):
+                first.setdefault(spec.word_image(w.letters), w.letters)
+            for left, right in reference_pair_stream(spec, fn.arity, bound):
+                if budget is not None and total >= budget:
+                    break
+                total += 1
+                u = next(a for a, b in zip(left, right) if a != b)
+                if first[spec.word_image(u)] != u:
+                    settled.append(total)
+                out_l, out_r = fn.evaluate_letters(left), fn.evaluate_letters(right)
+                if spec.word_image(out_l) != spec.word_image(out_r):
+                    witness = (spec.describe(), left, right)
+                    return (witness, seen, checks + total, truncated, name), settled
+        checks += total
+    return (None, seen, checks, truncated, None), settled
 
 
 def recording(fn):
@@ -299,7 +323,7 @@ def test_audit_matches_all_pairs_reference(name, family, bound):
                 tuple(w.letters for w in witness.left),
                 tuple(w.letters for w in witness.right),
             )
-        got = (witness, result.specs_checked, result.checks, result.truncated)
+        got = (witness, result.specs_checked, result.checks, result.truncated, result.family)
         assert got == expected, budget
         assert fn.query_count == ref_fn.query_count, budget
         assert misses == ref_misses, budget
@@ -434,6 +458,35 @@ def test_theorem_check_finite_phase_after_a_full_standard_phase(name, monkeypatc
         assert isinstance(verdict, Indeterminate) and not verdict.truncated
     else:
         assert verdict.family == "finite_monoids"
+
+
+AUDIT_ALL_FUNCTIONS = {
+    **{name: (lambda name=name: builtin(name, ABC)) for name in BUILTIN_NAMES},
+    **{
+        name: EQUIVALENCE_FUNCTIONS[name]
+        for name in ("sorted@slot2", "reversed@slot1", "first_letter@slot3")
+    },
+    "reversed@slot2": SLOT2,
+    "reversed_beyond_2": BEYOND2,
+}
+
+
+@pytest.mark.parametrize("name", list(AUDIT_ALL_FUNCTIONS))
+def test_audit_all_is_theorem_checks_sweep(name):
+    # audit --family all sweeps exactly the phases that check sweeps once
+    # extraction has failed, with the same budget per phase
+    make = AUDIT_ALL_FUNCTIONS[name]
+    verdict = theorem_check(make())
+    result = audit(make(), "all")
+    if isinstance(verdict, CertifiedCP):  # a template preserves every congruence
+        assert result.ok and not result.truncated
+    elif isinstance(verdict, RefutedCP):
+        assert (result.witness, result.family, result.checks) == (
+            verdict.witness, verdict.family, verdict.checks
+        )
+    else:
+        assert result.ok and result.family is None
+        assert (result.checks, result.truncated) == (verdict.checks, verdict.truncated)
 
 
 def test_equal_bounded_partitions_with_different_kernels_stay_separate():

@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from cpmonoid import Alphabet, Template, builtin, extract
+from cpmonoid import (
+    Alphabet,
+    BuiltinFunction,
+    Indeterminate,
+    Template,
+    builtin,
+    extract,
+    theorem_check,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,3 +78,31 @@ def test_tracer_install_uninstall_restores_every_binding(layers):
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed
+
+
+def test_tracer_charges_each_phase_of_the_audit_schedule(layers):
+    # The tracer tags the iterators of the family generators by name, so the
+    # schedule must call them through the module; every phase runs to its end.
+    def reversed_beyond_2(args):
+        (x,) = args
+        return x[::-1] if len(x) > 2 else x
+
+    fn = BuiltinFunction("reversed_beyond_2", Alphabet.of("abc"), reversed_beyond_2)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        verdict = theorem_check(fn)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert isinstance(verdict, Indeterminate) and verdict.checks == 25_942
+    phases = {
+        phase: (metrics[f"audit.{phase}.specs"], metrics[f"audit.{phase}.checks"])
+        for phase in layers.AUDIT_FAMILIES
+    }
+    assert phases == {
+        "standard": (15, 291),
+        "finite_monoids": (971, 23_742),
+        "random_1": (40, 1_271),
+        "random_2": (40, 638),
+    }

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage through run(), plus golden text for key outputs."""
 
+import argparse
 import os
 import shlex
 import subprocess
@@ -289,16 +290,18 @@ def test_explore_budget_exit(capsys):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (("audit", "--oracle", "builtin:square", "--family", "random", "--count", "-3"), 2),
-        (("audit", "--oracle", "builtin:square", "--family", "random", "--count", "0"), 2),
+        # argparse refuses these before SearchConfig could, with a usage message
+        (("explore", "--maxlen", "-1", "--coeff", "1,0"), 2),
+        (("explore", "--maxlen", "2", "--coeff", "1,0", "--node-budget", "0"), 2),
         (("audit", "--oracle", "builtin:reverse", "--budget", "-5"), 2),
         (("check", "--oracle", "builtin:reverse", "--budget", "-5"), 2),
-        (("audit", "--oracle", "builtin:square", "--family", "random", "--image-len", "-1"), 2),
+        (("explore", "--maxlen", "two", "--coeff", "1,0"), 2),
         (("explore", "--maxlen", "2", "--coeff", "1,0", "--image-len", "-1"), 2),
         # echo would fail the handshake (exit 3): the flag is refused first
         (("extract", "--oracle", "exec:echo NOPE", "--arity", "-1"), 2),
         (("audit", "--oracle", "builtin:reverse", "--budget", "many"), 2),
         (("audit", "--oracle", "builtin:reverse", "--budget", "0"), 4),
+        (("explore", "--maxlen", "2", "--coeff", "1,0", "--node-budget", "-1"), 2),
     ],
 )
 def test_numeric_flag_bounds(capsys, argv, code):
@@ -307,6 +310,43 @@ def test_numeric_flag_bounds(capsys, argv, code):
     if code == 2:
         assert out == ""
         assert "must be at least" in err or "expected an integer" in err
+
+
+@pytest.mark.parametrize("flag", ["--count 3", "--image-len 1"])
+def test_audit_has_no_random_shape_flags(capsys, flag):
+    # the random phases are check's own; audit --family random sweeps them as they are
+    argv = ("audit", "--oracle", "builtin:square", "--family", "random", *flag.split())
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_audit_family_choices_are_the_schedule_selections():
+    from cpmonoid.audit import _FAMILIES
+    from cpmonoid.cli import _build_parser
+
+    parser = _build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in subcommands.choices["audit"]._actions if a.dest == "family")
+    assert list(family.choices) == list(_FAMILIES)
+
+
+@pytest.mark.parametrize("oracle", ["builtin:reverse", "template:{template}", "table:{table}"])
+def test_arity_must_match_an_oracle_that_carries_its_own(capsys, template_file, oracle, tmp_path):
+    table = tmp_path / "t.tsv"
+    table.write_text("a\tb\n")
+    oracle = oracle.format(template=template_file, table=table)
+    code, out, err = invoke(capsys, "audit", "--oracle", oracle, "--arity", "3")
+    assert code == 2
+    assert out == ""
+    assert "--arity 3, but the oracle has arity 1" in err
+
+
+def test_matching_arity_is_accepted(capsys):
+    code, out, _ = invoke(capsys, "audit", "--oracle", "builtin:square", "--arity", "1")
+    assert code == 0
+    assert out == "ok (15 congruences, 291 checks)\n"
 
 
 def test_closed_stdout_exits_quietly():
