@@ -24,24 +24,19 @@ endomorphisms (collapse, project, erase, identify), kernels of morphisms
 into a catalog of small finite monoids, and kernels of seeded random
 endomorphisms with images of length at most 1, then at most 2.
 
-Many letter assignments into the catalog share a kernel, and a sweep scans
-each distinct finite kernel once: a later assignment with a kernel that
-already passed passes at the same count, unevaluated.  Once every word up
-to the bound has been in a class of two or more words of a completed finite
-scan, every argument tuple is memoised, and each new kernel is checked
-against the table of outputs in one pass; only a kernel that the table
-shows refuted, or that the budget would cut, is scanned pair by pair.
-Witnesses, counts and oracle queries are those of scanning every spec.
+A sweep scans each kernel key (:attr:`CongruenceSpec.kernel_key`) once,
+and checks new kernels against the table of memoised outputs once it can
+(see :class:`_Sweep`); witnesses, counts and oracle queries are those of
+scanning every spec.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .congruence import (
     CongruenceSpec,
@@ -129,23 +124,16 @@ def _scan(
     are those of evaluating every pair in stream order.
     """
     evaluate, word_image = fn.evaluate_letters, spec.word_image
-    first: dict[str, tuple[str, int]] = {}  # input image -> (first word, size)
-    joins: list[tuple[str, str, int]] = []  # (word, its class's first word, k)
-    for w in words:
-        key = word_image(w)
-        head, size = first.get(key, (w, 0))
-        if size:
-            joins.append((w, head, size))
-        first[key] = head, size + 1
+    classes = _classes(spec, words)
     contexts = len(words) ** (fn.arity - 1) if fn.arity else 0
     images: dict[str, str] = {}  # output letters -> image, for this scan
     checked = 0
     for position in range(fn.arity):
         slots: list[Sequence[str]] = [words] * fn.arity
-        for w, head, earlier in joins:
-            slots[position] = (head,)
+        for join, earlier in zip(classes.joins, classes.earlier):
+            slots[position] = (words[classes.heads[join]],)
             lefts = itertools.product(*slots)
-            slots[position] = (w,)
+            slots[position] = (words[join],)
             pairs = zip(lefts, itertools.product(*slots))
             take = contexts if max_checks is None else min(contexts, max_checks - checked)
             for left, right in itertools.islice(pairs, take):
@@ -169,20 +157,19 @@ def _scan(
 
 @dataclass(frozen=True)
 class _Classes:
-    """The classes of a finite kernel on the words up to a bound, by the
-    words' indices in enumeration order."""
+    """The classes of a congruence on the words up to a bound, by the words'
+    indices in enumeration order."""
 
     heads: tuple[int, ...]  # each word's class's first word
     live: tuple[int, ...]  # the words of classes of two or more
     joins: tuple[int, ...]  # the live words that do not head their class
+    earlier: tuple[int, ...]  # for each join, the words of its class before it
     pairs: int  # congruent pairs of distinct words: C(k, 2) per class of k
 
     def tuples(self, arity: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
         """For the ``arity``-tuples of words, by index in product order: those
         that hold a live word, those that hold a word not heading its class,
         and the tuple of class heads of each of the latter."""
-        if arity == 1:
-            return self.live, self.joins, [self.heads[i] for i in self.joins]
         n = len(self.heads)
         canon = list(self.heads)
         for _ in range(arity - 1):
@@ -193,26 +180,40 @@ class _Classes:
         return sorted({*moved, *heads}), moved, heads
 
 
-@functools.lru_cache(maxsize=4096)
-def _kernel_classes(key: tuple[tuple[int, ...], ...], bound: int) -> _Classes:
-    """The classes of the kernel with :attr:`FiniteKernelCongruence.kernel_key`
-    ``key`` on the words up to ``bound``.  A word's class is its state in
-    the key, so each length's states follow from the shorter one's, since
-    words are enumerated in the key's letter order."""
-    states, level = [0], [0]
-    for _ in range(bound):
-        level = [target for state in level for target in key[state]]
-        states += level
-    first: dict[int, int] = {}
-    heads = tuple(first.setdefault(state, i) for i, state in enumerate(states))
-    sizes = collections.Counter(states)
-    live = tuple(i for i, state in enumerate(states) if sizes[state] > 1)
-    joins = tuple(i for i in live if heads[i] != i)
-    return _Classes(heads, live, joins, sum(k * (k - 1) // 2 for k in sizes.values()))
+# Classes by (kernel key, number of words), shared by every sweep, the least
+# recently used dropped past the limit.
+_CLASSES: collections.OrderedDict[tuple[Hashable, int], _Classes] = collections.OrderedDict()
+_CLASSES_LIMIT = 4096
 
 
-class _FiniteScans:
-    """One sweep's scans of finite-kernel specs, each distinct kernel once.
+def _classes(spec: CongruenceSpec, words: Sequence[str]) -> _Classes:
+    """The classes of ``spec`` on ``words``, by word image.  The memo's key,
+    ``spec.kernel_key`` and ``len(words)``, fixes them because ``words`` is
+    ``strings_up_to(spec.alphabet, n)`` for some ``n``, as for every caller."""
+    key = spec.kernel_key, len(words)
+    classes = _CLASSES.get(key)
+    if classes is not None:
+        _CLASSES.move_to_end(key)
+        return classes
+    first: dict[str, int] = {}  # image -> its class's first word
+    sizes: collections.Counter[int] = collections.Counter()  # first word -> words so far
+    heads, joins, earlier = [], [], []
+    for i, image in enumerate(map(spec.word_image, words)):
+        head = first.setdefault(image, i)
+        heads.append(head)
+        if head != i:
+            joins.append(i)
+            earlier.append(sizes[head])
+        sizes[head] += 1
+    live = tuple(i for i, head in enumerate(heads) if sizes[head] > 1)
+    classes = _CLASSES[key] = _Classes(tuple(heads), live, tuple(joins), tuple(earlier), sum(earlier))
+    if len(_CLASSES) > _CLASSES_LIMIT:
+        _CLASSES.popitem(last=False)
+    return classes
+
+
+class _Sweep:
+    """One phase's scans, each kernel key once.
 
     A kernel whose scan completed with no witness passes again at the same
     count without evaluating anything.  A completed scan evaluates every
@@ -227,25 +228,23 @@ class _FiniteScans:
     :class:`AlphabetError` are those of scanning it alone.
     """
 
-    def __init__(self, fn: WordFunction, words: Sequence[str], length_bound: int) -> None:
-        # the specs' alphabet is the function's, so words run in key order
+    def __init__(self, fn: WordFunction, words: Sequence[str]) -> None:
         self.fn = fn
         self.words = words
-        self.length_bound = length_bound
         contexts = len(words) ** (fn.arity - 1) if fn.arity else 0
         self.checks_per_pair = fn.arity * contexts
-        self.passed: dict[tuple[tuple[int, ...], ...], int] = {}  # kernel key -> checks
+        self.passed: dict[Hashable, int] = {}  # kernel key -> checks
         # Words not yet in a class of two or more of a completed scan; with
         # arity 0 nothing is evaluated, so no table is ever read.
         self.unseen = set(range(len(words))) if fn.arity else None
         self.table: list[str] | None = None  # outputs of all tuples, in product order
 
-    def scan(self, spec: FiniteKernelCongruence, remaining: int | None) -> tuple[Witness | None, int]:
+    def scan(self, spec: CongruenceSpec, remaining: int | None) -> tuple[Witness | None, int]:
         key = spec.kernel_key
         known = self.passed.get(key)
         if known is not None:
             return None, known if remaining is None else min(known, remaining)
-        classes = _kernel_classes(key, self.length_bound)
+        classes = _classes(spec, self.words)
         total = self.checks_per_pair * classes.pairs
         if (
             self.table is not None
@@ -264,7 +263,7 @@ class _FiniteScans:
                     self.table = list(map(self.fn.evaluate_letters, tuples))
         return witness, used
 
-    def _table_passes(self, spec: FiniteKernelCongruence, classes: _Classes) -> bool:
+    def _table_passes(self, spec: CongruenceSpec, classes: _Classes) -> bool:
         # Each output in the table was imaged by a completed scan, so its
         # letters are in the alphabet and imaging it cannot raise.
         imaged, moved, heads = classes.tuples(self.fn.arity)
@@ -320,10 +319,8 @@ def finite_monoid_congruences(alphabet: Alphabet) -> Iterator[CongruenceSpec]:
     The specs come from a per-process memo that grows as iterations advance,
     so a sweep refuted early builds only the specs it reached.  Many
     assignments share a kernel (on ``abc``, 971 assignments have 417
-    kernels), and a sweep scans each distinct kernel once.  Once every word
-    up to the bound has been in a class of two or more words of a completed
-    scan, a new kernel is checked against the table of memoised outputs
-    instead of pair by pair (see :class:`_FiniteScans`).
+    kernels), and a sweep scans each distinct kernel once (see
+    :class:`_Sweep`).
     """
     built = _FINITE_FAMILIES.setdefault(alphabet, [])
     assignments = (
@@ -434,8 +431,7 @@ def _audit_specs(
     length_bound: int,
     budget: int | None,
 ) -> AuditResult:
-    words = list(strings_up_to(fn.alphabet, length_bound))
-    finite: _FiniteScans | None = None
+    sweep = _Sweep(fn, list(strings_up_to(fn.alphabet, length_bound)))
     total = 0
     seen = 0
     for spec in specs:
@@ -443,13 +439,7 @@ def _audit_specs(
         remaining = None if budget is None else budget - total
         if remaining is not None and remaining <= 0:
             return AuditResult(None, seen - 1, total, truncated=True)
-        # not isinstance: a subclass could image words other than by its key
-        if type(spec) is FiniteKernelCongruence:
-            if finite is None:
-                finite = _FiniteScans(fn, words, length_bound)
-            witness, used = finite.scan(spec, remaining)
-        else:
-            witness, used = _scan(fn, spec, words, remaining)
+        witness, used = sweep.scan(spec, remaining)
         total += used
         if witness is not None:
             return AuditResult(witness, seen, total, truncated=False)

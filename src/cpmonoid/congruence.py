@@ -20,7 +20,7 @@ import abc
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Hashable, Iterator, Mapping
 
 from .words import (
     Alphabet,
@@ -191,6 +191,12 @@ class CongruenceSpec(abc.ABC):
     def congruent(self, u: str, v: str) -> bool:
         return self.word_image(u) == self.word_image(v)
 
+    @property
+    def kernel_key(self) -> Hashable:
+        """Specs with equal keys relate the same words.  By default the key
+        is the spec itself: equal specs have equal kernels."""
+        return self
+
 
 @dataclass(frozen=True)
 class RestrictedCongruence(CongruenceSpec):
@@ -239,8 +245,8 @@ class FiniteKernelCongruence(CongruenceSpec):
 
     @functools.cached_property
     def kernel_key(self) -> tuple[tuple[int, ...], ...]:
-        """The kernel, exactly: two assignments have equal keys iff they
-        relate the same words.
+        """The kernel, exactly, unlike the default key: two assignments have
+        equal keys iff they relate the same words.
 
         The key is the right Cayley graph of the submonoid the letter images
         generate.  Its states are numbered breadth-first from the identity,

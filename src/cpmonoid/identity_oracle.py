@@ -10,9 +10,9 @@ minimal working example of the line protocol:
     ...
     tool:    BYE
 
-For arity 1 the reply is the argument itself; for higher arities the fields
-are concatenated, which is the natural identity-like behaviour of "give me
-back what I sent".  Usage::
+For arity 1 the reply is the argument itself; for higher arities, the fields
+concatenated ("give me back what I sent"); at arity 0, whose queries are
+empty lines, the empty word.  Usage::
 
     python -m cpmonoid.identity_oracle [--ext]
 """
@@ -37,9 +37,10 @@ def main() -> int:
     sys.stdout.flush()
     while True:
         line = sys.stdin.readline()
-        if line == "" or line.rstrip("\n") == "BYE":
+        query = line.rstrip("\n")
+        if line == "" or query == "BYE":
             return 0
-        fields = line.rstrip("\n").split("\t")
+        fields = query.split("\t") if arity or query else []
         if len(fields) != arity:
             return 1
         sys.stdout.write("".join(fields) + "\n")

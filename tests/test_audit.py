@@ -1,3 +1,4 @@
+import collections
 import importlib
 import itertools
 
@@ -30,7 +31,7 @@ from cpmonoid import (
     verify_witness,
 )
 
-from cpmonoid.audit import _FAMILIES, _SCHEDULE, _audit_specs, _scan
+from cpmonoid.audit import _FAMILIES, _SCHEDULE, _Sweep, _audit_specs, _classes, _scan
 from cpmonoid.words import AlphabetError, strings_up_to
 
 from conftest import ABC, count_word_constructions
@@ -330,8 +331,96 @@ def test_audit_matches_all_pairs_reference(name, family, bound):
 
 
 # --------------------------------------------------------------------------
-# Finite kernels: each distinct kernel once, and the whole-table check, against
-# the plain sweep that scans every spec on its own
+# Classes by word image, against the classes read off the kernel key and the
+# congruent pairs
+
+
+def reference_kernel_classes(key, bound):
+    """The classes of the kernel with ``FiniteKernelCongruence.kernel_key``
+    ``key`` on the words up to ``bound``, from the key alone: a word's class
+    is its state, and each length's states follow from the shorter one's,
+    since words are enumerated in the key's letter order.  Returns the heads,
+    live words, joins, each join's earlier class members and the pairs."""
+    states, level = [0], [0]
+    for _ in range(bound):
+        level = [target for state in level for target in key[state]]
+        states += level
+    first = {}
+    heads = [first.setdefault(state, i) for i, state in enumerate(states)]
+    sizes = collections.Counter(states)
+    live = [i for i, state in enumerate(states) if sizes[state] > 1]
+    joins = [i for i in live if heads[i] != i]
+    earlier = [states[:i].count(states[i]) for i in joins]
+    return heads, live, joins, earlier, sum(k * (k - 1) // 2 for k in sizes.values())
+
+
+def class_fields(classes):
+    return (
+        list(classes.heads), list(classes.live), list(classes.joins), list(classes.earlier), classes.pairs
+    )
+
+
+@pytest.fixture
+def no_classes_memo(monkeypatch):
+    """Every ``_classes`` call buckets the words afresh."""
+    audit_module = importlib.import_module("cpmonoid.audit")
+    monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
+    monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 0)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_classes_by_image_equal_the_kernel_keys_classes(bound, no_classes_memo):
+    words = list(strings_up_to(ABC, bound))
+    expected = {}
+    for spec in finite_monoid_congruences(ABC):
+        key = spec.kernel_key
+        if key not in expected:
+            expected[key] = reference_kernel_classes(key, bound)
+        assert class_fields(_classes(spec, words)) == expected[key], spec.describe()
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_classes_of_restricted_specs_match_congruent_pairs(bound, no_classes_memo):
+    words = list(strings_up_to(ABC, bound))
+    index = {w: i for i, w in enumerate(words)}
+    specs = [spec for name, phase in _SCHEDULE if name != "finite_monoids" for spec in phase(ABC, 0)]
+    assert len(specs) == 95
+    for spec in specs:
+        earlier_words = collections.defaultdict(list)
+        for u, w in congruent_pairs(spec, bound):
+            earlier_words[index[w]].append(index[u])
+        joins = sorted(earlier_words)
+        heads = [min(earlier_words[i], default=i) for i in range(len(words))]
+        live = sorted({*joins, *(heads[i] for i in joins)})
+        pairs = sum(map(len, earlier_words.values()))
+        expected = heads, live, joins, [len(earlier_words[i]) for i in joins], pairs
+        assert class_fields(_classes(spec, words)) == expected, spec.describe()
+
+
+def test_classes_memo_drops_the_least_recently_used_past_its_limit(monkeypatch):
+    # Past its limit the memo forgets the least recently used classes, but
+    # every result stays equal, and so does a sweep.
+    audit_module = importlib.import_module("cpmonoid.audit")
+    specs = list(standard_congruences(ABC))  # 15 distinct kernel keys
+    words = list(strings_up_to(ABC, 2))
+    make = EQUIVALENCE_FUNCTIONS["reverse"]
+    monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
+    unbounded = [_classes(spec, words) for spec in specs]
+    expected_sweep = sweep_outcome(_audit_specs, make, specs, 2, None)
+    monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
+    monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 5)
+    keys = [(spec.kernel_key, len(words)) for spec in specs]
+    for _ in range(2):
+        assert [_classes(spec, words) for spec in specs] == unbounded
+        assert list(audit_module._CLASSES) == keys[-5:]
+    _classes(specs[-5], words)  # a hit becomes the most recently used
+    assert list(audit_module._CLASSES) == keys[-4:] + keys[-5:-4]
+    assert sweep_outcome(_audit_specs, make, specs, 2, None) == expected_sweep
+
+
+# --------------------------------------------------------------------------
+# Sweeps: each distinct kernel once, and the whole-table check, against the
+# plain sweep that scans every spec on its own
 
 
 def plain_audit_specs(fn, specs, bound, budget):
@@ -390,6 +479,26 @@ FINITE_FUNCTIONS = {
 }
 
 
+def spec_totals(fn, specs, bound):
+    """Each spec's kernel key, and the running total of checks at its end,
+    of plain scans up to the first witness."""
+    words = list(strings_up_to(fn.alphabet, bound))
+    keys, ends, total = [], [], 0
+    for spec in specs:
+        witness, used = _scan(fn, spec, words, None)
+        total += used
+        keys.append(spec.kernel_key)
+        ends.append(total)
+        if witness is not None:
+            break
+    return keys, ends
+
+
+def budgets_around(totals):
+    """No budget, and budgets one check before, at and one after each total."""
+    return sorted({None} | {t + d for t in totals for d in (-1, 0, 1)}, key=lambda b: (b is None, b))
+
+
 @pytest.mark.parametrize("name", list(FINITE_FUNCTIONS))
 def test_finite_sweep_matches_plain_scans_around_spec_totals(name):
     # Budgets one check before, at and one after the running total at the
@@ -399,22 +508,82 @@ def test_finite_sweep_matches_plain_scans_around_spec_totals(name):
     # scanned.
     make, bound = FINITE_FUNCTIONS[name]
     specs = list(finite_monoid_congruences(ABC))
-    fn = make()
-    words = list(strings_up_to(ABC, bound))
-    ends, keys, total = [], [], 0
-    for spec in specs:
-        witness, used = _scan(fn, spec, words, None)
-        total += used
-        ends.append(total)
-        keys.append(spec.kernel_key)
-        if witness is not None:
-            break
+    keys, ends = spec_totals(make(), specs, bound)
     repeat = next((i for i, key in enumerate(keys) if key in keys[:i]), len(keys) - 1)
     fresh = next((i for i in range(repeat + 1, len(keys)) if keys[i] not in keys[:i]), repeat)
-    budgets = {None}
-    for i in (repeat, fresh, len(ends) - 1):
-        budgets |= {ends[i] - 1, ends[i], ends[i] + 1}
-    assert_sweeps_agree(make, specs, bound, sorted(budgets, key=lambda b: (b is None, b)))
+    assert_sweeps_agree(make, specs, bound, budgets_around(ends[i] for i in (repeat, fresh, len(ends) - 1)))
+
+
+RESTRICTED_PHASES = [name for name, _ in _SCHEDULE if name != "finite_monoids"]
+
+
+@pytest.mark.parametrize("phase", RESTRICTED_PHASES)
+@pytest.mark.parametrize("name", ["sort_letters", "reverse", "erase_a", "honest1", "sorted@slot2", "honest2"])
+def test_restricted_sweep_matches_plain_scans_around_spec_totals(name, phase):
+    # The standard and random phases skip a kernel that already passed and
+    # check new kernels against the output table too; budgets one check
+    # before, at and one after the running total at the end of every spec.
+    make = EQUIVALENCE_FUNCTIONS[name]
+    specs = list(dict(_SCHEDULE)[phase](ABC, 0))
+    _, ends = spec_totals(make(), specs, 2)
+    assert_sweeps_agree(make, specs, 2, budgets_around(ends))
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """The specs a sweep checks against the table, ``("table", spec,
+    passed)``, and scans pair by pair, ``("scan", spec, None)``, in order."""
+    audit_module = importlib.import_module("cpmonoid.audit")
+    log = []
+    table_passes, scan = _Sweep._table_passes, audit_module._scan
+
+    def recorded_table_passes(self, spec, classes):
+        passed = table_passes(self, spec, classes)
+        log.append(("table", spec, passed))
+        return passed
+
+    def recorded_scan(fn, spec, words, max_checks):
+        log.append(("scan", spec, None))
+        return scan(fn, spec, words, max_checks)
+
+    monkeypatch.setattr(_Sweep, "_table_passes", recorded_table_passes)
+    monkeypatch.setattr(audit_module, "_scan", recorded_scan)
+    return log
+
+
+@pytest.mark.parametrize("phase", RESTRICTED_PHASES[1:])
+def test_random_phases_scan_each_distinct_kernel_once(phase, visits):
+    # The random phases repeat endomorphisms; a repeat passes unevaluated.
+    specs = list(dict(_SCHEDULE)[phase](ABC, 0))
+    distinct = {spec.kernel_key for spec in specs}
+    assert len(distinct) < len(specs) == 40
+    result = _audit_specs(EQUIVALENCE_FUNCTIONS["honest1"](), specs, 2, None)
+    assert result.ok and result.specs_checked == 40
+    assert [spec for _, spec, _ in visits] == list(dict.fromkeys(specs))
+
+
+@pytest.mark.parametrize(
+    "name, outcome",
+    [
+        ("sort_letters", ("identify(a->c)", 11, 249)),
+        ("reverse", (None, 15, 291)),
+        ("sorted@slot2", ("identify(a->c)", 11, 6_514)),
+        ("honest2", (None, 15, 7_566)),
+    ],
+)
+def test_standard_phase_checks_new_kernels_against_the_table(name, outcome, visits):
+    # Once collapse_to(a) and project(a) have put every word up to length 2
+    # in a class of two or more, each new kernel is checked against the
+    # table; one the table refuses is scanned again, pair by pair.
+    result = _audit_specs(EQUIVALENCE_FUNCTIONS[name](), standard_congruences(ABC), 2, None)
+    witness = result.witness and result.witness.spec.morphism.label
+    assert (witness, result.specs_checked, result.checks) == outcome
+    labels = [spec.morphism.label for spec in standard_congruences(ABC)][: result.specs_checked]
+    expected = [("scan", label, None) for label in labels[:4]]
+    expected += [("table", label, True) for label in labels[4:]]
+    if witness is not None:
+        expected[-1:] = [("table", witness, False), ("scan", witness, None)]
+    assert [(kind, spec.morphism.label, passed) for kind, spec, passed in visits] == expected
 
 
 def test_finite_sweep_matches_plain_scans_at_arity_0():

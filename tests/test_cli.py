@@ -377,6 +377,15 @@ def test_exec_oracle(capsys):
     assert '"" x1 ""' in out
 
 
+def test_exec_identity_oracle_at_arity_0(capsys):
+    # the empty query line is the one query of arity 0; the reply is ""
+    oracle = f"exec:{shlex.quote(sys.executable)} -m cpmonoid.identity_oracle"
+    code, out, _ = invoke(capsys, "extract", "--oracle", oracle, "--arity", "0")
+    assert (code, out) == (0, 'arity 0\nalphabet abc\n""\n')
+    code, out, _ = invoke(capsys, "check", "--oracle", oracle, "--arity", "0")
+    assert code == 0 and out.startswith("verdict: certified-cp\n")
+
+
 def test_exec_protocol_failure(capsys):
     code, _, err = invoke(capsys, "extract", "--oracle", "exec:echo NOPE")
     assert code == 3
