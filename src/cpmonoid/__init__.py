@@ -45,8 +45,8 @@ _EXPORTS = {
         "render_head_case",
     ),
     "audit": (
-        "AuditResult", "Budgets", "CertifiedCP", "Indeterminate", "RefutedCP", "Witness",
-        "audit", "check_preservation", "finite_monoid_congruences", "random_congruences",
+        "AuditResult", "CertifiedCP", "Indeterminate", "RefutedCP", "Witness", "audit",
+        "check_preservation", "finite_monoid_congruences", "random_congruences",
         "standard_congruences", "theorem_check", "verify_witness",
     ),
     "explorer": (

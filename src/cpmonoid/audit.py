@@ -43,6 +43,7 @@ from .congruence import (
     FiniteKernelCongruence,
     MonoidMorphism,
     RestrictedCongruence,
+    _class_heads,
     monoid_catalog,
 )
 from .extraction import NotRCP, extract, extract_fresh, Extracted
@@ -181,7 +182,9 @@ class _Classes:
 
 
 # Classes by (kernel key, number of words), shared by every sweep, the least
-# recently used dropped past the limit.
+# recently used dropped past the limit.  Keys name letter positions, so specs
+# of one kernel shape share an entry, within a phase, across phases and across
+# alphabets of one size.
 _CLASSES: collections.OrderedDict[tuple[Hashable, int], _Classes] = collections.OrderedDict()
 _CLASSES_LIMIT = 4096
 
@@ -195,18 +198,16 @@ def _classes(spec: CongruenceSpec, words: Sequence[str]) -> _Classes:
     if classes is not None:
         _CLASSES.move_to_end(key)
         return classes
-    first: dict[str, int] = {}  # image -> its class's first word
+    heads = _class_heads(map(spec.word_image, words))
     sizes: collections.Counter[int] = collections.Counter()  # first word -> words so far
-    heads, joins, earlier = [], [], []
-    for i, image in enumerate(map(spec.word_image, words)):
-        head = first.setdefault(image, i)
-        heads.append(head)
+    joins, earlier = [], []
+    for i, head in enumerate(heads):
         if head != i:
             joins.append(i)
             earlier.append(sizes[head])
         sizes[head] += 1
     live = tuple(i for i, head in enumerate(heads) if sizes[head] > 1)
-    classes = _CLASSES[key] = _Classes(tuple(heads), live, tuple(joins), tuple(earlier), sum(earlier))
+    classes = _CLASSES[key] = _Classes(heads, live, tuple(joins), tuple(earlier), sum(earlier))
     if len(_CLASSES) > _CLASSES_LIMIT:
         _CLASSES.popitem(last=False)
     return classes
@@ -388,10 +389,6 @@ class AuditResult:
     truncated: bool  # a phase ran out of budget before its last congruence
     family: str | None = None  # the phase that found the witness
 
-    @property
-    def ok(self) -> bool:
-        return self.witness is None
-
 
 def audit(
     fn: WordFunction,
@@ -451,19 +448,6 @@ def _audit_specs(
 
 
 @dataclass(frozen=True)
-class Budgets:
-    """Knobs for :func:`theorem_check`; the defaults refute every stock
-    non-preserving example within seconds.  ``checks_per_family`` caps the
-    checks of each phase of the audit schedule, and ``random_seed`` seeds
-    its random phases."""
-
-    validation_len: int | None = None
-    length_bound: int = 2
-    checks_per_family: int = 200_000
-    random_seed: int = 0
-
-
-@dataclass(frozen=True)
 class CertifiedCP:
     template: Template
     query_count: int
@@ -508,29 +492,31 @@ class Indeterminate:
 Verdict = Union[CertifiedCP, RefutedCP, Indeterminate]
 
 
-def theorem_check(fn: WordFunction, budgets: Budgets | None = None) -> Verdict:
-    """Extraction first; on failure, escalate through the audit schedule
-    (``audit(fn, "all", ...)``), re-verifying any witness it finds.
+def theorem_check(
+    fn: WordFunction, *, validation_len: int | None = None, length_bound: int = 2,
+    budget: int | None = 200_000, seed: int = 0,
+) -> Verdict:
+    """Extraction first (``validation_len`` as for :func:`extract`); on
+    failure, escalate through the audit schedule (``audit(fn, "all",
+    length_bound, budget, seed)``), re-verifying any witness it finds.  The
+    defaults refute every stock non-preserving example within seconds.
 
     Requires at least three letters — with fewer, extraction offers no
     certificate and a missing witness proves nothing.
     """
     if len(fn.alphabet) < 3:
         raise ValueError("theorem_check needs an alphabet of at least three letters")
-    budgets = budgets or Budgets()
 
-    outcome = extract(fn, validation_len=budgets.validation_len)
+    outcome = extract(fn, validation_len=validation_len)
     if isinstance(outcome, NotRCP) and fn.supports_extension:
-        retry = extract_fresh(fn, validation_len=budgets.validation_len)
+        retry = extract_fresh(fn, validation_len=validation_len)
         if isinstance(retry, Extracted):
             outcome = retry
     if isinstance(outcome, Extracted):
         return CertifiedCP(outcome.template, outcome.query_count)
     diagnosis = outcome
 
-    result = audit(
-        fn, "all", budgets.length_bound, budgets.checks_per_family, budgets.random_seed
-    )
+    result = audit(fn, "all", length_bound, budget, seed)
     if result.witness is None:
         return Indeterminate(diagnosis, result.checks, result.truncated)
     if not verify_witness(fn, result.witness):

@@ -144,6 +144,14 @@ def _add_oracle_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--bound", type=_int_at_least(0), default=2, help="input length bound")
+    sub.add_argument(
+        "--budget", type=_int_at_least(0), default=200_000, help="max pair checks per phase"
+    )
+    sub.add_argument("--seed", type=int, default=0, help="seed of the random phases")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpmonoid",
@@ -189,17 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="standard",
         help="phases of check's audit schedule to sweep",
     )
-    p_audit.add_argument("--bound", type=_int_at_least(0), default=2, help="input length bound")
-    p_audit.add_argument(
-        "--budget", type=_int_at_least(0), default=200_000, help="max pair checks per phase"
-    )
-    p_audit.add_argument("--seed", type=int, default=0)
+    _add_sweep_options(p_audit)
 
     p_check = subs.add_parser("check", help="full verdict for an oracle")
     _add_oracle_options(p_check)
-    p_check.add_argument("--bound", type=_int_at_least(0), default=2)
-    p_check.add_argument("--budget", type=_int_at_least(0), default=200_000)
-    p_check.add_argument("--seed", type=int, default=0)
+    _add_sweep_options(p_check)
     p_check.add_argument(
         "--validate-len", type=_int_at_least(0), default=None, dest="validate_len"
     )
@@ -301,15 +303,12 @@ def _cmd_audit(args: argparse.Namespace, fn: WordFunction) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, fn: WordFunction) -> int:
-    from .audit import Budgets, CertifiedCP, Indeterminate, theorem_check
+    from .audit import CertifiedCP, Indeterminate, theorem_check
 
-    budgets = Budgets(
-        validation_len=args.validate_len,
-        length_bound=args.bound,
-        checks_per_family=args.budget,
-        random_seed=args.seed,
+    verdict = theorem_check(
+        fn, validation_len=args.validate_len, length_bound=args.bound,
+        budget=args.budget, seed=args.seed,
     )
-    verdict = theorem_check(fn, budgets)
     print(verdict.render())
     if isinstance(verdict, CertifiedCP):
         return EXIT_OK

@@ -20,13 +20,14 @@ import abc
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .words import (
     Alphabet,
     AlphabetError,
     FormatError,
     Morphism,
+    _letter_values,
     strings_up_to,
 )
 
@@ -192,10 +193,11 @@ class CongruenceSpec(abc.ABC):
         return self.word_image(u) == self.word_image(v)
 
     @property
+    @abc.abstractmethod
     def kernel_key(self) -> Hashable:
-        """Specs with equal keys relate the same words.  By default the key
-        is the spec itself: equal specs have equal kernels."""
-        return self
+        """Specs with equal keys relate the same words (one way only: specs
+        of one kernel may have different keys).  A key names letters by their
+        positions in the alphabet, so alphabets of one size can share keys."""
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,16 @@ class RestrictedCongruence(CongruenceSpec):
 
     def word_image(self, letters: str) -> str:
         return self.morphism.apply_letters(letters)
+
+    @functools.cached_property
+    def kernel_key(self) -> tuple[str, ...]:
+        """The letter images, each image letter renamed to the character whose
+        code is its rank of first appearance.  A renaming is injective on
+        words, so it keeps the kernel: ``collapse_to(a)`` and ``collapse_to(b)``
+        share a key, as do ``identify(a->b)`` and ``identify(b->a)``."""
+        images = [img for _, img in self.morphism.image]
+        renaming = {ord(ch): i for i, ch in enumerate(dict.fromkeys("".join(images)))}
+        return tuple(img.translate(renaming) for img in images)
 
     def render_image(self, image: str) -> str:
         return f'"{image}"'  # a word, quoted like every word in reports
@@ -245,8 +257,8 @@ class FiniteKernelCongruence(CongruenceSpec):
 
     @functools.cached_property
     def kernel_key(self) -> tuple[tuple[int, ...], ...]:
-        """The kernel, exactly, unlike the default key: two assignments have
-        equal keys iff they relate the same words.
+        """The kernel, exactly: two assignments have equal keys iff they
+        relate the same words.
 
         The key is the right Cayley graph of the submonoid the letter images
         generate.  Its states are numbered breadth-first from the identity,
@@ -280,6 +292,13 @@ class FiniteKernelCongruence(CongruenceSpec):
             "assignment " + " ".join(f"{l}={e}" for l, e in mm.assignment)
         )
         return "\n".join(lines)
+
+
+def _class_heads(images: Iterable[Hashable]) -> tuple[int, ...]:
+    """For each item, the index of the first item with an equal image: the
+    head of its class, when items are bucketed by image."""
+    first: dict[Hashable, int] = {}
+    return tuple(map(first.setdefault, images, itertools.count()))
 
 
 def congruent_pairs(
@@ -432,16 +451,8 @@ def format_monoid_morphism(mm: MonoidMorphism) -> str:
 def parse_monoid_morphism(
     text: str, alphabet: Alphabet, monoid: FiniteMonoid
 ) -> MonoidMorphism:
-    mapping: dict[str, str] = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        letter, sep, el = ln.partition("=")
-        if not sep or len(letter) != 1:
-            raise FormatError(f"expected 'letter=element', got {ln!r}")
-        if letter in mapping:
-            raise FormatError(f"duplicate assignment for letter {letter!r}")
-        mapping[letter] = el
+    lines = filter(str.strip, text.splitlines())
+    mapping = _letter_values(lines, "element", "duplicate assignment")
     try:
         return MonoidMorphism.make(alphabet, monoid, mapping)
     except ValueError as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .congruence import RestrictedCongruence, congruent_pairs
+from .congruence import RestrictedCongruence, _class_heads, congruent_pairs
 from .templates import Template, enumerate_templates
 from .words import Alphabet, Morphism, arrangements, strings_of_length, strings_up_to
 
@@ -112,7 +112,8 @@ def endomorphism_family(
         if not letters.startswith("".join(dict.fromkeys("".join(combo)))):
             continue  # a renaming of an earlier combo
         mapping = dict(zip(alphabet.letters, combo))
-        signature = _kernel_signature(str.maketrans(mapping), probe_words)
+        probe_images = map(str.translate, probe_words, itertools.repeat(str.maketrans(mapping)))
+        signature = _class_heads(probe_images)
         if signature in seen_kernels:
             continue
         seen_kernels.add(signature)
@@ -121,17 +122,6 @@ def endomorphism_family(
                 f"{ch}->{img}" for ch, img in mapping.items()) + ")"
         ))
     return family
-
-
-def _kernel_signature(
-    table: dict[int, str], probe_words: list[str]
-) -> tuple[int, ...]:
-    """Partition fingerprint under the morphism whose ``str.maketrans`` table
-    is given: each probe word maps to the position of the first probe word
-    sharing its image."""
-    first_seen: dict[str, int] = {}
-    images = map(str.translate, probe_words, itertools.repeat(table))
-    return tuple(map(first_seen.setdefault, images, range(len(probe_words))))
 
 
 # A word's images under the whole family, in family order; a search option
@@ -181,15 +171,11 @@ def enumerate_consistent(
 
     # For each domain word: the morphisms under which an earlier word shares
     # its kernel class, each with the first such earlier word.
-    peers: list[list[tuple[int, int]]] = []  # (morphism, first earlier)
-    first_of_class: list[dict[str, int]] = [{} for _ in family]
-    for w_idx, (_, imgs) in enumerate(with_images(domain)):
-        row = []
-        for m_idx, img in enumerate(imgs):
-            first = first_of_class[m_idx].setdefault(img, w_idx)
-            if first != w_idx:
-                row.append((m_idx, first))
-        peers.append(row)
+    class_heads = [_class_heads(map(image, domain)) for image in images]
+    peers: list[list[tuple[int, int]]] = [  # (morphism, first earlier)
+        [(m, heads[w]) for m, heads in enumerate(class_heads) if heads[w] != w]
+        for w in range(len(domain))
+    ]
     pickers = [itemgetter(*(m for m, _ in row)) if row else None for row in peers]
 
     budget = config.node_budget

@@ -384,6 +384,20 @@ def format_morphism(m: Morphism) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _letter_values(lines: Iterable[str], value: str, duplicate: str) -> dict[str, str]:
+    """The mapping of ``letter=<value>`` lines; errors name the right-hand
+    side ``value`` and begin a repeated letter's with ``duplicate``."""
+    mapping: dict[str, str] = {}
+    for ln in lines:
+        letter, sep, rhs = ln.partition("=")
+        if not sep or len(letter) != 1:
+            raise FormatError(f"expected 'letter={value}', got {ln!r}")
+        if letter in mapping:
+            raise FormatError(f"{duplicate} for letter {letter!r}")
+        mapping[letter] = rhs
+    return mapping
+
+
 def parse_morphism(text: str) -> Morphism:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("alphabet "):
@@ -400,14 +414,7 @@ def parse_morphism(text: str) -> Morphism:
         except AlphabetError as exc:
             raise FormatError(f"bad target line: {exc}") from exc
         rest = rest[1:]
-    mapping: dict[str, str] = {}
-    for ln in rest:
-        letter, sep, img = ln.partition("=")
-        if not sep or len(letter) != 1:
-            raise FormatError(f"expected 'letter=image', got {ln!r}")
-        if letter in mapping:
-            raise FormatError(f"duplicate image line for letter {letter!r}")
-        mapping[letter] = img
+    mapping = _letter_values(rest, "image", "duplicate image line")
     if set(mapping) != source.letter_set:
         missing = sorted(source.letter_set - set(mapping))
         extra = sorted(set(mapping) - source.letter_set)

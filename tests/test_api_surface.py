@@ -104,7 +104,7 @@ def test_keep_list_is_current():
 # cpmonoid.__all__, pinned: adding or dropping an export edits this list
 EXPORTS = [
     "Alphabet", "AlphabetError", "AuditResult", "BUILTIN_NAMES", "BudgetExhausted",
-    "Budgets", "BuiltinFunction", "CandidateTable", "CertifiedCP", "CongruenceSpec",
+    "BuiltinFunction", "CandidateTable", "CertifiedCP", "CongruenceSpec",
     "ConstEmpty", "ConstLetter", "ExploreReport", "ExternalFunction", "Extracted",
     "FiniteKernelCongruence", "FiniteMonoid", "FormatError", "Indeterminate",
     "LengthCoefficients", "MonoidMorphism", "MonoidViolation", "Morphism", "NotRCP",

@@ -8,7 +8,6 @@ from cpmonoid import (
     BUILTIN_NAMES,
     Alphabet,
     AuditResult,
-    Budgets,
     BuiltinFunction,
     CertifiedCP,
     Indeterminate,
@@ -204,7 +203,7 @@ def test_audit_check_count_is_one_position_at_a_time(template):
         for spec in standard_congruences(ABC)
     )
     result = audit(fn, family="standard", budget=None)
-    assert result.ok and not result.truncated
+    assert result.witness is None and not result.truncated
     assert result.checks == expected
 
 
@@ -397,11 +396,67 @@ def test_classes_of_restricted_specs_match_congruent_pairs(bound, no_classes_mem
         assert class_fields(_classes(spec, words)) == expected, spec.describe()
 
 
+def restricted_specs_sharing_a_key():
+    """The distinct standard and random specs on abc, seeds 0 to 3, in
+    groups of two or more with one kernel key."""
+    groups = collections.defaultdict(dict)
+    for seed in range(4):
+        for name, phase in _SCHEDULE:
+            if name != "finite_monoids":
+                for spec in phase(ABC, seed):
+                    groups[spec.kernel_key][spec] = None
+    shared = [list(group) for group in groups.values() if len(group) > 1]
+    assert (len(groups), len(shared), sum(map(len, shared))) == (97, 32, 95)
+    return shared
+
+
+def test_equal_restricted_keys_relate_the_same_words():
+    # Outputs are unbounded, so the relations must agree past the audit's
+    # input bound too.
+    pairs = list(itertools.combinations(strings_up_to(ABC, 4), 2))
+    for first, *others in restricted_specs_sharing_a_key():
+        relation = [first.congruent(u, v) for u, v in pairs]
+        for spec in others:
+            assert [spec.congruent(u, v) for u, v in pairs] == relation, spec.describe()
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_equal_restricted_keys_have_equal_classes(bound, no_classes_memo):
+    words = list(strings_up_to(ABC, bound))
+    for first, *others in restricted_specs_sharing_a_key():
+        expected = class_fields(_classes(first, words))
+        for spec in others:
+            assert class_fields(_classes(spec, words)) == expected, spec.describe()
+
+
+def test_equal_keys_on_two_alphabets_share_correct_classes(monkeypatch):
+    # Keys name letter positions: every spec of the schedule on pqr finds its
+    # classes already memoised by the spec of the same shape on abc, and they
+    # are the classes its own images give.
+    audit_module = importlib.import_module("cpmonoid.audit")
+    pqr = Alphabet.of("pqr")
+    specs, words = {}, {}
+    for alphabet in (ABC, pqr):
+        specs[alphabet] = [spec for _, phase in _SCHEDULE for spec in phase(alphabet, 0)]
+        words[alphabet] = list(strings_up_to(alphabet, 2))
+    monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
+    monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 0)
+    expected = [_classes(spec, words[pqr]) for spec in specs[pqr]]
+    monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 4096)
+    for spec in specs[ABC]:
+        _classes(spec, words[ABC])
+    memo = dict(audit_module._CLASSES)
+    assert len(memo) == len({spec.kernel_key for spec in specs[ABC]}) == 458  # some phases share keys
+    assert all((spec.kernel_key, len(words[pqr])) in memo for spec in specs[pqr])
+    assert [_classes(spec, words[pqr]) for spec in specs[pqr]] == expected
+    assert dict(audit_module._CLASSES) == memo
+
+
 def test_classes_memo_drops_the_least_recently_used_past_its_limit(monkeypatch):
     # Past its limit the memo forgets the least recently used classes, but
     # every result stays equal, and so does a sweep.
     audit_module = importlib.import_module("cpmonoid.audit")
-    specs = list(standard_congruences(ABC))  # 15 distinct kernel keys
+    specs = list(standard_congruences(ABC))  # 15 specs, 10 distinct kernel keys
     words = list(strings_up_to(ABC, 2))
     make = EQUIVALENCE_FUNCTIONS["reverse"]
     monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
@@ -409,12 +464,15 @@ def test_classes_memo_drops_the_least_recently_used_past_its_limit(monkeypatch):
     expected_sweep = sweep_outcome(_audit_specs, make, specs, 2, None)
     monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
     monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 5)
-    keys = [(spec.kernel_key, len(words)) for spec in specs]
+    # the last five keys used: erase(b), erase(c), then identify(b->a),
+    # identify(c->a) and identify(c->b), each sharing an earlier spec's key
+    used = [7, 8, 11, 13, 14]
+    keys = [(specs[i].kernel_key, len(words)) for i in used]
     for _ in range(2):
         assert [_classes(spec, words) for spec in specs] == unbounded
-        assert list(audit_module._CLASSES) == keys[-5:]
-    _classes(specs[-5], words)  # a hit becomes the most recently used
-    assert list(audit_module._CLASSES) == keys[-4:] + keys[-5:-4]
+        assert list(audit_module._CLASSES) == keys
+    _classes(specs[7], words)  # erase(b): a hit becomes the most recently used
+    assert list(audit_module._CLASSES) == keys[1:] + keys[:1]
     assert sweep_outcome(_audit_specs, make, specs, 2, None) == expected_sweep
 
 
@@ -555,11 +613,13 @@ def visits(monkeypatch):
 def test_random_phases_scan_each_distinct_kernel_once(phase, visits):
     # The random phases repeat endomorphisms; a repeat passes unevaluated.
     specs = list(dict(_SCHEDULE)[phase](ABC, 0))
-    distinct = {spec.kernel_key for spec in specs}
-    assert len(distinct) < len(specs) == 40
+    first = {}  # kernel key -> the first spec with it
+    for spec in specs:
+        first.setdefault(spec.kernel_key, spec)
+    assert len(first) < len(set(specs)) < len(specs) == 40
     result = _audit_specs(EQUIVALENCE_FUNCTIONS["honest1"](), specs, 2, None)
-    assert result.ok and result.specs_checked == 40
-    assert [spec for _, spec, _ in visits] == list(dict.fromkeys(specs))
+    assert result.witness is None and result.specs_checked == 40
+    assert [spec for _, spec, _ in visits] == list(first.values())
 
 
 @pytest.mark.parametrize(
@@ -575,12 +635,16 @@ def test_standard_phase_checks_new_kernels_against_the_table(name, outcome, visi
     # Once collapse_to(a) and project(a) have put every word up to length 2
     # in a class of two or more, each new kernel is checked against the
     # table; one the table refuses is scanned again, pair by pair.
+    # collapse_to(b) and collapse_to(c) share collapse_to(a)'s kernel, and
+    # identify(y->x) shares identify(x->y)'s, so neither is visited.
     result = _audit_specs(EQUIVALENCE_FUNCTIONS[name](), standard_congruences(ABC), 2, None)
     witness = result.witness and result.witness.spec.morphism.label
     assert (witness, result.specs_checked, result.checks) == outcome
     labels = [spec.morphism.label for spec in standard_congruences(ABC)][: result.specs_checked]
-    expected = [("scan", label, None) for label in labels[:4]]
-    expected += [("table", label, True) for label in labels[4:]]
+    shared = {"collapse_to(b)", "collapse_to(c)", "identify(b->a)", "identify(c->a)", "identify(c->b)"}
+    labels = [label for label in labels if label not in shared]
+    expected = [("scan", label, None) for label in labels[:2]]
+    expected += [("table", label, True) for label in labels[2:]]
     if witness is not None:
         expected[-1:] = [("table", witness, False), ("scan", witness, None)]
     assert [(kind, spec.morphism.label, passed) for kind, spec, passed in visits] == expected
@@ -648,13 +712,13 @@ def test_audit_all_is_theorem_checks_sweep(name):
     verdict = theorem_check(make())
     result = audit(make(), "all")
     if isinstance(verdict, CertifiedCP):  # a template preserves every congruence
-        assert result.ok and not result.truncated
+        assert result.witness is None and not result.truncated
     elif isinstance(verdict, RefutedCP):
         assert (result.witness, result.family, result.checks) == (
             verdict.witness, verdict.family, verdict.checks
         )
     else:
-        assert result.ok and result.family is None
+        assert result.witness is None and result.family is None
         assert (result.checks, result.truncated) == (verdict.checks, verdict.truncated)
 
 
@@ -802,20 +866,20 @@ def test_audit_reverse_standard_comes_up_empty():
     # its reversal: the standard audit must pass
     result = audit(builtin("reverse", ABC), family="standard")
     assert isinstance(result, AuditResult)
-    assert result.ok
+    assert result.witness is None
     assert result.specs_checked == 15
     assert not result.truncated
 
 
 def test_audit_reverse_finite_monoids_refutes():
     result = audit(builtin("reverse", ABC), family="finite_monoids")
-    assert not result.ok
+    assert result.witness is not None
     assert verify_witness(builtin("reverse", ABC), result.witness)
 
 
 def test_audit_budget_truncates():
     result = audit(builtin("reverse", ABC), family="standard", budget=10)
-    assert result.ok  # nothing found...
+    assert result.witness is None  # nothing found...
     assert result.truncated  # ...but the sweep was cut short
     assert result.checks <= 10
 
@@ -868,8 +932,7 @@ def test_theorem_check_reverse_needs_finite_monoids():
 
 
 def test_theorem_check_indeterminate_under_starvation():
-    budgets = Budgets(checks_per_family=2)
-    verdict = theorem_check(builtin("reverse", ABC), budgets)
+    verdict = theorem_check(builtin("reverse", ABC), budget=2)
     assert isinstance(verdict, Indeterminate)
     assert verdict.truncated
     assert "note: budget exhausted" in verdict.render().splitlines()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cpmonoid import BUILTIN_NAMES, Template, TemplateFunction, format_template
-from cpmonoid.cli import run
+from cpmonoid.cli import _build_parser, run
 
 from conftest import ABC, AB
 
@@ -310,6 +310,18 @@ def test_numeric_flag_bounds(capsys, argv, code):
     if code == 2:
         assert out == ""
         assert "must be at least" in err or "expected an integer" in err
+
+
+@pytest.mark.parametrize("command", ["audit", "check"])
+def test_sweep_options_have_one_declaration(capsys, command):
+    # audit and check take --bound, --budget and --seed with equal defaults and help
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
+    for text in ("input length bound", "max pair checks per phase", "seed of the random phases"):
+        assert text in out
+    args = _build_parser().parse_args([command, "--oracle", "builtin:square"])
+    assert (args.bound, args.budget, args.seed) == (2, 200_000, 0)
 
 
 @pytest.mark.parametrize("flag", ["--count 3", "--image-len 1"])

@@ -5,6 +5,7 @@ import hypothesis.strategies as strat
 import pytest
 
 from cpmonoid import (
+    CongruenceSpec,
     FiniteKernelCongruence,
     FiniteMonoid,
     FormatError,
@@ -285,6 +286,24 @@ def test_monoid_morphism_format_round_trip():
     assert back.assignment == phi.assignment
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a=1\n\nb=2\nc=0\n", None),  # blank lines are skipped
+        ("a=1\nb:2\nc=0\n", "expected 'letter=element', got 'b:2'"),
+        ("a=1\nb=2\na=0\n", "duplicate assignment for letter 'a'"),
+    ],
+)
+def test_parse_monoid_morphism_line_errors(text, message):
+    z3 = cyclic_additive(3)
+    if message is None:
+        assert parse_monoid_morphism(text, ABC, z3).assignment == (("a", "1"), ("b", "2"), ("c", "0"))
+        return
+    with pytest.raises(FormatError) as raised:
+        parse_monoid_morphism(text, ABC, z3)
+    assert str(raised.value) == message
+
+
 def test_lz2_refutes_reversal_style_swaps():
     # the left-zero monoid sees only the first non-identity letter, so it
     # separates words that agree letterwise but disagree on order
@@ -336,3 +355,20 @@ def test_kernel_key_numbers_states_breadth_first():
         MonoidMorphism.make(ABC, cyclic_additive(2), {"a": "1", "b": "0", "c": "1"})
     )
     assert spec.kernel_key == ((1, 0, 1), (0, 1, 0))
+
+
+def test_restricted_kernel_key_names_positions_in_order_of_first_appearance():
+    phi = Morphism.make(ABC, {"a": "cb", "b": "", "c": "bcc"})
+    assert RestrictedCongruence(phi).kernel_key == ("\x00\x01", "", "\x01\x00\x00")
+    # every congruence names its key: there is no default
+    class Keyless(CongruenceSpec):
+        alphabet = ABC
+
+        def word_image(self, letters):
+            return letters
+
+        def describe(self):
+            return "keyless"
+
+    with pytest.raises(TypeError, match="kernel_key"):
+        Keyless()

@@ -220,6 +220,19 @@ def test_parse_morphism_rejects_incomplete():
         parse_morphism("alphabet abc\na=ab\nb=b\n")  # c missing
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alphabet abc\na=ab\nbb\nc=a\n", "expected 'letter=image', got 'bb'"),
+        ("alphabet abc\na=ab\nb=b\na=a\n", "duplicate image line for letter 'a'"),
+    ],
+)
+def test_parse_morphism_line_errors(text, message):
+    with pytest.raises(FormatError) as raised:
+        parse_morphism(text)
+    assert str(raised.value) == message
+
+
 def test_parse_morphism_rejects_junk():
     with pytest.raises(FormatError):
         parse_morphism("a=ab\n")  # no header
