@@ -24,10 +24,12 @@ endomorphisms (collapse, project, erase, identify), kernels of morphisms
 into a catalog of small finite monoids, and kernels of seeded random
 endomorphisms with images of length at most 1, then at most 2.
 
-A sweep scans each kernel key (:attr:`CongruenceSpec.kernel_key`) once,
-and checks new kernels against the table of memoised outputs once it can
-(see :class:`_Sweep`); witnesses, counts and oracle queries are those of
-scanning every spec.
+An audit runs one sweep through all its phases.  The sweep scans each
+kernel key (:attr:`CongruenceSpec.kernel_key`) once, and checks new kernels
+against the table of memoised outputs once it can.  When the outputs obey
+the letter-count law counts(f(x̄)) = c + Σ kᵢ·counts(xᵢ), kᵢ ≥ 0, a
+commutative kernel passes without imaging any output (see :class:`_Sweep`).
+Witnesses, counts and oracle queries are those of scanning every spec.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def _classes(spec: CongruenceSpec, words: Sequence[str]) -> _Classes:
 
 
 class _Sweep:
-    """One phase's scans, each kernel key once.
+    """One audit's scans, each kernel key once across all its phases.
 
     A kernel whose scan completed with no witness passes again at the same
     count without evaluating anything.  A completed scan evaluates every
@@ -223,9 +225,12 @@ class _Sweep:
     outputs are read into one table, and a new kernel is checked against it
     in one pass over the tuples with a word of such a class.  It passes when
     every one of them has the image of the tuple of its words' class heads;
-    its count is then ``arity * contexts * pairs``.  A spec that the table
-    check fails, or that the budget would cut, runs :func:`_scan`, so
-    witnesses, counts, the order of oracle misses and any
+    its count is then ``arity * contexts * pairs``.  A commutative kernel
+    passes without imaging anything when the table obeys the letter-count
+    law (see :func:`_obeys_letter_count_law`): its images see only letter
+    counts, so the law fixes an output's image from its arguments'.  A spec
+    that the table check fails, or that the budget would cut, runs
+    :func:`_scan`, so witnesses, counts, the order of oracle misses and any
     :class:`AlphabetError` are those of scanning it alone.
     """
 
@@ -239,6 +244,7 @@ class _Sweep:
         # arity 0 nothing is evaluated, so no table is ever read.
         self.unseen = set(range(len(words))) if fn.arity else None
         self.table: list[str] | None = None  # outputs of all tuples, in product order
+        self.counts_law = False  # whether the table obeys the letter-count law
 
     def scan(self, spec: CongruenceSpec, remaining: int | None) -> tuple[Witness | None, int]:
         key = spec.kernel_key
@@ -262,15 +268,52 @@ class _Sweep:
                 if not self.unseen:
                     tuples = itertools.product(self.words, repeat=self.fn.arity)
                     self.table = list(map(self.fn.evaluate_letters, tuples))
+                    self.counts_law = _obeys_letter_count_law(
+                        self.table, self.words, self.fn.alphabet.letters, self.fn.arity
+                    )
         return witness, used
 
     def _table_passes(self, spec: CongruenceSpec, classes: _Classes) -> bool:
+        if self.counts_law and spec.commutative:
+            return True
         # Each output in the table was imaged by a completed scan, so its
         # letters are in the alphabet and imaging it cannot raise.
         imaged, moved, heads = classes.tuples(self.fn.arity)
         images = dict(zip(imaged, map(spec.word_image, map(self.table.__getitem__, imaged))))
         image = images.__getitem__
         return list(map(image, moved)) == list(map(image, heads))
+
+
+def _obeys_letter_count_law(
+    table: Sequence[str], words: Sequence[str], letters: Sequence[str], arity: int
+) -> bool:
+    """Whether the outputs of the ``arity``-tuples of ``words``, ``table`` in
+    product order, have letter counts c + Σ kᵢ·counts(xᵢ) with every kᵢ ≥ 0.
+
+    ``words`` starts ``""``, then the first letter, so c is read off the
+    all-ε tuple and kᵢ off the tuple with the first letter at slot i.  Then
+    φ(f(x̄)) = φ(c)·Π φ(xᵢ)^kᵢ under any morphism φ into a commutative
+    monoid, so congruent arguments give congruent outputs; kᵢ ≥ 0 is needed
+    because a monoid has no inverses.  Every output is in the alphabet (see
+    :meth:`_Sweep._table_passes`), so its letter counts add up to its length.
+    """
+
+    def counts(word: str) -> tuple[int, ...]:
+        return tuple(map(word.count, letters))
+
+    c = counts(table[0])
+    ks = [counts(table[len(words) ** (arity - 1 - i)])[0] - c[0] for i in range(arity)]
+    if min(ks) < 0:
+        return False
+    expected = [c]
+    word_counts = list(map(counts, words))
+    for k in ks:
+        expected = [
+            tuple(e + k * x for e, x in zip(prefix, word))
+            for prefix in expected
+            for word in word_counts
+        ]
+    return list(map(counts, table)) == expected
 
 
 def check_preservation(
@@ -410,10 +453,11 @@ def audit(
     phases = _FAMILIES.get(family)
     if phases is None:
         raise ValueError(f"unknown family {family!r} (want {', '.join(_FAMILIES)})")
+    sweep = _Sweep(fn, list(strings_up_to(fn.alphabet, length_bound)))
     specs = checks = 0
     truncated = False
     for name, congruences in phases:
-        result = _audit_specs(fn, congruences(fn.alphabet, seed), length_bound, budget)
+        result = _audit_specs(sweep, congruences(fn.alphabet, seed), budget)
         specs += result.specs_checked
         checks += result.checks
         truncated = truncated or result.truncated
@@ -422,13 +466,8 @@ def audit(
     return AuditResult(None, specs, checks, truncated)
 
 
-def _audit_specs(
-    fn: WordFunction,
-    specs: Iterable[CongruenceSpec],
-    length_bound: int,
-    budget: int | None,
-) -> AuditResult:
-    sweep = _Sweep(fn, list(strings_up_to(fn.alphabet, length_bound)))
+def _audit_specs(sweep: _Sweep, specs: Iterable[CongruenceSpec], budget: int | None) -> AuditResult:
+    """One phase of ``sweep``: its specs in order, within ``budget`` checks."""
     total = 0
     seen = 0
     for spec in specs:

@@ -199,6 +199,12 @@ class CongruenceSpec(abc.ABC):
         of one kernel may have different keys).  A key names letters by their
         positions in the alphabet, so alphabets of one size can share keys."""
 
+    @property
+    @abc.abstractmethod
+    def commutative(self) -> bool:
+        """Whether the letter images commute pairwise.  The image of a word
+        is then fixed by its letter counts."""
+
 
 @dataclass(frozen=True)
 class RestrictedCongruence(CongruenceSpec):
@@ -229,6 +235,11 @@ class RestrictedCongruence(CongruenceSpec):
         images = [img for _, img in self.morphism.image]
         renaming = {ord(ch): i for i, ch in enumerate(dict.fromkeys("".join(images)))}
         return tuple(img.translate(renaming) for img in images)
+
+    @functools.cached_property
+    def commutative(self) -> bool:
+        images = [img for _, img in self.morphism.image]
+        return all(u + v == v + u for u, v in itertools.combinations(images, 2))
 
     def render_image(self, image: str) -> str:
         return f'"{image}"'  # a word, quoted like every word in reports
@@ -283,6 +294,15 @@ class FiniteKernelCongruence(CongruenceSpec):
                 row.append(number[target])
             rows.append(tuple(row))
         return tuple(rows)
+
+    @functools.cached_property
+    def commutative(self) -> bool:
+        """Read off the key: ``key[key[0][x]][y]`` is the state of the word xy."""
+        key = self.kernel_key
+        return all(
+            key[key[0][x]][y] == key[key[0][y]][x]
+            for x, y in itertools.combinations(range(len(key[0])), 2)
+        )
 
     def describe(self) -> str:
         mm = self.monoid_morphism

@@ -10,6 +10,7 @@ from cpmonoid import (
     AuditResult,
     BuiltinFunction,
     CertifiedCP,
+    FiniteKernelCongruence,
     Indeterminate,
     Morphism,
     RefutedCP,
@@ -289,6 +290,18 @@ EQUIVALENCE_FUNCTIONS = {
     "reversed@slot1": lambda: slot_perturbed(2, 0, SLOT_MAPS["reversed"]),
     "honest3": lambda: TemplateFunction(Template.of(ABC, "c", 3, "", 1, "a", 2, "")),
     "first_letter@slot3": lambda: slot_perturbed(3, 2, SLOT_MAPS["first_letter"]),
+    # letter counts c + k1·counts(x1) + k2·counts(x2), k = (1, 2): only
+    # noncommutative kernels can tell the reversed output apart
+    "reversed_output2": lambda: BuiltinFunction(
+        "reversed_output2", ABC, lambda args: ("b" + args[1] + args[0] + args[1] + "a")[::-1], arity=2
+    ),
+    # k = (2, 0, 1): the second slot is erased, the third reversed
+    "reversed_slots3": lambda: BuiltinFunction(
+        "reversed_slots3", ABC, lambda args: args[2][::-1] + "c" + args[0] + args[0][::-1], arity=3
+    ),
+    # letter counts that depend on more than the arguments' counts break the law
+    "erase_a@slot1": lambda: slot_perturbed(2, 0, lambda x: x.replace("a", "")),
+    "first_doubled@slot2": lambda: slot_perturbed(3, 1, lambda x: x[:1] + x),
 }
 
 
@@ -481,10 +494,10 @@ def test_classes_memo_drops_the_least_recently_used_past_its_limit(monkeypatch):
 # plain sweep that scans every spec on its own
 
 
-def plain_audit_specs(fn, specs, bound, budget):
+def plain_audit_specs(sweep, specs, budget):
     """The audit sweep with every spec scanned by itself through ``_scan``:
     no kernel is skipped and no output table is read."""
-    words = list(strings_up_to(fn.alphabet, bound))
+    fn, words = sweep.fn, sweep.words
     total = seen = 0
     for spec in specs:
         seen += 1
@@ -498,11 +511,15 @@ def plain_audit_specs(fn, specs, bound, budget):
     return AuditResult(None, seen, total, truncated=False)
 
 
+def new_sweep(fn, bound):
+    return _Sweep(fn, list(strings_up_to(fn.alphabet, bound)))
+
+
 def sweep_outcome(sweep, make, specs, bound, budget):
     """What a sweep returns or raises, its query count and its oracle misses."""
     fn, misses = recording(make())
     try:
-        result = sweep(fn, specs, bound, budget)
+        result = sweep(new_sweep(fn, bound), specs, budget)
     except AlphabetError as exc:
         return ("AlphabetError", str(exc)), fn.query_count, misses
     witness = result.witness
@@ -526,6 +543,22 @@ def unary(name, f, extension=True):
 SLOT2 = unary("reversed@slot2", lambda x: x + "a" + x[::-1] + x + "ca")
 BEYOND2 = unary("reversed_beyond_2", lambda x: (x + "a" + x + x)[:: -1 if len(x) > 2 else 1])
 
+# x·"b"·x, but "cc" gives "ccbca": the letter-count law fails on that one
+# tuple, so no commutative kernel may pass on the strength of the law
+ONE_OFF = unary("law_but_at_cc", lambda x: "ccbca" if x == "cc" else x + "b" + x)
+
+
+def remove_each_letter(x):
+    out = "aabbcc"
+    for ch in x:
+        out = out.replace(ch, "", 1)
+    return out
+
+
+# letter counts c - counts(x) up to length 2: a negative k, which Z2* with
+# a=0, b=c=1 refutes, since f("a") = "abbcc" and f("aa") = "bbcc"
+NEGATIVE_K = unary("remove_each_letter", remove_each_letter)
+
 FINITE_FUNCTIONS = {
     "reversed@slot2": (SLOT2, 2),
     "reversed_beyond_2": (BEYOND2, 2),
@@ -534,6 +567,12 @@ FINITE_FUNCTIONS = {
     "reversed@slot1": (EQUIVALENCE_FUNCTIONS["reversed@slot1"], 1),
     "first_letter@slot3": (EQUIVALENCE_FUNCTIONS["first_letter@slot3"], 1),
     "honest3": (EQUIVALENCE_FUNCTIONS["honest3"], 1),
+    "reversed_output2": (EQUIVALENCE_FUNCTIONS["reversed_output2"], 2),
+    "reversed_slots3": (EQUIVALENCE_FUNCTIONS["reversed_slots3"], 1),
+    "erase_a@slot1": (EQUIVALENCE_FUNCTIONS["erase_a@slot1"], 2),
+    "first_doubled@slot2": (EQUIVALENCE_FUNCTIONS["first_doubled@slot2"], 1),
+    "law_but_at_cc": (ONE_OFF, 2),
+    "remove_each_letter": (NEGATIVE_K, 2),
 }
 
 
@@ -617,7 +656,7 @@ def test_random_phases_scan_each_distinct_kernel_once(phase, visits):
     for spec in specs:
         first.setdefault(spec.kernel_key, spec)
     assert len(first) < len(set(specs)) < len(specs) == 40
-    result = _audit_specs(EQUIVALENCE_FUNCTIONS["honest1"](), specs, 2, None)
+    result = _audit_specs(new_sweep(EQUIVALENCE_FUNCTIONS["honest1"](), 2), specs, None)
     assert result.witness is None and result.specs_checked == 40
     assert [spec for _, spec, _ in visits] == list(first.values())
 
@@ -637,7 +676,7 @@ def test_standard_phase_checks_new_kernels_against_the_table(name, outcome, visi
     # table; one the table refuses is scanned again, pair by pair.
     # collapse_to(b) and collapse_to(c) share collapse_to(a)'s kernel, and
     # identify(y->x) shares identify(x->y)'s, so neither is visited.
-    result = _audit_specs(EQUIVALENCE_FUNCTIONS[name](), standard_congruences(ABC), 2, None)
+    result = _audit_specs(new_sweep(EQUIVALENCE_FUNCTIONS[name](), 2), standard_congruences(ABC), None)
     witness = result.witness and result.witness.spec.morphism.label
     assert (witness, result.specs_checked, result.checks) == outcome
     labels = [spec.morphism.label for spec in standard_congruences(ABC)][: result.specs_checked]
@@ -648,6 +687,43 @@ def test_standard_phase_checks_new_kernels_against_the_table(name, outcome, visi
     if witness is not None:
         expected[-1:] = [("table", witness, False), ("scan", witness, None)]
     assert [(kind, spec.morphism.label, passed) for kind, spec, passed in visits] == expected
+
+
+@pytest.mark.parametrize("name", ["reversed_beyond_2", "reversed_output2", "reversed_slots3"])
+def test_commutative_kernels_image_nothing_once_the_table_obeys_the_law(name, monkeypatch):
+    # Each table obeys the letter-count law (reversed_beyond_2 is x·"a"·x·x
+    # up to length 2); with every class memoised, a commutative kernel
+    # checked against the table images no word at all.
+    make, bound = FINITE_FUNCTIONS[name]
+    sweep = new_sweep(make(), bound)
+    specs = list(finite_monoid_congruences(ABC))
+    for spec in specs:
+        _classes(spec, sweep.words)
+    imaged = set()
+    word_image = FiniteKernelCongruence.word_image
+
+    def recorded(spec, letters):
+        if sweep.table is not None:
+            imaged.add(spec)
+        return word_image(spec, letters)
+
+    monkeypatch.setattr(FiniteKernelCongruence, "word_image", recorded)
+    _audit_specs(sweep, specs, None)
+    assert sweep.counts_law
+    assert imaged and not any(spec.commutative for spec in imaged)
+
+
+def test_a_negative_k_leaves_commutative_kernels_to_the_table():
+    # c - counts(x) would obey the law but for the sign of k; Z2* is no
+    # group, and its kernel with a=0, b=c=1 refutes the function once the
+    # table exists
+    sweep = new_sweep(NEGATIVE_K(), 2)
+    result = _audit_specs(sweep, finite_monoid_congruences(ABC), None)
+    assert sweep.table is not None and not sweep.counts_law
+    witness = result.witness
+    assert witness.spec.describe().splitlines()[0] == "congruence: kernel of morphism into Z2*"
+    assert witness.spec.monoid_morphism.assignment == (("a", "0"), ("b", "1"), ("c", "1"))
+    assert (witness.left, witness.right) == ((ABC.word("a"),), (ABC.word("aa"),))
 
 
 def test_finite_sweep_matches_plain_scans_at_arity_0():
@@ -753,7 +829,7 @@ def test_equal_bounded_partitions_with_different_kernels_stay_separate():
     p, q = pair
     head, member = next(congruent_pairs(earlier, 2))
     make = unary("apart", lambda x: q if x == member else p, extension=False)
-    result = _audit_specs(make(), [earlier, later], 2, None)
+    result = _audit_specs(new_sweep(make(), 2), [earlier, later], None)
     assert result.witness is not None and result.witness.spec == later
     assert result.specs_checked == 2
     assert_sweeps_agree(make, [earlier, later], 2, [None])

@@ -16,6 +16,7 @@ from cpmonoid import (
     congruent_pairs,
     cyclic_additive,
     cyclic_multiplicative,
+    finite_monoid_congruences,
     format_finite_monoid,
     format_monoid_morphism,
     identify,
@@ -26,6 +27,8 @@ from cpmonoid import (
     monoid_validate,
     parse_finite_monoid,
     parse_monoid_morphism,
+    random_congruences,
+    standard_congruences,
     transformations_on_two_points,
 )
 
@@ -372,3 +375,48 @@ def test_restricted_kernel_key_names_positions_in_order_of_first_appearance():
 
     with pytest.raises(TypeError, match="kernel_key"):
         Keyless()
+
+
+def test_finite_kernels_commute_exactly_when_their_letter_images_do():
+    specs = list(finite_monoid_congruences(ABC))
+    for spec in specs:
+        monoid, images = spec.monoid_morphism.monoid, [el for _, el in spec.monoid_morphism.assignment]
+        expected = all(monoid.op(x, y) == monoid.op(y, x) for x, y in itertools.combinations(images, 2))
+        assert spec.commutative == expected, spec.describe()
+    keys = {spec.kernel_key: spec.commutative for spec in specs}
+    assert (len(specs), len(keys), sum(keys.values())) == (971, 417, 390)
+
+
+def test_endomorphism_kernels_commute_exactly_when_their_letter_images_do():
+    standard = list(standard_congruences(ABC))
+    specs = standard + [spec for n in (1, 2) for spec in random_congruences(ABC, 0, 40, n)]
+    for spec in specs:
+        images = [img for _, img in spec.morphism.image]
+        assert spec.commutative == all(u + v == v + u for u, v in itertools.combinations(images, 2))
+    assert (len(specs), sum(spec.commutative for spec in specs)) == (95, 46)
+    labels = [spec.morphism.label for spec in standard if spec.commutative]
+    assert labels == [f"{kind}({ch})" for kind in ("collapse_to", "project") for ch in "abc"]
+
+
+def test_catalog_covers_every_kernel_of_a_monoid_of_order_at_most_3():
+    # Every monoid of order ≤ 3 is among the tables on 0..n-1 with identity 0,
+    # and each of its kernels on abc is a kernel of the catalog's.
+    monoids = []
+    for n in (1, 2, 3):
+        elements = tuple(map(str, range(n)))
+        cells = list(itertools.product(range(1, n), repeat=2))  # the identity fixes the rest
+        for entries in itertools.product(elements, repeat=len(cells)):
+            table = [[elements[i + j if 0 in (i, j) else 0] for j in range(n)] for i in range(n)]
+            for (i, j), entry in zip(cells, entries):
+                table[i][j] = entry
+            monoid = FiniteMonoid(f"M{n}", elements, "0", tuple(map(tuple, table)))
+            if monoid_validate(monoid) is None:
+                monoids.append(monoid)
+    assert len(monoids) == 14
+    keys = {
+        FiniteKernelCongruence(MonoidMorphism.make(ABC, m, dict(zip(ABC.letters, images)))).kernel_key
+        for m in monoids
+        for images in itertools.product(m.elements, repeat=len(ABC))
+    }
+    assert (sum(len(key) <= 2 for key in keys), sum(len(key) <= 3 for key in keys)) == (15, 102)
+    assert keys <= {spec.kernel_key for spec in finite_monoid_congruences(ABC)}
