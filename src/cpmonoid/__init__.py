@@ -46,8 +46,8 @@ _EXPORTS = {
     ),
     "audit": (
         "AuditResult", "CertifiedCP", "Indeterminate", "RefutedCP", "Witness", "audit",
-        "check_preservation", "finite_monoid_congruences", "random_congruences",
-        "standard_congruences", "theorem_check", "verify_witness",
+        "check_preservation", "finite_monoid_congruences", "standard_congruences",
+        "theorem_check", "verify_witness",
     ),
     "explorer": (
         "BudgetExhausted", "CandidateTable", "ExploreReport", "SearchConfig", "SearchStats",

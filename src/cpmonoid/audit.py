@@ -19,10 +19,10 @@ schedule into a three-way verdict:
 * :class:`Indeterminate` — extraction failed but no witness surfaced within
   budget.  The extraction diagnosis is attached for whoever digs further.
 
-The schedule's phases, in escalation order: kernels of the standard letter
-endomorphisms (collapse, project, erase, identify), kernels of morphisms
-into a catalog of small finite monoids, and kernels of seeded random
-endomorphisms with images of length at most 1, then at most 2.
+The schedule's two phases, in escalation order: kernels of the standard
+letter endomorphisms (collapse, project, erase, identify), then kernels of
+morphisms into a catalog of small finite monoids.  Both are fixed families,
+so every audit is deterministic.
 
 An audit runs one sweep through all its phases.  The sweep scans each
 kernel key (:attr:`CongruenceSpec.kernel_key`) once, and checks new kernels
@@ -246,11 +246,13 @@ class _Sweep:
         self.table: list[str] | None = None  # outputs of all tuples, in product order
         self.counts_law = False  # whether the table obeys the letter-count law
 
-    def scan(self, spec: CongruenceSpec, remaining: int | None) -> tuple[Witness | None, int]:
+    def scan(self, spec: CongruenceSpec, remaining: int | None) -> tuple[Witness | None, int, bool]:
+        """As :func:`_scan`, and whether the budget cut it short of the full count."""
         key = spec.kernel_key
         known = self.passed.get(key)
         if known is not None:
-            return None, known if remaining is None else min(known, remaining)
+            used = known if remaining is None else min(known, remaining)
+            return None, used, used < known
         classes = _classes(spec, self.words)
         total = self.checks_per_pair * classes.pairs
         if (
@@ -259,7 +261,7 @@ class _Sweep:
             and self._table_passes(spec, classes)
         ):
             self.passed[key] = total
-            return None, total
+            return None, total, False
         witness, used = _scan(self.fn, spec, self.words, remaining)
         if witness is None and used == total:  # the scan ran to its end
             self.passed[key] = total
@@ -271,7 +273,7 @@ class _Sweep:
                     self.counts_law = _obeys_letter_count_law(
                         self.table, self.words, self.fn.alphabet.letters, self.fn.arity
                     )
-        return witness, used
+        return witness, used, witness is None and used < total
 
     def _table_passes(self, spec: CongruenceSpec, classes: _Classes) -> bool:
         if self.counts_law and spec.commutative:
@@ -407,19 +409,12 @@ def random_congruences(
 # A phase looks its generator up when it runs, so rebinding one in this module
 # (as bench/layers.py does, to charge each phase its scans) reaches it.
 _SCHEDULE = (
-    ("standard", lambda alphabet, seed: standard_congruences(alphabet)),
-    ("finite_monoids", lambda alphabet, seed: finite_monoid_congruences(alphabet)),
-    ("random(image<=1)", lambda alphabet, seed: random_congruences(alphabet, seed, 40, 1)),
-    ("random(image<=2)", lambda alphabet, seed: random_congruences(alphabet, seed, 40, 2)),
+    ("standard", lambda alphabet: standard_congruences(alphabet)),
+    ("finite_monoids", lambda alphabet: finite_monoid_congruences(alphabet)),
 )
 
 # The phases that each ``family`` of :func:`audit` selects.
-_FAMILIES = {
-    "standard": _SCHEDULE[:1],
-    "finite_monoids": _SCHEDULE[1:2],
-    "random": _SCHEDULE[2:],
-    "all": _SCHEDULE,
-}
+_FAMILIES = {**{phase[0]: (phase,) for phase in _SCHEDULE}, "all": _SCHEDULE}
 
 
 @dataclass
@@ -429,7 +424,7 @@ class AuditResult:
     witness: Witness | None
     specs_checked: int
     checks: int  # congruent pairs of the stream, evaluated or settled
-    truncated: bool  # a phase ran out of budget before its last congruence
+    truncated: bool  # the budget cut a phase short of its last congruence's full count
     family: str | None = None  # the phase that found the witness
 
 
@@ -438,17 +433,16 @@ def audit(
     family: str = "standard",
     length_bound: int = 2,
     budget: int | None = 200_000,
-    seed: int = 0,
 ) -> AuditResult:
-    """Sweep the phases of the schedule that ``family`` selects (``random``
-    is both random phases, ``all`` every phase); the first witness wins.
+    """Sweep the phases of the schedule that ``family`` selects (a phase's
+    name, or ``all``); the first witness wins.
 
     ``checks`` counts every congruent pair of the one-position stream (see
     :func:`_scan`), and ``budget`` caps that count in each phase.  Only a
     word's pairs with the first word of its class are evaluated; its pairs
     with later members are settled by transitivity and counted all the same.
-    Results are deterministic for fixed arguments (the random phases are
-    seeded).
+    ``truncated`` is set when the budget cut a phase short of its last
+    congruence's full count.  Results are deterministic for fixed arguments.
     """
     phases = _FAMILIES.get(family)
     if phases is None:
@@ -457,7 +451,7 @@ def audit(
     specs = checks = 0
     truncated = False
     for name, congruences in phases:
-        result = _audit_specs(sweep, congruences(fn.alphabet, seed), budget)
+        result = _audit_specs(sweep, congruences(fn.alphabet), budget)
         specs += result.specs_checked
         checks += result.checks
         truncated = truncated or result.truncated
@@ -468,17 +462,16 @@ def audit(
 
 def _audit_specs(sweep: _Sweep, specs: Iterable[CongruenceSpec], budget: int | None) -> AuditResult:
     """One phase of ``sweep``: its specs in order, within ``budget`` checks."""
-    total = 0
-    seen = 0
+    total = seen = 0
     for spec in specs:
-        seen += 1
         remaining = None if budget is None else budget - total
         if remaining is not None and remaining <= 0:
-            return AuditResult(None, seen - 1, total, truncated=True)
-        witness, used = sweep.scan(spec, remaining)
+            return AuditResult(None, seen, total, truncated=True)
+        seen += 1
+        witness, used, cut = sweep.scan(spec, remaining)
         total += used
-        if witness is not None:
-            return AuditResult(witness, seen, total, truncated=False)
+        if witness is not None or cut:
+            return AuditResult(witness, seen, total, truncated=cut)
     return AuditResult(None, seen, total, truncated=False)
 
 
@@ -518,7 +511,7 @@ class RefutedCP:
 class Indeterminate:
     diagnosis: NotRCP | None
     checks: int
-    truncated: bool  # a family sweep ran out of checks before its last congruence
+    truncated: bool  # the budget cut a phase short of its last congruence's full count
 
     def render(self) -> str:
         note = "budget exhausted" if self.truncated else "all families exhausted"
@@ -533,12 +526,13 @@ Verdict = Union[CertifiedCP, RefutedCP, Indeterminate]
 
 def theorem_check(
     fn: WordFunction, *, validation_len: int | None = None, length_bound: int = 2,
-    budget: int | None = 200_000, seed: int = 0,
+    budget: int | None = 200_000,
 ) -> Verdict:
     """Extraction first (``validation_len`` as for :func:`extract`); on
-    failure, escalate through the audit schedule (``audit(fn, "all",
-    length_bound, budget, seed)``), re-verifying any witness it finds.  The
-    defaults refute every stock non-preserving example within seconds.
+    failure, escalate through the two phases of the audit schedule
+    (``audit(fn, "all", length_bound, budget)``), re-verifying any witness
+    it finds.  The defaults refute every stock non-preserving example within
+    seconds.
 
     Requires at least three letters — with fewer, extraction offers no
     certificate and a missing witness proves nothing.
@@ -555,7 +549,7 @@ def theorem_check(
         return CertifiedCP(outcome.template, outcome.query_count)
     diagnosis = outcome
 
-    result = audit(fn, "all", length_bound, budget, seed)
+    result = audit(fn, "all", length_bound, budget)
     if result.witness is None:
         return Indeterminate(diagnosis, result.checks, result.truncated)
     if not verify_witness(fn, result.witness):

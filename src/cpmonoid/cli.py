@@ -19,15 +19,15 @@ own arity, which a given ``--arity`` must match.  A table's alphabet is its
 own letters unless ``--alphabet`` is set.
 
 Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome
-(``check`` included, when every audit family ran to its end) or
+(``check`` included, when every audit phase ran to its end) or
 non-representable candidates; 2 usage or file-format errors; 3 external
-oracle protocol failures; 4 a check, audit or explore budget ran out before
-the sweep or search finished; 5 internal inconsistency (a witness that failed
-its re-verification), reported on standard error; 141 standard output was
-closed early (as when piped into ``head``), which ends the run quietly.  A
-negative ``--budget``, ``--bound``, ``--validate-len``, ``--image-len``,
-``--arity`` or ``--maxlen``, or a ``--node-budget`` below 1, exits 2 before
-any query.  All output is deterministic for fixed inputs and seeds.
+oracle protocol failures; 4 a budget cut a check, audit or explore short of
+its end, even in a phase's last congruence; 5 internal inconsistency (a
+witness that failed its re-verification), reported on standard error; 141
+standard output was closed early (as when piped into ``head``), which ends
+the run quietly.  A negative ``--budget``, ``--bound``, ``--validate-len``,
+``--image-len``, ``--arity`` or ``--maxlen``, or a ``--node-budget`` below 1,
+exits 2 before any query.  Identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--budget", type=_int_at_least(0), default=200_000, help="max pair checks per phase"
     )
-    sub.add_argument("--seed", type=int, default=0, help="seed of the random phases")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_oracle_options(p_audit)
     p_audit.add_argument(
         "--family",
-        choices=("standard", "finite_monoids", "random", "all"),
+        choices=("standard", "finite_monoids", "all"),
         default="standard",
         help="phases of check's audit schedule to sweep",
     )
@@ -289,9 +288,7 @@ def _cmd_extract(args: argparse.Namespace, fn: WordFunction) -> int:
 def _cmd_audit(args: argparse.Namespace, fn: WordFunction) -> int:
     from .audit import audit
 
-    result = audit(
-        fn, family=args.family, length_bound=args.bound, budget=args.budget, seed=args.seed
-    )
+    result = audit(fn, family=args.family, length_bound=args.bound, budget=args.budget)
     if result.witness is not None:
         print(result.witness.render())
         return EXIT_FINDING
@@ -306,8 +303,7 @@ def _cmd_check(args: argparse.Namespace, fn: WordFunction) -> int:
     from .audit import CertifiedCP, Indeterminate, theorem_check
 
     verdict = theorem_check(
-        fn, validation_len=args.validate_len, length_bound=args.bound,
-        budget=args.budget, seed=args.seed,
+        fn, validation_len=args.validate_len, length_bound=args.bound, budget=args.budget
     )
     print(verdict.render())
     if isinstance(verdict, CertifiedCP):

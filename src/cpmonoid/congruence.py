@@ -450,9 +450,10 @@ def parse_finite_monoid(text: str, name: str = "") -> FiniteMonoid:
     if len(lines) < 3 or not lines[0].startswith("elements "):
         raise FormatError("monoid file must start with 'elements <e0> <e1> ...'")
     elements = tuple(lines[0].split()[1:])
-    if not lines[1].startswith("identity "):
+    parts = lines[1].split()
+    if len(parts) != 2 or parts[0] != "identity":
         raise FormatError("second line must be 'identity <element>'")
-    identity = lines[1].split()[1]
+    identity = parts[1]
     rows = [tuple(ln.split()) for ln in lines[2:]]
     try:
         m = FiniteMonoid(name or "monoid", elements, identity, tuple(rows))

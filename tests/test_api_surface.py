@@ -120,7 +120,7 @@ EXPORTS = [
     "format_template", "identify", "iter_word_tuples", "iter_words",
     "left_zero_with_identity", "length_profile", "monoid_catalog", "monoid_validate",
     "parse_finite_monoid", "parse_monoid_morphism", "parse_morphism", "parse_table",
-    "parse_template", "peel", "project", "random_congruences", "recheck_table",
+    "parse_template", "peel", "project", "recheck_table",
     "render_head_case", "standard_congruences", "template_index",
     "template_representable", "theorem_check", "transformations_on_two_points",
     "verify_witness",

@@ -25,13 +25,20 @@ from cpmonoid import (
     congruent_pairs,
     finite_monoid_congruences,
     iter_words,
-    random_congruences,
     standard_congruences,
     theorem_check,
     verify_witness,
 )
 
-from cpmonoid.audit import _FAMILIES, _SCHEDULE, _Sweep, _audit_specs, _classes, _scan
+from cpmonoid.audit import (
+    _FAMILIES,
+    _SCHEDULE,
+    _Sweep,
+    _audit_specs,
+    _classes,
+    _scan,
+    random_congruences,
+)
 from cpmonoid.words import AlphabetError, strings_up_to
 
 from conftest import ABC, count_word_constructions
@@ -78,18 +85,37 @@ def test_random_family_deterministic():
 def test_audit_schedule_census():
     # check's phases in escalation order, and the phases each family selects
     names = [name for name, _ in _SCHEDULE]
-    assert names == ["standard", "finite_monoids", "random(image<=1)", "random(image<=2)"]
-    sizes = [sum(1 for _ in congruences(ABC, 0)) for _, congruences in _SCHEDULE]
-    assert sizes == [15, 971, 40, 40]
+    assert names == ["standard", "finite_monoids"]
+    sizes = [sum(1 for _ in congruences(ABC)) for _, congruences in _SCHEDULE]
+    assert sizes == [15, 971]
     selected = {family: [name for name, _ in phases] for family, phases in _FAMILIES.items()}
-    assert selected == {
-        "standard": names[:1],
-        "finite_monoids": names[1:2],
-        "random": names[2:],
-        "all": names,
-    }
-    with pytest.raises(ValueError):
-        audit(builtin("reverse", ABC), family="bogus")
+    assert selected == {"standard": names[:1], "finite_monoids": names[1:], "all": names}
+    for family in ("bogus", "random"):
+        with pytest.raises(ValueError):
+            audit(builtin("reverse", ABC), family=family)
+
+
+# Kernels of seeded random endomorphisms.  No audit phase draws them, but they
+# are restricted kernels with repeated keys beyond the standard phase's ten,
+# so the tests below also sweep them, as a third family ``random`` that
+# ``random_family`` installs.
+RANDOM_PHASES = tuple(
+    (f"random(image<={n})", lambda alphabet, n=n: random_congruences(alphabet, 0, 40, n))
+    for n in (1, 2)
+)
+
+
+@pytest.fixture
+def random_family(monkeypatch):
+    """``audit(fn, "random")`` sweeps ``RANDOM_PHASES``, one after the other."""
+    monkeypatch.setitem(_FAMILIES, "random", RANDOM_PHASES)
+
+
+def restricted_specs(alphabet, seed=0):
+    """The standard specs, then 40 random ones with images of length at most
+    1 and 40 with images of length at most 2."""
+    specs = list(standard_congruences(alphabet))
+    return specs + [spec for n in (1, 2) for spec in random_congruences(alphabet, seed, 40, n)]
 
 
 def test_check_preservation_finds_reverse_witness():
@@ -252,6 +278,7 @@ def reference_audit(fn, family, bound, budget):
                 first.setdefault(spec.word_image(w.letters), w.letters)
             for left, right in reference_pair_stream(spec, fn.arity, bound):
                 if budget is not None and total >= budget:
+                    truncated = True  # the budget cut this spec's stream short
                     break
                 total += 1
                 u = next(a for a, b in zip(left, right) if a != b)
@@ -308,7 +335,7 @@ EQUIVALENCE_FUNCTIONS = {
 @pytest.mark.parametrize("bound", [0, 1, 2])
 @pytest.mark.parametrize("family", ["standard", "finite_monoids", "random"])
 @pytest.mark.parametrize("name", list(EQUIVALENCE_FUNCTIONS))
-def test_audit_matches_all_pairs_reference(name, family, bound):
+def test_audit_matches_all_pairs_reference(name, family, bound, random_family):
     # Comparing a word only with the first word of its class must give what
     # evaluating every congruent pair gives: the same witness, counts,
     # truncation, queries and order of oracle misses, for every budget,
@@ -395,7 +422,7 @@ def test_classes_by_image_equal_the_kernel_keys_classes(bound, no_classes_memo):
 def test_classes_of_restricted_specs_match_congruent_pairs(bound, no_classes_memo):
     words = list(strings_up_to(ABC, bound))
     index = {w: i for i, w in enumerate(words)}
-    specs = [spec for name, phase in _SCHEDULE if name != "finite_monoids" for spec in phase(ABC, 0)]
+    specs = restricted_specs(ABC)
     assert len(specs) == 95
     for spec in specs:
         earlier_words = collections.defaultdict(list)
@@ -414,10 +441,8 @@ def restricted_specs_sharing_a_key():
     groups of two or more with one kernel key."""
     groups = collections.defaultdict(dict)
     for seed in range(4):
-        for name, phase in _SCHEDULE:
-            if name != "finite_monoids":
-                for spec in phase(ABC, seed):
-                    groups[spec.kernel_key][spec] = None
+        for spec in restricted_specs(ABC, seed):
+            groups[spec.kernel_key][spec] = None
     shared = [list(group) for group in groups.values() if len(group) > 1]
     assert (len(groups), len(shared), sum(map(len, shared))) == (97, 32, 95)
     return shared
@@ -443,14 +468,14 @@ def test_equal_restricted_keys_have_equal_classes(bound, no_classes_memo):
 
 
 def test_equal_keys_on_two_alphabets_share_correct_classes(monkeypatch):
-    # Keys name letter positions: every spec of the schedule on pqr finds its
-    # classes already memoised by the spec of the same shape on abc, and they
-    # are the classes its own images give.
+    # Keys name letter positions: every spec of the schedule and of the
+    # random phases on pqr finds its classes already memoised by the spec of
+    # the same shape on abc, and they are the classes its own images give.
     audit_module = importlib.import_module("cpmonoid.audit")
     pqr = Alphabet.of("pqr")
     specs, words = {}, {}
     for alphabet in (ABC, pqr):
-        specs[alphabet] = [spec for _, phase in _SCHEDULE for spec in phase(alphabet, 0)]
+        specs[alphabet] = [spec for _, phase in _SCHEDULE + RANDOM_PHASES for spec in phase(alphabet)]
         words[alphabet] = list(strings_up_to(alphabet, 2))
     monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
     monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 0)
@@ -508,6 +533,8 @@ def plain_audit_specs(sweep, specs, budget):
         total += used
         if witness is not None:
             return AuditResult(witness, seen, total, truncated=False)
+        if used < sweep.checks_per_pair * _classes(spec, words).pairs:  # the budget cut the scan
+            return AuditResult(None, seen, total, truncated=True)
     return AuditResult(None, seen, total, truncated=False)
 
 
@@ -611,17 +638,17 @@ def test_finite_sweep_matches_plain_scans_around_spec_totals(name):
     assert_sweeps_agree(make, specs, bound, budgets_around(ends[i] for i in (repeat, fresh, len(ends) - 1)))
 
 
-RESTRICTED_PHASES = [name for name, _ in _SCHEDULE if name != "finite_monoids"]
+RESTRICTED_PHASES = dict([_SCHEDULE[0], *RANDOM_PHASES])
 
 
-@pytest.mark.parametrize("phase", RESTRICTED_PHASES)
+@pytest.mark.parametrize("phase", list(RESTRICTED_PHASES))
 @pytest.mark.parametrize("name", ["sort_letters", "reverse", "erase_a", "honest1", "sorted@slot2", "honest2"])
 def test_restricted_sweep_matches_plain_scans_around_spec_totals(name, phase):
     # The standard and random phases skip a kernel that already passed and
     # check new kernels against the output table too; budgets one check
     # before, at and one after the running total at the end of every spec.
     make = EQUIVALENCE_FUNCTIONS[name]
-    specs = list(dict(_SCHEDULE)[phase](ABC, 0))
+    specs = list(RESTRICTED_PHASES[phase](ABC))
     _, ends = spec_totals(make(), specs, 2)
     assert_sweeps_agree(make, specs, 2, budgets_around(ends))
 
@@ -648,10 +675,10 @@ def visits(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("phase", RESTRICTED_PHASES[1:])
+@pytest.mark.parametrize("phase", list(RESTRICTED_PHASES)[1:])
 def test_random_phases_scan_each_distinct_kernel_once(phase, visits):
     # The random phases repeat endomorphisms; a repeat passes unevaluated.
-    specs = list(dict(_SCHEDULE)[phase](ABC, 0))
+    specs = list(RESTRICTED_PHASES[phase](ABC))
     first = {}  # kernel key -> the first spec with it
     for spec in specs:
         first.setdefault(spec.kernel_key, spec)
@@ -862,7 +889,7 @@ def test_family_exhausting_unary_items_keep_their_counts(make, queries):
     fn = make()
     verdict = theorem_check(fn)
     assert isinstance(verdict, Indeterminate) and not verdict.truncated
-    assert verdict.checks == 25_942
+    assert verdict.checks == 24_033
     assert fn.query_count == queries
 
 
@@ -880,8 +907,17 @@ def test_nine_ary_liar_exhausts_the_budget():
     assert isinstance(verdict, Indeterminate), verdict.render()
     assert verdict.truncated
     assert "note: budget exhausted" in verdict.render().splitlines()
-    assert verdict.checks == 800_000
+    assert verdict.checks == 400_000
     assert fn.query_count == 600_007
+
+
+@pytest.mark.parametrize("budget, truncated", [(23_741, True), (23_742, False)])
+def test_check_notes_a_cut_last_congruence_as_budget_exhausted(budget, truncated):
+    # reversed_beyond_2's finite-monoid phase runs to its end in 23,742 checks
+    verdict = theorem_check(BEYOND2(), budget=budget)
+    assert isinstance(verdict, Indeterminate) and verdict.truncated == truncated
+    note = "budget exhausted" if truncated else "all families exhausted"
+    assert f"note: {note}" in verdict.render().splitlines()
 
 
 def test_theorem_check_reaches_a_later_congruence_at_arity_3():
@@ -1026,7 +1062,7 @@ def test_theorem_check_builds_no_word_per_check(monkeypatch):
 
 @pytest.mark.parametrize("family", ["standard", "finite_monoids", "random"])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_audit_witness_replays_on_fresh_oracle(name, family):
+def test_audit_witness_replays_on_fresh_oracle(name, family, random_family):
     result = audit(builtin(name, ABC), family=family)
     if result.witness is not None:
         assert verify_witness(builtin(name, ABC), result.witness)

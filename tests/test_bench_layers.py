@@ -95,7 +95,7 @@ def test_tracer_charges_each_phase_of_the_audit_schedule(layers):
         metrics = tracer.metrics()
     finally:
         tracer.uninstall()
-    assert isinstance(verdict, Indeterminate) and verdict.checks == 25_942
+    assert isinstance(verdict, Indeterminate) and verdict.checks == 24_033
     phases = {
         phase: (metrics[f"audit.{phase}.specs"], metrics[f"audit.{phase}.checks"])
         for phase in layers.AUDIT_FAMILIES
@@ -103,6 +103,6 @@ def test_tracer_charges_each_phase_of_the_audit_schedule(layers):
     assert phases == {
         "standard": (15, 291),
         "finite_monoids": (971, 23_742),
-        "random_1": (40, 1_271),
-        "random_2": (40, 638),
+        "random_1": (0, 0),
+        "random_2": (0, 0),
     }

@@ -314,24 +314,52 @@ def test_numeric_flag_bounds(capsys, argv, code):
 
 @pytest.mark.parametrize("command", ["audit", "check"])
 def test_sweep_options_have_one_declaration(capsys, command):
-    # audit and check take --bound, --budget and --seed with equal defaults and help
+    # audit and check take --bound and --budget with equal defaults and help
     with pytest.raises(SystemExit):
         _build_parser().parse_args([command, "--help"])
     out = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
-    for text in ("input length bound", "max pair checks per phase", "seed of the random phases"):
+    for text in ("input length bound", "max pair checks per phase"):
         assert text in out
+    assert "seed" not in out and "random" not in out
     args = _build_parser().parse_args([command, "--oracle", "builtin:square"])
-    assert (args.bound, args.budget, args.seed) == (2, 200_000, 0)
+    assert (args.bound, args.budget) == (2, 200_000)
 
 
 @pytest.mark.parametrize("flag", ["--count 3", "--image-len 1"])
 def test_audit_has_no_random_shape_flags(capsys, flag):
-    # the random phases are check's own; audit --family random sweeps them as they are
-    argv = ("audit", "--oracle", "builtin:square", "--family", "random", *flag.split())
+    # the audit schedule has no random phases to shape
+    argv = ("audit", "--oracle", "builtin:square", "--family", "all", *flag.split())
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("audit", "--oracle", "builtin:square", "--family", "random"), "invalid choice: 'random'"),
+        (("check", "--oracle", "builtin:square", "--seed", "1"), "unrecognized arguments: --seed 1"),
+    ],
+    ids=["audit-family-random", "check-seed"],
+)
+def test_random_phases_and_their_seed_are_gone(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "budget, code, line",
+    [
+        ("290", 4, "budget exhausted after 290 checks; no witness found"),
+        ("291", 0, "ok (15 congruences, 291 checks)"),
+    ],
+)
+def test_a_budget_that_cuts_the_last_congruence_exits_4(capsys, budget, code, line):
+    # square's standard sweep runs to its end in 291 checks
+    argv = ("audit", "--oracle", "builtin:square", "--family", "standard", "--budget", budget)
+    assert invoke(capsys, *argv)[:2] == (code, line + "\n")
 
 
 def test_audit_family_choices_are_the_schedule_selections():

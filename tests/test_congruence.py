@@ -27,10 +27,10 @@ from cpmonoid import (
     monoid_validate,
     parse_finite_monoid,
     parse_monoid_morphism,
-    random_congruences,
     standard_congruences,
     transformations_on_two_points,
 )
+from cpmonoid.audit import random_congruences
 
 from conftest import ABC, AB
 
@@ -279,6 +279,12 @@ def test_parse_finite_monoid_validates_laws():
     lines[2] = "1 1"  # identity row now maps 0*0 to 1
     with pytest.raises(FormatError):
         parse_finite_monoid("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("identity", ["identity ", "identity 0 1", "identities 0"])
+def test_parse_finite_monoid_needs_one_identity_element(identity):
+    with pytest.raises(FormatError, match="second line must be 'identity <element>'"):
+        parse_finite_monoid(f"elements 0 1\n{identity}\n0 1\n1 0\n")
 
 
 def test_monoid_morphism_format_round_trip():
