@@ -15,14 +15,24 @@ The report says so explicitly.
 A search builds its kernel family, each kernel a :class:`RestrictedCongruence`,
 and its template index once: each consistent table is classified by one
 lookup in :func:`template_index`, and the backtracker compares cached tuples
-of images under the whole family (see :func:`enumerate_consistent`).
-:func:`recheck_table` uses none of these caches; it is the independent
-reference the tests compare against.
+of images under the kernels that can prune (see :func:`enumerate_consistent`).
+:func:`recheck_table` uses none of these caches and checks every kernel; it
+is the independent reference the tests compare against.
+
+Every candidate output obeys the letter-count law, so a kernel whose letter
+images commute, which sees only letter counts, never prunes.  On two letters
+every non-injective endomorphism is such a kernel (``{u, v}`` is a code iff
+``uv != vu``), so the ``ab`` counts are exactly those of the law, and the
+search spans each choice of ``f(ε)`` as a product of its levels instead of
+backtracking through it.  The backtracker runs only where some kernel can
+prune, as on three letters.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -55,7 +65,16 @@ class SearchConfig:
             raise ValueError("node budget must be positive")
 
 
-@dataclass(frozen=True)
+class _EntryLines(dict):
+    """Memo of table-file lines, ``input TAB output``, keyed by entry pair.
+    Tables share most of their entries, so a report renders each once."""
+
+    def __missing__(self, entry: tuple[str, str]) -> str:
+        line = self[entry] = "\t".join(entry)
+        return line
+
+
+@dataclass(frozen=True, slots=True)
 class CandidateTable:
     """A total map from all words of length ≤ n to words, as ordered pairs."""
 
@@ -67,7 +86,7 @@ class CandidateTable:
 
     def render(self) -> str:
         """Table file format: input TAB output, one line per domain word."""
-        return "\n".join(f"{x}\t{y}" for x, y in self.entries) + "\n"
+        return "\n".join(map(_EntryLines().__getitem__, self.entries)) + "\n"
 
 
 @dataclass
@@ -124,7 +143,7 @@ def endomorphism_family(
     return family
 
 
-# A word's images under the whole family, in family order; a search option
+# A word's images under the checked kernels, in family order; a search option
 # pairs a table entry (x, y) with the images of y.
 _Images = tuple[str, ...]
 _Option = tuple[tuple[str, str], _Images]
@@ -143,14 +162,29 @@ def enumerate_consistent(
     solutions).  Each tentative assignment is checked against every earlier
     word congruent to it under some family morphism.
 
+    Only kernels that can prune are checked.  A morphism whose letter images
+    commute maps a word to a power of one word, whose exponent is a linear
+    function of the word's letter counts, and the law makes the counts of
+    ``f(x)`` an affine function of those of ``x``: such a kernel relates
+    ``f(x)`` and ``f(y)`` whenever it relates ``x`` and ``y``.  A kernel
+    injective on the domain relates no two domain words.  Neither is
+    checked; every tried option still counts as a node, and
+    ``stats.family_size`` still counts the whole family.  On two letters a
+    non-injective morphism always has commuting images (``{u, v}`` is a code
+    iff ``uv != vu``), so no kernel prunes and every table obeying the law
+    is consistent.
+
     Repeated work is done once.  Each candidate list is built once, memoised
     on its per-letter counts, with every word's tuple of images under the
-    whole family; each level's options (entry pairs included, so tables
+    checked kernels; each level's options (entry pairs included, so tables
     share them) are laid out once per choice of ``f(ε)``; and the assigned
     outputs keep their image tuples on a stack parallel to the entries.
     Earlier words of one kernel class already share an output image, so each
     morphism contributes at most one peer check per domain word: against the
     first earlier word of its class, all compared as one tuple of images.
+    When no kernel is checked, each ``f(ε)`` choice spans the product of its
+    levels instead (see :func:`_product_tables`), with the same tables, order
+    and node counts as the backtracker.
 
     Pass a :class:`SearchStats` to observe node counts and the family size.
     Raises :class:`BudgetExhausted` when the node budget trips.
@@ -164,16 +198,25 @@ def enumerate_consistent(
         stats = SearchStats()
     stats.family_size = len(family)
 
-    images = [RestrictedCongruence(phi).word_image for phi in family]
+    # The checked kernels, each with the head of every domain word's class:
+    # the first word (in domain order) that it shares an image with.
+    checked = []
+    for phi in family:
+        kernel = RestrictedCongruence(phi)
+        if kernel.commutative:
+            continue
+        heads = _class_heads(map(kernel.word_image, domain))
+        if any(head != w for w, head in enumerate(heads)):
+            checked.append((kernel.word_image, heads))
+    images = [image for image, _ in checked]
 
     def with_images(words: Iterable[str]) -> list[tuple[str, _Images]]:
         return [(w, tuple(image(w) for image in images)) for w in words]
 
-    # For each domain word: the morphisms under which an earlier word shares
-    # its kernel class, each with the first such earlier word.
-    class_heads = [_class_heads(map(image, domain)) for image in images]
-    peers: list[list[tuple[int, int]]] = [  # (morphism, first earlier)
-        [(m, heads[w]) for m, heads in enumerate(class_heads) if heads[w] != w]
+    # For each domain word: the kernels under which an earlier word shares
+    # its class, each with the first such earlier word.
+    peers: list[list[tuple[int, int]]] = [  # (kernel, first earlier)
+        [(m, heads[w]) for m, (_, heads) in enumerate(checked) if heads[w] != w]
         for w in range(len(domain))
     ]
     pickers = [itemgetter(*(m for m, _ in row)) if row else None for row in peers]
@@ -199,6 +242,15 @@ def enumerate_consistent(
                 )
             levels.append([((x, y), imgs) for y, imgs in words])
         return levels
+
+    if not checked:
+        for entry, _ in first_level:
+            stats.nodes += 1
+            if stats.nodes > budget:
+                raise BudgetExhausted(f"node budget {budget} exhausted", stats)
+            rest = [[e for e, _ in level] for level in levels_given(entry[1])[1:]]
+            yield from _product_tables(alphabet, entry, rest, budget, stats)
+        return
 
     entries: list[tuple[str, str]] = []
     assigned_images: list[_Images] = []
@@ -246,6 +298,49 @@ def enumerate_consistent(
             if idx:
                 entries.pop()
                 assigned_images.pop()
+
+
+def _product_tables(
+    alphabet: Alphabet,
+    base_entry: tuple[str, str],
+    levels: list[list[tuple[str, str]]],
+    budget: int,
+    stats: SearchStats,
+) -> Iterator[CandidateTable]:
+    """The tables below one ``f(ε)`` node when nothing prunes: the product of
+    the later levels, in backtracking order, with its nodes counted
+    arithmetically.
+
+    With ``R_k`` leaves below one choice at level ``k``, the backtracker has
+    tried ``t // R_k + 1`` options at level ``k`` when it reaches leaf ``t``.
+    A budget that trips below this node cuts the product after the last leaf
+    reached within it, found by bisection; ``stats.nodes`` is then
+    ``budget + 1``, as where the backtracker raises.  The counts are brought
+    up to date when the product ends or the generator is closed.
+    """
+    below = [math.prod(len(level) for level in levels[k + 1:]) for k in range(len(levels))]
+
+    def nodes_at(leaf: int) -> int:
+        return sum(leaf // r for r in below) + len(below)
+
+    leaves = math.prod(map(len, levels))
+    room = budget - stats.nodes
+    if nodes_at(leaves - 1) <= room:
+        take = leaves
+    else:
+        take = bisect_right(range(leaves), room, key=nodes_at)
+    head = (base_entry,)
+    done = 0
+    try:
+        for done, rest in enumerate(itertools.islice(itertools.product(*levels), take), 1):
+            yield CandidateTable(alphabet, head + rest)
+    finally:
+        stats.tables += done
+        if done:
+            stats.nodes += nodes_at(done - 1)
+    if take < leaves:
+        stats.nodes = budget + 1
+        raise BudgetExhausted(f"node budget {budget} exhausted", stats)
 
 
 def template_index(
@@ -327,10 +422,11 @@ class ExploreReport:
         ]
         if self.exhausted:
             lines.append("budget exhausted: results are a lower bound")
+        line_of = _EntryLines().__getitem__
         for i, table in enumerate(self.non_representable):
             lines.append(f"candidate {i} (consistent, not a template restriction; "
                          "bounded evidence only)")
-            lines.append(table.render().rstrip("\n"))
+            lines.extend(map(line_of, table.entries))
         return "\n".join(lines)
 
 

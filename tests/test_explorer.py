@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from cpmonoid import (
     template_representable,
 )
 
+import cpmonoid.explorer as explorer_module
 from conftest import ABC, AB
 
 
@@ -256,3 +258,175 @@ def test_explore_matches_golden_summary(letters, maxlen, p, e):
         "render_bytes": len(text),
     }
     assert got == want
+
+
+# -- the letter-count law and the search that skips non-pruning kernels ------
+
+
+def bases(config):
+    """Every f(ε): the words of length e, lexicographic."""
+    return ["".join(t) for t in itertools.product(config.alphabet.letters, repeat=config.e)]
+
+
+def law_outputs(alphabet, x, base, p):
+    """Every output for ``x`` obeying the letter-count law, lexicographic."""
+    letters = alphabet.letters
+    length = p * len(x) + len(base)
+    return [
+        y
+        for y in ("".join(t) for t in itertools.product(letters, repeat=length))
+        if all(y.count(c) == p * x.count(c) + base.count(c) for c in letters)
+    ]
+
+
+def law_tables(config):
+    """Every table obeying the letter-count law, in search order."""
+    alphabet, p = config.alphabet, config.p
+    domain = [w.letters for w in iter_words(alphabet, config.domain_len)][1:]
+    for base in bases(config):
+        columns = [law_outputs(alphabet, x, base, p) for x in domain]
+        for outputs in itertools.product(*columns):
+            yield (("", base),) + tuple(zip(domain, outputs))
+
+
+def law_count(config):
+    """Closed form: over each f(ε), the product over domain words of the
+    number of arrangements of the forced letter counts."""
+    letters = config.alphabet.letters
+    domain = [w.letters for w in iter_words(config.alphabet, config.domain_len)][1:]
+    total = 0
+    for base in bases(config):
+        ways = 1
+        for x in domain:
+            counts = [config.p * x.count(c) + base.count(c) for c in letters]
+            ways *= math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+        total += ways
+    return total
+
+
+def reference_run(config, budget):
+    """Naive backtracking over the letter-count law, with no kernel checks
+    (on two letters none prunes).  Returns the tables yielded, the node count
+    where the search stops, whether the budget tripped, the domain index of
+    every tried node, and the node count at each table."""
+    alphabet, p = config.alphabet, config.p
+    domain = [w.letters for w in iter_words(alphabet, config.domain_len)]
+    tables, levels, at_table = [], [], []
+
+    class Cut(Exception):
+        pass
+
+    def visit(entries):
+        if len(entries) == len(domain):
+            tables.append(tuple(entries))
+            at_table.append(len(levels))
+            return
+        x = domain[len(entries)]
+        options = law_outputs(alphabet, x, entries[0][1], p) if entries else bases(config)
+        for y in options:
+            if len(levels) == budget:
+                levels.append(len(entries))
+                raise Cut
+            levels.append(len(entries))
+            visit(entries + [(x, y)])
+
+    try:
+        visit([])
+    except Cut:
+        return tables, budget + 1, True, levels, at_table
+    return tables, len(levels), False, levels, at_table
+
+
+TWO_LETTER_GRID = [
+    (maxlen, p, e, image_len)
+    for maxlen in range(4)
+    for p in range(3)
+    for e in range(3)
+    for image_len in (1, 2)
+    # the rest of maxlen 3, and (2, 2) at maxlen 2, hold ≥ 500k tables
+    if (maxlen < 3 and (p, e) != (2, 2)) or (maxlen == 3 and (p == 0 or (p, e) == (1, 0)))
+]
+
+
+@pytest.mark.parametrize("maxlen,p,e,image_len", TWO_LETTER_GRID)
+def test_two_letter_tables_are_exactly_the_letter_count_law(maxlen, p, e, image_len):
+    # On two letters a non-injective endomorphism has commuting letter images,
+    # so no kernel of the family prunes a table obeying the law.
+    config = SearchConfig(AB, domain_len=maxlen, p=p, e=e, image_len=image_len)
+    stats = SearchStats()
+    consistent = sum(1 for _ in enumerate_consistent(config, stats))
+    assert consistent == stats.tables == law_count(config)
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Count the f(ε) choices the search spans as a product."""
+    calls = [0]
+    original = explorer_module._product_tables
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(explorer_module, "_product_tables", counting)
+    return calls
+
+
+def run_search(config):
+    stats = SearchStats()
+    tables = []
+    try:
+        for table in enumerate_consistent(config, stats):
+            tables.append(table.entries)
+    except BudgetExhausted as exc:
+        assert exc.stats is stats
+        return tables, stats, True
+    return tables, stats, False
+
+
+@pytest.mark.parametrize("maxlen,e", [(2, 1), (0, 2)])
+def test_product_search_stops_where_backtracking_would(maxlen, e, product_calls):
+    base = SearchConfig(AB, domain_len=maxlen, p=1, e=e)
+    full_tables, full_nodes, _, levels, at_table = reference_run(base, float("inf"))
+    assert full_tables == list(law_tables(base))
+    cut_at = set()  # domain index of the node each budget trips on
+    cut_on_leaf = False  # a budget whose last allowed node is a leaf
+    for budget in range(1, full_nodes + 2):
+        config = SearchConfig(AB, domain_len=maxlen, p=1, e=e, node_budget=budget)
+        want_tables, want_nodes, want_cut, *_ = reference_run(config, budget)
+        got_tables, stats, cut = run_search(config)
+        assert (got_tables, stats.nodes, stats.tables, cut) == (
+            want_tables, want_nodes, len(want_tables), want_cut
+        ), budget
+        if cut:
+            cut_at.add(levels[budget])
+            cut_on_leaf |= budget in at_table
+    assert product_calls[0] > 0
+    # cuts at an f(ε) node, at every later level, and right after a leaf
+    assert cut_at == set(range(len(list(iter_words(AB, maxlen)))))
+    assert cut_on_leaf
+
+
+def test_closed_product_search_counts_what_it_yielded():
+    config = SearchConfig(AB, domain_len=2, p=1, e=1)
+    *_, at_table = reference_run(config, float("inf"))
+    for taken in (1, 2, 50, 107):
+        stats = SearchStats()
+        search = enumerate_consistent(config, stats)
+        list(itertools.islice(search, taken))
+        search.close()
+        assert (stats.nodes, stats.tables) == (at_table[taken - 1], taken)
+
+
+@pytest.mark.parametrize("p,e", [(1, 0), (0, 1)])
+def test_unchecked_kernels_lose_no_constraint_on_three_letters(p, e, product_calls):
+    # recheck_table checks every kernel of the family, commutative ones
+    # included; the search checks only the kernels that can prune.
+    config = SearchConfig(ABC, domain_len=2, p=p, e=e)
+    kept = [
+        entries
+        for entries in law_tables(config)
+        if recheck_table(CandidateTable(ABC, entries), config)
+    ]
+    assert [t.entries for t in enumerate_consistent(config)] == kept
+    assert product_calls[0] == 0  # some kernel can prune, so the backtracker ran
