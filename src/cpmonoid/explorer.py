@@ -22,17 +22,13 @@ is the independent reference the tests compare against.
 Every candidate output obeys the letter-count law, so a kernel whose letter
 images commute, which sees only letter counts, never prunes.  On two letters
 every non-injective endomorphism is such a kernel (``{u, v}`` is a code iff
-``uv != vu``), so the ``ab`` counts are exactly those of the law, and the
-search spans each choice of ``f(ε)`` as a product of its levels instead of
-backtracking through it.  The backtracker runs only where some kernel can
-prune, as on three letters.
+``uv != vu``), so the ``ab`` counts are exactly those of the law: there the
+backtracker checks nothing and only walks the law's product of outputs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -67,7 +63,8 @@ class SearchConfig:
 
 class _EntryLines(dict):
     """Memo of table-file lines, ``input TAB output``, keyed by entry pair.
-    Tables share most of their entries, so a report renders each once."""
+    A report's tables share most of their entries, so it renders each once,
+    in the line format of :meth:`CandidateTable.render`."""
 
     def __missing__(self, entry: tuple[str, str]) -> str:
         line = self[entry] = "\t".join(entry)
@@ -86,7 +83,7 @@ class CandidateTable:
 
     def render(self) -> str:
         """Table file format: input TAB output, one line per domain word."""
-        return "\n".join(map(_EntryLines().__getitem__, self.entries)) + "\n"
+        return "\n".join(map("\t".join, self.entries)) + "\n"
 
 
 @dataclass
@@ -182,9 +179,6 @@ def enumerate_consistent(
     Earlier words of one kernel class already share an output image, so each
     morphism contributes at most one peer check per domain word: against the
     first earlier word of its class, all compared as one tuple of images.
-    When no kernel is checked, each ``f(ε)`` choice spans the product of its
-    levels instead (see :func:`_product_tables`), with the same tables, order
-    and node counts as the backtracker.
 
     Pass a :class:`SearchStats` to observe node counts and the family size.
     Raises :class:`BudgetExhausted` when the node budget trips.
@@ -243,15 +237,6 @@ def enumerate_consistent(
             levels.append([((x, y), imgs) for y, imgs in words])
         return levels
 
-    if not checked:
-        for entry, _ in first_level:
-            stats.nodes += 1
-            if stats.nodes > budget:
-                raise BudgetExhausted(f"node budget {budget} exhausted", stats)
-            rest = [[e for e, _ in level] for level in levels_given(entry[1])[1:]]
-            yield from _product_tables(alphabet, entry, rest, budget, stats)
-        return
-
     entries: list[tuple[str, str]] = []
     assigned_images: list[_Images] = []
 
@@ -298,49 +283,6 @@ def enumerate_consistent(
             if idx:
                 entries.pop()
                 assigned_images.pop()
-
-
-def _product_tables(
-    alphabet: Alphabet,
-    base_entry: tuple[str, str],
-    levels: list[list[tuple[str, str]]],
-    budget: int,
-    stats: SearchStats,
-) -> Iterator[CandidateTable]:
-    """The tables below one ``f(ε)`` node when nothing prunes: the product of
-    the later levels, in backtracking order, with its nodes counted
-    arithmetically.
-
-    With ``R_k`` leaves below one choice at level ``k``, the backtracker has
-    tried ``t // R_k + 1`` options at level ``k`` when it reaches leaf ``t``.
-    A budget that trips below this node cuts the product after the last leaf
-    reached within it, found by bisection; ``stats.nodes`` is then
-    ``budget + 1``, as where the backtracker raises.  The counts are brought
-    up to date when the product ends or the generator is closed.
-    """
-    below = [math.prod(len(level) for level in levels[k + 1:]) for k in range(len(levels))]
-
-    def nodes_at(leaf: int) -> int:
-        return sum(leaf // r for r in below) + len(below)
-
-    leaves = math.prod(map(len, levels))
-    room = budget - stats.nodes
-    if nodes_at(leaves - 1) <= room:
-        take = leaves
-    else:
-        take = bisect_right(range(leaves), room, key=nodes_at)
-    head = (base_entry,)
-    done = 0
-    try:
-        for done, rest in enumerate(itertools.islice(itertools.product(*levels), take), 1):
-            yield CandidateTable(alphabet, head + rest)
-    finally:
-        stats.tables += done
-        if done:
-            stats.nodes += nodes_at(done - 1)
-    if take < leaves:
-        stats.nodes = budget + 1
-        raise BudgetExhausted(f"node budget {budget} exhausted", stats)
 
 
 def template_index(

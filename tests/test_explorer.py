@@ -24,7 +24,6 @@ from cpmonoid import (
     template_representable,
 )
 
-import cpmonoid.explorer as explorer_module
 from conftest import ABC, AB
 
 
@@ -358,20 +357,6 @@ def test_two_letter_tables_are_exactly_the_letter_count_law(maxlen, p, e, image_
     assert consistent == stats.tables == law_count(config)
 
 
-@pytest.fixture
-def product_calls(monkeypatch):
-    """Count the f(ε) choices the search spans as a product."""
-    calls = [0]
-    original = explorer_module._product_tables
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(explorer_module, "_product_tables", counting)
-    return calls
-
-
 def run_search(config):
     stats = SearchStats()
     tables = []
@@ -385,7 +370,9 @@ def run_search(config):
 
 
 @pytest.mark.parametrize("maxlen,e", [(2, 1), (0, 2)])
-def test_product_search_stops_where_backtracking_would(maxlen, e, product_calls):
+def test_prune_free_search_stops_where_naive_backtracking_would(maxlen, e):
+    # On two letters no kernel is checked, so every budget cut must land
+    # where the naive backtracker's does.
     base = SearchConfig(AB, domain_len=maxlen, p=1, e=e)
     full_tables, full_nodes, _, levels, at_table = reference_run(base, float("inf"))
     assert full_tables == list(law_tables(base))
@@ -401,25 +388,33 @@ def test_product_search_stops_where_backtracking_would(maxlen, e, product_calls)
         if cut:
             cut_at.add(levels[budget])
             cut_on_leaf |= budget in at_table
-    assert product_calls[0] > 0
     # cuts at an f(ε) node, at every later level, and right after a leaf
     assert cut_at == set(range(len(list(iter_words(AB, maxlen)))))
     assert cut_on_leaf
 
 
-def test_closed_product_search_counts_what_it_yielded():
+@pytest.mark.parametrize("budget", [1, 2, 31, 32, 5000])
+def test_large_two_letter_search_cut_by_budget(budget):
+    # Below f(ε) = "a" alone the law allows about 9.3e19 tables here.
+    config = SearchConfig(AB, domain_len=4, p=1, e=1, node_budget=budget)
+    want_tables, want_nodes, want_cut, *_ = reference_run(config, budget)
+    got_tables, stats, cut = run_search(config)
+    assert want_cut
+    assert (got_tables, stats.nodes, stats.tables, cut) == (
+        want_tables, want_nodes, len(want_tables), True
+    )
+
+
+def test_search_stats_are_current_at_each_table():
     config = SearchConfig(AB, domain_len=2, p=1, e=1)
     *_, at_table = reference_run(config, float("inf"))
-    for taken in (1, 2, 50, 107):
-        stats = SearchStats()
-        search = enumerate_consistent(config, stats)
-        list(itertools.islice(search, taken))
-        search.close()
-        assert (stats.nodes, stats.tables) == (at_table[taken - 1], taken)
+    stats = SearchStats()
+    seen = [(stats.nodes, stats.tables) for _ in enumerate_consistent(config, stats)]
+    assert seen == [(nodes, i) for i, nodes in enumerate(at_table, 1)]
 
 
 @pytest.mark.parametrize("p,e", [(1, 0), (0, 1)])
-def test_unchecked_kernels_lose_no_constraint_on_three_letters(p, e, product_calls):
+def test_unchecked_kernels_lose_no_constraint_on_three_letters(p, e):
     # recheck_table checks every kernel of the family, commutative ones
     # included; the search checks only the kernels that can prune.
     config = SearchConfig(ABC, domain_len=2, p=p, e=e)
@@ -429,4 +424,3 @@ def test_unchecked_kernels_lose_no_constraint_on_three_letters(p, e, product_cal
         if recheck_table(CandidateTable(ABC, entries), config)
     ]
     assert [t.entries for t in enumerate_consistent(config)] == kept
-    assert product_calls[0] == 0  # some kernel can prune, so the backtracker ran
