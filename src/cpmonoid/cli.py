@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 from typing import Sequence
@@ -326,7 +327,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         node_budget=args.node_budget,
     )
     report = explore(config)
-    print(report.render())
+    # the bytes of print(report.render()), a batch of lines at a time
+    lines = report.lines()
+    while batch := list(itertools.islice(lines, 8192)):
+        sys.stdout.write("\n".join(batch) + "\n")
     if report.exhausted:
         return EXIT_BUDGET
     if report.non_representable:

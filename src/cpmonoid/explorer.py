@@ -351,9 +351,18 @@ class ExploreReport:
     exhausted: bool
     nodes: int
 
-    def render(self) -> str:
+    def lines(self) -> Iterator[str]:
+        """The report's lines, without newlines, produced lazily: the header,
+        then each candidate table under its heading.
+
+        :meth:`render` joins them; ``cpmonoid explore`` writes them in
+        batches, so the whole report never sits in memory as text.
+        """
+        return itertools.chain.from_iterable(self._line_groups())
+
+    def _line_groups(self) -> Iterator[Iterable[str]]:
         cfg = self.config
-        lines = [
+        header = [
             f"explore alphabet {cfg.alphabet} maxlen {cfg.domain_len} "
             f"p {cfg.p} e {cfg.e} image-len {cfg.image_len}",
             f"family {self.family_size}",
@@ -363,13 +372,16 @@ class ExploreReport:
             f"non-representable {len(self.non_representable)}",
         ]
         if self.exhausted:
-            lines.append("budget exhausted: results are a lower bound")
+            header.append("budget exhausted: results are a lower bound")
+        yield header
         line_of = _EntryLines().__getitem__
         for i, table in enumerate(self.non_representable):
-            lines.append(f"candidate {i} (consistent, not a template restriction; "
-                         "bounded evidence only)")
-            lines.extend(map(line_of, table.entries))
-        return "\n".join(lines)
+            yield (f"candidate {i} (consistent, not a template restriction; "
+                   "bounded evidence only)",)
+            yield map(line_of, table.entries)
+
+    def render(self) -> str:
+        return "\n".join(self.lines())
 
 
 def explore(config: SearchConfig) -> ExploreReport:

@@ -30,7 +30,6 @@ oracle: it asks its parent, checks the promise the step made, and answers.
 from __future__ import annotations
 
 import itertools
-import string
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -430,14 +429,22 @@ def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[str, ...]]:
 def _validate(
     fn: WordFunction, template: Template, validation_len: int | None, queries_before: int
 ) -> ExtractionOutcome:
-    """Compare oracle and template on every argument tuple up to the bound."""
+    """Compare oracle and template on every argument tuple up to the bound.
+
+    One lazy pass in enumeration order that stops at the first mismatch and
+    builds no list: each tuple is one ``evaluate_letters`` call and one call
+    of the template's f-string closure.  A plain loop, because Python 3.11
+    inlines these Python-to-Python calls, while ``map`` over them from C
+    pays a full call for each and measured slower on the ``recover``
+    benchmark.
+    """
     if validation_len is None:
         validation_len = default_validation_len(fn.arity, fn.alphabet)
     words = strings_up_to(fn.alphabet, validation_len)
-    evaluate, predict = fn.evaluate_letters, template._format
+    evaluate, predict = fn.evaluate_letters, template._apply
     for args in itertools.product(words, repeat=fn.arity):
         got = evaluate(args)
-        want = predict(*args)
+        want = predict(args)
         if got != want:
             return NotRCP(
                 REASON_VALIDATION,
@@ -515,7 +522,9 @@ def extract(
 
 
 # Candidates for fresh letters, tried in order and skipped once seen anywhere.
-_FRESH_POOL = string.digits + string.ascii_uppercase + string.ascii_lowercase + "@#$%&*+-/:;<>?^_~"
+_FRESH_POOL = (
+    "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz@#$%&*+-/:;<>?^_~"
+)
 
 
 def _fresh_letter(seen: set[str]) -> str:

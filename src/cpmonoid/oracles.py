@@ -118,8 +118,9 @@ class WordFunction:
 class TemplateFunction(WordFunction):
     """A template used as an oracle; the honest case extraction must recover.
 
-    Each miss is one call of the template's compiled ``str.format`` pattern,
-    built once per template with the braces in its constants escaped.
+    Each miss is one call of the template's f-string closure on the key
+    (:meth:`Template.eval_letters` without the method call), bound once per
+    template.
     """
 
     def __init__(self, template: Template, name: str = "") -> None:
@@ -130,9 +131,10 @@ class TemplateFunction(WordFunction):
             supports_extension=True,
         )
         self.template = template
+        self._apply = template._apply
 
     def _compute(self, key: tuple[str, ...]) -> str:
-        return self.template._format(*key)
+        return self._apply(key)
 
 
 class BuiltinFunction(WordFunction):
@@ -344,7 +346,7 @@ class ExternalFunction(WordFunction):
             raise OracleProtocolError(
                 f"reply holds {reply.count(chr(9)) + 1} fields, expected one word"
             )
-        bad = [ch for ch in set(reply) if not _valid_letter(ch)]
+        bad = sorted({ch for ch in reply if not _valid_letter(ch)})
         if bad:
             raise OracleProtocolError(f"reply contains invalid characters {bad!r}")
         unknown = set(reply) - self._known_letters

@@ -16,10 +16,12 @@ constant length.  :class:`LengthCoefficients` packages those numbers (plus
 the per-letter offsets contributed by the constants) and is shared with the
 oracle-side length profiler.
 
-Evaluation is one C-level ``str.format`` call: each template compiles itself,
-once and on first use, into a pattern with ``{i}`` for a slot naming argument
-``i+1`` and every ``{`` and ``}`` of its constants doubled (both are valid
-letters).
+Evaluation is one call of an f-string closure.  Every slot tuple compiles,
+once, to a factory ``lambda c0, …, cn: lambda key: f"{c0}{key[i_1-1]}{c1}…"``
+(:func:`_closure_factory`, kept in a bounded cache), and each template binds
+its constant letters into it as values.  Only parameter names and argument
+indices enter the generated source, never a letter, so braces and every
+other letter need no escaping.
 """
 
 from __future__ import annotations
@@ -90,9 +92,19 @@ class LengthCoefficients:
         return sum(pi * n for pi, n in zip(self.p, arg_counts)) + self.offset(letter)
 
 
-def _escape(letters: str) -> str:
-    """``letters`` as literal text inside a ``str.format`` pattern."""
-    return letters.replace("{", "{{").replace("}", "}}")
+@functools.lru_cache(maxsize=1024)
+def _closure_factory(
+    variables: tuple[int, ...]
+) -> Callable[..., Callable[[Sequence[str]], str]]:
+    """The compiled ``lambda c0, …, cn: lambda key: f"{c0}{key[i_1-1]}{c1}…"``.
+
+    One factory serves every template with this slot tuple: calling it with
+    the constants' letters returns that template's evaluator, which takes
+    the argument letters as one sequence.
+    """
+    params = ", ".join(f"c{j}" for j in range(len(variables) + 1))
+    fields = "".join(f"{{key[{v - 1}]}}{{c{j}}}" for j, v in enumerate(variables, 1))
+    return eval(f'lambda {params}: lambda key: f"{{c0}}{fields}"')
 
 
 @dataclass(frozen=True)
@@ -163,24 +175,21 @@ class Template:
     def eval_letters(self, args: Sequence[str]) -> str:
         """Evaluate on raw letter strings (no alphabet check; hot path).
 
-        One call of the template's compiled ``str.format`` pattern, built on
-        first use.  Extraction feeds arguments containing letters outside the
-        template's own alphabet through this entry point.
+        One call of the template's f-string closure, bound on first use.
+        Extraction feeds arguments containing letters outside the template's
+        own alphabet through this entry point.
         """
-        return self._format(*args)
+        return self._apply(args)
 
     @functools.cached_property
-    def _format(self) -> Callable[..., str]:
-        """The bound ``format`` of ``w_0{i_1-1}w_1…``, braces in constants doubled.
+    def _apply(self) -> Callable[[Sequence[str]], str]:
+        """``key ↦ w_0·key[i_1-1]·w_1…``: the slot tuple's shared factory
+        with this template's constant letters bound in.
 
         Cached in the instance ``__dict__``, so equality and hashing stay
         field-based.
         """
-        parts = [_escape(self.constants[0].letters)]
-        for v, w in zip(self.variables, self.constants[1:]):
-            parts.append(f"{{{v - 1}}}")
-            parts.append(_escape(w.letters))
-        return "".join(parts).format
+        return _closure_factory(self.variables)(*(w.letters for w in self.constants))
 
     def coefficients(self) -> LengthCoefficients:
         p = [0] * self.arity

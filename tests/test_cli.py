@@ -491,3 +491,103 @@ def test_identity_oracle_loads_only_itself():
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
     assert "cpmonoid" in imported
     assert {m for m in imported if m.startswith("cpmonoid.")} <= {"cpmonoid.identity_oracle"}
+
+
+def test_invalid_reply_characters_are_listed_in_sorted_order(tmp_path):
+    # an oracle whose reply holds three characters no word may contain; the
+    # report must not follow set order, which changes with the hash seed
+    oracle = tmp_path / "oracle.py"
+    oracle.write_text(
+        "import sys\n"
+        "input()\n"
+        "print('OK', flush=True)\n"
+        "for line in sys.stdin:\n"
+        "    print('x\" \\\\y', flush=True)\n"
+    )
+    spec = f"exec:{shlex.quote(sys.executable)} {shlex.quote(str(oracle))}"
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "cpmonoid.cli", "extract", "--oracle", spec],
+            capture_output=True,
+            text=True,
+            env=dict(FRESH_ENV, PYTHONHASHSEED=seed),
+            timeout=60,
+        )
+        for seed in ("1", "2")
+    ]
+    assert [proc.returncode for proc in runs] == [3, 3]
+    assert runs[0].stderr == runs[1].stderr == (
+        "oracle protocol error: reply contains invalid characters "
+        "[' ', '\"', '\\\\']\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("extract", "--oracle", "builtin:square"), ("check", "--oracle", "builtin:reverse")],
+    ids=("extract", "check"),
+)
+def test_extraction_path_does_not_load_string(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "before = 'string' in sys.modules\n"
+        "from cpmonoid.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    run({list(argv)!r})\n"
+        "print(before, 'string' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before  # whatever loaded it at start-up, cpmonoid did not
+
+
+def test_fresh_pool_spells_out_the_string_constants():
+    import string
+
+    from cpmonoid import extraction
+
+    assert extraction._FRESH_POOL == (
+        string.digits + string.ascii_uppercase + string.ascii_lowercase + "@#$%&*+-/:;<>?^_~"
+    )
+
+
+EXPLORE_LARGE = ("explore", "--alphabet", "ab", "--maxlen", "3", "--coeff", "0,2")
+
+
+def test_explore_streams_the_rendered_report(capsys, monkeypatch):
+    from cpmonoid.explorer import ExploreReport, SearchConfig, explore
+
+    want = explore(SearchConfig(AB, domain_len=3, p=0, e=2)).render() + "\n"
+    assert want.count("\n") > 3 * 8192  # several batches of lines
+
+    def no_render(self):
+        raise AssertionError("the CLI must not build the whole report")
+
+    monkeypatch.setattr(ExploreReport, "render", no_render)
+    code, out, _ = invoke(capsys, *EXPLORE_LARGE)
+    assert code == 1
+    assert out == want
+
+
+def test_explore_with_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cpmonoid.cli", *EXPLORE_LARGE],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=FRESH_ENV,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_eval_keeps_format_syntax_letters_literal(capsys, tmp_path):
+    path = tmp_path / "braces.tmpl"
+    path.write_text('arity 2\nalphabet a{}%0\n"{%" x1 "}0{" x2 "%}" x1 ""\n')
+    code, out, _ = invoke(capsys, "eval", "-t", str(path), "}{", "%0")
+    assert (code, out) == (0, "{%}{}0{%0%}}{\n")

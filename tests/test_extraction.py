@@ -501,3 +501,82 @@ def test_render_letter_leak_constant():
         'output: "aZ"\n'
         "detail: constant output uses letters ['Z'] outside the alphabet"
     )
+
+
+# ------------------------------------------- validation sweep vs a plain loop
+
+LIAR_HIDDEN = {
+    1: Template.of(ABC, "b", 1, "ca", 1, ""),
+    2: Template.of(ABC, "a", 2, "", 1, "c"),
+    3: Template.of(ABC, "", 3, "b", 1, "", 2, "a"),
+}
+
+
+def reference_validate(fn, template, validation_len, queries_before):
+    """The validation sweep as a sequential loop, each prediction spelled out."""
+    from cpmonoid import ProbeRecord
+
+    if validation_len is None:
+        validation_len = default_validation_len(fn.arity, fn.alphabet)
+    words = list(strings_up_to(fn.alphabet, validation_len))
+    for args in itertools.product(words, repeat=fn.arity):
+        got = fn.evaluate_letters(args)
+        want = template.constants[0].letters
+        for v, w in zip(template.variables, template.constants[1:]):
+            want += args[v - 1] + w.letters
+        if got != want:
+            return NotRCP(
+                "validation mismatch",
+                (ProbeRecord(args, got),),
+                f'candidate template {template} predicts "{want}"',
+            )
+    return Extracted(template, fn.query_count - queries_before)
+
+
+def run_liar(hidden, target, runner):
+    """``runner`` on an oracle that lies only at ``target``: (outcome,
+    query count, memo keys in insertion order, backend misses in order)."""
+    from cpmonoid import BuiltinFunction
+
+    misses = []
+
+    def backend(key):
+        misses.append(key)
+        out = hidden.eval_letters(key)
+        return "a" + out if key == target else out
+
+    fn = BuiltinFunction("liar", ABC, backend, arity=hidden.arity, supports_extension=True)
+    outcome = runner(fn)
+    return outcome, fn.query_count, list(fn._cache), misses
+
+
+@pytest.mark.parametrize("runner", [extract, extract_fresh], ids=["peel", "fresh"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_validation_sweep_matches_a_sequential_loop(monkeypatch, arity, where, runner):
+    from cpmonoid import ProbeRecord
+    from cpmonoid import extraction
+
+    hidden = LIAR_HIDDEN[arity]
+    words = list(strings_up_to(ABC, default_validation_len(arity, ABC)))
+    sweep = list(itertools.product(words, repeat=arity))
+    # tuples extraction never asks before its sweep, so that the lie
+    # surfaces in the sweep
+    with monkeypatch.context() as patch:
+        patch.setattr(extraction, "_validate", lambda *args: None)
+        _, _, _, asked = run_liar(hidden, None, runner)
+    unasked = [args for args in sweep if args not in set(asked)]
+    assert sweep[-1] == unasked[-1]
+    target = {"first": unasked[0], "middle": unasked[len(unasked) // 2], "last": unasked[-1]}[where]
+
+    shipped = run_liar(hidden, target, runner)
+    with monkeypatch.context() as patch:
+        patch.setattr(extraction, "_validate", reference_validate)
+        reference = run_liar(hidden, target, runner)
+    assert shipped == reference
+    outcome, queries, memo, misses = shipped
+    assert outcome.reason == "validation mismatch"
+    assert outcome.probes == (ProbeRecord(target, "a" + hidden.eval_letters(target)),)
+    # the sweep stops at the lie: nothing after it in enumeration order was asked
+    assert memo == misses and misses[-1] == target
+    assert queries == len(misses)

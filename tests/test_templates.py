@@ -1,3 +1,5 @@
+import itertools
+
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
@@ -7,6 +9,7 @@ from cpmonoid import (
     FormatError,
     Morphism,
     Template,
+    TemplateFunction,
     Word,
     collapse_to,
     enumerate_templates,
@@ -243,7 +246,7 @@ def test_extensional_equal_rejections():
             extensional_equal(t, t, -1)
 
 
-# Both braces are letters: the compiled str.format pattern must escape them.
+# Both braces are letters: evaluation must keep them literal.
 BRACES = Alphabet.of("{}0a")
 
 
@@ -297,3 +300,64 @@ def test_evaluated_template_keeps_equality_and_hash():
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert {used: 1}[fresh] == 1
+
+
+# Format syntax of both kinds in the letters: the closure's generated source
+# holds only names and indices, so none of them may change a result.
+FORMAT_LETTERS = Alphabet.of("{}%0as")
+FORMAT_WORDS = ("", "{0}", "%", "}{", "%s", "0{", "a}}")
+SLOT_TUPLES = {
+    0: [()],
+    1: [(1,), (1, 1), (1, 1, 1)],
+    2: [(1, 2), (2, 1), (2, 2, 1), (1, 2, 1, 2)],
+    3: [(3, 1, 2), (2, 2, 2), (1, 3, 1, 3)],
+    4: [(1, 2, 3, 4), (4, 3, 2, 1), (4, 4, 1, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("arity", sorted(SLOT_TUPLES))
+def test_closure_matches_reference_with_format_syntax_letters(arity):
+    for slots in SLOT_TUPLES[arity]:
+        for shift in range(len(FORMAT_WORDS)):
+            constants = [
+                FORMAT_WORDS[(shift + j) % len(FORMAT_WORDS)] for j in range(len(slots) + 1)
+            ]
+            parts = [constants[0]]
+            for v, w in zip(slots, constants[1:]):
+                parts += [v, w]
+            t = Template.of(FORMAT_LETTERS, *parts, arity=arity)
+            fn = TemplateFunction(t)
+            for args in itertools.product(FORMAT_WORDS[:4], repeat=arity):
+                want = reference_eval(t, args)
+                assert t.eval_letters(args) == want
+                assert t.eval_letters(list(args)) == want
+                assert fn.evaluate_letters(args) == want
+
+
+def test_closure_handles_300_slots():
+    words = ["{0}", "%", "}", ""]
+    parts = [words[0]]
+    for j in range(300):
+        parts += [j % 3 + 1, words[(j + 1) % len(words)]]
+    t = Template.of(FORMAT_LETTERS, *parts)
+    assert len(t.variables) == 300
+    args = ("a{", "%0", "}")
+    assert t.eval_letters(args) == reference_eval(t, args)
+    assert len(t.eval_letters(args)) == t.coefficients().predicted_length([2, 2, 1])
+
+
+def test_templates_with_one_slot_tuple_share_a_compiled_factory():
+    from cpmonoid import templates as module
+
+    first = Template.of(FORMAT_LETTERS, "{", 2, "%", 1, "")
+    second = Template.of(FORMAT_LETTERS, "", 2, "}}", 1, "0{0}")
+    other = Template.of(FORMAT_LETTERS, "{", 1, "%", 2, "")
+    factory = module._closure_factory(first.variables)
+    assert module._closure_factory(second.variables) is factory
+    assert module._closure_factory(other.variables) is not factory
+    # each template binds its own constants into the one compiled body
+    assert first._apply.__code__ is second._apply.__code__
+    assert first._apply.__code__ is not other._apply.__code__
+    assert first.eval_letters(("a", "0")) == "{0%a"
+    assert second.eval_letters(("a", "0")) == "0}}a0{0}"
+    assert module._closure_factory.cache_info().maxsize is not None  # bounded
