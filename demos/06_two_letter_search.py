@@ -29,13 +29,13 @@ print(f"length-preserving tables on words <= 2 consistent with all of them: "
       f"{report.consistent}")
 print(f"of those, template restrictions: {report.representable}")
 print()
-# every template restricted to the domain, keyed by its table entries
+# every template restricted to the domain, keyed by its table text
 index = template_index(config)
 for table in report.non_representable:
     print("consistent but not a template restriction:")
     for x, y in table.entries:
         print(f"  {x!r} -> {y!r}")
-    assert table.entries not in index
+    assert table.text not in index
     print()
 
 # Over three letters the anomaly disappears: every consistent table is

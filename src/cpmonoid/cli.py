@@ -327,9 +327,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         node_budget=args.node_budget,
     )
     report = explore(config)
-    # the bytes of print(report.render()), a batch of lines at a time
+    # the bytes of print(report.render()), a batch of headings and tables at a time
     lines = report.lines()
-    while batch := list(itertools.islice(lines, 8192)):
+    while batch := list(itertools.islice(lines, 1024)):
         sys.stdout.write("\n".join(batch) + "\n")
     if report.exhausted:
         return EXIT_BUDGET

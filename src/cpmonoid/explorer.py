@@ -14,8 +14,11 @@ The report says so explicitly.
 
 A search builds its kernel family, each kernel a :class:`RestrictedCongruence`,
 and its template index once: each consistent table is classified by one
-lookup in :func:`template_index`, and the backtracker compares cached tuples
-of images under the kernels that can prune (see :func:`enumerate_consistent`).
+lookup of its text in :func:`template_index`, and the backtracker compares
+cached tuples of images under the kernels that can prune (see
+:func:`enumerate_consistent`).  A table is carried as its rendered text, the
+form it is classified, compared and printed in; its entries are split back
+out of that text only on request.
 :func:`recheck_table` uses none of these caches and checks every kernel; it
 is the independent reference the tests compare against.
 
@@ -61,29 +64,40 @@ class SearchConfig:
             raise ValueError("node budget must be positive")
 
 
-class _EntryLines(dict):
-    """Memo of table-file lines, ``input TAB output``, keyed by entry pair.
-    A report's tables share most of their entries, so it renders each once,
-    in the line format of :meth:`CandidateTable.render`."""
-
-    def __missing__(self, entry: tuple[str, str]) -> str:
-        line = self[entry] = "\t".join(entry)
-        return line
-
-
-@dataclass(frozen=True, slots=True)
 class CandidateTable:
-    """A total map from all words of length ≤ n to words, as ordered pairs."""
+    """A total map from all words of length ≤ n to words, held as its table
+    text: one ``input TAB output`` line per domain word, joined by newlines.
+    Letters are never whitespace, so the text splits back into the entries.
+    A table is a value, compared and hashed by alphabet and text."""
 
-    alphabet: Alphabet
-    entries: tuple[tuple[str, str], ...]
+    __slots__ = ("alphabet", "text")
+
+    def __init__(self, alphabet: Alphabet, entries: Iterable[tuple[str, str]]) -> None:
+        self.alphabet = alphabet
+        self.text = "\n".join(map("\t".join, entries))
+
+    @property
+    def entries(self) -> tuple[tuple[str, str], ...]:
+        lines = self.text.split("\n") if self.text else ()
+        return tuple(tuple(line.split("\t")) for line in lines)
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.entries)
 
     def render(self) -> str:
         """Table file format: input TAB output, one line per domain word."""
-        return "\n".join(map("\t".join, self.entries)) + "\n"
+        return self.text + "\n"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CandidateTable):
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.text))
+
+    def __repr__(self) -> str:
+        return f"CandidateTable({self.alphabet!r}, {self.entries!r})"
 
 
 @dataclass
@@ -141,9 +155,11 @@ def endomorphism_family(
 
 
 # A word's images under the checked kernels, in family order; a search option
-# pairs a table entry (x, y) with the images of y.
+# pairs the table text of an entry (x, y) with the images of y: "\t" + y for
+# the empty word, "\n" + x + "\t" + y after it, so that a table's text is
+# its prefix's text plus its last option's.
 _Images = tuple[str, ...]
-_Option = tuple[tuple[str, str], _Images]
+_Option = tuple[str, _Images]
 
 
 def enumerate_consistent(
@@ -173,9 +189,10 @@ def enumerate_consistent(
 
     Repeated work is done once.  Each candidate list is built once, memoised
     on its per-letter counts, with every word's tuple of images under the
-    checked kernels; each level's options (entry pairs included, so tables
-    share them) are laid out once per choice of ``f(ε)``; and the assigned
-    outputs keep their image tuples on a stack parallel to the entries.
+    checked kernels; each level's options, each with its entry's line of
+    table text, are laid out once per choice of ``f(ε)``; and the assigned
+    outputs keep their image tuples, and the assigned prefix its table text,
+    on stacks beside the levels, so a table's text is one concatenation.
     Earlier words of one kernel class already share an output image, so each
     morphism contributes at most one peer check per domain word: against the
     first earlier word of its class, all compared as one tuple of images.
@@ -219,7 +236,7 @@ def enumerate_consistent(
     arranged: dict[tuple[int, ...], list[tuple[str, _Images]]] = {}
     # f(ε) is free apart from its forced length e.
     first_level: list[_Option] = [
-        (("", y), imgs)
+        ("\t" + y, imgs)
         for y, imgs in with_images(strings_of_length(alphabet, config.e))
     ]
 
@@ -234,10 +251,9 @@ def enumerate_consistent(
                 words = arranged[counts] = with_images(
                     "".join(t) for t in arrangements(letters, counts)
                 )
-            levels.append([((x, y), imgs) for y, imgs in words])
+            levels.append([(f"\n{x}\t{y}", imgs) for y, imgs in words])
         return levels
 
-    entries: list[tuple[str, str]] = []
     assigned_images: list[_Images] = []
 
     def wanted_for(idx: int) -> str | _Images | None:
@@ -256,49 +272,51 @@ def enumerate_consistent(
     options: list[list[_Option]] = []  # per level, for the current f(ε)
     iterators = [iter(first_level)]
     wanted_at: list[str | _Images | None] = [None]
+    prefixes = [""]
+    new_table = object.__new__  # set the text directly, past __init__'s join
     while iterators:
         idx = len(iterators) - 1
-        pick, wanted = pickers[idx], wanted_at[idx]
-        for entry, imgs in iterators[idx]:
+        pick, wanted, prefix = pickers[idx], wanted_at[idx], prefixes[idx]
+        for line, imgs in iterators[idx]:
             stats.nodes += 1
             if stats.nodes > budget:
                 raise BudgetExhausted(f"node budget {budget} exhausted", stats)
             if pick is not None and pick(imgs) != wanted:
                 continue
-            entries.append(entry)
             if idx == last:
                 stats.tables += 1
-                yield CandidateTable(alphabet, tuple(entries))
-                entries.pop()
+                table = new_table(CandidateTable)
+                table.alphabet = alphabet
+                table.text = prefix + line
+                yield table
                 continue
             if idx == 0:
-                options = levels_given(entry[1])
+                options = levels_given(line[1:])  # f(ε), after the TAB
             assigned_images.append(imgs)
+            prefixes.append(prefix + line)
             iterators.append(iter(options[idx + 1]))
             wanted_at.append(wanted_for(idx + 1))
             break
         else:
             iterators.pop()
             wanted_at.pop()
+            prefixes.pop()
             if idx:
-                entries.pop()
                 assigned_images.pop()
 
 
-def template_index(
-    config: SearchConfig,
-) -> dict[tuple[tuple[str, str], ...], Template]:
+def template_index(config: SearchConfig) -> dict[str, Template]:
     """Every (p, e) template, keyed by its restriction to the search domain.
 
-    The key is the restriction's entries in domain order, exactly as
-    :func:`enumerate_consistent` lays out a table, so classifying a table is
-    one lookup of ``table.entries``.  Templates that agree on the whole
-    domain share a key; the first in enumeration order keeps it.
+    The key is the restriction's table text, its entries in domain order
+    exactly as :func:`enumerate_consistent` lays out a table, so classifying
+    a table is one lookup of ``table.text``.  Templates that agree on the
+    whole domain share a key; the first in enumeration order keeps it.
     """
     domain = list(strings_up_to(config.alphabet, config.domain_len))
-    index: dict[tuple[tuple[str, str], ...], Template] = {}
+    index: dict[str, Template] = {}
     for t in enumerate_templates(config.alphabet, 1, (config.p,), config.e):
-        index.setdefault(tuple((x, t.eval_letters([x])) for x in domain), t)
+        index.setdefault("\n".join(f"{x}\t{t.eval_letters([x])}" for x in domain), t)
     return index
 
 
@@ -310,7 +328,7 @@ def template_representable(
     The table must list the whole domain in search order, as
     :func:`enumerate_consistent` yields it; anything else matches no template.
     """
-    return template_index(config).get(table.entries)
+    return template_index(config).get(table.text)
 
 
 def recheck_table(table: CandidateTable, config: SearchConfig) -> bool:
@@ -352,33 +370,27 @@ class ExploreReport:
     nodes: int
 
     def lines(self) -> Iterator[str]:
-        """The report's lines, without newlines, produced lazily: the header,
-        then each candidate table under its heading.
+        """The report's blocks, without trailing newlines, produced lazily:
+        the header lines, then each candidate table's heading and its whole
+        text, itself one line per entry.
 
         :meth:`render` joins them; ``cpmonoid explore`` writes them in
         batches, so the whole report never sits in memory as text.
         """
-        return itertools.chain.from_iterable(self._line_groups())
-
-    def _line_groups(self) -> Iterator[Iterable[str]]:
         cfg = self.config
-        header = [
-            f"explore alphabet {cfg.alphabet} maxlen {cfg.domain_len} "
-            f"p {cfg.p} e {cfg.e} image-len {cfg.image_len}",
-            f"family {self.family_size}",
-            f"nodes {self.nodes}",
-            f"consistent {self.consistent}",
-            f"representable {self.representable}",
-            f"non-representable {len(self.non_representable)}",
-        ]
+        yield (f"explore alphabet {cfg.alphabet} maxlen {cfg.domain_len} "
+               f"p {cfg.p} e {cfg.e} image-len {cfg.image_len}")
+        yield f"family {self.family_size}"
+        yield f"nodes {self.nodes}"
+        yield f"consistent {self.consistent}"
+        yield f"representable {self.representable}"
+        yield f"non-representable {len(self.non_representable)}"
         if self.exhausted:
-            header.append("budget exhausted: results are a lower bound")
-        yield header
-        line_of = _EntryLines().__getitem__
+            yield "budget exhausted: results are a lower bound"
         for i, table in enumerate(self.non_representable):
             yield (f"candidate {i} (consistent, not a template restriction; "
-                   "bounded evidence only)",)
-            yield map(line_of, table.entries)
+                   "bounded evidence only)")
+            yield table.text
 
     def render(self) -> str:
         return "\n".join(self.lines())
@@ -399,7 +411,7 @@ def explore(config: SearchConfig) -> ExploreReport:
     try:
         for table in enumerate_consistent(config, stats):
             consistent += 1
-            if table.entries in index:
+            if table.text in index:
                 representable += 1
             else:
                 leftovers.append(table)

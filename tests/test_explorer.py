@@ -170,7 +170,7 @@ def test_template_index_matches_linear_scan(p, e):
             ),
             None,
         )
-        assert index.get(table.entries) == scan
+        assert index.get(table.text) == scan
 
 
 def test_explore_two_letters_p1_e0():
@@ -230,6 +230,79 @@ def test_candidate_table_render_round_trip():
     rows = [line.split("\t") for line in text.rstrip("\n").split("\n")]
     assert all(len(r) == 2 for r in rows)
     assert dict((a, b) for a, b in rows) == table.as_dict()
+
+
+ROUND_TRIP_CONFIGS = [
+    ("ab", 2, 1, 0), ("ab", 2, 0, 0), ("ab", 2, 1, 1), ("abc", 2, 1, 0), ("abc", 2, 0, 1),
+]
+
+
+def test_table_text_round_trips_through_entries():
+    # e = 0 gives f(ε) = ε, whose line is a bare TAB; p = e = 0 gives only
+    # empty outputs, every line ending in its TAB.
+    tables = []
+    for letters, maxlen, p, e in ROUND_TRIP_CONFIGS:
+        config = SearchConfig(Alphabet.of(letters), domain_len=maxlen, p=p, e=e)
+        found = list(enumerate_consistent(config))
+        assert found
+        domain = [w.letters for w in iter_words(config.alphabet, maxlen)]
+        for table in found:
+            entries = table.entries
+            assert [x for x, _ in entries] == domain
+            assert all(isinstance(entry, tuple) and len(entry) == 2 for entry in entries)
+            rebuilt = CandidateTable(table.alphabet, entries)
+            assert rebuilt.text == table.text
+            assert rebuilt == table and hash(rebuilt) == hash(table)
+            assert table.as_dict() == dict(entries)
+            assert table.render() == "".join(f"{x}\t{y}\n" for x, y in entries)
+        tables += found
+    assert tables[0].text.startswith("\t\n")
+    # equality and hashing go by alphabet and entries, across configurations
+    for a, b in itertools.product(tables, repeat=2):
+        assert (a == b) == ((a.alphabet, a.entries) == (b.alphabet, b.entries))
+    assert len(set(tables)) == len({(t.alphabet, t.entries) for t in tables})
+    ab = tables[0]
+    assert CandidateTable(ABC, ab.entries) != ab
+    assert CandidateTable(AB, ()).entries == ()
+
+
+def render_from_entries(report):
+    """The report's lines, written out independently from each table's entries."""
+    cfg = report.config
+    lines = [
+        f"explore alphabet {cfg.alphabet} maxlen {cfg.domain_len} "
+        f"p {cfg.p} e {cfg.e} image-len {cfg.image_len}",
+        f"family {report.family_size}",
+        f"nodes {report.nodes}",
+        f"consistent {report.consistent}",
+        f"representable {report.representable}",
+        f"non-representable {len(report.non_representable)}",
+    ]
+    if report.exhausted:
+        lines.append("budget exhausted: results are a lower bound")
+    for i, table in enumerate(report.non_representable):
+        lines.append(
+            f"candidate {i} (consistent, not a template restriction; bounded evidence only)"
+        )
+        lines += [f"{x}\t{y}" for x, y in table.entries]
+    return lines
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(AB, domain_len=4, p=1, e=0, node_budget=20_000),
+        SearchConfig(ABC, domain_len=2, p=1, e=1),
+    ],
+    ids=["ab-maxlen4-cut", "abc-maxlen2-p1-e1"],
+)
+def test_report_lines_match_a_renderer_from_entries(config):
+    report = explore(config)
+    assert report.consistent
+    if config.alphabet == AB:
+        assert report.exhausted and report.non_representable
+    # compared as lists of lines, which pytest diffs quickly on failure
+    assert "\n".join(report.lines()).split("\n") == render_from_entries(report)
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "explore.json"
