@@ -30,11 +30,14 @@ against the table of memoised outputs once it can.  When the outputs obey
 the letter-count law counts(f(x̄)) = c + Σ kᵢ·counts(xᵢ), kᵢ ≥ 0, a
 commutative kernel passes without imaging any output (see :class:`_Sweep`).
 Witnesses, counts and oracle queries are those of scanning every spec.
+Both families are built once per alphabet (the finite one up to a limit),
+and each spec keeps its own key and classes (:meth:`CongruenceSpec.classes`),
+so later audits reuse them.
 """
 
 from __future__ import annotations
 
-import collections
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -45,7 +48,7 @@ from .congruence import (
     FiniteKernelCongruence,
     MonoidMorphism,
     RestrictedCongruence,
-    _class_heads,
+    _Classes,
     monoid_catalog,
 )
 from .extraction import NotRCP, extract, extract_fresh, Extracted
@@ -104,15 +107,15 @@ def verify_witness(fn: WordFunction, witness: Witness) -> bool:
 def _scan(
     fn: WordFunction,
     spec: CongruenceSpec,
-    words: Sequence[str],
+    bound: int,
     max_checks: int | None,
 ) -> tuple[Witness | None, int]:
     """First witness in the one-position stream of congruent tuple pairs,
     and the number of pairs of that stream checked.
 
     The stream takes each position in turn; there every pair ``(u, w)`` of
-    distinct congruent words among ``words``, ``u`` the earlier, meets every
-    context of the other arguments (all tuples of ``words``).  Varying one
+    distinct congruent words up to ``bound``, ``u`` the earlier, meets every
+    context of the other arguments (all tuples of those words).  Varying one
     argument at a time loses no witness: if ū and v̄ are componentwise
     congruent, change ū into v̄ one position at a time; when the two ends'
     outputs are not congruent, some step's outputs are not congruent either,
@@ -127,7 +130,8 @@ def _scan(
     are those of evaluating every pair in stream order.
     """
     evaluate, word_image = fn.evaluate_letters, spec.word_image
-    classes = _classes(spec, words)
+    words = list(strings_up_to(fn.alphabet, bound))
+    classes = spec.classes(bound)
     contexts = len(words) ** (fn.arity - 1) if fn.arity else 0
     images: dict[str, str] = {}  # output letters -> image, for this scan
     checked = 0
@@ -158,65 +162,9 @@ def _scan(
     return None, checked
 
 
-@dataclass(frozen=True)
-class _Classes:
-    """The classes of a congruence on the words up to a bound, by the words'
-    indices in enumeration order."""
-
-    heads: tuple[int, ...]  # each word's class's first word
-    live: tuple[int, ...]  # the words of classes of two or more
-    joins: tuple[int, ...]  # the live words that do not head their class
-    earlier: tuple[int, ...]  # for each join, the words of its class before it
-    pairs: int  # congruent pairs of distinct words: C(k, 2) per class of k
-
-    def tuples(self, arity: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """For the ``arity``-tuples of words, by index in product order: those
-        that hold a live word, those that hold a word not heading its class,
-        and the tuple of class heads of each of the latter."""
-        n = len(self.heads)
-        canon = list(self.heads)
-        for _ in range(arity - 1):
-            canon = [c * n + h for c in canon for h in self.heads]
-        moved = [i for i, c in enumerate(canon) if i != c]
-        heads = [canon[i] for i in moved]
-        # a tuple whose live words all head their classes is one of the heads
-        return sorted({*moved, *heads}), moved, heads
-
-
-# Classes by (kernel key, number of words), shared by every sweep, the least
-# recently used dropped past the limit.  Keys name letter positions, so specs
-# of one kernel shape share an entry, within a phase, across phases and across
-# alphabets of one size.
-_CLASSES: collections.OrderedDict[tuple[Hashable, int], _Classes] = collections.OrderedDict()
-_CLASSES_LIMIT = 4096
-
-
-def _classes(spec: CongruenceSpec, words: Sequence[str]) -> _Classes:
-    """The classes of ``spec`` on ``words``, by word image.  The memo's key,
-    ``spec.kernel_key`` and ``len(words)``, fixes them because ``words`` is
-    ``strings_up_to(spec.alphabet, n)`` for some ``n``, as for every caller."""
-    key = spec.kernel_key, len(words)
-    classes = _CLASSES.get(key)
-    if classes is not None:
-        _CLASSES.move_to_end(key)
-        return classes
-    heads = _class_heads(map(spec.word_image, words))
-    sizes: collections.Counter[int] = collections.Counter()  # first word -> words so far
-    joins, earlier = [], []
-    for i, head in enumerate(heads):
-        if head != i:
-            joins.append(i)
-            earlier.append(sizes[head])
-        sizes[head] += 1
-    live = tuple(i for i, head in enumerate(heads) if sizes[head] > 1)
-    classes = _CLASSES[key] = _Classes(heads, live, tuple(joins), tuple(earlier), sum(earlier))
-    if len(_CLASSES) > _CLASSES_LIMIT:
-        _CLASSES.popitem(last=False)
-    return classes
-
-
 class _Sweep:
-    """One audit's scans, each kernel key once across all its phases.
+    """One audit's scans at one length bound, each kernel key once across
+    all its phases.  Only the first spec of a key is asked for its classes.
 
     A kernel whose scan completed with no witness passes again at the same
     count without evaluating anything.  A completed scan evaluates every
@@ -234,9 +182,10 @@ class _Sweep:
     :class:`AlphabetError` are those of scanning it alone.
     """
 
-    def __init__(self, fn: WordFunction, words: Sequence[str]) -> None:
+    def __init__(self, fn: WordFunction, bound: int) -> None:
         self.fn = fn
-        self.words = words
+        self.bound = bound
+        self.words = words = list(strings_up_to(fn.alphabet, bound))
         contexts = len(words) ** (fn.arity - 1) if fn.arity else 0
         self.checks_per_pair = fn.arity * contexts
         self.passed: dict[Hashable, int] = {}  # kernel key -> checks
@@ -253,7 +202,7 @@ class _Sweep:
         if known is not None:
             used = known if remaining is None else min(known, remaining)
             return None, used, used < known
-        classes = _classes(spec, self.words)
+        classes = spec.classes(self.bound)
         total = self.checks_per_pair * classes.pairs
         if (
             self.table is not None
@@ -262,7 +211,7 @@ class _Sweep:
         ):
             self.passed[key] = total
             return None, total, False
-        witness, used = _scan(self.fn, spec, self.words, remaining)
+        witness, used = _scan(self.fn, spec, self.bound, remaining)
         if witness is None and used == total:  # the scan ran to its end
             self.passed[key] = total
             if self.unseen:
@@ -329,8 +278,7 @@ def check_preservation(
     """
     if spec.alphabet != fn.alphabet:
         raise ValueError("congruence and function alphabets differ")
-    words = list(strings_up_to(fn.alphabet, length_bound))
-    witness, _ = _scan(fn, spec, words, None)
+    witness, _ = _scan(fn, spec, length_bound, None)
     return witness
 
 
@@ -338,17 +286,15 @@ def check_preservation(
 # Families of congruences
 
 
-def standard_congruences(alphabet: Alphabet) -> Iterator[CongruenceSpec]:
+@functools.cache
+def standard_congruences(alphabet: Alphabet) -> tuple[CongruenceSpec, ...]:
     """Kernels of the standard letter endomorphisms, in a fixed order:
-    collapse, project, erase, then pairwise identification."""
-    for ch in alphabet.letters:
-        yield RestrictedCongruence(collapse_to(alphabet, ch))
-    for ch in alphabet.letters:
-        yield RestrictedCongruence(project(alphabet, ch))
-    for ch in alphabet.letters:
-        yield RestrictedCongruence(erase(alphabet, ch))
-    for old, new in itertools.permutations(alphabet.letters, 2):
-        yield RestrictedCongruence(identify(alphabet, old, new))
+    collapse, project, erase, then pairwise identification.  Built once per
+    alphabet, so every sweep shares the specs with their keys and classes."""
+    letters = alphabet.letters
+    morphisms = [make(alphabet, ch) for make in (collapse_to, project, erase) for ch in letters]
+    morphisms += (identify(alphabet, old, new) for old, new in itertools.permutations(letters, 2))
+    return tuple(map(RestrictedCongruence, morphisms))
 
 
 # Per alphabet, the finite-monoid specs built so far, shared by every sweep
@@ -447,7 +393,7 @@ def audit(
     phases = _FAMILIES.get(family)
     if phases is None:
         raise ValueError(f"unknown family {family!r} (want {', '.join(_FAMILIES)})")
-    sweep = _Sweep(fn, list(strings_up_to(fn.alphabet, length_bound)))
+    sweep = _Sweep(fn, length_bound)
     specs = checks = 0
     truncated = False
     for name, congruences in phases:

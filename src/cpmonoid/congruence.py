@@ -20,7 +20,7 @@ import abc
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .words import (
     Alphabet,
@@ -197,13 +197,35 @@ class CongruenceSpec(abc.ABC):
     def kernel_key(self) -> Hashable:
         """Specs with equal keys relate the same words (one way only: specs
         of one kernel may have different keys).  A key names letters by their
-        positions in the alphabet, so alphabets of one size can share keys."""
+        positions in the alphabet."""
 
     @property
     @abc.abstractmethod
     def commutative(self) -> bool:
         """Whether the letter images commute pairwise.  The image of a word
         is then fixed by its letter counts."""
+
+    def classes(self, bound: int) -> _Classes:
+        """The classes of the words ``strings_up_to(self.alphabet, bound)``,
+        bucketed by word image; built once per bound and kept on the spec."""
+        classes = self._classes_by_bound.get(bound)
+        if classes is None:
+            heads = _class_heads(map(self.word_image, strings_up_to(self.alphabet, bound)))
+            sizes = [0] * len(heads)  # first word -> words so far
+            joins, earlier = [], []
+            for i, head in enumerate(heads):
+                if head != i:
+                    joins.append(i)
+                    earlier.append(sizes[head])
+                sizes[head] += 1
+            live = tuple(i for i, head in enumerate(heads) if sizes[head] > 1)
+            classes = _Classes(heads, live, tuple(joins), tuple(earlier), sum(earlier))
+            self._classes_by_bound[bound] = classes
+        return classes
+
+    @functools.cached_property
+    def _classes_by_bound(self) -> dict[int, _Classes]:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -319,6 +341,31 @@ def _class_heads(images: Iterable[Hashable]) -> tuple[int, ...]:
     head of its class, when items are bucketed by image."""
     first: dict[Hashable, int] = {}
     return tuple(map(first.setdefault, images, itertools.count()))
+
+
+@dataclass(frozen=True)
+class _Classes:
+    """The classes of a congruence on the words up to a bound, by the words'
+    indices in enumeration order."""
+
+    heads: tuple[int, ...]  # each word's class's first word
+    live: tuple[int, ...]  # the words of classes of two or more
+    joins: tuple[int, ...]  # the live words that do not head their class
+    earlier: tuple[int, ...]  # for each join, the words of its class before it
+    pairs: int  # congruent pairs of distinct words: C(k, 2) per class of k
+
+    def tuples(self, arity: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """For the ``arity``-tuples of words, by index in product order: those
+        that hold a live word, those that hold a word not heading its class,
+        and the tuple of class heads of each of the latter."""
+        n = len(self.heads)
+        canon = list(self.heads)
+        for _ in range(arity - 1):
+            canon = [c * n + h for c in canon for h in self.heads]
+        moved = [i for i, c in enumerate(canon) if i != c]
+        heads = [canon[i] for i in moved]
+        # a tuple whose live words all head their classes is one of the heads
+        return sorted({*moved, *heads}), moved, heads
 
 
 def congruent_pairs(

@@ -216,9 +216,9 @@ def enumerate_consistent(
         kernel = RestrictedCongruence(phi)
         if kernel.commutative:
             continue
-        heads = _class_heads(map(kernel.word_image, domain))
-        if any(head != w for w, head in enumerate(heads)):
-            checked.append((kernel.word_image, heads))
+        classes = kernel.classes(config.domain_len)
+        if classes.joins:
+            checked.append((kernel.word_image, classes.heads))
     images = [image for image, _ in checked]
 
     def with_images(words: Iterable[str]) -> list[tuple[str, _Images]]:
@@ -365,7 +365,7 @@ class ExploreReport:
     family_size: int
     consistent: int
     representable: int
-    non_representable: tuple[CandidateTable, ...]
+    non_representable: list[CandidateTable]  # the list the search filled
     exhausted: bool
     nodes: int
 
@@ -422,7 +422,7 @@ def explore(config: SearchConfig) -> ExploreReport:
         stats.family_size,
         consistent,
         representable,
-        tuple(leftovers),
+        leftovers,
         exhausted,
         stats.nodes,
     )

@@ -314,7 +314,7 @@ def arrangements(
     """Every sequence holding ``symbols[i]`` exactly ``counts[i]`` times,
     lexicographic in the order of ``symbols``.
 
-    Built as a list rather than yielded, because searches call it per node.
+    Built as a list: the explorer memoises it per vector of letter counts.
     """
     remaining = list(counts)
     total = sum(remaining)

@@ -32,9 +32,9 @@ KEEP = {
     "BUILTIN_NAMES": "lists the names that builtin: oracles accept",
     "check_preservation": "audits one congruence; the audit's completeness tests run it",
     "recheck_table": "independent reference the explorer tests check the backtracker against",
-    "parse_finite_monoid": "replays finite-monoid witnesses (ROADMAP item 3)",
-    "parse_monoid_morphism": "replays finite-monoid witnesses (ROADMAP item 3)",
-    "format_monoid_morphism": "replays finite-monoid witnesses (ROADMAP item 3)",
+    "parse_finite_monoid": "replays finite-monoid witnesses (ROADMAP item 10)",
+    "parse_monoid_morphism": "replays finite-monoid witnesses (ROADMAP item 10)",
+    "format_monoid_morphism": "replays finite-monoid witnesses (ROADMAP item 10)",
 }
 
 

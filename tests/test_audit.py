@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import importlib
 import itertools
 
@@ -35,7 +36,6 @@ from cpmonoid.audit import (
     _SCHEDULE,
     _Sweep,
     _audit_specs,
-    _classes,
     _scan,
     random_congruences,
 )
@@ -399,30 +399,27 @@ def class_fields(classes):
     )
 
 
-@pytest.fixture
-def no_classes_memo(monkeypatch):
-    """Every ``_classes`` call buckets the words afresh."""
-    audit_module = importlib.import_module("cpmonoid.audit")
-    monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
-    monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 0)
+def fresh(specs):
+    """New specs equal to ``specs``, with no classes built yet: the shared
+    specs of the schedule may hold classes from earlier sweeps."""
+    return [dataclasses.replace(spec) for spec in specs]
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
-def test_classes_by_image_equal_the_kernel_keys_classes(bound, no_classes_memo):
-    words = list(strings_up_to(ABC, bound))
+def test_classes_by_image_equal_the_kernel_keys_classes(bound):
     expected = {}
-    for spec in finite_monoid_congruences(ABC):
+    for spec in fresh(finite_monoid_congruences(ABC)):
         key = spec.kernel_key
         if key not in expected:
             expected[key] = reference_kernel_classes(key, bound)
-        assert class_fields(_classes(spec, words)) == expected[key], spec.describe()
+        assert class_fields(spec.classes(bound)) == expected[key], spec.describe()
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
-def test_classes_of_restricted_specs_match_congruent_pairs(bound, no_classes_memo):
+def test_classes_of_restricted_specs_match_congruent_pairs(bound):
     words = list(strings_up_to(ABC, bound))
     index = {w: i for i, w in enumerate(words)}
-    specs = restricted_specs(ABC)
+    specs = fresh(restricted_specs(ABC))
     assert len(specs) == 95
     for spec in specs:
         earlier_words = collections.defaultdict(list)
@@ -433,7 +430,7 @@ def test_classes_of_restricted_specs_match_congruent_pairs(bound, no_classes_mem
         live = sorted({*joins, *(heads[i] for i in joins)})
         pairs = sum(map(len, earlier_words.values()))
         expected = heads, live, joins, [len(earlier_words[i]) for i in joins], pairs
-        assert class_fields(_classes(spec, words)) == expected, spec.describe()
+        assert class_fields(spec.classes(bound)) == expected, spec.describe()
 
 
 def restricted_specs_sharing_a_key():
@@ -459,59 +456,51 @@ def test_equal_restricted_keys_relate_the_same_words():
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
-def test_equal_restricted_keys_have_equal_classes(bound, no_classes_memo):
-    words = list(strings_up_to(ABC, bound))
-    for first, *others in restricted_specs_sharing_a_key():
-        expected = class_fields(_classes(first, words))
+def test_equal_restricted_keys_have_equal_classes(bound):
+    for first, *others in map(fresh, restricted_specs_sharing_a_key()):
+        expected = class_fields(first.classes(bound))
         for spec in others:
-            assert class_fields(_classes(spec, words)) == expected, spec.describe()
+            assert class_fields(spec.classes(bound)) == expected, spec.describe()
 
 
-def test_equal_keys_on_two_alphabets_share_correct_classes(monkeypatch):
+def test_equal_keys_on_two_alphabets_share_correct_classes():
     # Keys name letter positions: every spec of the schedule and of the
-    # random phases on pqr finds its classes already memoised by the spec of
-    # the same shape on abc, and they are the classes its own images give.
-    audit_module = importlib.import_module("cpmonoid.audit")
+    # random phases on pqr has the key of the spec of the same shape on abc,
+    # and the classes its own images give are that spec's.
     pqr = Alphabet.of("pqr")
-    specs, words = {}, {}
-    for alphabet in (ABC, pqr):
-        specs[alphabet] = [spec for _, phase in _SCHEDULE + RANDOM_PHASES for spec in phase(alphabet)]
-        words[alphabet] = list(strings_up_to(alphabet, 2))
-    monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
-    monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 0)
-    expected = [_classes(spec, words[pqr]) for spec in specs[pqr]]
-    monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 4096)
-    for spec in specs[ABC]:
-        _classes(spec, words[ABC])
-    memo = dict(audit_module._CLASSES)
-    assert len(memo) == len({spec.kernel_key for spec in specs[ABC]}) == 458  # some phases share keys
-    assert all((spec.kernel_key, len(words[pqr])) in memo for spec in specs[pqr])
-    assert [_classes(spec, words[pqr]) for spec in specs[pqr]] == expected
-    assert dict(audit_module._CLASSES) == memo
+    specs = {
+        alphabet: [spec for _, phase in _SCHEDULE + RANDOM_PHASES for spec in phase(alphabet)]
+        for alphabet in (ABC, pqr)
+    }
+    assert len({spec.kernel_key for spec in specs[ABC]}) == 458  # some phases share keys
+    for spec, twin in zip(specs[ABC], specs[pqr], strict=True):
+        assert twin.kernel_key == spec.kernel_key, twin.describe()
+        assert twin.classes(2) == spec.classes(2), twin.describe()
 
 
-def test_classes_memo_drops_the_least_recently_used_past_its_limit(monkeypatch):
-    # Past its limit the memo forgets the least recently used classes, but
-    # every result stays equal, and so does a sweep.
-    audit_module = importlib.import_module("cpmonoid.audit")
-    specs = list(standard_congruences(ABC))  # 15 specs, 10 distinct kernel keys
-    words = list(strings_up_to(ABC, 2))
-    make = EQUIVALENCE_FUNCTIONS["reverse"]
-    monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
-    unbounded = [_classes(spec, words) for spec in specs]
-    expected_sweep = sweep_outcome(_audit_specs, make, specs, 2, None)
-    monkeypatch.setattr(audit_module, "_CLASSES", collections.OrderedDict())
-    monkeypatch.setattr(audit_module, "_CLASSES_LIMIT", 5)
-    # the last five keys used: erase(b), erase(c), then identify(b->a),
-    # identify(c->a) and identify(c->b), each sharing an earlier spec's key
-    used = [7, 8, 11, 13, 14]
-    keys = [(specs[i].kernel_key, len(words)) for i in used]
-    for _ in range(2):
-        assert [_classes(spec, words) for spec in specs] == unbounded
-        assert list(audit_module._CLASSES) == keys
-    _classes(specs[7], words)  # erase(b): a hit becomes the most recently used
-    assert list(audit_module._CLASSES) == keys[1:] + keys[:1]
-    assert sweep_outcome(_audit_specs, make, specs, 2, None) == expected_sweep
+def test_standard_specs_are_built_once_and_keep_their_classes():
+    first, second = standard_congruences(ABC), standard_congruences(ABC)
+    assert first is second and len(first) == 15
+    assert all(spec.classes(2) is spec.classes(2) for spec in first)
+
+
+def test_a_second_audit_buckets_no_words(monkeypatch):
+    # Both families keep their specs, and each spec its classes, so an audit
+    # of a fresh function that reaches the specs an earlier audit reached
+    # builds no classes, and its result is unchanged.
+    congruence_module = importlib.import_module("cpmonoid.congruence")
+    first = audit(SLOT2(), "all")
+    assert first.witness is None and first.specs_checked == 15 + 971
+    buckets = []
+    class_heads = congruence_module._class_heads
+
+    def counted(images):
+        buckets.append(None)
+        return class_heads(images)
+
+    monkeypatch.setattr(congruence_module, "_class_heads", counted)
+    assert audit(SLOT2(), "all") == first
+    assert buckets == []
 
 
 # --------------------------------------------------------------------------
@@ -522,24 +511,24 @@ def test_classes_memo_drops_the_least_recently_used_past_its_limit(monkeypatch):
 def plain_audit_specs(sweep, specs, budget):
     """The audit sweep with every spec scanned by itself through ``_scan``:
     no kernel is skipped and no output table is read."""
-    fn, words = sweep.fn, sweep.words
+    fn, bound = sweep.fn, sweep.bound
     total = seen = 0
     for spec in specs:
         seen += 1
         remaining = None if budget is None else budget - total
         if remaining is not None and remaining <= 0:
             return AuditResult(None, seen - 1, total, truncated=True)
-        witness, used = _scan(fn, spec, words, remaining)
+        witness, used = _scan(fn, spec, bound, remaining)
         total += used
         if witness is not None:
             return AuditResult(witness, seen, total, truncated=False)
-        if used < sweep.checks_per_pair * _classes(spec, words).pairs:  # the budget cut the scan
+        if used < sweep.checks_per_pair * spec.classes(bound).pairs:  # the budget cut the scan
             return AuditResult(None, seen, total, truncated=True)
     return AuditResult(None, seen, total, truncated=False)
 
 
 def new_sweep(fn, bound):
-    return _Sweep(fn, list(strings_up_to(fn.alphabet, bound)))
+    return _Sweep(fn, bound)
 
 
 def sweep_outcome(sweep, make, specs, bound, budget):
@@ -606,10 +595,9 @@ FINITE_FUNCTIONS = {
 def spec_totals(fn, specs, bound):
     """Each spec's kernel key, and the running total of checks at its end,
     of plain scans up to the first witness."""
-    words = list(strings_up_to(fn.alphabet, bound))
     keys, ends, total = [], [], 0
     for spec in specs:
-        witness, used = _scan(fn, spec, words, None)
+        witness, used = _scan(fn, spec, bound, None)
         total += used
         keys.append(spec.kernel_key)
         ends.append(total)
@@ -666,9 +654,9 @@ def visits(monkeypatch):
         log.append(("table", spec, passed))
         return passed
 
-    def recorded_scan(fn, spec, words, max_checks):
+    def recorded_scan(fn, spec, bound, max_checks):
         log.append(("scan", spec, None))
-        return scan(fn, spec, words, max_checks)
+        return scan(fn, spec, bound, max_checks)
 
     monkeypatch.setattr(_Sweep, "_table_passes", recorded_table_passes)
     monkeypatch.setattr(audit_module, "_scan", recorded_scan)
@@ -725,7 +713,7 @@ def test_commutative_kernels_image_nothing_once_the_table_obeys_the_law(name, mo
     sweep = new_sweep(make(), bound)
     specs = list(finite_monoid_congruences(ABC))
     for spec in specs:
-        _classes(spec, sweep.words)
+        spec.classes(sweep.bound)
     imaged = set()
     word_image = FiniteKernelCongruence.word_image
 

@@ -178,6 +178,7 @@ def test_explore_two_letters_p1_e0():
     assert report.consistent == 4
     assert report.representable == 1
     assert len(report.non_representable) == 3
+    assert isinstance(report.non_representable, list)  # the search's own list, not a copy
     assert not report.exhausted
     assert report.nodes > 0
 
