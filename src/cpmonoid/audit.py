@@ -25,14 +25,16 @@ morphisms into a catalog of small finite monoids.  Both are fixed families,
 so every audit is deterministic.
 
 An audit runs one sweep through all its phases.  The sweep scans each
-kernel key (:attr:`CongruenceSpec.kernel_key`) once, and checks new kernels
-against the table of memoised outputs once it can.  When the outputs obey
-the letter-count law counts(f(x̄)) = c + Σ kᵢ·counts(xᵢ), kᵢ ≥ 0, a
-commutative kernel passes without imaging any output (see :class:`_Sweep`).
-Witnesses, counts and oracle queries are those of scanning every spec.
-Both families are built once per alphabet (the finite one up to a limit),
-and each spec keeps its own key and classes (:meth:`CongruenceSpec.classes`),
-so later audits reuse them.
+kernel (:attr:`CongruenceSpec.kernel_id`) once, and checks new kernels
+against the table of memoised outputs once it can.  A later spec of a
+kernel that passed is settled by its id at the known count, without a
+visit.  When the outputs obey the letter-count law counts(f(x̄)) = c +
+Σ kᵢ·counts(xᵢ), kᵢ ≥ 0, every commutative kernel is settled the same way,
+without imaging any output (see :class:`_Sweep`).  Witnesses, counts and
+oracle queries are those of scanning every spec.  Both families are built
+once per alphabet (the finite one up to a limit), and each spec keeps its
+own key, id and classes (:meth:`CongruenceSpec.classes`), so later audits
+reuse them.
 """
 
 from __future__ import annotations
@@ -41,14 +43,13 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .congruence import (
     CongruenceSpec,
     FiniteKernelCongruence,
     MonoidMorphism,
     RestrictedCongruence,
-    _Classes,
     monoid_catalog,
 )
 from .extraction import NotRCP, extract, extract_fresh, Extracted
@@ -163,23 +164,25 @@ def _scan(
 
 
 class _Sweep:
-    """One audit's scans at one length bound, each kernel key once across
-    all its phases.  Only the first spec of a key is asked for its classes.
+    """One audit's scans at one length bound, each kernel once across all its
+    phases.  Kernels are told apart by :attr:`CongruenceSpec.kernel_id`.
 
-    A kernel whose scan completed with no witness passes again at the same
-    count without evaluating anything.  A completed scan evaluates every
-    tuple that holds a word of a class of two or more words, so once every
-    word has been in such a class, every tuple of words is memoised: the
-    outputs are read into one table, and a new kernel is checked against it
-    in one pass over the tuples with a word of such a class.  It passes when
-    every one of them has the image of the tuple of its words' class heads;
-    its count is then ``arity * contexts * pairs``.  A commutative kernel
-    passes without imaging anything when the table obeys the letter-count
-    law (see :func:`_obeys_letter_count_law`): its images see only letter
-    counts, so the law fixes an output's image from its arguments'.  A spec
-    that the table check fails, or that the budget would cut, runs
-    :func:`_scan`, so witnesses, counts, the order of oracle misses and any
-    :class:`AlphabetError` are those of scanning it alone.
+    A kernel whose scan completed with no witness is in ``passed``, with its
+    count; :func:`_audit_specs` settles its later specs at that count without
+    a visit.  A completed scan evaluates every tuple that holds a word of a
+    class of two or more words, so once every word has been in such a class,
+    every tuple of words is memoised: the outputs are read into one table,
+    and a new kernel is checked against it in one pass over the tuples with
+    a word of such a class.  It passes when every one of them has the image
+    of the tuple of its words' class heads; its count is then ``arity *
+    contexts * pairs``.  When the table obeys the letter-count law (see
+    :func:`_obeys_letter_count_law`), ``counts_law`` is set and
+    :func:`_audit_specs` settles every commutative kernel at that count
+    without a visit: its images see only letter counts, so the law fixes an
+    output's image from its arguments'.  A spec that the table check fails,
+    or that the budget would cut, runs :func:`_scan`, so witnesses, counts,
+    the order of oracle misses and any :class:`AlphabetError` are those of
+    scanning it alone.
     """
 
     def __init__(self, fn: WordFunction, bound: int) -> None:
@@ -188,7 +191,7 @@ class _Sweep:
         self.words = words = list(strings_up_to(fn.alphabet, bound))
         contexts = len(words) ** (fn.arity - 1) if fn.arity else 0
         self.checks_per_pair = fn.arity * contexts
-        self.passed: dict[Hashable, int] = {}  # kernel key -> checks
+        self.passed: dict[int, int] = {}  # kernel id -> checks
         # Words not yet in a class of two or more of a completed scan; with
         # arity 0 nothing is evaluated, so no table is ever read.
         self.unseen = set(range(len(words))) if fn.arity else None
@@ -196,24 +199,20 @@ class _Sweep:
         self.counts_law = False  # whether the table obeys the letter-count law
 
     def scan(self, spec: CongruenceSpec, remaining: int | None) -> tuple[Witness | None, int, bool]:
-        """As :func:`_scan`, and whether the budget cut it short of the full count."""
-        key = spec.kernel_key
-        known = self.passed.get(key)
-        if known is not None:
-            used = known if remaining is None else min(known, remaining)
-            return None, used, used < known
+        """As :func:`_scan`, and whether the budget cut it short of the full
+        count, for a spec that :func:`_audit_specs` could not settle."""
         classes = spec.classes(self.bound)
         total = self.checks_per_pair * classes.pairs
         if (
             self.table is not None
             and (remaining is None or total <= remaining)
-            and self._table_passes(spec, classes)
+            and self._table_passes(spec)
         ):
-            self.passed[key] = total
+            self.passed[spec.kernel_id] = total
             return None, total, False
         witness, used = _scan(self.fn, spec, self.bound, remaining)
         if witness is None and used == total:  # the scan ran to its end
-            self.passed[key] = total
+            self.passed[spec.kernel_id] = total
             if self.unseen:
                 self.unseen.difference_update(classes.live)
                 if not self.unseen:
@@ -224,12 +223,10 @@ class _Sweep:
                     )
         return witness, used, witness is None and used < total
 
-    def _table_passes(self, spec: CongruenceSpec, classes: _Classes) -> bool:
-        if self.counts_law and spec.commutative:
-            return True
+    def _table_passes(self, spec: CongruenceSpec) -> bool:
         # Each output in the table was imaged by a completed scan, so its
         # letters are in the alphabet and imaging it cannot raise.
-        imaged, moved, heads = classes.tuples(self.fn.arity)
+        imaged, moved, heads = spec.class_tuples(self.bound, self.fn.arity)
         images = dict(zip(imaged, map(spec.word_image, map(self.table.__getitem__, imaged))))
         image = images.__getitem__
         return list(map(image, moved)) == list(map(image, heads))
@@ -309,12 +306,15 @@ def finite_monoid_congruences(alphabet: Alphabet) -> Iterator[CongruenceSpec]:
     """Kernels of every letter assignment into every catalog monoid.
 
     The specs come from a per-process memo that grows as iterations advance,
-    so a sweep refuted early builds only the specs it reached.  Many
-    assignments share a kernel (on ``abc``, 971 assignments have 417
-    kernels), and a sweep scans each distinct kernel once (see
-    :class:`_Sweep`).
+    so a sweep refuted early builds only the specs it reached; once the memo
+    holds the whole family, it is replayed as it stands.  Many assignments
+    share a kernel (on ``abc``, 971 assignments have 417 kernels), and a
+    sweep visits each distinct kernel at most once (see :class:`_Sweep`).
     """
     built = _FINITE_FAMILIES.setdefault(alphabet, [])
+    if len(built) == sum(len(monoid) ** len(alphabet) for monoid in monoid_catalog()):
+        yield from built  # the memo holds the whole family
+        return
     assignments = (
         (monoid, images)
         for monoid in monoid_catalog()
@@ -407,13 +407,28 @@ def audit(
 
 
 def _audit_specs(sweep: _Sweep, specs: Iterable[CongruenceSpec], budget: int | None) -> AuditResult:
-    """One phase of ``sweep``: its specs in order, within ``budget`` checks."""
+    """One phase of ``sweep``: its specs in order, within ``budget`` checks.
+
+    A spec whose kernel id already passed, or a commutative one once the
+    table obeys the letter-count law, is settled here at its known count
+    without a visit; every other spec goes through :meth:`_Sweep.scan`.
+    """
+    passed, checks_per_pair, bound = sweep.passed, sweep.checks_per_pair, sweep.bound
     total = seen = 0
     for spec in specs:
         remaining = None if budget is None else budget - total
         if remaining is not None and remaining <= 0:
             return AuditResult(None, seen, total, truncated=True)
         seen += 1
+        kernel = spec.kernel_id
+        known = passed.get(kernel)
+        if known is None and sweep.counts_law and spec.commutative:
+            known = passed[kernel] = checks_per_pair * spec.classes(bound).pairs
+        if known is not None:
+            if remaining is not None and known > remaining:
+                return AuditResult(None, seen, budget, truncated=True)
+            total += known
+            continue
         witness, used, cut = sweep.scan(spec, remaining)
         total += used
         if witness is not None or cut:

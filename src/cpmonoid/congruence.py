@@ -199,6 +199,18 @@ class CongruenceSpec(abc.ABC):
         of one kernel may have different keys).  A key names letters by their
         positions in the alphabet."""
 
+    @functools.cached_property
+    def kernel_id(self) -> int:
+        """A small int per distinct :attr:`kernel_key`, interned process-wide:
+        specs with equal ids have equal keys."""
+        key = self.kernel_key
+        kernel_id = _KERNEL_IDS.get(key)
+        if kernel_id is None:
+            # next() and setdefault() are each atomic, so two threads never
+            # give two keys one id
+            kernel_id = _KERNEL_IDS.setdefault(key, next(_NEW_KERNEL_IDS))
+        return kernel_id
+
     @property
     @abc.abstractmethod
     def commutative(self) -> bool:
@@ -226,6 +238,36 @@ class CongruenceSpec(abc.ABC):
     @functools.cached_property
     def _classes_by_bound(self) -> dict[int, _Classes]:
         return {}
+
+    def class_tuples(
+        self, bound: int, arity: int
+    ) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """For the ``arity``-tuples of the words of ``classes(bound)``, by
+        index in product order: those that hold a live word, those that hold
+        a word not heading its class, and the tuple of class heads of each
+        of the latter.  Built once per bound and arity and kept on the spec
+        beside the classes."""
+        tuples = self._tuples_by_bound.get((bound, arity))
+        if tuples is None:
+            heads = self.classes(bound).heads
+            canon = list(heads)
+            for _ in range(arity - 1):
+                canon = [c * len(heads) + h for c in canon for h in heads]
+            moved = [i for i, c in enumerate(canon) if i != c]
+            moved_heads = [canon[i] for i in moved]
+            # a tuple whose live words all head their classes is one of the heads
+            tuples = sorted({*moved, *moved_heads}), moved, moved_heads
+            self._tuples_by_bound[bound, arity] = tuples
+        return tuples
+
+    @functools.cached_property
+    def _tuples_by_bound(self) -> dict[tuple[int, int], tuple[Sequence[int], ...]]:
+        return {}
+
+
+# Kernel key -> kernel id, for every key asked for an id in this process.
+_KERNEL_IDS: dict[Hashable, int] = {}
+_NEW_KERNEL_IDS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -353,19 +395,6 @@ class _Classes:
     joins: tuple[int, ...]  # the live words that do not head their class
     earlier: tuple[int, ...]  # for each join, the words of its class before it
     pairs: int  # congruent pairs of distinct words: C(k, 2) per class of k
-
-    def tuples(self, arity: int) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """For the ``arity``-tuples of words, by index in product order: those
-        that hold a live word, those that hold a word not heading its class,
-        and the tuple of class heads of each of the latter."""
-        n = len(self.heads)
-        canon = list(self.heads)
-        for _ in range(arity - 1):
-            canon = [c * n + h for c in canon for h in self.heads]
-        moved = [i for i, c in enumerate(canon) if i != c]
-        heads = [canon[i] for i in moved]
-        # a tuple whose live words all head their classes is one of the heads
-        return sorted({*moved, *heads}), moved, heads
 
 
 def congruent_pairs(

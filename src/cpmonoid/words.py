@@ -204,8 +204,10 @@ class Morphism:
         return cls(source, target, image, label)
 
     @functools.cached_property
-    def _map(self) -> dict[str, str]:
-        return dict(self.image)
+    def _translations(self) -> tuple[dict[int, None], dict[int, str]]:
+        """``str.translate`` tables: one deletes the source letters, the
+        other maps each letter to its image."""
+        return dict.fromkeys(map(ord, self.source.letters)), {ord(ch): img for ch, img in self.image}
 
     @property
     def is_endomorphism(self) -> bool:
@@ -220,11 +222,11 @@ class Morphism:
 
     def apply_letters(self, letters: str) -> str:
         """Apply to a raw letter string (hot path for search loops)."""
-        m = self._map
-        try:
-            return "".join([m[ch] for ch in letters])
-        except KeyError as exc:
-            raise AlphabetError(f"letter {exc} not in alphabet {self.source}") from None
+        source, images = self._translations
+        foreign = letters.translate(source)
+        if foreign:
+            raise AlphabetError(f"letter {foreign[0]!r} not in alphabet {self.source}")
+        return letters.translate(images)
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """``self after inner``: the result maps ``u`` to ``self(inner(u))``."""

@@ -544,10 +544,14 @@ def sweep_outcome(sweep, make, specs, bound, budget):
     return (witness, result.specs_checked, result.checks, result.truncated), fn.query_count, misses
 
 
-def assert_sweeps_agree(make, specs, bound, budgets):
+def assert_sweeps_agree(make, specs, bound, budgets, family=None):
+    """The plain sweep of ``specs`` and ``_audit_specs`` agree at each budget;
+    ``family``, if given, makes the iterator that ``_audit_specs`` sweeps in
+    place of ``specs``."""
     for budget in budgets:
         expected = sweep_outcome(plain_audit_specs, make, specs, bound, budget)
-        assert sweep_outcome(_audit_specs, make, specs, bound, budget) == expected, budget
+        swept = specs if family is None else family()
+        assert sweep_outcome(_audit_specs, make, swept, bound, budget) == expected, budget
 
 
 def unary(name, f, extension=True):
@@ -611,19 +615,74 @@ def budgets_around(totals):
     return sorted({None} | {t + d for t in totals for d in (-1, 0, 1)}, key=lambda b: (b is None, b))
 
 
+def settle_points(specs, bound, count):
+    """Indices among the first ``count`` specs, which plain scans run to
+    their end (the last perhaps to a witness): the first spec whose kernel
+    an earlier spec had, the first spec with a new kernel once every word
+    has been in a class of two or more (the output table exists from then
+    on) and the kernel is not commutative (the table checks it), the first
+    with a new commutative kernel then (the letter-count law settles it, if
+    the table obeys the law), and the last spec; ``None`` where no spec
+    meets a point."""
+    specs = specs[:count]
+    firsts = {}  # kernel key -> the first spec's index
+    for i, spec in enumerate(specs):
+        firsts.setdefault(spec.kernel_key, i)
+    repeat = next((i for i in range(count) if firsts[specs[i].kernel_key] != i), None)
+    unseen = set(range(len(list(strings_up_to(specs[0].alphabet, bound)))))
+    after = []  # the new kernels after the table
+    for i in firsts.values():
+        if unseen:
+            unseen.difference_update(specs[i].classes(bound).live)
+        else:
+            after.append(i)
+    table = next((i for i in after if not specs[i].commutative), None)
+    law = next((i for i in after if specs[i].commutative), None)
+    return {"repeat": repeat, "table": table, "law": law, "last": count - 1}
+
+
 @pytest.mark.parametrize("name", list(FINITE_FUNCTIONS))
 def test_finite_sweep_matches_plain_scans_around_spec_totals(name):
     # Budgets one check before, at and one after the running total at the
-    # end of the first spec whose kernel an earlier spec had, of the first
-    # spec after it with a new kernel (the output table checks those once
-    # every word has been in a class of two or more), and of the last spec
-    # scanned.
+    # end of each of the settle points: a repeated kernel, settled by its
+    # id; the first new non-commutative kernel checked against the output
+    # table; the first new commutative kernel then, which the law settles
+    # when the table obeys it; and the last spec scanned.
     make, bound = FINITE_FUNCTIONS[name]
     specs = list(finite_monoid_congruences(ABC))
-    keys, ends = spec_totals(make(), specs, bound)
-    repeat = next((i for i, key in enumerate(keys) if key in keys[:i]), len(keys) - 1)
-    fresh = next((i for i in range(repeat + 1, len(keys)) if keys[i] not in keys[:i]), repeat)
-    assert_sweeps_agree(make, specs, bound, budgets_around(ends[i] for i in (repeat, fresh, len(ends) - 1)))
+    _, ends = spec_totals(make(), specs, bound)
+    points = settle_points(specs, bound, len(ends))
+    if name in ("reversed@slot2", "reversed_beyond_2"):  # the law settles commutative kernels
+        assert None not in points.values() and points["last"] == 970
+    assert_sweeps_agree(make, specs, bound, budgets_around(ends[i] for i in points.values() if i is not None))
+
+
+def test_complete_finite_memo_on_abcd_matches_plain_scans():
+    # abcd's 4,885 specs fit in the memo, so a sweep after the first one
+    # replays the whole memo.
+    abcd = Alphabet.of("abcd")
+    specs = list(finite_monoid_congruences(abcd))
+    assert len(specs) == 4885 and list(finite_monoid_congruences(abcd)) == specs
+    make = lambda: builtin("square", abcd)
+    _, ends = spec_totals(make(), specs, 1)
+    points = settle_points(specs, 1, len(ends))
+    assert None not in points.values() and points["last"] == 4884
+    family = lambda: finite_monoid_congruences(abcd)
+    assert_sweeps_agree(make, specs, 1, budgets_around(ends[i] for i in points.values()), family)
+
+
+def test_finite_sweep_past_the_memo_matches_plain_scans():
+    # abcde has more specs than the memo keeps: past its 5,000th spec the
+    # family builds each spec afresh.  A budget that ends past it, inside
+    # a spec's count, cuts the sweep there.
+    abcde = Alphabet.of("abcde")
+    specs = list(itertools.islice(finite_monoid_congruences(abcde), 5_100))
+    make = lambda: builtin("square", abcde)
+    _, ends = spec_totals(make(), specs, 1)
+    cut = next(i for i in range(5_050, 5_100) if ends[i] > ends[i - 1] + 1)
+    budget = ends[cut] - 1
+    assert sweep_outcome(plain_audit_specs, make, specs, 1, budget)[0] == (None, cut + 1, budget, True)
+    assert_sweeps_agree(make, specs, 1, [budget], lambda: finite_monoid_congruences(abcde))
 
 
 RESTRICTED_PHASES = dict([_SCHEDULE[0], *RANDOM_PHASES])
@@ -649,8 +708,8 @@ def visits(monkeypatch):
     log = []
     table_passes, scan = _Sweep._table_passes, audit_module._scan
 
-    def recorded_table_passes(self, spec, classes):
-        passed = table_passes(self, spec, classes)
+    def recorded_table_passes(self, spec):
+        passed = table_passes(self, spec)
         log.append(("table", spec, passed))
         return passed
 
@@ -665,15 +724,25 @@ def visits(monkeypatch):
 
 @pytest.mark.parametrize("phase", list(RESTRICTED_PHASES)[1:])
 def test_random_phases_scan_each_distinct_kernel_once(phase, visits):
-    # The random phases repeat endomorphisms; a repeat passes unevaluated.
+    # The random phases repeat endomorphisms; a repeat passes unvisited.  A
+    # template's outputs obey the letter-count law, so once the table exists
+    # a new commutative kernel passes unvisited too.
     specs = list(RESTRICTED_PHASES[phase](ABC))
     first = {}  # kernel key -> the first spec with it
     for spec in specs:
         first.setdefault(spec.kernel_key, spec)
     assert len(first) < len(set(specs)) < len(specs) == 40
-    result = _audit_specs(new_sweep(EQUIVALENCE_FUNCTIONS["honest1"](), 2), specs, None)
+    sweep = new_sweep(EQUIVALENCE_FUNCTIONS["honest1"](), 2)
+    result = _audit_specs(sweep, specs, None)
     assert result.witness is None and result.specs_checked == 40
-    assert [spec for _, spec, _ in visits] == list(first.values())
+    assert sweep.counts_law
+    unseen, expected = set(range(len(sweep.words))), []
+    for spec in first.values():  # every scan completes: the table follows the one that sees every word
+        if unseen or not spec.commutative:
+            expected.append(spec)
+        unseen.difference_update(spec.classes(2).live)
+    assert len(expected) < len(first)
+    assert [spec for _, spec, _ in visits] == expected
 
 
 @pytest.mark.parametrize(
@@ -690,13 +759,18 @@ def test_standard_phase_checks_new_kernels_against_the_table(name, outcome, visi
     # in a class of two or more, each new kernel is checked against the
     # table; one the table refuses is scanned again, pair by pair.
     # collapse_to(b) and collapse_to(c) share collapse_to(a)'s kernel, and
-    # identify(y->x) shares identify(x->y)'s, so neither is visited.
-    result = _audit_specs(new_sweep(EQUIVALENCE_FUNCTIONS[name](), 2), standard_congruences(ABC), None)
+    # identify(y->x) shares identify(x->y)'s, so neither is visited.  Each
+    # table obeys the letter-count law, so the commutative project(b) and
+    # project(c) pass unvisited as well.
+    sweep = new_sweep(EQUIVALENCE_FUNCTIONS[name](), 2)
+    result = _audit_specs(sweep, standard_congruences(ABC), None)
     witness = result.witness and result.witness.spec.morphism.label
     assert (witness, result.specs_checked, result.checks) == outcome
+    assert sweep.counts_law
     labels = [spec.morphism.label for spec in standard_congruences(ABC)][: result.specs_checked]
     shared = {"collapse_to(b)", "collapse_to(c)", "identify(b->a)", "identify(c->a)", "identify(c->b)"}
-    labels = [label for label in labels if label not in shared]
+    settled = {"project(b)", "project(c)"}
+    labels = [label for label in labels if label not in shared | settled]
     expected = [("scan", label, None) for label in labels[:2]]
     expected += [("table", label, True) for label in labels[2:]]
     if witness is not None:

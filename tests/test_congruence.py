@@ -346,6 +346,15 @@ def test_kernel_key_is_exact_on_the_catalog():
     assert len(set(zip(keys, partitions))) == len(set(keys)) == len(set(partitions))
 
 
+def test_kernel_ids_are_equal_exactly_when_keys_are():
+    specs = list(finite_monoid_congruences(ABC)) + list(random_congruences(ABC, 0, 40, 2))
+    ids = {}
+    for spec in specs:
+        assert ids.setdefault(spec.kernel_key, spec.kernel_id) == spec.kernel_id
+    assert len(set(ids.values())) == len(ids) == 417 + len({spec.kernel_key for spec in specs[971:]})
+    assert all(vars(spec)["kernel_id"] == spec.kernel_id for spec in specs)  # kept on the spec
+
+
 def test_kernel_key_is_shared_by_conjugate_assignments():
     # doubling is an automorphism of Z5+, so it keeps the kernel
     z5 = cyclic_additive(5)

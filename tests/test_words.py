@@ -18,7 +18,10 @@ from cpmonoid import (
     iter_words,
     parse_morphism,
     project,
+    standard_congruences,
 )
+from cpmonoid.explorer import endomorphism_family
+from cpmonoid.words import strings_up_to
 
 from conftest import ABC, AB, words
 
@@ -170,6 +173,43 @@ def test_compose_rejects_mismatched_alphabets():
     phi = Morphism.make(ABC, {"a": "x", "b": "x", "c": "x"}, Alphabet.of("x"))
     with pytest.raises(AlphabetError):
         phi.compose(phi)
+
+
+def joined_images(phi, letters):
+    """The letter-by-letter image, as a join of each letter's image."""
+    images = dict(phi.image)
+    try:
+        return "".join([images[ch] for ch in letters])
+    except KeyError as exc:
+        raise AlphabetError(f"letter {exc} not in alphabet {phi.source}") from None
+
+
+def test_apply_letters_is_the_join_of_letter_images():
+    morphisms = [spec.morphism for spec in standard_congruences(ABC)]
+    morphisms += endomorphism_family(ABC, 2, 2)
+    morphisms += [
+        Morphism.make(ABC, {"a": "", "b": "", "c": ""}),
+        Morphism.make(ABC, {"a": "bca", "b": "", "c": "aa"}),
+        Morphism.make(ABC, {"a": "xy", "b": "", "c": "x"}, Alphabet.of("xy")),
+    ]
+    assert len(morphisms) > 15 + 2
+    all_words = list(strings_up_to(ABC, 3))
+    assert len(all_words) == 40
+    for phi in morphisms:
+        for w in all_words:
+            assert phi.apply_letters(w) == joined_images(phi, w), (phi, w)
+
+
+@pytest.mark.parametrize("letters", ["z", "az", "abcz", "abzcy", "a'b", "z'"])
+def test_apply_letters_names_the_first_foreign_letter(letters):
+    for phi in (identify(ABC, "b", "a"), Morphism.make(ABC, {"a": "xy", "b": "", "c": "x"}, Alphabet.of("xy"))):
+        with pytest.raises(AlphabetError) as raised:
+            phi.apply_letters(letters)
+        with pytest.raises(AlphabetError) as expected:
+            joined_images(phi, letters)
+        assert str(raised.value) == str(expected.value)
+    foreign = next(ch for ch in letters if ch not in ABC)
+    assert str(raised.value) == f"letter {foreign!r} not in alphabet abc"
 
 
 def test_iter_words_order_and_count():
