@@ -6,9 +6,10 @@ function *is* a template, and the proof of that fact is an algorithm:
 1. Probe output lengths.  A preserving function's lengths are affine in the
    argument lengths, which yields per-argument coefficients ``p_i`` and a
    constant term ``e`` (:func:`length_profile`).
-2. Classify the head.  The first output letter is always produced the same
-   way: a fixed letter, the first letter of one particular argument, or the
-   function is constantly empty (:func:`classify_head`).
+2. Classify the head.  At every arity the first output letter arises in
+   one of three ways: a fixed letter, the first letter of one particular
+   argument, or none because the function is constantly empty
+   (:func:`classify_head`, one probe plan for all arities).
 3. Peel it off and repeat.  Stripping the identified head yields another
    preserving function whose size ``Σ p_i + e`` is exactly one smaller
    (:func:`peel`), so ``Σ p_i + e`` peels suffice (:func:`extract`).
@@ -263,47 +264,29 @@ def length_profile(fn: WordFunction) -> LengthCoefficients | NotRCP:
     return LengthCoefficients(tuple(p), e, offsets)
 
 
-def _conflict(
-    claim: str, established: ProbeRecord, contradicting: ProbeRecord
-) -> NotRCP:
-    return NotRCP(REASON_AMBIGUOUS, (established, contradicting), claim)
+def _conflict(claim: str, *probes: ProbeRecord) -> NotRCP:
+    """An ambiguous head, shown by probes that no single head case fits."""
+    return NotRCP(REASON_AMBIGUOUS, probes, claim)
 
 
-def _classify_unary(fn: WordFunction) -> HeadCase | NotRCP:
-    letters = fn.alphabet.letters[: min(len(fn.alphabet), 4)]
-    probes: list[ProbeRecord] = []
-    for args in [("",)] + [(ch,) for ch in letters]:
-        probes.append(ProbeRecord(args, fn.evaluate_letters(args)))
-    eps_probe, letter_probes = probes[0], probes[1:]
+def classify_head(fn: WordFunction) -> HeadCase | NotRCP:
+    """Decide how the first output letter arises, by one probe plan for
+    every arity.
 
-    empties = [pr for pr in letter_probes if not pr.output]
-    if empties:
-        # One empty output on nonempty input forces the constant-ε function.
-        for pr in probes:
-            if pr.output:
-                return _conflict(
-                    "empty and nonempty outputs cannot share one head",
-                    empties[0],
-                    pr,
-                )
-        return ConstEmpty()
+    With ``a``, ``b``, ``c`` the first three letters, ask the all-``c``
+    tuple, each position planted with ``a`` among ``c`` fill, each planted
+    with ``b``, and the all-ε tuple.  An empty all-``c`` output means
+    :class:`ConstEmpty`, and a head other than ``c`` there :class:`ConstLetter`.
+    Otherwise the one position echoing its planted ``a``, and then its
+    ``b``, is the :class:`Variable`; no echo means the constant ``c``.  Any
+    probe that disagrees with the settled case returns a :class:`NotRCP`
+    naming probes that no head case fits together.
 
-    for pr in letter_probes:
-        beta = pr.output[0]
-        if beta != pr.args[0]:
-            # A head letter different from the input's first letter can only
-            # be a constant; every probe must agree, the ε-probe included.
-            for other in probes:
-                if not other.output.startswith(beta):
-                    return _conflict(
-                        f"head letter {beta!r} is not constant", pr, other
-                    )
-            return ConstLetter(beta)
-    # Every probed letter reproduces itself up front: the head copies x1.
-    return Variable(1)
-
-
-def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
+    The probe set is sound for preserving functions and merely heuristic for
+    adversaries — downstream validation remains the final word.
+    """
+    if len(fn.alphabet) < 3:
+        raise ValueError("head classification needs at least three letters")
     a, b, c = fn.alphabet.letters[:3]
     k = fn.arity
 
@@ -329,9 +312,7 @@ def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
         # must be the constant β — on every probe, ε-probe included.
         for pr in (*planted_a, *planted_b, eps):
             if not pr.output.startswith(beta):
-                return _conflict(
-                    f"head letter {beta!r} is not constant", all_c, pr
-                )
+                return _conflict(f"head letter {beta!r} is not constant", all_c, pr)
         return ConstLetter(beta)
 
     heads = []
@@ -350,55 +331,33 @@ def _classify_general(fn: WordFunction) -> HeadCase | NotRCP:
     marked = [i for i, h in enumerate(heads, start=1) if h == a]
 
     if not marked:
-        # Nothing echoes the planted letter: the head is the constant c.
-        for pr in (*planted_b, eps):
+        # Nothing echoes the planted letter: the head is the constant c.  Each
+        # planted-a probe rules out a variable head at its own position, and
+        # the ε-probe leaves every position empty, so it needs them all.
+        claim = f"head letter {c!r} is not constant"
+        for pr_a, pr in zip(planted_a, planted_b):
             if not pr.output.startswith(c):
-                return _conflict("head letter 'c' is not constant", all_c, pr)
+                return _conflict(claim, pr_a, pr)
+        if not eps.output.startswith(c):
+            return _conflict(claim, *planted_a, eps)
         return ConstLetter(c)
     if len(marked) > 1:
-        return _conflict(
-            "two argument positions both claim the head",
-            planted_a[marked[0] - 1],
-            planted_a[marked[1] - 1],
-        )
+        claimants = [planted_a[i - 1] for i in marked[:2]]
+        return _conflict("two argument positions both claim the head", all_c, *claimants)
     idx = marked[0]
     # Confirmation round with the letters swapped: the chosen position must
-    # now echo b, everyone else must stay at c.
+    # now echo b, everyone else must stay at c.  A reply led by a fits a
+    # constant head a, which only the all-c probe rules out.
     for j, pr in enumerate(planted_b, start=1):
         want = b if j == idx else c
         if not pr.output.startswith(want):
             return _conflict(
                 f"argument {idx} does not hold up as the head on the "
                 "confirmation round",
-                planted_a[idx - 1],
+                all_c if pr.output.startswith(a) else planted_a[idx - 1],
                 pr,
             )
     return Variable(idx)
-
-
-def classify_head(fn: WordFunction) -> HeadCase | NotRCP:
-    """Decide how the first output letter arises, by a handful of probes.
-
-    For unary functions: probe ε and up to four letters.  An empty output on
-    nonempty input settles on :class:`ConstEmpty`; a response not echoing its
-    input's first letter settles on :class:`ConstLetter`; otherwise the head
-    copies the argument.  For higher arities three distinct letters are
-    needed: an all-``c`` probe fixes the candidate, per-position planted
-    letters find which argument (if any) supplies the head, and a swapped
-    confirmation round re-probes the choice.  Probe disagreements return a
-    :class:`NotRCP` with the two conflicting queries.
-
-    The probe set is sound for preserving functions and merely heuristic for
-    adversaries — downstream validation remains the final word.
-    """
-    if len(fn.alphabet) < 3:
-        raise ValueError("head classification needs at least three letters")
-    if fn.arity == 0:
-        out = fn.evaluate_letters(())
-        return ConstLetter(out[0]) if out else ConstEmpty()
-    if fn.arity == 1:
-        return _classify_unary(fn)
-    return _classify_general(fn)
 
 
 def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[str, ...]]:

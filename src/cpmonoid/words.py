@@ -359,6 +359,8 @@ def iter_word_tuples(
 
 def count_words(alphabet: Alphabet, max_len: int) -> int:
     """``|alphabet|^0 + ... + |alphabet|^max_len`` without enumerating."""
+    if max_len < 0:
+        raise ValueError(f"negative length bound {max_len}")
     m = len(alphabet)
     if m == 1:
         return max_len + 1

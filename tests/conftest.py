@@ -1,9 +1,28 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as strat
+import pytest
 
 from cpmonoid import Alphabet, Template, Word
 
 ABC = Alphabet.of("abc")
 AB = Alphabet.of("ab")
+ABCD = Alphabet.of("abcd")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """``bench/corpus.py``, the benchmark's item generators, as a module."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
 
 
 def words(alphabet=ABC, max_len=6):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cpmonoid import BUILTIN_NAMES, Template, TemplateFunction, format_template
+from cpmonoid import BUILTIN_NAMES, Template, TemplateFunction, format_template, parse_template
 from cpmonoid.cli import _build_parser, run
 
 from conftest import ABC, AB
@@ -51,6 +51,16 @@ def test_eval_empty_word(capsys, template_file):
     code, out, _ = invoke(capsys, "eval", "-t", template_file, "")
     assert code == 0
     assert out.strip() == "abc"
+
+
+def test_eval_template_body_with_trailing_whitespace(capsys, tmp_path, template_file):
+    clean = Path(template_file).read_text()
+    padded = tmp_path / "padded.tmpl"
+    padded.write_text(clean.replace("\n", " \t\n"))
+    want = invoke(capsys, "eval", "-t", template_file, "ba")
+    assert want[0] == 0
+    assert invoke(capsys, "eval", "-t", str(padded), "ba") == want
+    assert format_template(parse_template(padded.read_text())) == clean
 
 
 def test_eval_wrong_arity(capsys, template_file):

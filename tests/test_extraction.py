@@ -1,9 +1,12 @@
+import collections
 import itertools
+import random
 
 import hypothesis
 import pytest
 
 from cpmonoid import (
+    BuiltinFunction,
     ConstEmpty,
     ConstLetter,
     Extracted,
@@ -26,7 +29,7 @@ from cpmonoid import (
 from cpmonoid.extraction import default_validation_len
 from cpmonoid.words import strings_up_to
 
-from conftest import ABC, AB, count_word_constructions, templates
+from conftest import ABC, ABCD, AB, count_word_constructions, templates
 
 
 def fn_of(*parts, alphabet=ABC, arity=None):
@@ -115,23 +118,92 @@ def test_classify_binary_swap():
     assert classify_head(swap) == Variable(2)
 
 
-@hypothesis.given(templates())
+@hypothesis.given(templates() | templates(ABCD))
 def test_classify_matches_analytic_head(t):
-    got = classify_head(TemplateFunction(t))
-    want = analytic_head(t)
-    if isinstance(want, Variable):
-        # an empty-prefix template may still start with a constant letter
-        # when the leading slot repeats (e.g. "" x1 "a" on empty x1), but
-        # classify sees nonempty probes, so Variable is right; equality holds
-        assert got == want
-    else:
-        assert got == want
+    # an empty-prefix template may still start with a constant letter when
+    # its leading slot is empty (e.g. "" x1 "a" on empty x1), but the
+    # planted probes are nonempty, so Variable is right there too
+    assert classify_head(TemplateFunction(t)) == analytic_head(t)
+
+
+def test_classify_unary_asks_epsilon_and_three_letters():
+    asked = []
+    fn = BuiltinFunction("echo", ABCD, lambda key: asked.append(key) or key[0])
+    assert classify_head(fn) == Variable(1)
+    assert sorted(asked) == [("",), ("a",), ("b",), ("c",)]
+    assert fn.query_count == 4
 
 
 def test_classify_rejects_collapse():
     out = classify_head(builtin("collapse_b_to_a", ABC))
     assert isinstance(out, NotRCP)
     assert out.reason == "ambiguous head probes"
+
+
+def head_fits(case, probe):
+    """Whether one probe's output can start the way ``case`` says.
+
+    A variable whose argument is empty in the probe leaves the head to what
+    follows it, so it fits any output there.
+    """
+    if isinstance(case, ConstEmpty):
+        return probe.output == ""
+    if isinstance(case, ConstLetter):
+        return probe.output[:1] == case.letter
+    x = probe.args[case.index - 1]
+    return not x or probe.output[:1] == x[0]
+
+
+def liars(corpus):
+    """Non-preserving builtins and the benchmark's perturbed templates, as
+    (label, factory) pairs over abc and abcd at arities 1-3."""
+    out = [(f"builtin {name}", lambda name=name: builtin(name, ABC))
+           for name in corpus.NONPRESERVING_BUILTINS]
+    # arity 2: both positions echo a planted a, so only the all-c probe
+    # rules out the constant head a
+    out.append(("either echoes a", lambda: BuiltinFunction(
+        "either", ABC, lambda key: "a" if "a" in "".join(key) else "c", arity=2)))
+    for alphabet in (ABC, ABCD):
+        shapes, letters = random.Random(1), random.Random(2)
+        for arity in (1, 2, 3):
+            for _ in range(12):
+                t = corpus.random_template(shapes, letters, alphabet, arity, max_size=6, min_slots=1)
+                perturbed = [
+                    (f"{name}@{slot + 1}", corpus._slot_perturbed(t, slot, g))
+                    for name, g in corpus.SLOT_PERTURBATIONS.items()
+                    for slot in range(len(t.variables))
+                ] + [(f"reversed_beyond_{k}", corpus._reversed_beyond(t, k))
+                     for k in corpus.REVERSE_BEYOND]
+                out.extend(
+                    (f"{name} {t}", lambda f=f, t=t: BuiltinFunction("p", t.alphabet, f, arity=t.arity))
+                    for name, f in perturbed
+                )
+    return out
+
+
+def test_classify_conflicts_replay_and_admit_no_head(corpus):
+    found = collections.Counter()
+    for label, make in liars(corpus):
+        out = classify_head(make())
+        if not isinstance(out, NotRCP):
+            continue
+        arity = make().arity
+        found[arity, len(out.probes)] += 1
+        assert out.reason == "ambiguous head probes", label
+        assert len(out.probes) == 2 or arity >= 2, label
+        fresh = make()
+        for probe in out.probes:
+            assert fresh.evaluate_letters(probe.args) == probe.output, label
+        # a constant head letter that fits every probe leads one of them
+        cases = [ConstEmpty()]
+        cases += [ConstLetter(probe.output[0]) for probe in out.probes if probe.output]
+        cases += [Variable(i) for i in range(1, arity + 1)]
+        fitting = [case for case in cases if all(head_fits(case, pr) for pr in out.probes)]
+        assert not fitting, (label, fitting)
+    # unary liars name two probes; the ε-probe at arity 2 and 3 and the
+    # rival echoes need every planted-a probe, and the rivals the all-c one
+    assert sum(n for (arity, _), n in found.items() if arity == 1) >= 30
+    assert found[2, 3] and found[3, 4]
 
 
 def test_classify_needs_three_letters():

@@ -7,23 +7,6 @@ one that gains a decision moves the pinned counts on purpose.
 """
 
 import collections
-import importlib.util
-import sys
-from pathlib import Path
-
-import pytest
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
 
 
 def test_refute_slice_decisions_and_costs(corpus):

@@ -219,9 +219,15 @@ def test_iter_words_order_and_count():
     assert count_words(ABC, 3) == 1 + 3 + 9 + 27
 
 
-@hypothesis.given(strat.integers(0, 4))
-def test_count_words_matches_enumeration(n):
-    assert count_words(ABC, n) == sum(1 for _ in iter_words(ABC, n))
+def test_count_words_matches_enumeration():
+    for alphabet in map(Alphabet.of, ("a", "ab", "abc")):
+        for n in range(5):
+            assert count_words(alphabet, n) == len(list(strings_up_to(alphabet, n)))
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=f"negative length bound {n}"):
+                count_words(alphabet, n)
+            with pytest.raises(ValueError, match=f"negative length bound {n}"):
+                list(strings_up_to(alphabet, n))
 
 
 def test_iter_words_unique():
