@@ -24,17 +24,21 @@ letter endomorphisms (collapse, project, erase, identify), then kernels of
 morphisms into a catalog of small finite monoids.  Both are fixed families,
 so every audit is deterministic.
 
-An audit runs one sweep through all its phases.  The sweep scans each
-kernel (:attr:`CongruenceSpec.kernel_id`) once, and checks new kernels
-against the table of memoised outputs once it can.  A later spec of a
-kernel that passed is settled by its id at the known count, without a
-visit.  When the outputs obey the letter-count law counts(f(x̄)) = c +
-Σ kᵢ·counts(xᵢ), kᵢ ≥ 0, every commutative kernel is settled the same way,
-without imaging any output (see :class:`_Sweep`).  Witnesses, counts and
-oracle queries are those of scanning every spec.  Both families are built
-once per alphabet (the finite one up to a limit), and each spec keeps its
-own key, id and classes (:meth:`CongruenceSpec.classes`), so later audits
-reuse them.
+An audit runs one sweep through all its phases, with one rule for every
+spec: a spec known to pass without a scan is charged its full count, any
+other is scanned, and either is cut only when its own count does not fit
+what is left of the phase's budget.  A spec is known to pass when its
+kernel (:attr:`CongruenceSpec.kernel_id`) passed before, or, once every
+tuple's output is memoised in one table, when it is commutative and the
+outputs obey the letter-count law counts(f(x̄)) = c + Σ kᵢ·counts(xᵢ),
+kᵢ ≥ 0, or when a check against the table passes it (see :class:`_Sweep`).
+A scan evaluates only a word's pairs with the first word of its class;
+its pairs with later members are settled by transitivity (see
+:func:`_scan`).  Witnesses, counts and oracle queries are those of
+evaluating every pair of every spec.  Both families are built once per
+alphabet (the finite one up to its first 5,000 specs), and each spec
+keeps its own key, id and classes (:meth:`CongruenceSpec.classes`), so
+later audits reuse them.
 """
 
 from __future__ import annotations
@@ -164,25 +168,23 @@ def _scan(
 
 
 class _Sweep:
-    """One audit's scans at one length bound, each kernel once across all its
-    phases.  Kernels are told apart by :attr:`CongruenceSpec.kernel_id`.
+    """One audit's sweep at one length bound, each kernel scanned at most
+    once across all its phases (kernels are told apart by
+    :attr:`CongruenceSpec.kernel_id`).
 
-    A kernel whose scan completed with no witness is in ``passed``, with its
-    count; :func:`_audit_specs` settles its later specs at that count without
-    a visit.  A completed scan evaluates every tuple that holds a word of a
-    class of two or more words, so once every word has been in such a class,
-    every tuple of words is memoised: the outputs are read into one table,
-    and a new kernel is checked against it in one pass over the tuples with
-    a word of such a class.  It passes when every one of them has the image
-    of the tuple of its words' class heads; its count is then ``arity *
-    contexts * pairs``.  When the table obeys the letter-count law (see
-    :func:`_obeys_letter_count_law`), ``counts_law`` is set and
-    :func:`_audit_specs` settles every commutative kernel at that count
-    without a visit: its images see only letter counts, so the law fixes an
-    output's image from its arguments'.  A spec that the table check fails,
-    or that the budget would cut, runs :func:`_scan`, so witnesses, counts,
-    the order of oracle misses and any :class:`AlphabetError` are those of
-    scanning it alone.
+    :meth:`known_count` alone decides whether a spec is known to pass
+    without a scan, and :meth:`record` notes a scan that ran to its end
+    with no witness.  A completed scan evaluates every tuple that holds a
+    word of a class of two or more words, so once every word has been in
+    such a class, every tuple is memoised and the outputs are read into one
+    table.  A new kernel then passes when each tuple with a word of such a
+    class has the image of the tuple of its words' class heads; when the
+    table obeys the letter-count law (:func:`_obeys_letter_count_law`), a
+    commutative kernel passes without imaging anything, since its images
+    see only letter counts and the law fixes an output's counts from its
+    arguments'.  Neither check queries the oracle, and a kernel that fails
+    them is scanned, so witnesses, counts, the order of oracle misses and
+    any :class:`AlphabetError` are those of scanning every spec alone.
     """
 
     def __init__(self, fn: WordFunction, bound: int) -> None:
@@ -198,38 +200,55 @@ class _Sweep:
         self.table: list[str] | None = None  # outputs of all tuples, in product order
         self.counts_law = False  # whether the table obeys the letter-count law
 
-    def scan(self, spec: CongruenceSpec, remaining: int | None) -> tuple[Witness | None, int, bool]:
-        """As :func:`_scan`, and whether the budget cut it short of the full
-        count, for a spec that :func:`_audit_specs` could not settle."""
-        classes = spec.classes(self.bound)
-        total = self.checks_per_pair * classes.pairs
-        if (
-            self.table is not None
-            and (remaining is None or total <= remaining)
-            and self._table_passes(spec)
-        ):
-            self.passed[spec.kernel_id] = total
-            return None, total, False
-        witness, used = _scan(self.fn, spec, self.bound, remaining)
-        if witness is None and used == total:  # the scan ran to its end
-            self.passed[spec.kernel_id] = total
-            if self.unseen:
-                self.unseen.difference_update(classes.live)
-                if not self.unseen:
-                    tuples = itertools.product(self.words, repeat=self.fn.arity)
-                    self.table = list(map(self.fn.evaluate_letters, tuples))
-                    self.counts_law = _obeys_letter_count_law(
-                        self.table, self.words, self.fn.alphabet.letters, self.fn.arity
-                    )
-        return witness, used, witness is None and used < total
+    def full_count(self, spec: CongruenceSpec) -> int:
+        """The checks of ``spec``'s whole stream (see :func:`_scan`)."""
+        return self.checks_per_pair * spec.classes(self.bound).pairs
+
+    def known_count(self, spec: CongruenceSpec) -> int | None:
+        """The full count of ``spec`` if it is known to pass without a scan,
+        else ``None``."""
+        kernel = spec.kernel_id
+        known = self.passed.get(kernel)
+        if known is None and self.table is not None:
+            if (self.counts_law and spec.commutative) or self._table_passes(spec):
+                known = self.passed[kernel] = self.full_count(spec)
+        return known
+
+    def record(self, spec: CongruenceSpec) -> None:
+        """Note that a scan of ``spec`` ran to its end with no witness."""
+        self.passed[spec.kernel_id] = self.full_count(spec)
+        if self.unseen:
+            self.unseen.difference_update(spec.classes(self.bound).live)
+            if not self.unseen:
+                tuples = itertools.product(self.words, repeat=self.fn.arity)
+                self.table = list(map(self.fn.evaluate_letters, tuples))
+                self.counts_law = _obeys_letter_count_law(
+                    self.table, self.words, self.fn.alphabet.letters, self.fn.arity
+                )
 
     def _table_passes(self, spec: CongruenceSpec) -> bool:
         # Each output in the table was imaged by a completed scan, so its
         # letters are in the alphabet and imaging it cannot raise.
-        imaged, moved, heads = spec.class_tuples(self.bound, self.fn.arity)
+        imaged, moved, heads = _class_tuples(spec.classes(self.bound).heads, self.fn.arity)
         images = dict(zip(imaged, map(spec.word_image, map(self.table.__getitem__, imaged))))
         image = images.__getitem__
         return list(map(image, moved)) == list(map(image, heads))
+
+
+@functools.cache
+def _class_tuples(heads: tuple[int, ...], arity: int) -> tuple[list[int], list[int], list[int]]:
+    """For the ``arity``-tuples of words with class heads ``heads``, by index
+    in :attr:`_Sweep.table`'s product order: those that hold a live word,
+    those that hold a word not heading its class, and the tuple of class
+    heads of each of the latter.  Cached, so specs with equal classes share
+    one layout."""
+    canon = list(heads)
+    for _ in range(arity - 1):
+        canon = [c * len(heads) + h for c in canon for h in heads]
+    moved = [i for i, c in enumerate(canon) if i != c]
+    moved_heads = [canon[i] for i in moved]
+    # a tuple whose live words all head their classes is one of the heads
+    return sorted({*moved, *moved_heads}), moved, moved_heads
 
 
 def _obeys_letter_count_law(
@@ -368,7 +387,7 @@ class AuditResult:
     """Outcome of an audit sweep: a witness, or how much ground was covered."""
 
     witness: Witness | None
-    specs_checked: int
+    specs_checked: int  # congruences reached, the one a cut stopped in included
     checks: int  # congruent pairs of the stream, evaluated or settled
     truncated: bool  # the budget cut a phase short of its last congruence's full count
     family: str | None = None  # the phase that found the witness
@@ -409,30 +428,27 @@ def audit(
 def _audit_specs(sweep: _Sweep, specs: Iterable[CongruenceSpec], budget: int | None) -> AuditResult:
     """One phase of ``sweep``: its specs in order, within ``budget`` checks.
 
-    A spec whose kernel id already passed, or a commutative one once the
-    table obeys the letter-count law, is settled here at its known count
-    without a visit; every other spec goes through :meth:`_Sweep.scan`.
+    A spec known to pass (:meth:`_Sweep.known_count`) is charged its full
+    count, or cut at ``budget`` when that does not fit; every other spec is
+    scanned with what is left.  So each spec is cut only by its own count:
+    one whose full count is 0 never is, and the spec a cut stops in is
+    counted in ``specs_checked``.
     """
-    passed, checks_per_pair, bound = sweep.passed, sweep.checks_per_pair, sweep.bound
+    fn, bound = sweep.fn, sweep.bound
     total = seen = 0
     for spec in specs:
-        remaining = None if budget is None else budget - total
-        if remaining is not None and remaining <= 0:
-            return AuditResult(None, seen, total, truncated=True)
         seen += 1
-        kernel = spec.kernel_id
-        known = passed.get(kernel)
-        if known is None and sweep.counts_law and spec.commutative:
-            known = passed[kernel] = checks_per_pair * spec.classes(bound).pairs
+        known = sweep.known_count(spec)
         if known is not None:
-            if remaining is not None and known > remaining:
+            if budget is not None and total + known > budget:
                 return AuditResult(None, seen, budget, truncated=True)
             total += known
             continue
-        witness, used, cut = sweep.scan(spec, remaining)
+        witness, used = _scan(fn, spec, bound, None if budget is None else budget - total)
         total += used
-        if witness is not None or cut:
-            return AuditResult(witness, seen, total, truncated=cut)
+        if witness is not None or used < sweep.full_count(spec):  # found, or cut by the budget
+            return AuditResult(witness, seen, total, truncated=witness is None)
+        sweep.record(spec)
     return AuditResult(None, seen, total, truncated=False)
 
 

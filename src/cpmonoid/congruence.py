@@ -20,7 +20,7 @@ import abc
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .words import (
     Alphabet,
@@ -237,31 +237,6 @@ class CongruenceSpec(abc.ABC):
 
     @functools.cached_property
     def _classes_by_bound(self) -> dict[int, _Classes]:
-        return {}
-
-    def class_tuples(
-        self, bound: int, arity: int
-    ) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """For the ``arity``-tuples of the words of ``classes(bound)``, by
-        index in product order: those that hold a live word, those that hold
-        a word not heading its class, and the tuple of class heads of each
-        of the latter.  Built once per bound and arity and kept on the spec
-        beside the classes."""
-        tuples = self._tuples_by_bound.get((bound, arity))
-        if tuples is None:
-            heads = self.classes(bound).heads
-            canon = list(heads)
-            for _ in range(arity - 1):
-                canon = [c * len(heads) + h for c in canon for h in heads]
-            moved = [i for i, c in enumerate(canon) if i != c]
-            moved_heads = [canon[i] for i in moved]
-            # a tuple whose live words all head their classes is one of the heads
-            tuples = sorted({*moved, *moved_heads}), moved, moved_heads
-            self._tuples_by_bound[bound, arity] = tuples
-        return tuples
-
-    @functools.cached_property
-    def _tuples_by_bound(self) -> dict[tuple[int, int], tuple[Sequence[int], ...]]:
         return {}
 
 

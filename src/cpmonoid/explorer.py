@@ -103,7 +103,6 @@ class CandidateTable:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    tables: int = 0
     family_size: int = 0
 
 
@@ -284,7 +283,6 @@ def enumerate_consistent(
             if pick is not None and pick(imgs) != wanted:
                 continue
             if idx == last:
-                stats.tables += 1
                 table = new_table(CandidateTable)
                 table.alphabet = alphabet
                 table.text = prefix + line

@@ -239,6 +239,10 @@ def parse_table(
             raise FormatError(
                 f"line {lineno}: expected {arity + 1} fields, got {len(fields)}"
             )
+        if alphabet is None:
+            bad = sorted({ch for field in fields for ch in field if not _valid_letter(ch)})
+            if bad:
+                raise FormatError(f"line {lineno}: invalid letters {bad!r}")
         key = tuple(fields[:-1])
         if key in entries:
             raise FormatError(f"line {lineno}: duplicate entry for {key}")

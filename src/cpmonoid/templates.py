@@ -321,7 +321,7 @@ def parse_template(text: str) -> Template:
     constants: list[Word] = []
     variables: list[int] = []
     expect_const = True
-    for token in lines[2].strip().split(" "):
+    for token in lines[2].split():  # a letter is never whitespace
         if expect_const:
             if len(token) < 2 or not token.startswith('"') or not token.endswith('"'):
                 raise FormatError(f"expected a quoted constant, got {token!r}")

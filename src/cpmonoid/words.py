@@ -392,7 +392,7 @@ def _letter_values(lines: Iterable[str], value: str, duplicate: str) -> dict[str
     """The mapping of ``letter=<value>`` lines; errors name the right-hand
     side ``value`` and begin a repeated letter's with ``duplicate``."""
     mapping: dict[str, str] = {}
-    for ln in lines:
+    for ln in map(str.strip, lines):
         letter, sep, rhs = ln.partition("=")
         if not sep or len(letter) != 1:
             raise FormatError(f"expected 'letter={value}', got {ln!r}")

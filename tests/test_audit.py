@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import importlib
 import itertools
+import shlex
+import sys
 
 import pytest
 
@@ -39,6 +41,7 @@ from cpmonoid.audit import (
     _scan,
     random_congruences,
 )
+from cpmonoid.cli import run
 from cpmonoid.words import AlphabetError, strings_up_to
 
 from conftest import ABC, count_word_constructions
@@ -268,17 +271,15 @@ def reference_audit(fn, family, bound, budget):
     settled = []
     for name, specs in reference_phases(family, fn.alphabet):
         total = 0
+        cut = False  # the budget cut this phase short
         for spec in specs:
-            if budget is not None and budget - total <= 0:
-                truncated = True
-                break
             seen += 1
             first = {}
             for w in iter_words(spec.alphabet, bound):
                 first.setdefault(spec.word_image(w.letters), w.letters)
             for left, right in reference_pair_stream(spec, fn.arity, bound):
                 if budget is not None and total >= budget:
-                    truncated = True  # the budget cut this spec's stream short
+                    cut = True  # this spec's stream goes on past the budget
                     break
                 total += 1
                 u = next(a for a, b in zip(left, right) if a != b)
@@ -288,6 +289,9 @@ def reference_audit(fn, family, bound, budget):
                 if spec.word_image(out_l) != spec.word_image(out_r):
                     witness = (spec.describe(), left, right)
                     return (witness, seen, checks + total, truncated, name), settled
+            if cut:
+                truncated = True
+                break
         checks += total
     return (None, seen, checks, truncated, None), settled
 
@@ -515,10 +519,7 @@ def plain_audit_specs(sweep, specs, budget):
     total = seen = 0
     for spec in specs:
         seen += 1
-        remaining = None if budget is None else budget - total
-        if remaining is not None and remaining <= 0:
-            return AuditResult(None, seen - 1, total, truncated=True)
-        witness, used = _scan(fn, spec, bound, remaining)
+        witness, used = _scan(fn, spec, bound, None if budget is None else budget - total)
         total += used
         if witness is not None:
             return AuditResult(witness, seen, total, truncated=False)
@@ -980,6 +981,24 @@ def test_check_notes_a_cut_last_congruence_as_budget_exhausted(budget, truncated
     assert isinstance(verdict, Indeterminate) and verdict.truncated == truncated
     note = "budget exhausted" if truncated else "all families exhausted"
     assert f"note: {note}" in verdict.render().splitlines()
+
+
+def test_a_congruence_is_cut_only_by_its_own_count(capsys):
+    # At bound 0 every class is one word, so every congruence's full count is
+    # 0 and a budget of 0 cuts none of them; at arity 0 there is nothing to
+    # vary, so every count is 0 at every bound.
+    result = audit(builtin("reverse"), "all", length_bound=0, budget=0)
+    assert (result.witness, result.specs_checked, result.checks, result.truncated) == (None, 986, 0, False)
+    verdict = theorem_check(builtin("reverse"), length_bound=0, budget=0)
+    assert "note: all families exhausted" in verdict.render().splitlines()
+    oracle = f"exec:{shlex.quote(sys.executable)} -m cpmonoid.identity_oracle"
+    argv = ["audit", "--oracle", oracle, "--arity", "0", "--family", "all", "--budget", "0"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "ok (986 congruences, 0 checks)\n"
+    # The standard family's first congruence holds 39 checks on reverse at
+    # bound 2; a budget that ends exactly there cuts the second, which counts.
+    result = audit(builtin("reverse"), "standard", length_bound=2, budget=39)
+    assert (result.specs_checked, result.checks, result.truncated) == (2, 39, True)
 
 
 def test_theorem_check_reaches_a_later_congruence_at_arity_3():

@@ -55,12 +55,14 @@ def test_eval_empty_word(capsys, template_file):
 
 def test_eval_template_body_with_trailing_whitespace(capsys, tmp_path, template_file):
     clean = Path(template_file).read_text()
-    padded = tmp_path / "padded.tmpl"
-    padded.write_text(clean.replace("\n", " \t\n"))
     want = invoke(capsys, "eval", "-t", template_file, "ba")
     assert want[0] == 0
-    assert invoke(capsys, "eval", "-t", str(padded), "ba") == want
-    assert format_template(parse_template(padded.read_text())) == clean
+    # whitespace after each line, and a run of spaces between tokens
+    for old, new in (("\n", " \t\n"), (" ", "  ")):
+        padded = tmp_path / "padded.tmpl"
+        padded.write_text(clean.replace(old, new))
+        assert invoke(capsys, "eval", "-t", str(padded), "ba") == want
+        assert format_template(parse_template(padded.read_text())) == clean
 
 
 def test_eval_wrong_arity(capsys, template_file):

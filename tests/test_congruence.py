@@ -299,6 +299,7 @@ def test_monoid_morphism_format_round_trip():
     "text, message",
     [
         ("a=1\n\nb=2\nc=0\n", None),  # blank lines are skipped
+        ("a=1 \n b=2\t\nc=0\n", None),  # whitespace around a line is stripped
         ("a=1\nb:2\nc=0\n", "expected 'letter=element', got 'b:2'"),
         ("a=1\nb=2\na=0\n", "duplicate assignment for letter 'a'"),
     ],

@@ -178,6 +178,14 @@ def test_parse_table_rejects_duplicates():
         parse_table("a\tb\na\tc\n")
 
 
+def test_parse_table_names_the_line_of_an_invalid_letter():
+    # as with a given alphabet, a bad letter is a format error, not an
+    # AlphabetError from building the inferred alphabet
+    with pytest.raises(FormatError) as raised:
+        parse_table("a\tb\nb\ta \n")
+    assert str(raised.value) == "line 2: invalid letters [' ']"
+
+
 def test_parse_table_empty_fields_are_epsilon():
     fn = parse_table("\tx\na\t\n", alphabet=AB.extended("x"))
     assert fn("").letters == "x"

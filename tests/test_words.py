@@ -269,11 +269,15 @@ def test_parse_morphism_rejects_incomplete():
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("alphabet abc\na=ab \n b=b\t\nc=a\n", None),  # whitespace around a line is stripped
         ("alphabet abc\na=ab\nbb\nc=a\n", "expected 'letter=image', got 'bb'"),
         ("alphabet abc\na=ab\nb=b\na=a\n", "duplicate image line for letter 'a'"),
     ],
 )
 def test_parse_morphism_line_errors(text, message):
+    if message is None:
+        assert parse_morphism(text).image == (("a", "ab"), ("b", "b"), ("c", "a"))
+        return
     with pytest.raises(FormatError) as raised:
         parse_morphism(text)
     assert str(raised.value) == message
