@@ -14,13 +14,13 @@ The report says so explicitly.
 
 A search builds its kernel family, each kernel a :class:`RestrictedCongruence`,
 and its template index once: each consistent table is classified by one
-lookup of its text in :func:`template_index`, and the backtracker compares
-cached tuples of images under the kernels that can prune (see
-:func:`enumerate_consistent`).  A table is carried as its rendered text, the
-form it is classified, compared and printed in; its entries are split back
-out of that text only on request.
-:func:`recheck_table` uses none of these caches and checks every kernel; it
-is the independent reference the tests compare against.
+lookup of its text in :func:`template_index`, and the backtracker asks each
+kernel that can prune whether a new output is congruent to the output of
+the first word of its class (see :func:`enumerate_consistent`).  A table is
+carried as its rendered text, the form it is classified, compared and
+printed in; its entries are split back out of that text only on request.
+:func:`recheck_table` checks every kernel on every congruent pair; it is
+the independent reference the tests compare against.
 
 Every candidate output obeys the letter-count law, so a kernel whose letter
 images commute, which sees only letter counts, never prunes.  On two letters
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .congruence import RestrictedCongruence, _class_heads, congruent_pairs
@@ -153,14 +152,6 @@ def endomorphism_family(
     return family
 
 
-# A word's images under the checked kernels, in family order; a search option
-# pairs the table text of an entry (x, y) with the images of y: "\t" + y for
-# the empty word, "\n" + x + "\t" + y after it, so that a table's text is
-# its prefix's text plus its last option's.
-_Images = tuple[str, ...]
-_Option = tuple[str, _Images]
-
-
 def enumerate_consistent(
     config: SearchConfig, stats: SearchStats | None = None
 ) -> Iterator[CandidateTable]:
@@ -186,15 +177,15 @@ def enumerate_consistent(
     iff ``uv != vu``), so no kernel prunes and every table obeying the law
     is consistent.
 
+    Each checked kernel asks at most one question per domain word.  The
+    earlier words of one class already have congruent outputs, so a new
+    output need only be congruent to the output of the class's first word.
+
     Repeated work is done once.  Each candidate list is built once, memoised
-    on its per-letter counts, with every word's tuple of images under the
-    checked kernels; each level's options, each with its entry's line of
-    table text, are laid out once per choice of ``f(ε)``; and the assigned
-    outputs keep their image tuples, and the assigned prefix its table text,
-    on stacks beside the levels, so a table's text is one concatenation.
-    Earlier words of one kernel class already share an output image, so each
-    morphism contributes at most one peer check per domain word: against the
-    first earlier word of its class, all compared as one tuple of images.
+    on its per-letter counts; each level's options, each with its entry's
+    line of table text, are laid out once per choice of ``f(ε)``; and the
+    assigned outputs, and the assigned prefix its table text, sit on stacks
+    beside the levels, so a table's text is one concatenation.
 
     Pass a :class:`SearchStats` to observe node counts and the family size.
     Raises :class:`BudgetExhausted` when the node budget trips.
@@ -208,38 +199,26 @@ def enumerate_consistent(
         stats = SearchStats()
     stats.family_size = len(family)
 
-    # The checked kernels, each with the head of every domain word's class:
-    # the first word (in domain order) that it shares an image with.
-    checked = []
+    # For each domain word: the kernels that can prune under which an earlier
+    # word shares its class, each with that class's head, its first word.
+    peers: list[list[tuple[RestrictedCongruence, int]]] = [[] for _ in domain]
     for phi in family:
         kernel = RestrictedCongruence(phi)
         if kernel.commutative:
             continue
-        classes = kernel.classes(config.domain_len)
-        if classes.joins:
-            checked.append((kernel.word_image, classes.heads))
-    images = [image for image, _ in checked]
-
-    def with_images(words: Iterable[str]) -> list[tuple[str, _Images]]:
-        return [(w, tuple(image(w) for image in images)) for w in words]
-
-    # For each domain word: the kernels under which an earlier word shares
-    # its class, each with the first such earlier word.
-    peers: list[list[tuple[int, int]]] = [  # (kernel, first earlier)
-        [(m, heads[w]) for m, (_, heads) in enumerate(checked) if heads[w] != w]
-        for w in range(len(domain))
-    ]
-    pickers = [itemgetter(*(m for m, _ in row)) if row else None for row in peers]
+        for w, head in enumerate(kernel.classes(config.domain_len).heads):
+            if head != w:
+                peers[w].append((kernel, head))
 
     budget = config.node_budget
-    arranged: dict[tuple[int, ...], list[tuple[str, _Images]]] = {}
+    arranged: dict[tuple[int, ...], list[str]] = {}
+    # An option pairs the table text of an entry (x, y) with y: "\t" + y for
+    # the empty word, "\n" + x + "\t" + y after it, so that a table's text
+    # is its prefix's text plus its last option's line.
     # f(ε) is free apart from its forced length e.
-    first_level: list[_Option] = [
-        ("\t" + y, imgs)
-        for y, imgs in with_images(strings_of_length(alphabet, config.e))
-    ]
+    first_level = [("\t" + y, y) for y in strings_of_length(alphabet, config.e)]
 
-    def levels_given(base: str) -> list[list[_Option]]:
+    def levels_given(base: str) -> list[list[tuple[str, str]]]:
         """Every level's options once ``f(ε) = base`` is fixed; outputs with
         equal per-letter counts share one memoised arrangement list."""
         levels = [first_level]
@@ -247,40 +226,27 @@ def enumerate_consistent(
             counts = tuple(config.p * x.count(ch) + base.count(ch) for ch in letters)
             words = arranged.get(counts)
             if words is None:
-                words = arranged[counts] = with_images(
-                    "".join(t) for t in arrangements(letters, counts)
-                )
-            levels.append([(f"\n{x}\t{y}", imgs) for y, imgs in words])
+                words = arranged[counts] = ["".join(t) for t in arrangements(letters, counts)]
+            levels.append([(f"\n{x}\t{y}", y) for y in words])
         return levels
-
-    assigned_images: list[_Images] = []
-
-    def wanted_for(idx: int) -> str | _Images | None:
-        """The images every option for ``domain[idx]`` must match, in the
-        shape its picker returns (a bare string for a single peer)."""
-        row = peers[idx]
-        if not row:
-            return None
-        wanted = tuple(assigned_images[first][m] for m, first in row)
-        return wanted[0] if len(wanted) == 1 else wanted
 
     # Depth-first search with one option iterator per assigned level, so a
     # table is yielded in constant time instead of through a generator chain
     # as deep as the domain.
     last = len(domain) - 1
-    options: list[list[_Option]] = []  # per level, for the current f(ε)
+    options: list[list[tuple[str, str]]] = []  # per level, for the current f(ε)
     iterators = [iter(first_level)]
-    wanted_at: list[str | _Images | None] = [None]
+    assigned: list[str] = []  # the outputs of the levels above the current one
     prefixes = [""]
     new_table = object.__new__  # set the text directly, past __init__'s join
     while iterators:
         idx = len(iterators) - 1
-        pick, wanted, prefix = pickers[idx], wanted_at[idx], prefixes[idx]
-        for line, imgs in iterators[idx]:
+        row, prefix = peers[idx], prefixes[idx]
+        for line, y in iterators[idx]:
             stats.nodes += 1
             if stats.nodes > budget:
                 raise BudgetExhausted(f"node budget {budget} exhausted", stats)
-            if pick is not None and pick(imgs) != wanted:
+            if row and not all(kernel.congruent(y, assigned[head]) for kernel, head in row):
                 continue
             if idx == last:
                 table = new_table(CandidateTable)
@@ -289,18 +255,16 @@ def enumerate_consistent(
                 yield table
                 continue
             if idx == 0:
-                options = levels_given(line[1:])  # f(ε), after the TAB
-            assigned_images.append(imgs)
+                options = levels_given(y)
+            assigned.append(y)
             prefixes.append(prefix + line)
             iterators.append(iter(options[idx + 1]))
-            wanted_at.append(wanted_for(idx + 1))
             break
         else:
             iterators.pop()
-            wanted_at.pop()
             prefixes.pop()
             if idx:
-                assigned_images.pop()
+                assigned.pop()
 
 
 def template_index(config: SearchConfig) -> dict[str, Template]:

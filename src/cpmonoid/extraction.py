@@ -365,12 +365,12 @@ def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[str, ...]]:
 
     Length-2 inputs matter: a liar that survived single-letter probes (a
     reversal, say) still has to reproduce two-letter prefixes through the
-    accumulated peels, which trips the in-peel assertion.
+    accumulated peels, which trips the in-peel assertion.  The alphabet has
+    at least three letters, as :func:`extract` requires.
     """
     yield ("",) * fn.arity
-    letters = fn.alphabet.letters[: min(len(fn.alphabet), 4)]
-    alpha1 = letters[0]
-    alpha2 = letters[1] if len(letters) > 1 else letters[0]
+    letters = fn.alphabet.letters[:4]
+    alpha1, alpha2 = letters[:2]
     if fn.arity == 1:
         for ch in letters:
             yield _unit_tuple(fn, 1, ch, "")
@@ -379,7 +379,7 @@ def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[str, ...]]:
         return
     for ch in letters[:3]:
         yield (ch,) * fn.arity
-    fill = fn.alphabet.letters[2] if len(fn.alphabet) >= 3 else alpha1
+    fill = letters[2]
     for i in range(1, fn.arity + 1):
         yield _unit_tuple(fn, i, alpha1, fill)
         yield _unit_tuple(fn, i, alpha1 + alpha2, fill)

@@ -1031,14 +1031,13 @@ def test_verify_witness_accepts_real_and_rejects_fake():
     fn = builtin("reverse", ABC)
     w = check_preservation(fn, spec, length_bound=2)
     assert verify_witness(fn, w)
-    fake = Witness(
-        spec,
-        w.left,
-        w.left,  # x = y: images cannot differ
-        w.out_left,
-        w.out_left,
-    )
-    assert not verify_witness(fn, fake)
+    fakes = [
+        dataclasses.replace(w, right=w.left, out_right=w.out_left),  # x = y: images cannot differ
+        dataclasses.replace(w, left=w.left * 2, right=w.right * 2),  # two arguments to a unary f
+        dataclasses.replace(w, out_left=w.out_right, out_right=w.out_left),  # not what f gives
+    ]
+    for fake in fakes:
+        assert not verify_witness(fn, fake), fake
 
 
 def test_verify_witness_rejects_noncongruent_inputs():

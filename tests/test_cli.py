@@ -95,10 +95,24 @@ def test_profile_rejects_erasure(capsys):
     assert "NOT-RCP" in out
 
 
-def test_classify(capsys):
-    code, out, _ = invoke(capsys, "classify", "--oracle", "builtin:reverse")
-    assert code == 0
-    assert out.strip() == "variable 1"
+@pytest.mark.parametrize(
+    "oracle, want_code, want_out",
+    [
+        pytest.param("builtin:reverse", 0, "variable 1\n", id="reverse"),
+        pytest.param("builtin:erase_a", 1, (
+            "NOT-RCP\n"
+            "reason: ambiguous head probes\n"
+            'query: "c"\n'
+            'output: "c"\n'
+            'query: "a"\n'
+            'output: ""\n'
+            "detail: output vanished on a nonempty probe\n"
+        ), id="erase_a"),
+    ],
+)
+def test_classify(capsys, oracle, want_code, want_out):
+    code, out, _ = invoke(capsys, "classify", "--oracle", oracle)
+    assert (code, out) == (want_code, want_out)
 
 
 def test_extract_template_round_trip(capsys, template_file):
@@ -417,9 +431,18 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
-def test_explore_bad_coeff(capsys):
-    code, _, err = invoke(capsys, "explore", "--maxlen", "2", "--coeff", "1")
+@pytest.mark.parametrize(
+    "coeff, reason",
+    [
+        pytest.param("1", "expected P,E (two comma-separated integers)", id="one"),
+        pytest.param("1,x", "expected integers in P,E", id="letter"),
+        pytest.param("1,-1", "coefficients must be nonnegative", id="negative"),
+    ],
+)
+def test_explore_bad_coeff(capsys, coeff, reason):
+    code, _, err = invoke(capsys, "explore", "--maxlen", "2", "--coeff", coeff)
     assert code == 2
+    assert f"argument --coeff: {reason}" in err
 
 
 def test_exec_oracle(capsys):
@@ -444,10 +467,24 @@ def test_exec_protocol_failure(capsys):
     assert "protocol" in err
 
 
-def test_unknown_scheme(capsys):
-    code, _, err = invoke(capsys, "extract", "--oracle", "zip:whatever")
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        pytest.param(("zip:whatever",), "scheme", id="zip"),
+        pytest.param(("reverse",), "oracle spec 'reverse' needs a scheme", id="bare"),
+        pytest.param(("builtin:nope",), "unknown builtin 'nope'", id="unknown-builtin"),
+        pytest.param(
+            ("builtin:collapse_b_to_a", "--alphabet", "acd"),
+            "builtin 'collapse_b_to_a' needs letters ['b'] in the alphabet",
+            id="builtin-letters",
+        ),
+        pytest.param(("builtin:reverse", "--alphabet", "aab"), "duplicate letter 'a'", id="alphabet"),
+    ],
+)
+def test_unknown_scheme(capsys, args, reason):
+    code, _, err = invoke(capsys, "extract", "--oracle", *args)
     assert code == 2
-    assert "scheme" in err
+    assert reason in err
 
 
 def test_unknown_subcommand(capsys):

@@ -377,14 +377,27 @@ def law_count(config):
     return total
 
 
-def reference_run(config, budget):
-    """Naive backtracking over the letter-count law, with no kernel checks
-    (on two letters none prunes).  Returns the tables yielded, the node count
-    where the search stops, whether the budget tripped, the domain index of
-    every tried node, and the node count at each table."""
+def reference_run(config, budget, family=()):
+    """Naive backtracking over the letter-count law.  Every morphism of
+    ``family`` is checked against every earlier word: an option ``(x, y)`` is
+    pruned when the morphism relates ``x`` to an earlier ``u`` but not ``y`` to
+    ``u``'s output.  Returns the tables yielded, the node count where the
+    search stops, whether the budget tripped, the domain index of every tried
+    node, and the node count at each table."""
     alphabet, p = config.alphabet, config.p
     domain = [w.letters for w in iter_words(alphabet, config.domain_len)]
     tables, levels, at_table = [], [], []
+
+    # for each domain word, every (morphism, earlier word) pair that relates them
+    related = [[] for _ in domain]
+    for phi in family:
+        images = [phi.apply_letters(x) for x in domain]
+        for i, j in itertools.combinations(range(len(domain)), 2):
+            if images[i] == images[j]:
+                related[j].append((phi.apply_letters, i))
+
+    def pruned(y, entries):
+        return any(image(y) != image(entries[j][1]) for image, j in related[len(entries)])
 
     class Cut(Exception):
         pass
@@ -401,7 +414,8 @@ def reference_run(config, budget):
                 levels.append(len(entries))
                 raise Cut
             levels.append(len(entries))
-            visit(entries + [(x, y)])
+            if not pruned(y, entries):
+                visit(entries + [(x, y)])
 
     try:
         visit([])
@@ -462,6 +476,22 @@ def test_prune_free_search_stops_where_naive_backtracking_would(maxlen, e):
     # cuts at an f(ε) node, at every later level, and right after a leaf
     assert cut_at == set(range(len(list(iter_words(AB, maxlen)))))
     assert cut_on_leaf
+
+
+@pytest.mark.parametrize("p,e,nodes", [(1, 0, 19), (0, 1, 39), (1, 1, 212)])
+def test_pruned_search_stops_where_naive_backtracking_would(p, e, nodes):
+    # On three letters kernels prune; the reference checks every kernel of the
+    # family, commutative ones included, so every budget cut must still land
+    # where its search does.
+    base = SearchConfig(ABC, domain_len=2, p=p, e=e)
+    family = endomorphism_family(ABC, base.image_len, max(2, 2 * p + e))
+    _, full_nodes, *_ = reference_run(base, float("inf"), family)
+    assert full_nodes == nodes
+    for budget in range(1, nodes + 2):
+        config = SearchConfig(ABC, domain_len=2, p=p, e=e, node_budget=budget)
+        want_tables, want_nodes, want_cut, *_ = reference_run(config, budget, family)
+        got_tables, stats, cut = run_search(config)
+        assert (got_tables, stats.nodes, cut) == (want_tables, want_nodes, want_cut), budget
 
 
 @pytest.mark.parametrize("budget", [1, 2, 31, 32, 5000])
