@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .congruence import (
@@ -63,6 +62,7 @@ from .words import (
     Alphabet,
     Morphism,
     Word,
+    _Value,
     collapse_to,
     erase,
     identify,
@@ -71,15 +71,22 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """Congruent inputs whose outputs the congruence tells apart."""
 
-    spec: CongruenceSpec
-    left: tuple[Word, ...]
-    right: tuple[Word, ...]
-    out_left: Word
-    out_right: Word
+    def __init__(
+        self,
+        spec: CongruenceSpec,
+        left: tuple[Word, ...],
+        right: tuple[Word, ...],
+        out_left: Word,
+        out_right: Word,
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "out_left", out_left)
+        object.__setattr__(self, "out_right", out_right)
 
     def render(self) -> str:
         lines = ["WITNESS", self.spec.describe()]
@@ -382,15 +389,22 @@ _SCHEDULE = (
 _FAMILIES = {**{phase[0]: (phase,) for phase in _SCHEDULE}, "all": _SCHEDULE}
 
 
-@dataclass
-class AuditResult:
+class AuditResult(_Value, frozen=False):
     """Outcome of an audit sweep: a witness, or how much ground was covered."""
 
-    witness: Witness | None
-    specs_checked: int  # congruences reached, the one a cut stopped in included
-    checks: int  # congruent pairs of the stream, evaluated or settled
-    truncated: bool  # the budget cut a phase short of its last congruence's full count
-    family: str | None = None  # the phase that found the witness
+    def __init__(
+        self,
+        witness: Witness | None,
+        specs_checked: int,  # congruences reached, the one a cut stopped in included
+        checks: int,  # congruent pairs of the stream, evaluated or settled
+        truncated: bool,  # the budget cut a phase short of its last congruence's full count
+        family: str | None = None,  # the phase that found the witness
+    ) -> None:
+        self.witness = witness
+        self.specs_checked = specs_checked
+        self.checks = checks
+        self.truncated = truncated
+        self.family = family
 
 
 def audit(
@@ -456,10 +470,10 @@ def _audit_specs(sweep: _Sweep, specs: Iterable[CongruenceSpec], budget: int | N
 # Verdicts
 
 
-@dataclass(frozen=True)
-class CertifiedCP:
-    template: Template
-    query_count: int
+class CertifiedCP(_Value):
+    def __init__(self, template: Template, query_count: int) -> None:
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "query_count", query_count)
 
     def render(self) -> str:
         from .templates import format_template
@@ -470,11 +484,11 @@ class CertifiedCP:
         )
 
 
-@dataclass(frozen=True)
-class RefutedCP:
-    witness: Witness
-    family: str
-    checks: int
+class RefutedCP(_Value):
+    def __init__(self, witness: Witness, family: str, checks: int) -> None:
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "checks", checks)
 
     def render(self) -> str:
         return (
@@ -484,11 +498,16 @@ class RefutedCP:
         )
 
 
-@dataclass(frozen=True)
-class Indeterminate:
-    diagnosis: NotRCP | None
-    checks: int
-    truncated: bool  # the budget cut a phase short of its last congruence's full count
+class Indeterminate(_Value):
+    def __init__(
+        self,
+        diagnosis: NotRCP | None,
+        checks: int,
+        truncated: bool,  # the budget cut a phase short of its last congruence's full count
+    ) -> None:
+        object.__setattr__(self, "diagnosis", diagnosis)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "truncated", truncated)
 
     def render(self) -> str:
         note = "budget exhausted" if self.truncated else "all families exhausted"

@@ -15,8 +15,10 @@ Oracles are named by scheme: ``template:FILE``, ``builtin:NAME``,
 ``table:FILE`` or ``exec:COMMANDLINE`` (split shell-style and spoken to over
 the line protocol).  ``--arity`` (default 1) and ``--alphabet`` (default
 ``abc``) give an ``exec:`` oracle's signature; the other schemes carry their
-own arity, which a given ``--arity`` must match.  A table's alphabet is its
-own letters unless ``--alphabet`` is set.
+own arity, which a given ``--arity`` must match.  A ``builtin:`` oracle takes
+the given alphabet, and a table's alphabet is its own letters unless
+``--alphabet`` is set; a template carries its own alphabet, which a given
+``--alphabet`` must match.
 
 Exit status: 0 success or passing verdict; 1 a witness, NOT-RCP outcome
 (``check`` included, when every audit phase ran to its end) or
@@ -138,7 +140,8 @@ def _add_oracle_options(sub: argparse.ArgumentParser) -> None:
         "--alphabet",
         type=_alphabet_arg,
         help="alphabet for builtin/exec oracles (default: abc); "
-        "a table's letters must lie in it (default: inferred from the file)",
+        "a table's letters must lie in it (default: inferred from the file); "
+        "a template's own alphabet must equal it",
     )
     sub.add_argument(
         "--arity", type=_int_at_least(0), help="exec oracle arity (default: 1); others must match"
@@ -358,6 +361,10 @@ def run(argv: Sequence[str] | None = None) -> int:
             fn = _load_oracle(args.oracle, args.alphabet, args.arity, stack)
             if args.arity not in (None, fn.arity):
                 raise _UsageError(f"--arity {args.arity}, but the oracle has arity {fn.arity}")
+            if args.alphabet not in (None, fn.alphabet):
+                raise _UsageError(
+                    f"--alphabet {args.alphabet}, but the oracle's alphabet is {fn.alphabet}"
+                )
             handler = {
                 "profile": _cmd_profile,
                 "classify": _cmd_classify,

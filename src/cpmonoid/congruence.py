@@ -19,7 +19,6 @@ from __future__ import annotations
 import abc
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .words import (
@@ -28,12 +27,12 @@ from .words import (
     FormatError,
     Morphism,
     _letter_values,
+    _Value,
     strings_up_to,
 )
 
 
-@dataclass(frozen=True)
-class FiniteMonoid:
+class FiniteMonoid(_Value):
     """A finite monoid given by its full multiplication table.
 
     ``table[i][j]`` is the product ``elements[i] * elements[j]``.  The
@@ -42,10 +41,18 @@ class FiniteMonoid:
     tables can still be constructed and reported on.
     """
 
-    name: str
-    elements: tuple[str, ...]
-    identity: str
-    table: tuple[tuple[str, ...], ...]
+    def __init__(
+        self,
+        name: str,
+        elements: tuple[str, ...],
+        identity: str,
+        table: tuple[tuple[str, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -87,13 +94,18 @@ class FiniteMonoid:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class MonoidViolation:
+class MonoidViolation(_Value):
     """First law failure found in a multiplication table."""
 
-    kind: str  # "identity" or "associativity"
-    witness: tuple[str, ...]
-    message: str
+    def __init__(
+        self,
+        kind: str,  # "identity" or "associativity"
+        witness: tuple[str, ...],
+        message: str,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "message", message)
 
 
 def monoid_validate(m: FiniteMonoid) -> MonoidViolation | None:
@@ -124,13 +136,16 @@ def monoid_validate(m: FiniteMonoid) -> MonoidViolation | None:
     return None
 
 
-@dataclass(frozen=True)
-class MonoidMorphism:
+class MonoidMorphism(_Value):
     """A morphism from a free monoid into a finite monoid, by letter images."""
 
-    alphabet: Alphabet
-    monoid: FiniteMonoid
-    assignment: tuple[tuple[str, str], ...]
+    def __init__(
+        self, alphabet: Alphabet, monoid: FiniteMonoid, assignment: tuple[tuple[str, str], ...]
+    ) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "monoid", monoid)
+        object.__setattr__(self, "assignment", assignment)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         letters = tuple(letter for letter, _ in self.assignment)
@@ -245,11 +260,12 @@ _KERNEL_IDS: dict[Hashable, int] = {}
 _NEW_KERNEL_IDS = itertools.count()
 
 
-@dataclass(frozen=True)
-class RestrictedCongruence(CongruenceSpec):
+class RestrictedCongruence(CongruenceSpec, _Value):
     """Kernel of a free-monoid endomorphism."""
 
-    morphism: Morphism
+    def __init__(self, morphism: Morphism) -> None:
+        object.__setattr__(self, "morphism", morphism)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.morphism.is_endomorphism:
@@ -292,11 +308,11 @@ class RestrictedCongruence(CongruenceSpec):
         return head + "\n" + format_morphism(self.morphism).rstrip("\n")
 
 
-@dataclass(frozen=True)
-class FiniteKernelCongruence(CongruenceSpec):
+class FiniteKernelCongruence(CongruenceSpec, _Value):
     """Kernel of a morphism into a finite monoid."""
 
-    monoid_morphism: MonoidMorphism
+    def __init__(self, monoid_morphism: MonoidMorphism) -> None:
+        object.__setattr__(self, "monoid_morphism", monoid_morphism)
 
     @property
     def alphabet(self) -> Alphabet:  # type: ignore[override]
@@ -360,16 +376,23 @@ def _class_heads(images: Iterable[Hashable]) -> tuple[int, ...]:
     return tuple(map(first.setdefault, images, itertools.count()))
 
 
-@dataclass(frozen=True)
-class _Classes:
+class _Classes(_Value):
     """The classes of a congruence on the words up to a bound, by the words'
     indices in enumeration order."""
 
-    heads: tuple[int, ...]  # each word's class's first word
-    live: tuple[int, ...]  # the words of classes of two or more
-    joins: tuple[int, ...]  # the live words that do not head their class
-    earlier: tuple[int, ...]  # for each join, the words of its class before it
-    pairs: int  # congruent pairs of distinct words: C(k, 2) per class of k
+    def __init__(
+        self,
+        heads: tuple[int, ...],  # each word's class's first word
+        live: tuple[int, ...],  # the words of classes of two or more
+        joins: tuple[int, ...],  # the live words that do not head their class
+        earlier: tuple[int, ...],  # for each join, the words of its class before it
+        pairs: int,  # congruent pairs of distinct words: C(k, 2) per class of k
+    ) -> None:
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "live", live)
+        object.__setattr__(self, "joins", joins)
+        object.__setattr__(self, "earlier", earlier)
+        object.__setattr__(self, "pairs", pairs)
 
 
 def congruent_pairs(

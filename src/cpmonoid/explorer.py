@@ -32,25 +32,33 @@ backtracker checks nothing and only walks the law's product of outputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .congruence import RestrictedCongruence, _class_heads, congruent_pairs
 from .templates import Template, enumerate_templates
-from .words import Alphabet, Morphism, arrangements, strings_of_length, strings_up_to
+from .words import Alphabet, Morphism, _Value, arrangements, strings_of_length, strings_up_to
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Value):
     """Search space: domain length bound, forced length law, and the
     constraint family (all endomorphisms with image length ≤ image_len)."""
 
-    alphabet: Alphabet
-    domain_len: int
-    p: int
-    e: int
-    image_len: int = 2
-    node_budget: int = 5_000_000
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        domain_len: int,
+        p: int,
+        e: int,
+        image_len: int = 2,
+        node_budget: int = 5_000_000,
+    ) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "domain_len", domain_len)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "image_len", image_len)
+        object.__setattr__(self, "node_budget", node_budget)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.domain_len < 0:
@@ -99,10 +107,10 @@ class CandidateTable:
         return f"CandidateTable({self.alphabet!r}, {self.entries!r})"
 
 
-@dataclass
-class SearchStats:
-    nodes: int = 0
-    family_size: int = 0
+class SearchStats(_Value, frozen=False):
+    def __init__(self, nodes: int = 0, family_size: int = 0) -> None:
+        self.nodes = nodes
+        self.family_size = family_size
 
 
 class BudgetExhausted(Exception):
@@ -321,15 +329,24 @@ def recheck_table(table: CandidateTable, config: SearchConfig) -> bool:
     return True
 
 
-@dataclass
-class ExploreReport:
-    config: SearchConfig
-    family_size: int
-    consistent: int
-    representable: int
-    non_representable: list[CandidateTable]  # the list the search filled
-    exhausted: bool
-    nodes: int
+class ExploreReport(_Value, frozen=False):
+    def __init__(
+        self,
+        config: SearchConfig,
+        family_size: int,
+        consistent: int,
+        representable: int,
+        non_representable: list[CandidateTable],  # the list the search filled
+        exhausted: bool,
+        nodes: int,
+    ) -> None:
+        self.config = config
+        self.family_size = family_size
+        self.consistent = consistent
+        self.representable = representable
+        self.non_representable = non_representable
+        self.exhausted = exhausted
+        self.nodes = nodes
 
     def lines(self) -> Iterator[str]:
         """The report's blocks, without trailing newlines, produced lazily:

@@ -31,12 +31,11 @@ oracle: it asks its parent, checks the promise the step made, and answers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .oracles import OracleError, WordFunction
 from .templates import LengthCoefficients, Template
-from .words import Alphabet, Word, count_words, strings_up_to
+from .words import Alphabet, Word, _Value, count_words, strings_up_to
 
 # Diagnosis vocabulary for NotRCP outcomes.
 REASON_LENGTH = "length profile inconsistency"
@@ -52,24 +51,24 @@ def _quoted(args: tuple[str, ...]) -> str:
     return " ".join(f'"{a}"' for a in args) or '""'
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(_Value):
     """One oracle query and what came back, as raw letters."""
 
-    args: tuple[str, ...]
-    output: str
+    def __init__(self, args: tuple[str, ...], output: str) -> None:
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "output", output)
 
     def render(self) -> str:
         return f'query: {_quoted(self.args)}\noutput: "{self.output}"'
 
 
-@dataclass(frozen=True)
-class NotRCP:
+class NotRCP(_Value):
     """Evidence that the oracle is not congruence preserving as claimed."""
 
-    reason: str
-    probes: tuple[ProbeRecord, ...]
-    detail: str = ""
+    def __init__(self, reason: str, probes: tuple[ProbeRecord, ...], detail: str = "") -> None:
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "detail", detail)
 
     def render(self) -> str:
         lines = ["NOT-RCP", f"reason: {self.reason}"]
@@ -80,33 +79,32 @@ class NotRCP:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Extracted:
+class Extracted(_Value):
     """A validated template plus the number of oracle queries it cost."""
 
-    template: Template
-    query_count: int
+    def __init__(self, template: Template, query_count: int) -> None:
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "query_count", query_count)
 
 
 ExtractionOutcome = Union[Extracted, NotRCP]
 
 
-@dataclass(frozen=True)
-class ConstLetter:
+class ConstLetter(_Value):
     """Output always starts with this fixed letter."""
 
-    letter: str
+    def __init__(self, letter: str) -> None:
+        object.__setattr__(self, "letter", letter)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Value):
     """Output always starts with a copy of argument ``index`` (1-based)."""
 
-    index: int
+    def __init__(self, index: int) -> None:
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class ConstEmpty:
+class ConstEmpty(_Value):
     """The function is constantly the empty word."""
 
 

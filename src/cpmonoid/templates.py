@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .words import (
@@ -36,14 +35,14 @@ from .words import (
     FormatError,
     Morphism,
     Word,
+    _Value,
     arrangements,
     strings_of_length,
     strings_up_to,
 )
 
 
-@dataclass(frozen=True)
-class LengthCoefficients:
+class LengthCoefficients(_Value):
     """Affine description of a function's output lengths.
 
     ``p[i]`` scales the length of argument ``i+1``, ``e`` is the constant
@@ -51,9 +50,13 @@ class LengthCoefficients:
     constant part contributes (their counts sum to ``e``).
     """
 
-    p: tuple[int, ...]
-    e: int
-    per_letter_offset: tuple[tuple[str, int], ...]
+    def __init__(
+        self, p: tuple[int, ...], e: int, per_letter_offset: tuple[tuple[str, int], ...]
+    ) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "per_letter_offset", per_letter_offset)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if any(c < 0 for c in self.p) or self.e < 0:
@@ -107,18 +110,25 @@ def _closure_factory(
     return eval(f'lambda {params}: lambda key: f"{{c0}}{fields}"')
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(_Value):
     """An alternating sequence of constant words and 1-based variable slots.
 
     ``constants`` always has exactly one more entry than ``variables``; a
     constant function is a single constant and no slots.
     """
 
-    arity: int
-    alphabet: Alphabet
-    constants: tuple[Word, ...]
-    variables: tuple[int, ...]
+    def __init__(
+        self,
+        arity: int,
+        alphabet: Alphabet,
+        constants: tuple[Word, ...],
+        variables: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "variables", variables)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.arity < 0:

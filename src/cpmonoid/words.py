@@ -3,7 +3,11 @@
 Everything downstream (congruences, templates, oracle extraction) is built on
 three value types: :class:`Alphabet`, :class:`Word` and :class:`Morphism`.
 All three are immutable and compare structurally, so they can be used freely
-as dictionary keys and shared across threads.
+as dictionary keys and shared across threads.  They, and the package's other
+value types, are plain classes on the private base :class:`_Value`, which
+supplies the equality, hashing, repr and immutability a frozen dataclass
+would generate, without the import and code generation that ``dataclasses``
+costs at every start-up.
 
 A word is just a string of single-character letters, but it carries the
 alphabet it was declared over so that mixed-alphabet concatenation is an
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import operator
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -36,6 +40,58 @@ class FormatError(ValueError):
 _FORBIDDEN_LETTERS = frozenset('"\\')
 
 
+class _Value:
+    """Base of the package's value types: what a dataclass would generate
+    for them, written once.
+
+    A subclass's fields are the parameters of its own ``__init__``, in
+    order.  That ``__init__`` stores each field with ``object.__setattr__``
+    (plain assignment raises, the value being frozen) and then calls
+    ``__post_init__`` when the class validates.  Instances of one class are
+    equal when their fields are, and hash by them; ``_compared`` may name
+    fewer fields for both.  The repr shows every field.  ``class C(_Value,
+    frozen=False)`` keeps plain assignment and is unhashable.  Instances keep
+    a ``__dict__``, so ``functools.cached_property`` works on them.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...]  # default: every field
+    _key = staticmethod(lambda value: ())  # the compared fields of ``value``
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        super().__init_subclass__()
+        if "__init__" in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+        compared = cls.__dict__.get("_compared", cls._fields)
+        if compared:
+            cls._key = operator.attrgetter(*compared)
+        if not frozen:
+            # object's own slots, so `stats.nodes += 1` runs no Python code
+            cls.__setattr__ = object.__setattr__  # type: ignore[method-assign]
+            cls.__delattr__ = object.__delattr__  # type: ignore[method-assign]
+            cls.__hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _valid_letter(ch: str) -> bool:
     return (
         len(ch) == 1
@@ -45,8 +101,7 @@ def _valid_letter(ch: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(_Value):
     """An ordered set of distinct single-character letters.
 
     The declaration order is significant: it fixes enumeration order for
@@ -54,7 +109,9 @@ class Alphabet:
     letter-sorting functions.
     """
 
-    letters: tuple[str, ...]
+    def __init__(self, letters: tuple[str, ...]) -> None:
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.letters, tuple):
@@ -105,12 +162,15 @@ class Alphabet:
         return Alphabet(self.letters + tuple(dict.fromkeys(new)))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """An immutable word; equality and hashing consider the letters only."""
 
-    alphabet: Alphabet = field(compare=False)
-    letters: str = ""
+    _compared = ("letters",)
+
+    def __init__(self, alphabet: Alphabet, letters: str = "") -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         bad = set(self.letters) - self.alphabet.letter_set
@@ -157,8 +217,7 @@ class Word:
         return self.letters.count(letter)
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Value):
     """A monoid morphism between free monoids, given by letter images.
 
     ``image`` holds one ``(letter, image_letters)`` pair per source letter in
@@ -168,10 +227,20 @@ class Morphism:
     equality.
     """
 
-    source: Alphabet
-    target: Alphabet
-    image: tuple[tuple[str, str], ...]
-    label: str = field(default="", compare=False)
+    _compared = ("source", "target", "image")
+
+    def __init__(
+        self,
+        source: Alphabet,
+        target: Alphabet,
+        image: tuple[tuple[str, str], ...],
+        label: str = "",
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "label", label)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         given = [letter for letter, _ in self.image]

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import importlib
 import itertools
 import shlex
@@ -406,7 +405,10 @@ def class_fields(classes):
 def fresh(specs):
     """New specs equal to ``specs``, with no classes built yet: the shared
     specs of the schedule may hold classes from earlier sweeps."""
-    return [dataclasses.replace(spec) for spec in specs]
+    return [
+        type(spec)(spec.morphism if isinstance(spec, RestrictedCongruence) else spec.monoid_morphism)
+        for spec in specs
+    ]
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3])
@@ -1032,9 +1034,9 @@ def test_verify_witness_accepts_real_and_rejects_fake():
     w = check_preservation(fn, spec, length_bound=2)
     assert verify_witness(fn, w)
     fakes = [
-        dataclasses.replace(w, right=w.left, out_right=w.out_left),  # x = y: images cannot differ
-        dataclasses.replace(w, left=w.left * 2, right=w.right * 2),  # two arguments to a unary f
-        dataclasses.replace(w, out_left=w.out_right, out_right=w.out_left),  # not what f gives
+        Witness(spec, w.left, w.left, w.out_left, w.out_left),  # x = y: images cannot differ
+        Witness(spec, w.left * 2, w.right * 2, w.out_left, w.out_right),  # two arguments to a unary f
+        Witness(spec, w.left, w.right, w.out_right, w.out_left),  # not what f gives
     ]
     for fake in fakes:
         assert not verify_witness(fn, fake), fake

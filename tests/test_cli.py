@@ -409,6 +409,18 @@ def test_arity_must_match_an_oracle_that_carries_its_own(capsys, template_file, 
     assert "--arity 3, but the oracle has arity 1" in err
 
 
+@pytest.mark.parametrize("letters", ["abcd", "cba"])
+def test_alphabet_must_equal_a_templates_own(capsys, template_file, letters):
+    # a template carries its alphabet; a different one is not silently ignored
+    code, out, err = invoke(capsys, "check", "--oracle", f"template:{template_file}", "--alphabet", letters)
+    assert code == 2
+    assert out == ""
+    assert f"--alphabet {letters}, but the oracle's alphabet is abc" in err
+    code, out, _ = invoke(capsys, "check", "--oracle", f"template:{template_file}", "--alphabet", "abc")
+    assert code == 0
+    assert out.startswith("verdict: certified-cp\n")
+
+
 def test_matching_arity_is_accepted(capsys):
     code, out, _ = invoke(capsys, "audit", "--oracle", "builtin:square", "--arity", "1")
     assert code == 0
@@ -512,17 +524,22 @@ def test_subcommand_loads_only_its_modules(template_file, morphism_file, argv, m
     argv = [arg.format(template=template_file, morphism=morphism_file) for arg in argv]
     code = (
         "import contextlib, io, sys\n"
+        "before = 'dataclasses' in sys.modules\n"
         "from cpmonoid.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    run({argv!r})\n"
+        "print(before, 'dataclasses' in sys.modules)\n"
         "print(*sorted(m for m in sys.modules if m.startswith('cpmonoid.')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+    dataclasses_loaded, loaded = proc.stdout.split("\n", 1)
+    before, after = dataclasses_loaded.split()
+    assert after == before  # whatever loaded dataclasses at start-up, cpmonoid did not
     expected = sorted({"cli", "oracles", "templates", "words", *modules})
-    assert proc.stdout.split() == [f"cpmonoid.{name}" for name in expected]
+    assert loaded.split() == [f"cpmonoid.{name}" for name in expected]
 
 
 def test_identity_oracle_loads_only_itself():

@@ -20,8 +20,10 @@ from cpmonoid import (
     project,
     standard_congruences,
 )
-from cpmonoid.explorer import endomorphism_family
-from cpmonoid.words import strings_up_to
+from cpmonoid.audit import AuditResult
+from cpmonoid.explorer import SearchConfig, SearchStats, endomorphism_family
+from cpmonoid.extraction import ConstEmpty, ConstLetter, NotRCP, ProbeRecord, Variable
+from cpmonoid.words import Word, strings_up_to
 
 from conftest import ABC, AB, words
 
@@ -288,3 +290,74 @@ def test_parse_morphism_rejects_junk():
         parse_morphism("a=ab\n")  # no header
     with pytest.raises(FormatError):
         parse_morphism("alphabet abc\na=ab\nb=b\nc=a\nd=x\n")
+
+
+def _raises(kind, action):
+    try:
+        action()
+    except kind:
+        return True
+    return False
+
+
+def _bumped(stats):
+    stats.nodes += 1
+    return stats
+
+
+def _equal_and_same_hash(x, y):
+    return x == y and hash(x) == hash(y)
+
+
+def _swap(letters, label=""):
+    return Morphism.make(letters, {"a": "b", "b": "a"}, label=label)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        # reprs show every field, in constructor order; a word shows its letters
+        (lambda: repr(AB), "Alphabet(letters=('a', 'b'))"),
+        (lambda: repr(ConstEmpty()), "ConstEmpty()"),
+        (lambda: repr(NotRCP("r", ())), "NotRCP(reason='r', probes=(), detail='')"),
+        (lambda: repr(ConstLetter("a")), "ConstLetter(letter='a')"),
+        (lambda: repr(Variable(1)), "Variable(index=1)"),
+        (lambda: repr(ProbeRecord(("a",), "b")), "ProbeRecord(args=('a',), output='b')"),
+        (lambda: repr(AB.word("ab")), "Word('ab')"),
+        (
+            lambda: repr(_swap(AB, "swap")),
+            "Morphism(source=Alphabet(letters=('a', 'b')), target=Alphabet(letters=('a', 'b')), "
+            "image=(('a', 'b'), ('b', 'a')), label='swap')",
+        ),
+        # a word's alphabet and a morphism's label take no part in equality
+        (lambda: _equal_and_same_hash(AB.word("ab"), ABC.word("ab")), True),
+        (lambda: AB.word("ab") == AB.word("ba"), False),
+        (lambda: _equal_and_same_hash(_swap(AB, "x"), _swap(AB, "y")), True),
+        (lambda: _swap(AB) == collapse_to(AB, "a"), False),
+        # equality holds only within one class
+        (lambda: _equal_and_same_hash(ConstEmpty(), ConstEmpty()), True),
+        (lambda: (ConstLetter("a") != Variable("a"), Variable(1) == Variable(1)), (True, True)),
+        # frozen values refuse assignment; the three reports are mutable and unhashable
+        (lambda: _raises(AttributeError, lambda: setattr(AB, "letters", ("c",))), True),
+        (lambda: _raises(AttributeError, lambda: delattr(AB.word("a"), "letters")), True),
+        (lambda: _raises(TypeError, lambda: hash(AuditResult(None, 1, 2, truncated=True))), True),
+        (lambda: _raises(TypeError, lambda: hash(SearchStats())), True),
+        (lambda: _bumped(SearchStats()), SearchStats(nodes=1, family_size=0)),
+        # positional, keyword and default construction
+        (lambda: AuditResult(None, 1, 2, truncated=True).family, None),
+        (
+            lambda: AuditResult(None, 1, 2, True),
+            AuditResult(witness=None, specs_checked=1, checks=2, truncated=True, family=None),
+        ),
+        (
+            lambda: SearchConfig(alphabet=AB, domain_len=2, p=1, e=0),
+            SearchConfig(AB, 2, 1, 0, image_len=2, node_budget=5_000_000),
+        ),
+        (lambda: Morphism(source=AB, target=AB, image=(("a", "b"), ("b", "a"))).label, ""),
+        (lambda: (Word(AB).letters, Word(alphabet=AB, letters="ab").letters), ("", "ab")),
+        (lambda: NotRCP(reason="r", probes=()).detail, ""),
+    ],
+)
+def test_value_semantics(value, expected):
+    assert value() == expected
+
