@@ -7,12 +7,14 @@ preserves the congruence in each argument while the others stay fixed, so
 congruence exhaustively up to a length bound (a word is evaluated against
 the first word of its congruence class only; its other pairs follow by
 transitivity); :func:`audit` sweeps the phases of the audit schedule that
-a family selects; :func:`theorem_check` combines extraction and the whole
-schedule into a three-way verdict:
+a family selects; :func:`theorem_check` combines one extraction (by
+peeling, with no letter outside the alphabet) and the whole schedule into
+a three-way verdict:
 
 * :class:`CertifiedCP` — a validated template was extracted.  Template
   functions preserve every congruence of the kinds handled here, so the
-  template is a positive certificate.
+  template is a positive certificate.  A NOT-RCP from extraction shows the
+  function is not a template, so it is never certified.
 * :class:`RefutedCP` — a concrete :class:`Witness`: congruent inputs whose
   outputs a particular congruence separates.  Witnesses are re-verified
   from scratch before being returned.
@@ -55,7 +57,7 @@ from .congruence import (
     RestrictedCongruence,
     monoid_catalog,
 )
-from .extraction import NotRCP, extract, extract_fresh, Extracted
+from .extraction import NotRCP, extract, Extracted
 from .oracles import WordFunction
 from .templates import Template
 from .words import (
@@ -524,11 +526,12 @@ def theorem_check(
     fn: WordFunction, *, validation_len: int | None = None, length_bound: int = 2,
     budget: int | None = 200_000,
 ) -> Verdict:
-    """Extraction first (``validation_len`` as for :func:`extract`); on
-    failure, escalate through the two phases of the audit schedule
+    """One :func:`extract` first (``validation_len`` as there); on NOT-RCP,
+    escalate through the two phases of the audit schedule
     (``audit(fn, "all", length_bound, budget)``), re-verifying any witness
-    it finds.  The defaults refute every stock non-preserving example within
-    seconds.
+    it finds, and keep the NOT-RCP as the diagnosis of an
+    :class:`Indeterminate`.  No query holds a letter outside the alphabet.
+    The defaults refute every stock non-preserving example within seconds.
 
     Requires at least three letters — with fewer, extraction offers no
     certificate and a missing witness proves nothing.
@@ -537,17 +540,12 @@ def theorem_check(
         raise ValueError("theorem_check needs an alphabet of at least three letters")
 
     outcome = extract(fn, validation_len=validation_len)
-    if isinstance(outcome, NotRCP) and fn.supports_extension:
-        retry = extract_fresh(fn, validation_len=validation_len)
-        if isinstance(retry, Extracted):
-            outcome = retry
     if isinstance(outcome, Extracted):
         return CertifiedCP(outcome.template, outcome.query_count)
-    diagnosis = outcome
 
     result = audit(fn, "all", length_bound, budget)
     if result.witness is None:
-        return Indeterminate(diagnosis, result.checks, result.truncated)
+        return Indeterminate(outcome, result.checks, result.truncated)
     if not verify_witness(fn, result.witness):
         raise RuntimeError("internal inconsistency: witness failed re-verification")
     return RefutedCP(result.witness, result.family, result.checks)

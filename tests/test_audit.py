@@ -946,7 +946,7 @@ def test_finite_family_memo_grows_lazily_up_to_its_limit(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, queries", [(BEYOND2, 16), (SLOT2, 14)], ids=["reversed_beyond_2", "reversed@slot2"]
+    "make, queries", [(BEYOND2, 15), (SLOT2, 13)], ids=["reversed_beyond_2", "reversed@slot2"]
 )
 def test_family_exhausting_unary_items_keep_their_counts(make, queries):
     # Exact counts of sweeps that exhaust every family, as scanning every
@@ -974,6 +974,22 @@ def test_nine_ary_liar_exhausts_the_budget():
     assert "note: budget exhausted" in verdict.render().splitlines()
     assert verdict.checks == 400_000
     assert fn.query_count == 600_007
+
+
+@pytest.mark.parametrize("arity", [5, 8, 9])
+def test_check_never_certifies_what_extraction_refuted(arity):
+    # From arity 5 the validation bound is 1 while the peel probes include
+    # longer words, so the template x1 agrees with reverse(x1) on every tuple
+    # validation looks at, but the probe ("ab", "c", ...) -> "ba" shows that
+    # reverse(x1) is not a template. The verdict keeps that diagnosis.
+    fn = BuiltinFunction(
+        "rev1", ABC, lambda args: args[0][::-1], arity=arity, supports_extension=True
+    )
+    verdict = theorem_check(fn, budget=1000)
+    assert isinstance(verdict, Indeterminate), verdict.render()
+    assert verdict.diagnosis.reason == "peel prefix violation"
+    [probe] = verdict.diagnosis.probes
+    assert probe.args == ("ab",) + ("c",) * (arity - 1) and probe.output == "ba"
 
 
 @pytest.mark.parametrize("budget, truncated", [(23_741, True), (23_742, False)])

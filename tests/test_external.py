@@ -192,10 +192,10 @@ def test_closed_oracle_refuses_queries():
         fn("ab")
 
 
-def test_check_reports_a_fresh_letter_leaking_into_audit(capsys):
+def test_check_sends_no_fresh_letter_and_refutes_a_leaking_oracle(capsys):
     # reverses its input and, once it has been sent a fresh letter, appends
-    # that letter to every reply; the audit then meets an output outside the
-    # alphabet, which must be a clean usage error, not a traceback
+    # that letter to every reply; check extracts by peeling and never sends
+    # one, so the oracle stays plain reverse and the audit refutes it
     from cpmonoid.cli import run
 
     body = (
@@ -209,5 +209,6 @@ def test_check_reports_a_fresh_letter_leaking_into_audit(capsys):
         "    print(line.replace('\\t', '')[::-1] + extra, flush=True)\n"
     )
     code = run(["check", "--oracle", "exec:" + script(body)])
-    assert code == 2
-    assert "alphabet" in capsys.readouterr().err
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["verdict: refuted-cp", "family: finite_monoids", "checks: 1280"]

@@ -25,4 +25,4 @@ def test_refute_slice_decisions_and_costs(corpus):
         queries += item_queries
     assert len(items) == 138
     assert statuses == {"decided": 120, "wrong": 6, "undecided": 12}
-    assert (checks, queries) == (3_440_793, 72_464)
+    assert (checks, queries) == (3_440_793, 72_179)
