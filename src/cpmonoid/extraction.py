@@ -30,12 +30,11 @@ oracle: it asks its parent, checks the promise the step made, and answers.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Union
 
 from .oracles import OracleError, WordFunction
 from .templates import LengthCoefficients, Template
-from .words import Alphabet, Word, _Value, count_words, strings_up_to
+from .words import Alphabet, Word, _Value, count_words, string_tuples_up_to
 
 # Diagnosis vocabulary for NotRCP outcomes.
 REASON_LENGTH = "length profile inconsistency"
@@ -144,7 +143,8 @@ class _Derived(WordFunction):
     Peeled heads and fresh-letter factors are both this shape: ``answer``
     forwards a key to the parent, whose memo already makes repeated probes
     free (so this oracle keeps none, and its ``query_count`` is the
-    parent's), and raises the moment the parent breaks the promise.
+    parent's), and raises the moment the parent breaks the promise.  Both
+    memo entries answer through it.
     """
 
     def __init__(
@@ -164,6 +164,16 @@ class _Derived(WordFunction):
 
     def evaluate_letters(self, key: tuple[str, ...]) -> str:
         return self._answer(key)
+
+    def first_mismatch(
+        self, keys: Iterable[tuple[str, ...]], predict: Callable[[tuple[str, ...]], str]
+    ) -> tuple[tuple[str, ...], str] | None:
+        answer = self._answer
+        for key in keys:
+            out = answer(key)
+            if out != predict(key):
+                return key, out
+        return None
 
 
 def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
@@ -363,8 +373,9 @@ def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[str, ...]]:
 
     Length-2 inputs matter: a liar that survived single-letter probes (a
     reversal, say) still has to reproduce two-letter prefixes through the
-    accumulated peels, which trips the in-peel assertion.  The alphabet has
-    at least three letters, as :func:`extract` requires.
+    accumulated peels, which trips the in-peel assertion.  The fill is the
+    third letter, which :func:`extract` requires, or the second on the two
+    letters that :func:`extract_fresh` accepts.
     """
     yield ("",) * fn.arity
     letters = fn.alphabet.letters[:4]
@@ -377,10 +388,26 @@ def _residual_probe_args(fn: WordFunction) -> Iterable[tuple[str, ...]]:
         return
     for ch in letters[:3]:
         yield (ch,) * fn.arity
-    fill = letters[2]
+    fill = letters[2] if len(letters) > 2 else alpha2
     for i in range(1, fn.arity + 1):
         yield _unit_tuple(fn, i, alpha1, fill)
         yield _unit_tuple(fn, i, alpha1 + alpha2, fill)
+
+
+def _mismatch(
+    fn: WordFunction, template: Template, keys: Iterable[tuple[str, ...]]
+) -> NotRCP | None:
+    """The first of ``keys`` on which oracle and template disagree, as a
+    validation :class:`NotRCP`, or ``None``."""
+    found = fn.first_mismatch(keys, template._apply)
+    if found is None:
+        return None
+    args, got = found
+    return NotRCP(
+        REASON_VALIDATION,
+        (ProbeRecord(args, got),),
+        f"candidate template {template} predicts \"{template._apply(args)}\"",
+    )
 
 
 def _validate(
@@ -388,26 +415,20 @@ def _validate(
 ) -> ExtractionOutcome:
     """Compare oracle and template on every argument tuple up to the bound.
 
-    One lazy pass in enumeration order that stops at the first mismatch and
-    builds no list: each tuple is one ``evaluate_letters`` call and one call
-    of the template's f-string closure.  A plain loop, because Python 3.11
-    inlines these Python-to-Python calls, while ``map`` over them from C
-    pays a full call for each and measured slower on the ``recover``
-    benchmark.
+    One pass in enumeration order through the oracle's whole-sweep memo
+    entry, stopping at the first mismatch.  A sweep of at most 16,384
+    tuples (on ``abc`` and ``abcd``, every default sweep up to arity 3)
+    shares its tuples with every other oracle of its shape; a larger one
+    streams, so a liar under a large bound is caught without the sweep
+    being built.
     """
     if validation_len is None:
         validation_len = default_validation_len(fn.arity, fn.alphabet)
-    words = strings_up_to(fn.alphabet, validation_len)
-    evaluate, predict = fn.evaluate_letters, template._apply
-    for args in itertools.product(words, repeat=fn.arity):
-        got = evaluate(args)
-        want = predict(args)
-        if got != want:
-            return NotRCP(
-                REASON_VALIDATION,
-                (ProbeRecord(args, got),),
-                f"candidate template {template} predicts \"{want}\"",
-            )
+    refuted = _mismatch(
+        fn, template, string_tuples_up_to(fn.alphabet, fn.arity, validation_len)
+    )
+    if refuted is not None:
+        return refuted
     return Extracted(template, fn.query_count - queries_before)
 
 
@@ -598,7 +619,10 @@ def extract_fresh(
     front, and its fresh-letter factors are recursively extracted as
     (k-1)-ary derived oracles; the results are spliced back together.
     Validation against the oracle on short base-alphabet inputs is the same
-    as for :func:`extract`.
+    as for :func:`extract`.  Where the default bound falls below 2 (from
+    arity 5 on ``abc``), the template is first checked on the residual
+    probes that peeling always asks, whose two-letter words the sweep
+    would miss.
 
     Requires ``fn.supports_extension``; for oracles pinned to their alphabet
     use :func:`extract`.
@@ -615,4 +639,9 @@ def extract_fresh(
         return mismatch.args[0]
     if isinstance(template, NotRCP):
         return template
+    if validation_len is None and default_validation_len(fn.arity, fn.alphabet) < 2:
+        # The sweep misses two-letter words, which peeling always asks.
+        refuted = _mismatch(fn, template, _residual_probe_args(fn))
+        if refuted is not None:
+            return refuted
     return _validate(fn, template, validation_len, queries_before)

@@ -6,22 +6,25 @@ alphabet, and an ``evaluate_letters`` method.  Backends exist for templates,
 Python callables (the builtin catalog), finite lookup tables, and external
 processes speaking a one-line-per-query protocol.
 
-:meth:`WordFunction.evaluate_letters` is the core: it takes and returns raw
-letter strings, checks the arity and letters of a new argument tuple, and
-looks it up in one memo; only on a miss does it call the backend's
-``_compute``.  So repeated probes are free and ``query_count`` — the number
-of *distinct* evaluations that reached the backend — is deterministic.
-:meth:`WordFunction.evaluate` is the :class:`Word` boundary around it, for
-callers outside the hot loops.  Extraction's derived oracles (peeled heads,
-fresh-letter factors) are one class whose ``evaluate_letters`` asks the
-parent and checks a promise; they keep no memo of their own, share the
-parent's, and report the root backend's count.
+Each function keeps one memo of raw letter strings, with two entries.
+:meth:`WordFunction.evaluate_letters` answers one argument tuple;
+:meth:`WordFunction.first_mismatch` answers a whole sweep of them against a
+prediction and stops at the first disagreement, without a method call per
+tuple.  Both look a tuple up in the memo first, and only on a miss check its
+arity and letters (one set of checks, one set of messages) and call the
+backend's ``_compute``.  So repeated probes are free and ``query_count`` —
+the number of *distinct* evaluations that reached the backend — is
+deterministic, whichever entry asked.  :meth:`WordFunction.evaluate` is the
+:class:`Word` boundary around them, for callers outside the hot loops.
+Extraction's derived oracles (peeled heads, fresh-letter factors) are one
+class whose entries ask the parent and check a promise; they keep no memo of
+their own, share the parent's, and report the root backend's count.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .templates import Template
 from .words import Alphabet, FormatError, Word, _valid_letter
@@ -79,26 +82,64 @@ class WordFunction:
         """Distinct argument tuples evaluated by the underlying backend."""
         return self._misses
 
+    def _refuse(self, key: tuple[str, ...]) -> None:
+        """Raise the error for a key the backend may not be asked.
+
+        Only a failing check calls it, so the messages live in one place
+        and the memo's hot paths test validity without building them.
+        """
+        if len(key) != self.arity:
+            raise ValueError(
+                f"{self.name}: expected {self.arity} arguments, got {len(key)}"
+            )
+        for letters in key:
+            extraneous = set(letters) - self.alphabet.letter_set
+            if extraneous:
+                raise OracleError(
+                    f"{self.name}: letters {sorted(extraneous)} outside "
+                    f"alphabet {self.alphabet} (no extension support)"
+                )
+
     def evaluate_letters(self, key: tuple[str, ...]) -> str:
         """The result letters for the argument letters ``key``, memoised."""
         out = self._cache.get(key)
         if out is not None:
             return out  # a memoised key already passed the checks below
-        if len(key) != self.arity:
-            raise ValueError(
-                f"{self.name}: expected {self.arity} arguments, got {len(key)}"
-            )
-        if not self.supports_extension:
-            for letters in key:
-                extraneous = set(letters) - self.alphabet.letter_set
-                if extraneous:
-                    raise OracleError(
-                        f"{self.name}: letters {sorted(extraneous)} outside "
-                        f"alphabet {self.alphabet} (no extension support)"
-                    )
+        if len(key) != self.arity or not (
+            self.supports_extension or self.alphabet.letter_set.issuperset("".join(key))
+        ):
+            self._refuse(key)
         self._misses += 1
         out = self._cache[key] = self._compute(key)
         return out
+
+    def first_mismatch(
+        self, keys: Iterable[tuple[str, ...]], predict: Callable[[tuple[str, ...]], str]
+    ) -> tuple[tuple[str, ...], str] | None:
+        """The first key whose result differs from ``predict(key)``, with
+        that result, or ``None`` when every key agrees.
+
+        The whole-sweep entry to the memo: each key is answered exactly as
+        :meth:`evaluate_letters` answers it, in order, but inline, with
+        ``_compute`` looked up once per sweep the way that method looks it
+        up (so a patch on the class sees every backend call).  It stops at
+        the first mismatch and takes ``keys`` lazily.
+        """
+        cache = self._cache
+        get, compute, arity = cache.get, self._compute, self.arity
+        extension, letter_set = self.supports_extension, self.alphabet.letter_set
+        for key in keys:
+            out = get(key)
+            if out is None:
+                if len(key) != arity or not (
+                    extension or letter_set.issuperset("".join(key))
+                ):
+                    self._refuse(key)
+                self._misses += 1
+                out = cache[key] = compute(key)
+            if out != predict(key):
+                return key, out
+        return None
 
     def evaluate(self, args: Sequence[Word]) -> Word:
         letters = self.evaluate_letters(tuple(a.letters for a in args))

@@ -379,6 +379,49 @@ def strings_up_to(alphabet: Alphabet, max_len: int) -> Iterator[str]:
         yield from strings_of_length(alphabet, n)
 
 
+# Tuple sweeps of at most this many tuples are built once and shared.
+_SHARED_SWEEP_MAX = 1 << 14
+
+
+def string_tuples_up_to(
+    alphabet: Alphabet, arity: int, max_len: int
+) -> Iterable[tuple[str, ...]]:
+    """All ``arity``-tuples of raw letter strings of length at most
+    ``max_len``, the leftmost component varying slowest, each through
+    :func:`strings_up_to` order.
+
+    A sweep of at most ``_SHARED_SWEEP_MAX`` (16,384) tuples comes from a
+    cache of built sweeps, so that every caller of one shape gets the same
+    tuple objects: oracle memos keyed on them share their keys instead of
+    each building its own.  A larger sweep streams lazily and is never
+    built, so a caller that stops early pays only for what it read.
+    """
+    if count_words(alphabet, max_len) ** arity > _SHARED_SWEEP_MAX:
+        return itertools.product(tuple(strings_up_to(alphabet, max_len)), repeat=arity)
+    return _shared_sweep(alphabet, arity, max_len)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_sweep(
+    alphabet: Alphabet, arity: int, max_len: int
+) -> tuple[tuple[str, ...], ...]:
+    """One built sweep for :func:`string_tuples_up_to`, for the eight shapes
+    asked most recently.
+
+    Worst-case memory retained: 8 sweeps of at most 16,384 tuples each.  On
+    64-bit CPython an ``arity``-tuple takes 40 + 8·arity bytes rounded up to
+    a multiple of 16, plus 8 for its slot in the sweep.  With at least two
+    words, 16,384 tuples have arity at most 14, so the cache holds at most
+    8 × 16,384 × 168 bytes (about 22 MB); over three or more letters (at
+    least four words, so arity at most 7) at most 8 × 16,384 × 104 bytes
+    (about 14 MB).  A bound-0 sweep is the one all-empty tuple.  The words
+    are shared by every tuple of a sweep.
+    """
+    return tuple(
+        itertools.product(tuple(strings_up_to(alphabet, max_len)), repeat=arity)
+    )
+
+
 def arrangements(
     symbols: Sequence[_T], counts: Sequence[int]
 ) -> list[tuple[_T, ...]]:

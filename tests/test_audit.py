@@ -12,9 +12,11 @@ from cpmonoid import (
     AuditResult,
     BuiltinFunction,
     CertifiedCP,
+    Extracted,
     FiniteKernelCongruence,
     Indeterminate,
     Morphism,
+    NotRCP,
     RefutedCP,
     RestrictedCongruence,
     Template,
@@ -25,6 +27,8 @@ from cpmonoid import (
     check_preservation,
     collapse_to,
     congruent_pairs,
+    extract,
+    extract_fresh,
     finite_monoid_congruences,
     iter_words,
     standard_congruences,
@@ -43,7 +47,7 @@ from cpmonoid.audit import (
 from cpmonoid.cli import run
 from cpmonoid.words import AlphabetError, strings_up_to
 
-from conftest import ABC, count_word_constructions
+from conftest import AB, ABC, count_word_constructions
 
 
 def brute_first_witness(fn, spec, bound):
@@ -990,6 +994,42 @@ def test_check_never_certifies_what_extraction_refuted(arity):
     assert verdict.diagnosis.reason == "peel prefix violation"
     [probe] = verdict.diagnosis.probes
     assert probe.args == ("ab",) + ("c",) * (arity - 1) and probe.output == "ba"
+
+
+def reversed_first(alphabet, arity):
+    return BuiltinFunction(
+        "rev1", alphabet, lambda args: args[0][::-1], arity=arity, supports_extension=True
+    )
+
+
+@pytest.mark.parametrize("arity", [5, 8, 9])
+def test_fresh_extraction_never_certifies_what_peeling_refuted(arity):
+    # Fresh letters read "" x1 "" off reverse(x1), and validation bound 1
+    # cannot tell the two apart, so the template is also checked on the
+    # probes peeling always asks; ("ab", "c", ...) -> "ba" refutes it.
+    fn = reversed_first(ABC, arity)
+    out = extract_fresh(fn)
+    assert isinstance(out, NotRCP) and out.reason == "validation mismatch", out
+    peeled = extract(fn)
+    assert peeled.reason == "peel prefix violation"
+    assert out.probes == peeled.probes
+    assert out.probes[0].args == ("ab",) + ("c",) * (arity - 1)
+
+
+def test_fresh_extraction_asks_the_peel_probes_on_two_letters():
+    # on ab the bound falls to 1 at arity 6; the probes fill with b
+    out = extract_fresh(reversed_first(AB, 6))
+    assert isinstance(out, NotRCP) and out.reason == "validation mismatch", out
+    assert out.probes[0].args == ("ab",) + ("b",) * 5 and out.probes[0].output == "ba"
+
+
+def test_honest_five_ary_fresh_extraction_pays_for_the_peel_probes():
+    # 1,093 queries without the probes; the five ("ab" among c's) probes lie
+    # beyond validation bound 1, and the others inside it
+    t = Template.of(ABC, "ab", 1, "c", 2, "", 5, "ba", 3, "", arity=5)
+    assert extract_fresh(TemplateFunction(t)) == Extracted(t, 1098)
+    # an explicit bound sweeps exactly what it names
+    assert extract_fresh(TemplateFunction(t), validation_len=1) == Extracted(t, 1093)
 
 
 @pytest.mark.parametrize("budget, truncated", [(23_741, True), (23_742, False)])

@@ -16,8 +16,10 @@ from cpmonoid import (
     BuiltinFunction,
     Indeterminate,
     Template,
+    TemplateFunction,
     builtin,
     extract,
+    extract_fresh,
     theorem_check,
 )
 
@@ -106,3 +108,20 @@ def test_tracer_charges_each_phase_of_the_audit_schedule(layers):
         "random_1": (0, 0),
         "random_2": (0, 0),
     }
+
+
+@pytest.mark.parametrize("method", [extract, extract_fresh], ids=["peel", "fresh"])
+def test_tracer_sees_every_backend_call_of_an_extraction(layers, method):
+    # The tracer counts queries through the class's _compute, so the
+    # validation sweep must reach the backend through it too.
+    t = Template.of(Alphabet.of("abc"), "a", 2, "bc", 1, "", 2, "c")
+    fn = TemplateFunction(t)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        outcome = method(fn)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert outcome.template == t and outcome.query_count == fn.query_count >= 169  # the sweep is 13²
+    assert metrics["oracles.queries"] == fn.query_count

@@ -12,7 +12,9 @@ from cpmonoid import (
     Extracted,
     LengthCoefficients,
     NotRCP,
+    OracleError,
     PeelViolation,
+    TableFunction,
     Template,
     TemplateFunction,
     Variable,
@@ -605,28 +607,63 @@ def reference_validate(fn, template, validation_len, queries_before):
     return Extracted(template, fn.query_count - queries_before)
 
 
-def run_liar(hidden, target, runner):
-    """``runner`` on an oracle that lies only at ``target``: (outcome,
-    query count, memo keys in insertion order, backend misses in order)."""
-    from cpmonoid import BuiltinFunction
+# name -> (extraction run, how the lying oracle is built)
+ORACLE_KINDS = {
+    "peel": (extract, "extension"),
+    "fresh": (extract_fresh, "extension"),
+    # no extension letters, so every miss runs the letter checks
+    "pinned": (extract, "pinned"),
+    # a derived oracle answers the sweep through its own promise
+    "peeled": (extract, "peeled"),
+    # the lie is a missing entry: the miss raises and is still counted
+    "table": (extract, "table"),
+}
 
+
+def run_liar(hidden, target, kind):
+    """Extraction of kind ``kind`` on an oracle that lies only at
+    ``target``: (outcome or raised error, query count, memo keys in
+    insertion order, backend misses in order)."""
+    runner, build = ORACLE_KINDS[kind]
     misses = []
+    if build == "table":
+        words = strings_up_to(ABC, default_validation_len(hidden.arity, ABC))
+        table = {
+            key: hidden.eval_letters(key)
+            for key in itertools.product(list(words), repeat=hidden.arity)
+            if key != target
+        }
+        fn = TableFunction(ABC, hidden.arity, table, name="liar")
+        lookup = fn._compute
 
-    def backend(key):
-        misses.append(key)
-        out = hidden.eval_letters(key)
-        return "a" + out if key == target else out
+        def record(key):
+            misses.append(key)
+            return lookup(key)
 
-    fn = BuiltinFunction("liar", ABC, backend, arity=hidden.arity, supports_extension=True)
-    outcome = runner(fn)
+        fn._compute = record
+    else:
+        def backend(key):
+            misses.append(key)
+            out = hidden.eval_letters(key)
+            out = "a" + out if key == target else out
+            # a peeled oracle sees the answer without its head c
+            return "c" + out if build == "peeled" else out
+
+        fn = BuiltinFunction(
+            "liar", ABC, backend, arity=hidden.arity, supports_extension=build != "pinned"
+        )
+    try:
+        outcome = runner(peel(fn, ConstLetter("c")) if build == "peeled" else fn)
+    except OracleError as exc:
+        outcome = (type(exc), str(exc))
     return outcome, fn.query_count, list(fn._cache), misses
 
 
-@pytest.mark.parametrize("runner", [extract, extract_fresh], ids=["peel", "fresh"])
+@pytest.mark.parametrize("kind", list(ORACLE_KINDS))
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("arity", [1, 2, 3])
-def test_validation_sweep_matches_a_sequential_loop(monkeypatch, arity, where, runner):
-    from cpmonoid import ProbeRecord
+def test_validation_sweep_matches_a_sequential_loop(monkeypatch, arity, where, kind):
+    from cpmonoid import ProbeRecord, TableMissError
     from cpmonoid import extraction
 
     hidden = LIAR_HIDDEN[arity]
@@ -636,19 +673,70 @@ def test_validation_sweep_matches_a_sequential_loop(monkeypatch, arity, where, r
     # surfaces in the sweep
     with monkeypatch.context() as patch:
         patch.setattr(extraction, "_validate", lambda *args: None)
-        _, _, _, asked = run_liar(hidden, None, runner)
+        _, _, _, asked = run_liar(hidden, None, kind)
     unasked = [args for args in sweep if args not in set(asked)]
     assert sweep[-1] == unasked[-1]
     target = {"first": unasked[0], "middle": unasked[len(unasked) // 2], "last": unasked[-1]}[where]
 
-    shipped = run_liar(hidden, target, runner)
+    shipped = run_liar(hidden, target, kind)
     with monkeypatch.context() as patch:
         patch.setattr(extraction, "_validate", reference_validate)
-        reference = run_liar(hidden, target, runner)
+        reference = run_liar(hidden, target, kind)
     assert shipped == reference
     outcome, queries, memo, misses = shipped
+    # the sweep stops at the lie: nothing after it in enumeration order was asked
+    assert misses[-1] == target and queries == len(misses)
+    if kind == "table":
+        missing = ", ".join(repr(k) for k in target)
+        assert outcome == (TableMissError, f"liar: no entry for ({missing})")
+        assert memo == misses[:-1]  # counted, but nothing to remember
+        return
     assert outcome.reason == "validation mismatch"
     assert outcome.probes == (ProbeRecord(target, "a" + hidden.eval_letters(target)),)
-    # the sweep stops at the lie: nothing after it in enumeration order was asked
-    assert memo == misses and misses[-1] == target
-    assert queries == len(misses)
+    assert memo == misses
+
+
+@pytest.mark.parametrize(
+    "key", [("a",), ("a", "b", "c"), ("a", "bz"), ("Zq", "")], ids=["short", "long", "letter", "letters"]
+)
+@pytest.mark.parametrize("kind", ["builtin", "table"])
+def test_sweep_refuses_a_bad_key_as_evaluate_letters_does(kind, key):
+    def make():
+        if kind == "table":
+            return TableFunction(ABC, 2, {("a", "b"): "ab"})
+        return BuiltinFunction("join", ABC, "".join, arity=2)
+
+    errors = []
+    for ask in (
+        lambda fn: [fn.evaluate_letters(args) for args in (("a", "b"), key)],
+        lambda fn: fn.first_mismatch([("a", "b"), key], "".join),
+    ):
+        fn = make()
+        with pytest.raises(Exception) as info:
+            ask(fn)
+        errors.append((type(info.value), str(info.value), fn.query_count))
+    assert errors[0] == errors[1]
+    # the good key was asked, the bad one never reached the backend
+    assert errors[0][2] == 1 and errors[0][0] is (ValueError if len(key) != 2 else OracleError)
+
+
+def test_a_long_sweep_streams_and_stops_at_its_first_mismatch():
+    # words up to length 5 on abc at arity 3: 364^3, about 48M tuples; the
+    # lie sits at the 364th, so the sweep must stop there without being built
+    from cpmonoid import ProbeRecord
+    from cpmonoid.words import _shared_sweep
+
+    hidden = LIAR_HIDDEN[3]
+    target = ("", "", "ccccc")
+
+    def liar(key):
+        out = hidden.eval_letters(key)
+        return "a" + out if key == target else out
+
+    fn = BuiltinFunction("liar", ABC, liar, arity=3)
+    cached = _shared_sweep.cache_info()
+    out = extract(fn, validation_len=5)
+    assert out.reason == "validation mismatch"
+    assert out.probes == (ProbeRecord(target, "a" + hidden.eval_letters(target)),)
+    assert fn.query_count < 400
+    assert _shared_sweep.cache_info() == cached
