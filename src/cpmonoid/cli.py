@@ -30,6 +30,14 @@ standard output was closed early (as when piped into ``head``), which ends
 the run quietly.  A negative ``--budget``, ``--bound``, ``--validate-len``,
 ``--image-len``, ``--arity`` or ``--maxlen``, or a ``--node-budget`` below 1,
 exits 2 before any query.  Identical invocations print identical bytes.
+
+The console script (:func:`main`, also ``python -m cpmonoid.cli``) flushes
+its output and ends the process with ``os._exit``, skipping interpreter
+teardown, so a profiler wrapped around it never reports.  Profile through
+:func:`run`, which returns normally; the arguments after the code are the
+command's::
+
+    python -c 'import cProfile, sys; from cpmonoid.cli import run; cProfile.run("run(sys.argv[1:])", sort="cumtime")' check --oracle builtin:reverse
 """
 
 from __future__ import annotations
@@ -388,16 +396,20 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The console script: :func:`run`, then exit without interpreter teardown.
+
+    ``run`` has closed and reaped every oracle by the time it returns, and
+    the process holds no other state worth tearing down, so once both
+    streams are flushed ``os._exit`` ends it.  Output still unflushed after
+    a closed pipe is dropped with the rest of the process.
+    """
     try:
         status = run()
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        sys.stdout.flush()  # os._exit flushes nothing; a closed pipe fails here
     except BrokenPipeError:
-        # The recipe of the Python signal docs: send the rest of the output
-        # to devnull, so the interpreter's final flush cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
         status = EXIT_CLOSED_STDOUT
-    sys.exit(status)
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

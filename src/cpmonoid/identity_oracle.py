@@ -19,6 +19,7 @@ empty lines, the empty word.  Usage::
 
 from __future__ import annotations
 
+import os
 import sys
 
 
@@ -48,4 +49,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # every reply is flushed as it is written; skipping interpreter teardown
+    # lets the client's close() reap the process sooner
+    status = main()
+    sys.stdout.flush()
+    os._exit(status)

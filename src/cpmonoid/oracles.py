@@ -315,15 +315,21 @@ def parse_table(
 #                                           outside the declared alphabet)
 # Each query is one line of exactly <arity> TAB-separated fields (an empty
 # field is the empty word); the reply is a single line holding the result.
-# `BYE\n` ends the session.
+# `BYE\n` ends the session.  Lines are UTF-8; a reply may end in `\r\n`.
 
 
 class ExternalFunction(WordFunction):
     """Client side of the line protocol, wrapping a child process.
 
     Replies are validated: a reply containing a TAB, letters never declared
-    or sent, or an early EOF raises :class:`OracleProtocolError`.  Use as a
-    context manager (or call :meth:`close`) to end the session politely.
+    or sent, bytes that are not UTF-8, or an early EOF raises
+    :class:`OracleProtocolError`.  Use as a context manager (or call
+    :meth:`close`) to end the session politely.
+
+    The pipes are binary: a query is one encoded write and flush, a reply
+    one ``readline``.  ``_known_letters`` holds only valid letters (the
+    alphabet's, and the valid ones among those sent), so a reply made of
+    them alone needs no further check.
     """
 
     def __init__(
@@ -344,13 +350,7 @@ class ExternalFunction(WordFunction):
         # import can fail, so it finds the exception class here
         self._timeout_expired = subprocess.TimeoutExpired
         try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise OracleProtocolError(f"cannot start oracle {argv[0]!r}: {exc}") from exc
         try:
@@ -366,27 +366,38 @@ class ExternalFunction(WordFunction):
         super().__init__(f"exec[{argv[0]}]", alphabet, arity, greeting == "OK EXT")
 
     def _send(self, line: str) -> None:
-        proc = self._proc
-        if proc.stdin is None or proc.poll() is not None:
+        stdin = self._proc.stdin
+        if stdin.closed:  # by close(); a child that died shows as a broken pipe
             raise OracleProtocolError("oracle process is gone")
         try:
-            proc.stdin.write(line + "\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+            stdin.write(line.encode() + b"\n")
+            stdin.flush()
+        except OSError as exc:
             raise OracleProtocolError(f"oracle pipe closed: {exc}") from exc
 
     def _recv(self) -> str:
-        assert self._proc.stdout is not None
         line = self._proc.stdout.readline()
-        if line == "":
+        if not line:
             raise OracleProtocolError("oracle closed its output mid-session")
-        return line.rstrip("\n")
+        try:
+            return line.removesuffix(b"\n").removesuffix(b"\r").decode()
+        except UnicodeDecodeError:
+            raise OracleProtocolError(f"reply is not UTF-8: {line!r}") from None
 
     def _compute(self, key: tuple[str, ...]) -> str:
+        known = self._known_letters
         with self._lock:
-            self._known_letters.update(*key)
+            for letters in key:
+                if not known.issuperset(letters):
+                    known.update(filter(_valid_letter, letters))
             self._send("\t".join(key))
             reply = self._recv()
+        if not known.issuperset(reply):
+            self._refuse_reply(reply)
+        return reply
+
+    def _refuse_reply(self, reply: str) -> None:
+        """Raise the error for a reply holding a letter outside ``_known_letters``."""
         if "\t" in reply:
             raise OracleProtocolError(
                 f"reply holds {reply.count(chr(9)) + 1} fields, expected one word"
@@ -394,13 +405,10 @@ class ExternalFunction(WordFunction):
         bad = sorted({ch for ch in reply if not _valid_letter(ch)})
         if bad:
             raise OracleProtocolError(f"reply contains invalid characters {bad!r}")
-        unknown = set(reply) - self._known_letters
-        if unknown:
-            raise OracleProtocolError(
-                f"reply uses letters {sorted(unknown)} that were never "
-                "declared or sent"
-            )
-        return reply
+        raise OracleProtocolError(
+            f"reply uses letters {sorted(set(reply) - self._known_letters)} that were "
+            "never declared or sent"
+        )
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
@@ -409,7 +417,7 @@ class ExternalFunction(WordFunction):
         if proc.poll() is None:
             try:
                 if proc.stdin is not None:
-                    proc.stdin.write("BYE\n")
+                    proc.stdin.write(b"BYE\n")
                     proc.stdin.flush()
                     proc.stdin.close()
                 proc.wait(timeout=5)

@@ -652,6 +652,36 @@ def test_explore_with_closed_stdout_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(EXPLORE_LARGE, 1, id="explore-5.7MB"),
+        pytest.param(("explore", "--maxlen", "2", "--coeff", "1"), 2, id="usage-error"),
+        pytest.param(("check", "--oracle", "table:/nonexistent/t.tsv"), 2, id="file-error"),
+        pytest.param(("--help",), 0, id="help"),
+    ],
+)
+def test_fast_exit_delivers_what_run_prints(capsys, monkeypatch, argv, code):
+    # main() ends the process with os._exit: everything run() wrote must
+    # still reach the pipes, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+    want = invoke(capsys, *argv)
+    # block-buffered standard streams, as where PYTHONUNBUFFERED is unset
+    env = {name: value for name, value in FRESH_ENV.items() if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpmonoid.cli", *argv],
+        capture_output=True,
+        env=dict(env, COLUMNS="80"),
+        timeout=120,
+    )
+    assert want[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        want[0],
+        want[1].encode(),
+        want[2].encode(),
+    )
+
+
 def test_eval_keeps_format_syntax_letters_literal(capsys, tmp_path):
     path = tmp_path / "braces.tmpl"
     path.write_text('arity 2\nalphabet a{}%0\n"{%" x1 "}0{" x2 "%}" x1 ""\n')

@@ -5,6 +5,7 @@ every deviation into OracleProtocolError rather than wrong answers.
 """
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 from cpmonoid import (
+    Alphabet,
     Extracted,
     ExternalFunction,
     OracleProtocolError,
@@ -27,6 +29,19 @@ def script(body: str) -> str:
 
 
 IDENTITY = f"{shlex.quote(sys.executable)} -m cpmonoid.identity_oracle"
+
+
+def answering(reply: bytes, greeting: bytes = b"OK\n") -> str:
+    """An oracle that greets with ``greeting`` and sends ``reply`` raw to every query."""
+    return script(
+        "import sys\n"
+        "sys.stdin.buffer.readline()\n"
+        f"sys.stdout.buffer.write({greeting!r})\n"
+        "sys.stdout.buffer.flush()\n"
+        "for line in sys.stdin.buffer:\n"
+        f"    sys.stdout.buffer.write({reply!r})\n"
+        "    sys.stdout.buffer.flush()\n"
+    )
 
 
 def test_identity_oracle_basic():
@@ -85,7 +100,9 @@ def test_eof_before_handshake():
         ExternalFunction(bad, 1, ABC)
 
 
-def test_eof_mid_session():
+def test_eof_mid_session(capsys):
+    from cpmonoid.cli import run
+
     body = (
         "import sys\n"
         "input()\n"
@@ -94,6 +111,8 @@ def test_eof_mid_session():
     with ExternalFunction(script(body), 1, ABC) as fn:
         with pytest.raises(OracleProtocolError):
             fn("a")
+    assert run(["extract", "--oracle", "exec:" + script(body)]) == 3
+    assert capsys.readouterr().err.startswith("oracle protocol error: oracle ")
 
 
 def test_reply_with_tab_rejected():
@@ -105,7 +124,7 @@ def test_reply_with_tab_rejected():
         "    print('a\\tb', flush=True)\n"
     )
     with ExternalFunction(script(body), 1, ABC) as fn:
-        with pytest.raises(OracleProtocolError):
+        with pytest.raises(OracleProtocolError, match="^reply holds 2 fields, expected one word$"):
             fn("a")
 
 
@@ -119,7 +138,10 @@ def test_reply_with_undeclared_letter_rejected():
         "    print('z', flush=True)\n"
     )
     with ExternalFunction(script(body), 1, ABC) as fn:
-        with pytest.raises(OracleProtocolError):
+        with pytest.raises(
+            OracleProtocolError,
+            match=re.escape("reply uses letters ['z'] that were never declared or sent"),
+        ):
             fn("a")
 
 
@@ -147,7 +169,7 @@ def test_ext_reply_with_invented_letter_rejected():
         "    print('Z', flush=True)\n"
     )
     with ExternalFunction(script(body), 1, ABC) as fn:
-        with pytest.raises(OracleProtocolError):
+        with pytest.raises(OracleProtocolError, match=re.escape("letters ['Z'] that were never")):
             fn("a")
 
 
@@ -188,8 +210,99 @@ def test_open_query_close_leaves_no_unclosed_file():
 def test_closed_oracle_refuses_queries():
     fn = ExternalFunction(IDENTITY, 1, ABC)
     fn.close()
-    with pytest.raises(OracleProtocolError):
+    with pytest.raises(OracleProtocolError, match="^oracle process is gone$"):
         fn("ab")
+
+
+def test_reply_may_end_in_crlf():
+    with ExternalFunction(answering(b"ab\r\n", greeting=b"OK\r\n"), 1, ABC) as fn:
+        assert fn("ba").letters == "ab"
+
+
+def test_non_ascii_letters_travel_as_utf8():
+    # the oracle echoes a query only if it arrived as these UTF-8 bytes
+    body = (
+        "import sys\n"
+        "sys.stdin.buffer.readline()\n"
+        "sys.stdout.buffer.write(b'OK EXT\\n')\n"
+        "sys.stdout.buffer.flush()\n"
+        "for line in sys.stdin.buffer:\n"
+        "    ok = line == '\\u00e9a\\n'.encode('utf-8')\n"
+        "    sys.stdout.buffer.write(line if ok else b'\\t\\n')\n"
+        "    sys.stdout.buffer.flush()\n"
+    )
+    with ExternalFunction(script(body), 1, ABC) as fn:
+        assert fn("\u00e9a").letters == "\u00e9a"
+    # a declared non-ASCII letter, in the handshake and the replies
+    with ExternalFunction(IDENTITY, 2, Alphabet.of("a\u00e9")) as fn:
+        assert fn("\u00e9", "a\u00e9").letters == "\u00e9a\u00e9"
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        # text mode read a lone CR as a line end; binary pipes keep it in the reply
+        pytest.param(b"a\rb\n", "reply contains invalid characters ['\\r']", id="lone-cr"),
+        pytest.param(b"a\r\r\n", "reply contains invalid characters ['\\r']", id="cr-cr-lf"),
+        pytest.param(b"\xe9\n", "reply is not UTF-8: b'\\xe9\\n'", id="latin-1"),
+    ],
+)
+def test_malformed_reply_rejected(reply, message):
+    with ExternalFunction(answering(reply), 1, ABC) as fn:
+        with pytest.raises(OracleProtocolError, match=f"^{re.escape(message)}$"):
+            fn("a")
+
+
+def test_sent_non_letters_stay_invalid_in_replies():
+    # an extension oracle is sent whatever it is asked; echoing a space back
+    # is still an invalid reply, not a letter the tool sent
+    with ExternalFunction(IDENTITY + " --ext", 1, ABC) as fn:
+        with pytest.raises(OracleProtocolError, match=re.escape("invalid characters [' ']")):
+            fn.evaluate_letters(("a b",))
+
+
+@pytest.mark.parametrize(
+    "session, code, out",
+    [
+        pytest.param("HELLO 1 abc\nab\nBYE\n", 0, "OK\nab\n", id="bye"),
+        pytest.param("HELLO 2 abc\nab\tc\n", 0, "OK\nabc\n", id="eof"),
+        pytest.param("HELO 1 abc\nab\n", 1, "ERROR bad hello\n", id="bad-hello"),
+    ],
+)
+def test_identity_oracle_exit_status(session, code, out):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpmonoid.identity_oracle"],
+        input=session,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+def test_no_oracle_outlives_the_cli(tmp_path):
+    pid_file = tmp_path / "oracle.pid"
+    oracle = tmp_path / "pid_oracle.py"
+    oracle.write_text(
+        "import os, sys\n"
+        f"with open({str(pid_file)!r}, 'w') as out:\n"
+        "    out.write(str(os.getpid()))\n"
+        "from cpmonoid.identity_oracle import main\n"
+        "sys.exit(main())\n"
+    )
+    spec = f"exec:{shlex.quote(sys.executable)} {shlex.quote(str(oracle))}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpmonoid.cli", "extract", "--oracle", spec, "--arity", "3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith('"" x1 "" x2 "" x3 ""\n')
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_check_sends_no_fresh_letter_and_refutes_a_leaking_oracle(capsys):
