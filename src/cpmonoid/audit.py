@@ -76,19 +76,11 @@ from .words import (
 class Witness(_Value):
     """Congruent inputs whose outputs the congruence tells apart."""
 
-    def __init__(
-        self,
-        spec: CongruenceSpec,
-        left: tuple[Word, ...],
-        right: tuple[Word, ...],
-        out_left: Word,
-        out_right: Word,
-    ) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "out_left", out_left)
-        object.__setattr__(self, "out_right", out_right)
+    spec: CongruenceSpec
+    left: tuple[Word, ...]
+    right: tuple[Word, ...]
+    out_left: Word
+    out_right: Word
 
     def render(self) -> str:
         lines = ["WITNESS", self.spec.describe()]
@@ -394,19 +386,11 @@ _FAMILIES = {**{phase[0]: (phase,) for phase in _SCHEDULE}, "all": _SCHEDULE}
 class AuditResult(_Value, frozen=False):
     """Outcome of an audit sweep: a witness, or how much ground was covered."""
 
-    def __init__(
-        self,
-        witness: Witness | None,
-        specs_checked: int,  # congruences reached, the one a cut stopped in included
-        checks: int,  # congruent pairs of the stream, evaluated or settled
-        truncated: bool,  # the budget cut a phase short of its last congruence's full count
-        family: str | None = None,  # the phase that found the witness
-    ) -> None:
-        self.witness = witness
-        self.specs_checked = specs_checked
-        self.checks = checks
-        self.truncated = truncated
-        self.family = family
+    witness: Witness | None
+    specs_checked: int  # congruences reached, the one a cut stopped in included
+    checks: int  # congruent pairs of the stream, evaluated or settled
+    truncated: bool  # the budget cut a phase short of its last congruence's full count
+    family: str | None = None  # the phase that found the witness
 
 
 def audit(
@@ -473,9 +457,8 @@ def _audit_specs(sweep: _Sweep, specs: Iterable[CongruenceSpec], budget: int | N
 
 
 class CertifiedCP(_Value):
-    def __init__(self, template: Template, query_count: int) -> None:
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "query_count", query_count)
+    template: Template
+    query_count: int
 
     def render(self) -> str:
         from .templates import format_template
@@ -487,10 +470,9 @@ class CertifiedCP(_Value):
 
 
 class RefutedCP(_Value):
-    def __init__(self, witness: Witness, family: str, checks: int) -> None:
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "checks", checks)
+    witness: Witness
+    family: str
+    checks: int
 
     def render(self) -> str:
         return (
@@ -501,15 +483,9 @@ class RefutedCP(_Value):
 
 
 class Indeterminate(_Value):
-    def __init__(
-        self,
-        diagnosis: NotRCP | None,
-        checks: int,
-        truncated: bool,  # the budget cut a phase short of its last congruence's full count
-    ) -> None:
-        object.__setattr__(self, "diagnosis", diagnosis)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "truncated", truncated)
+    diagnosis: NotRCP | None
+    checks: int
+    truncated: bool  # the budget cut a phase short of its last congruence's full count
 
     def render(self) -> str:
         note = "budget exhausted" if self.truncated else "all families exhausted"

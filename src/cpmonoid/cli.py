@@ -163,6 +163,15 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_validation_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--validate-len",
+        type=_int_at_least(0),
+        help="validation length bound (default: 3 unary / 2 k-ary, lowered until "
+        "the sweep holds at most 100,000 tuples: 1 from arity 5 on abc, 0 from arity 9)",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpmonoid",
@@ -193,12 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use fresh-letter extraction (oracle must accept new letters)",
     )
-    p_extract.add_argument(
-        "--validate-len",
-        type=_int_at_least(0),
-        default=None,
-        help="validation length bound (default: 3 unary / 2 k-ary)",
-    )
+    _add_validation_option(p_extract)
 
     p_audit = subs.add_parser("audit", help="hunt for a preservation witness")
     _add_oracle_options(p_audit)
@@ -213,15 +217,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = subs.add_parser("check", help="full verdict for an oracle")
     _add_oracle_options(p_check)
     _add_sweep_options(p_check)
-    p_check.add_argument(
-        "--validate-len", type=_int_at_least(0), default=None, dest="validate_len"
-    )
+    _add_validation_option(p_check)
 
     p_explore = subs.add_parser(
         "explore", help="search two-letter tables consistent with kernel constraints"
     )
     p_explore.add_argument(
-        "--alphabet", type=_alphabet_arg, default=Alphabet.of("ab")
+        "--alphabet", type=_alphabet_arg, default=Alphabet.of("ab"),
+        help="letters of the tables (default: ab)",
     )
     p_explore.add_argument(
         "--maxlen", type=_int_at_least(0), required=True, help="domain length bound"
@@ -230,8 +233,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--coeff", type=_coeff_arg, required=True, metavar="P,E",
         help="forced length law |f(x)| = P|x| + E",
     )
-    p_explore.add_argument("--image-len", type=_int_at_least(0), default=2, dest="image_len")
-    p_explore.add_argument("--node-budget", type=_int_at_least(1), default=5_000_000)
+    p_explore.add_argument(
+        "--image-len", type=_int_at_least(0), default=2,
+        help="constrain by the kernel of every endomorphism whose letter images "
+        "have length at most this (default: 2)",
+    )
+    p_explore.add_argument(
+        "--node-budget", type=_int_at_least(1), default=5_000_000,
+        help="search nodes before the search stops with exit 4 (default: 5,000,000)",
+    )
 
     return parser
 

@@ -41,18 +41,10 @@ class FiniteMonoid(_Value):
     tables can still be constructed and reported on.
     """
 
-    def __init__(
-        self,
-        name: str,
-        elements: tuple[str, ...],
-        identity: str,
-        table: tuple[tuple[str, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "table", table)
-        self.__post_init__()
+    name: str
+    elements: tuple[str, ...]
+    identity: str
+    table: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -97,15 +89,9 @@ class FiniteMonoid(_Value):
 class MonoidViolation(_Value):
     """First law failure found in a multiplication table."""
 
-    def __init__(
-        self,
-        kind: str,  # "identity" or "associativity"
-        witness: tuple[str, ...],
-        message: str,
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "message", message)
+    kind: str  # "identity" or "associativity"
+    witness: tuple[str, ...]
+    message: str
 
 
 def monoid_validate(m: FiniteMonoid) -> MonoidViolation | None:
@@ -139,13 +125,9 @@ def monoid_validate(m: FiniteMonoid) -> MonoidViolation | None:
 class MonoidMorphism(_Value):
     """A morphism from a free monoid into a finite monoid, by letter images."""
 
-    def __init__(
-        self, alphabet: Alphabet, monoid: FiniteMonoid, assignment: tuple[tuple[str, str], ...]
-    ) -> None:
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "monoid", monoid)
-        object.__setattr__(self, "assignment", assignment)
-        self.__post_init__()
+    alphabet: Alphabet
+    monoid: FiniteMonoid
+    assignment: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
         letters = tuple(letter for letter, _ in self.assignment)
@@ -263,9 +245,7 @@ _NEW_KERNEL_IDS = itertools.count()
 class RestrictedCongruence(CongruenceSpec, _Value):
     """Kernel of a free-monoid endomorphism."""
 
-    def __init__(self, morphism: Morphism) -> None:
-        object.__setattr__(self, "morphism", morphism)
-        self.__post_init__()
+    morphism: Morphism
 
     def __post_init__(self) -> None:
         if not self.morphism.is_endomorphism:
@@ -311,8 +291,7 @@ class RestrictedCongruence(CongruenceSpec, _Value):
 class FiniteKernelCongruence(CongruenceSpec, _Value):
     """Kernel of a morphism into a finite monoid."""
 
-    def __init__(self, monoid_morphism: MonoidMorphism) -> None:
-        object.__setattr__(self, "monoid_morphism", monoid_morphism)
+    monoid_morphism: MonoidMorphism
 
     @property
     def alphabet(self) -> Alphabet:  # type: ignore[override]
@@ -380,19 +359,11 @@ class _Classes(_Value):
     """The classes of a congruence on the words up to a bound, by the words'
     indices in enumeration order."""
 
-    def __init__(
-        self,
-        heads: tuple[int, ...],  # each word's class's first word
-        live: tuple[int, ...],  # the words of classes of two or more
-        joins: tuple[int, ...],  # the live words that do not head their class
-        earlier: tuple[int, ...],  # for each join, the words of its class before it
-        pairs: int,  # congruent pairs of distinct words: C(k, 2) per class of k
-    ) -> None:
-        object.__setattr__(self, "heads", heads)
-        object.__setattr__(self, "live", live)
-        object.__setattr__(self, "joins", joins)
-        object.__setattr__(self, "earlier", earlier)
-        object.__setattr__(self, "pairs", pairs)
+    heads: tuple[int, ...]  # each word's class's first word
+    live: tuple[int, ...]  # the words of classes of two or more
+    joins: tuple[int, ...]  # the live words that do not head their class
+    earlier: tuple[int, ...]  # for each join, the words of its class before it
+    pairs: int  # congruent pairs of distinct words: C(k, 2) per class of k
 
 
 def congruent_pairs(

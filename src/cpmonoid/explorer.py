@@ -43,22 +43,12 @@ class SearchConfig(_Value):
     """Search space: domain length bound, forced length law, and the
     constraint family (all endomorphisms with image length ≤ image_len)."""
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        domain_len: int,
-        p: int,
-        e: int,
-        image_len: int = 2,
-        node_budget: int = 5_000_000,
-    ) -> None:
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "domain_len", domain_len)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "image_len", image_len)
-        object.__setattr__(self, "node_budget", node_budget)
-        self.__post_init__()
+    alphabet: Alphabet
+    domain_len: int
+    p: int
+    e: int
+    image_len: int = 2
+    node_budget: int = 5_000_000
 
     def __post_init__(self) -> None:
         if self.domain_len < 0:
@@ -108,9 +98,8 @@ class CandidateTable:
 
 
 class SearchStats(_Value, frozen=False):
-    def __init__(self, nodes: int = 0, family_size: int = 0) -> None:
-        self.nodes = nodes
-        self.family_size = family_size
+    nodes: int = 0
+    family_size: int = 0
 
 
 class BudgetExhausted(Exception):
@@ -330,23 +319,13 @@ def recheck_table(table: CandidateTable, config: SearchConfig) -> bool:
 
 
 class ExploreReport(_Value, frozen=False):
-    def __init__(
-        self,
-        config: SearchConfig,
-        family_size: int,
-        consistent: int,
-        representable: int,
-        non_representable: list[CandidateTable],  # the list the search filled
-        exhausted: bool,
-        nodes: int,
-    ) -> None:
-        self.config = config
-        self.family_size = family_size
-        self.consistent = consistent
-        self.representable = representable
-        self.non_representable = non_representable
-        self.exhausted = exhausted
-        self.nodes = nodes
+    config: SearchConfig
+    family_size: int
+    consistent: int
+    representable: int
+    non_representable: list[CandidateTable]  # the list the search filled
+    exhausted: bool
+    nodes: int
 
     def lines(self) -> Iterator[str]:
         """The report's blocks, without trailing newlines, produced lazily:

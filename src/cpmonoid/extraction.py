@@ -53,9 +53,8 @@ def _quoted(args: tuple[str, ...]) -> str:
 class ProbeRecord(_Value):
     """One oracle query and what came back, as raw letters."""
 
-    def __init__(self, args: tuple[str, ...], output: str) -> None:
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "output", output)
+    args: tuple[str, ...]
+    output: str
 
     def render(self) -> str:
         return f'query: {_quoted(self.args)}\noutput: "{self.output}"'
@@ -64,10 +63,9 @@ class ProbeRecord(_Value):
 class NotRCP(_Value):
     """Evidence that the oracle is not congruence preserving as claimed."""
 
-    def __init__(self, reason: str, probes: tuple[ProbeRecord, ...], detail: str = "") -> None:
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "detail", detail)
+    reason: str
+    probes: tuple[ProbeRecord, ...]
+    detail: str = ""
 
     def render(self) -> str:
         lines = ["NOT-RCP", f"reason: {self.reason}"]
@@ -81,9 +79,8 @@ class NotRCP(_Value):
 class Extracted(_Value):
     """A validated template plus the number of oracle queries it cost."""
 
-    def __init__(self, template: Template, query_count: int) -> None:
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "query_count", query_count)
+    template: Template
+    query_count: int
 
 
 ExtractionOutcome = Union[Extracted, NotRCP]
@@ -92,15 +89,13 @@ ExtractionOutcome = Union[Extracted, NotRCP]
 class ConstLetter(_Value):
     """Output always starts with this fixed letter."""
 
-    def __init__(self, letter: str) -> None:
-        object.__setattr__(self, "letter", letter)
+    letter: str
 
 
 class Variable(_Value):
     """Output always starts with a copy of argument ``index`` (1-based)."""
 
-    def __init__(self, index: int) -> None:
-        object.__setattr__(self, "index", index)
+    index: int
 
 
 class ConstEmpty(_Value):

@@ -327,9 +327,12 @@ class ExternalFunction(WordFunction):
     :meth:`close`) to end the session politely.
 
     The pipes are binary: a query is one encoded write and flush, a reply
-    one ``readline``.  ``_known_letters`` holds only valid letters (the
-    alphabet's, and the valid ones among those sent), so a reply made of
-    them alone needs no further check.
+    one ``readline``.  A key holding an invalid letter (say a TAB or a
+    newline, which an ``OK EXT`` oracle would otherwise be sent) raises
+    :class:`OracleProtocolError` before anything is written: the protocol
+    cannot carry it.  ``_known_letters`` holds the alphabet's letters and
+    those sent, all valid, so a reply made of them alone needs no further
+    check.
     """
 
     def __init__(
@@ -389,7 +392,15 @@ class ExternalFunction(WordFunction):
         with self._lock:
             for letters in key:
                 if not known.issuperset(letters):
-                    known.update(filter(_valid_letter, letters))
+                    # a TAB or newline in a field would break the framing,
+                    # so no letter of an invalid key is sent or learnt
+                    bad = sorted({ch for field in key for ch in field if not _valid_letter(ch)})
+                    if bad:
+                        raise OracleProtocolError(
+                            f"{self.name}: query holds invalid characters {bad!r}, "
+                            "which the line protocol cannot carry"
+                        )
+                    known.update(letters)
             self._send("\t".join(key))
             reply = self._recv()
         if not known.issuperset(reply):

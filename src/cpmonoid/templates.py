@@ -50,13 +50,9 @@ class LengthCoefficients(_Value):
     constant part contributes (their counts sum to ``e``).
     """
 
-    def __init__(
-        self, p: tuple[int, ...], e: int, per_letter_offset: tuple[tuple[str, int], ...]
-    ) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "per_letter_offset", per_letter_offset)
-        self.__post_init__()
+    p: tuple[int, ...]
+    e: int
+    per_letter_offset: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
         if any(c < 0 for c in self.p) or self.e < 0:
@@ -117,18 +113,10 @@ class Template(_Value):
     constant function is a single constant and no slots.
     """
 
-    def __init__(
-        self,
-        arity: int,
-        alphabet: Alphabet,
-        constants: tuple[Word, ...],
-        variables: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "variables", variables)
-        self.__post_init__()
+    arity: int
+    alphabet: Alphabet
+    constants: tuple[Word, ...]
+    variables: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.arity < 0:

@@ -4,10 +4,12 @@ Everything downstream (congruences, templates, oracle extraction) is built on
 three value types: :class:`Alphabet`, :class:`Word` and :class:`Morphism`.
 All three are immutable and compare structurally, so they can be used freely
 as dictionary keys and shared across threads.  They, and the package's other
-value types, are plain classes on the private base :class:`_Value`, which
-supplies the equality, hashing, repr and immutability a frozen dataclass
-would generate, without the import and code generation that ``dataclasses``
-costs at every start-up.
+value types, are plain classes on the private base :class:`_Value`.  Each
+declares its fields once, as class annotations, and the base generates the
+class's ``__init__`` from their names alone; equality, hashing, repr and
+immutability are written once on the base.  That is what a frozen dataclass
+gives, at a fraction of the start-up cost of ``dataclasses``, which no
+command imports.
 
 A word is just a string of single-character letters, but it carries the
 alphabet it was declared over so that mixed-alphabet concatenation is an
@@ -44,14 +46,18 @@ class _Value:
     """Base of the package's value types: what a dataclass would generate
     for them, written once.
 
-    A subclass's fields are the parameters of its own ``__init__``, in
-    order.  That ``__init__`` stores each field with ``object.__setattr__``
-    (plain assignment raises, the value being frozen) and then calls
-    ``__post_init__`` when the class validates.  Instances of one class are
-    equal when their fields are, and hash by them; ``_compared`` may name
-    fewer fields for both.  The repr shows every field.  ``class C(_Value,
-    frozen=False)`` keeps plain assignment and is unhashable.  Instances keep
-    a ``__dict__``, so ``functools.cached_property`` works on them.
+    A subclass's fields are its own class annotations, in order, and a
+    field's default is the annotation's value; class constants such as
+    ``_compared`` carry no annotation.  From the field names alone the base
+    generates the class's ``__init__``, with one parameter per field and the
+    defaults bound by reference.  It stores each field with
+    ``object.__setattr__`` (plain assignment raises, the value being frozen)
+    and then calls ``self.__post_init__()`` when the class validates.
+    Instances of one class are equal when their fields are, and hash by
+    them; ``_compared`` may name fewer fields for both.  The repr shows every
+    field.  ``class C(_Value, frozen=False)`` keeps plain assignment and is
+    unhashable.  Instances keep a ``__dict__``, so
+    ``functools.cached_property`` works on them.
     """
 
     _fields: tuple[str, ...] = ()
@@ -60,10 +66,20 @@ class _Value:
 
     def __init_subclass__(cls, frozen: bool = True) -> None:
         super().__init_subclass__()
-        if "__init__" in cls.__dict__:
-            code = cls.__init__.__code__
-            cls._fields = code.co_varnames[1 : code.co_argcount]
-        compared = cls.__dict__.get("_compared", cls._fields)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
+        if any(name in cls.__dict__ for name in fields[: len(fields) - len(defaults)]):
+            raise TypeError(f"{cls.__qualname__}: a field without a default follows a default")
+        body = [f"store(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"__name__": cls.__module__, "store": object.__setattr__}
+        params = "".join(f", {name}" for name in fields)
+        exec(f"def __init__(self{params}):\n    " + "\n    ".join(body or ["pass"]), namespace)
+        cls.__init__ = init = namespace["__init__"]  # type: ignore[misc]
+        init.__defaults__ = defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        compared = cls.__dict__.get("_compared", fields)
         if compared:
             cls._key = operator.attrgetter(*compared)
         if not frozen:
@@ -109,9 +125,7 @@ class Alphabet(_Value):
     letter-sorting functions.
     """
 
-    def __init__(self, letters: tuple[str, ...]) -> None:
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
+    letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.letters, tuple):
@@ -167,10 +181,8 @@ class Word(_Value):
 
     _compared = ("letters",)
 
-    def __init__(self, alphabet: Alphabet, letters: str = "") -> None:
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
+    alphabet: Alphabet
+    letters: str = ""
 
     def __post_init__(self) -> None:
         bad = set(self.letters) - self.alphabet.letter_set
@@ -229,18 +241,10 @@ class Morphism(_Value):
 
     _compared = ("source", "target", "image")
 
-    def __init__(
-        self,
-        source: Alphabet,
-        target: Alphabet,
-        image: tuple[tuple[str, str], ...],
-        label: str = "",
-    ) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "label", label)
-        self.__post_init__()
+    source: Alphabet
+    target: Alphabet
+    image: tuple[tuple[str, str], ...]
+    label: str = ""
 
     def __post_init__(self) -> None:
         given = [letter for letter, _ in self.image]

@@ -11,6 +11,7 @@ import pytest
 
 from cpmonoid import BUILTIN_NAMES, Template, TemplateFunction, format_template, parse_template
 from cpmonoid.cli import _build_parser, run
+from cpmonoid.extraction import default_validation_len
 
 from conftest import ABC, AB
 
@@ -338,17 +339,37 @@ def test_numeric_flag_bounds(capsys, argv, code):
         assert "must be at least" in err or "expected an integer" in err
 
 
-@pytest.mark.parametrize("command", ["audit", "check"])
+VALIDATE_HELP = (
+    "validation length bound (default: 3 unary / 2 k-ary, lowered until the sweep holds "
+    "at most 100,000 tuples: 1 from arity 5 on abc, 0 from arity 9)"
+)
+SWEEP_OPTIONS = {
+    "audit": {"input length bound": ("bound", 2), "max pair checks per phase": ("budget", 200_000)},
+    "check": {
+        "input length bound": ("bound", 2),
+        "max pair checks per phase": ("budget", 200_000),
+        VALIDATE_HELP: ("validate_len", None),
+    },
+    "extract": {VALIDATE_HELP: ("validate_len", None)},
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "check", "extract"])
 def test_sweep_options_have_one_declaration(capsys, command):
-    # audit and check take --bound and --budget with equal defaults and help
+    # audit and check take --bound and --budget, check and extract take
+    # --validate-len, each with one default and one help text
     with pytest.raises(SystemExit):
         _build_parser().parse_args([command, "--help"])
     out = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
-    for text in ("input length bound", "max pair checks per phase"):
+    for text in SWEEP_OPTIONS[command]:
         assert text in out
     assert "seed" not in out and "random" not in out
-    args = _build_parser().parse_args([command, "--oracle", "builtin:square"])
-    assert (args.bound, args.budget) == (2, 200_000)
+    args = vars(_build_parser().parse_args([command, "--oracle", "builtin:square"]))
+    for dest, default in SWEEP_OPTIONS[command].values():
+        assert args[dest] == default
+    # the --validate-len help states what default_validation_len does
+    bounds = [default_validation_len(arity, ABC) for arity in (1, 2, 4, 5, 8, 9, 12)]
+    assert bounds == [3, 2, 2, 1, 1, 0, 0]
 
 
 @pytest.mark.parametrize("flag", ["--count 3", "--image-len 1"])
@@ -524,20 +545,22 @@ def test_subcommand_loads_only_its_modules(template_file, morphism_file, argv, m
     argv = [arg.format(template=template_file, morphism=morphism_file) for arg in argv]
     code = (
         "import contextlib, io, sys\n"
-        "before = 'dataclasses' in sys.modules\n"
+        "shunned = ('dataclasses', 'inspect', 'ast', 'dis')\n"
+        "before = [m for m in shunned if m in sys.modules]\n"
         "from cpmonoid.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    run({argv!r})\n"
-        "print(before, 'dataclasses' in sys.modules)\n"
+        "print(before, [m for m in shunned if m in sys.modules], sep='|')\n"
         "print(*sorted(m for m in sys.modules if m.startswith('cpmonoid.')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=FRESH_ENV, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    dataclasses_loaded, loaded = proc.stdout.split("\n", 1)
-    before, after = dataclasses_loaded.split()
-    assert after == before  # whatever loaded dataclasses at start-up, cpmonoid did not
+    shunned_loaded, loaded = proc.stdout.split("\n", 1)
+    before, after = shunned_loaded.split("|")
+    # whatever loaded dataclasses, inspect, ast or dis at start-up, cpmonoid did not
+    assert after == before
     expected = sorted({"cli", "oracles", "templates", "words", *modules})
     assert loaded.split() == [f"cpmonoid.{name}" for name in expected]
 

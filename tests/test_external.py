@@ -16,6 +16,7 @@ from cpmonoid import (
     Alphabet,
     Extracted,
     ExternalFunction,
+    OracleError,
     OracleProtocolError,
     extract,
     extract_fresh,
@@ -64,6 +65,19 @@ def test_identity_oracle_extension_handshake():
         assert fn.supports_extension
     with ExternalFunction(IDENTITY, 1, ABC) as fn:
         assert not fn.supports_extension
+
+
+@pytest.mark.parametrize("bad_key", [("a\nb",), ("a\tb", "c")], ids=["newline", "tab"])
+def test_extension_oracle_is_never_sent_an_invalid_letter(bad_key):
+    # a newline or TAB inside a field would break the line framing and shift
+    # every later reply by one; the key is refused before anything is sent
+    arity = len(bad_key)
+    with ExternalFunction(IDENTITY + " --ext", arity, ABC) as fn:
+        with pytest.raises(OracleError, match="invalid characters"):
+            fn.evaluate_letters(bad_key)
+        good_key = ("c",) + ("",) * (arity - 1)
+        assert fn.evaluate_letters(good_key) == "c"
+        assert bad_key not in fn._cache
 
 
 def test_extract_over_protocol():

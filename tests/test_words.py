@@ -1,9 +1,13 @@
+import ast
+import importlib
 import itertools
+import pathlib
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+import cpmonoid
 from cpmonoid import (
     Alphabet,
     AlphabetError,
@@ -23,7 +27,7 @@ from cpmonoid import (
 from cpmonoid.audit import AuditResult
 from cpmonoid.explorer import SearchConfig, SearchStats, endomorphism_family
 from cpmonoid.extraction import ConstEmpty, ConstLetter, NotRCP, ProbeRecord, Variable
-from cpmonoid.words import Word, strings_up_to
+from cpmonoid.words import Word, _Value, strings_up_to
 
 from conftest import ABC, AB, words
 
@@ -361,3 +365,55 @@ def _swap(letters, label=""):
 def test_value_semantics(value, expected):
     assert value() == expected
 
+
+PACKAGE = pathlib.Path(cpmonoid.__file__).parent
+
+
+def _value_classes() -> list[type]:
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"cpmonoid.{path.stem}")
+    found, todo = [], [_Value]
+    while todo:
+        subs = [sub for sub in todo.pop().__subclasses__() if sub.__module__.startswith("cpmonoid.")]
+        found += subs
+        todo += subs
+    return found
+
+
+VALUE_CLASSES = _value_classes()
+
+
+def test_no_value_class_writes_its_own_init():
+    # a value class declares its fields once, as annotations; the base
+    # generates its __init__
+    declared = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "_Value" for base in node.bases
+            ):
+                declared.add(node.name)
+                assert not any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                    for item in node.body
+                ), f"{path.name}: {node.name} writes its own __init__"
+    assert declared == {cls.__name__ for cls in VALUE_CLASSES}
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_generated_init_follows_the_annotations(cls):
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    assert cls._fields == fields
+    init = cls.__init__
+    code = init.__code__
+    assert code.co_varnames[1 : code.co_argcount] == fields
+    assert init.__defaults__ == tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
+    assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+def test_a_wrong_call_names_the_generated_init():
+    with pytest.raises(TypeError, match=r"^ProbeRecord\.__init__\(\) missing 1 required "):
+        ProbeRecord("a")
+    with pytest.raises(TypeError, match=r"^Word\.__init__\(\) takes from 2 to 3 positional "):
+        Word(AB, "a", "b")
