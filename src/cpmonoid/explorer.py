@@ -27,16 +27,30 @@ images commute, which sees only letter counts, never prunes.  On two letters
 every non-injective endomorphism is such a kernel (``{u, v}`` is a code iff
 ``uv != vu``), so the ``ab`` counts are exactly those of the law: there the
 backtracker checks nothing and only walks the law's product of outputs.
+
+So the search walks node by node only down to the last level a kernel
+constrains.  The levels below it are free: once ``f(ε)`` fixes their options,
+the innermost of them are laid out as one block of at most ``_BLOCK_MAX``
+leaves, each leaf's tail of table text with its preorder node offset, and
+the block is emitted whole under every accepted option of the level above
+it.  Node counts, and a budget cut, stay exactly those of a node-by-node
+walk.  The kernel family itself is built from the canonical image tuples
+alone, those whose letters first appear in alphabet order, so no renaming
+of an earlier tuple is generated.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Iterable, Iterator
 
 from .congruence import RestrictedCongruence, _class_heads, congruent_pairs
 from .templates import Template, enumerate_templates
 from .words import Alphabet, Morphism, _Value, arrangements, strings_of_length, strings_up_to
+
+# At most this many leaves in the block of free levels laid out per f(ε).
+_BLOCK_MAX = 256
 
 
 class SearchConfig(_Value):
@@ -110,6 +124,28 @@ class BudgetExhausted(Exception):
         self.stats = stats
 
 
+def _canonical_tuples(letters: str, images: list[str]) -> list[tuple[str, ...]]:
+    """The tuples of ``itertools.product(images, repeat=len(letters))``
+    whose letters first appear in the order of ``letters``, in product order.
+
+    ``steps[m]`` lists the images that may follow a tuple prefix using the
+    first ``m`` letters, each with the number of letters the prefix then
+    uses, so no other tuple is generated.
+    """
+    steps: list[list[tuple[str, int]]] = []
+    for m in range(len(letters) + 1):
+        row = []
+        for img in images:
+            new = "".join(dict.fromkeys(ch for ch in img if ch not in letters[:m]))
+            if letters.startswith(new, m):
+                row.append((img, m + len(new)))
+        steps.append(row)
+    tuples: list[tuple[tuple[str, ...], int]] = [((), 0)]
+    for _ in letters:
+        tuples = [(prefix + (img,), used) for prefix, m in tuples for img, used in steps[m]]
+    return [prefix for prefix, _ in tuples]
+
+
 def endomorphism_family(
     alphabet: Alphabet, image_len: int, dedup_bound: int
 ) -> list[Morphism]:
@@ -125,17 +161,15 @@ def endomorphism_family(
 
     Permuting the letters of the images keeps a kernel.  Of each class of
     such renamings, the member whose image letters first appear in alphabet
-    order comes first in the enumeration; the others are skipped without a
-    signature, since their kernel is already seen.
+    order, the canonical one, comes first in the product of images, so only
+    the canonical tuples are walked (:func:`_canonical_tuples`, in product
+    order): the others would find their kernel already seen.
     """
     images = list(strings_up_to(alphabet, image_len))
     probe_words = list(strings_up_to(alphabet, dedup_bound))
-    letters = "".join(alphabet.letters)
     family: list[Morphism] = []
     seen_kernels: set[tuple[int, ...]] = set()
-    for combo in itertools.product(images, repeat=len(alphabet)):
-        if not letters.startswith("".join(dict.fromkeys("".join(combo)))):
-            continue  # a renaming of an earlier combo
+    for combo in _canonical_tuples("".join(alphabet.letters), images):
         mapping = dict(zip(alphabet.letters, combo))
         probe_images = map(str.translate, probe_words, itertools.repeat(str.maketrans(mapping)))
         signature = _class_heads(probe_images)
@@ -184,6 +218,21 @@ def enumerate_consistent(
     assigned outputs, and the assigned prefix its table text, sit on stacks
     beside the levels, so a table's text is one concatenation.
 
+    The free levels, the trailing run of levels (from level 1 on) that no
+    checked kernel constrains, are a plain product below any prefix.  Once
+    ``f(ε)`` is fixed, as many of the innermost free levels as keep the
+    product at most ``_BLOCK_MAX`` leaves are laid out once, as a block:
+    each leaf's tail, its option lines joined, and its preorder node offset
+    within the block, in search order.  Accepting an option on the level
+    just above the block yields that prefix's text plus each tail, with
+    ``stats.nodes`` set to the option's node count plus the leaf's offset;
+    afterwards the count is that of the block's last node, its last leaf.
+    When the budget ends inside the block, only the leaves whose offset is
+    within it are yielded, and the search stops at the same node a
+    node-by-node walk would, ``budget + 1``.  With no free level to take,
+    the block is one empty tail at offset 0 below the last level.  Only the
+    current ``f(ε)``'s block is kept.
+
     Pass a :class:`SearchStats` to observe node counts and the family size.
     Raises :class:`BudgetExhausted` when the node budget trips.
     """
@@ -207,6 +256,12 @@ def enumerate_consistent(
             if head != w:
                 peers[w].append((kernel, head))
 
+    # Levels free_from.. are unconstrained: no kernel relates their words to
+    # earlier ones, so below a table prefix they are a plain product.
+    free_from = len(domain)
+    while free_from > 1 and not peers[free_from - 1]:
+        free_from -= 1
+
     budget = config.node_budget
     arranged: dict[tuple[int, ...], list[str]] = {}
     # An option pairs the table text of an entry (x, y) with y: "\t" + y for
@@ -215,9 +270,10 @@ def enumerate_consistent(
     # f(ε) is free apart from its forced length e.
     first_level = [("\t" + y, y) for y in strings_of_length(alphabet, config.e)]
 
-    def levels_given(base: str) -> list[list[tuple[str, str]]]:
-        """Every level's options once ``f(ε) = base`` is fixed; outputs with
-        equal per-letter counts share one memoised arrangement list."""
+    def levels_given(base: str) -> tuple[list[list[tuple[str, str]]], list[str], list[int], int]:
+        """Every level's options once ``f(ε) = base`` is fixed (outputs with
+        equal per-letter counts share one memoised arrangement list), then
+        the block's tails and node offsets, and the level just above it."""
         levels = [first_level]
         for x in domain[1:]:
             counts = tuple(config.p * x.count(ch) + base.count(ch) for ch in letters)
@@ -225,13 +281,21 @@ def enumerate_consistent(
             if words is None:
                 words = arranged[counts] = ["".join(t) for t in arrangements(letters, counts)]
             levels.append([(f"\n{x}\t{y}", y) for y in words])
-        return levels
+        tails, offsets, above = [""], [0], len(domain) - 1
+        while above >= free_from and len(levels[above]) * len(tails) <= _BLOCK_MAX:
+            step = offsets[-1] + 1  # one option's node plus the subtree below it
+            tails = [line + tail for line, _ in levels[above] for tail in tails]
+            offsets = [i * step + 1 + o for i in range(len(levels[above])) for o in offsets]
+            above -= 1
+        return levels, tails, offsets, above
 
-    # Depth-first search with one option iterator per assigned level, so a
-    # table is yielded in constant time instead of through a generator chain
-    # as deep as the domain.
-    last = len(domain) - 1
+    # Depth-first search with one option iterator per assigned level above
+    # the block, so a table is yielded in constant time instead of through a
+    # generator chain as deep as the domain.
     options: list[list[tuple[str, str]]] = []  # per level, for the current f(ε)
+    tails: list[str] = []
+    offsets: list[int] = []
+    above = 0
     iterators = [iter(first_level)]
     assigned: list[str] = []  # the outputs of the levels above the current one
     prefixes = [""]
@@ -245,14 +309,25 @@ def enumerate_consistent(
                 raise BudgetExhausted(f"node budget {budget} exhausted", stats)
             if row and not all(kernel.congruent(y, assigned[head]) for kernel, head in row):
                 continue
-            if idx == last:
-                table = new_table(CandidateTable)
-                table.alphabet = alphabet
-                table.text = prefix + line
-                yield table
-                continue
             if idx == 0:
-                options = levels_given(y)
+                options, tails, offsets, above = levels_given(y)
+            if idx == above:
+                # The block's leaves, each at its node count; a cut yields the
+                # leaves it reaches and stops at the node after the budget.
+                head, start = prefix + line, stats.nodes
+                reached = len(offsets)
+                if start + offsets[-1] > budget:
+                    reached = bisect.bisect_right(offsets, budget - start)
+                for tail, offset in itertools.islice(zip(tails, offsets), reached):
+                    stats.nodes = start + offset
+                    table = new_table(CandidateTable)
+                    table.alphabet = alphabet
+                    table.text = head + tail
+                    yield table
+                if reached < len(offsets):
+                    stats.nodes = budget + 1
+                    raise BudgetExhausted(f"node budget {budget} exhausted", stats)
+                continue
             assigned.append(y)
             prefixes.append(prefix + line)
             iterators.append(iter(options[idx + 1]))

@@ -13,7 +13,7 @@ prediction and stops at the first disagreement, without a method call per
 tuple.  Both look a tuple up in the memo first, and only on a miss check its
 arity and letters (one set of checks, one set of messages) and call the
 backend's ``_compute``.  So repeated probes are free and ``query_count`` —
-the number of *distinct* evaluations that reached the backend — is
+the number of *distinct* evaluations the backend answered — is
 deterministic, whichever entry asked.  :meth:`WordFunction.evaluate` is the
 :class:`Word` boundary around them, for callers outside the hot loops.
 Extraction's derived oracles (peeled heads, fresh-letter factors) are one
@@ -79,7 +79,9 @@ class WordFunction:
 
     @property
     def query_count(self) -> int:
-        """Distinct argument tuples evaluated by the underlying backend."""
+        """Distinct argument tuples the underlying backend answered.  A key
+        refused before it was sent, or whose backend call failed, is not one;
+        a table's "no entry" is an answer."""
         return self._misses
 
     def _refuse(self, key: tuple[str, ...]) -> None:
@@ -109,8 +111,8 @@ class WordFunction:
             self.supports_extension or self.alphabet.letter_set.issuperset("".join(key))
         ):
             self._refuse(key)
-        self._misses += 1
         out = self._cache[key] = self._compute(key)
+        self._misses += 1  # only a key the backend answered counts
         return out
 
     def first_mismatch(
@@ -135,8 +137,8 @@ class WordFunction:
                     extension or letter_set.issuperset("".join(key))
                 ):
                     self._refuse(key)
-                self._misses += 1
                 out = cache[key] = compute(key)
+                self._misses += 1
             if out != predict(key):
                 return key, out
         return None
@@ -213,6 +215,7 @@ class TableFunction(WordFunction):
         try:
             return self._table[key]
         except KeyError:
+            self._misses += 1  # "no entry" is the table's answer, so it counts
             raise TableMissError(
                 f"{self.name}: no entry for ({', '.join(repr(k) for k in key)})"
             ) from None

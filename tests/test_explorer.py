@@ -1,7 +1,9 @@
+import bisect
 import hashlib
 import itertools
 import json
 import math
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,9 @@ from cpmonoid import (
     template_index,
     template_representable,
 )
+
+from cpmonoid import explorer
+from cpmonoid.explorer import _canonical_tuples
 
 from conftest import ABC, AB
 
@@ -77,6 +82,46 @@ def test_endomorphism_family_distinct_kernels():
         for combo in itertools.product(images, repeat=len(AB))
     }
     assert every == set(kernels)
+
+
+CANONICAL_SHAPES = [(letters, n) for letters in ("ab", "abc", "abcd") for n in range(3)]
+
+
+def canonical_by_filter(letters, images):
+    """The image tuples whose letters first appear in alphabet order, found
+    by filtering the whole product."""
+    return [
+        combo
+        for combo in itertools.product(images, repeat=len(letters))
+        if letters.startswith("".join(dict.fromkeys("".join(combo))))
+    ]
+
+
+@pytest.mark.parametrize("letters,image_len", CANONICAL_SHAPES)
+def test_canonical_tuples_are_the_filtered_product(letters, image_len):
+    images = [w.letters for w in iter_words(Alphabet.of(letters), image_len)]
+    assert _canonical_tuples(letters, images) == canonical_by_filter(letters, images)
+
+
+@pytest.mark.parametrize("letters,image_len", CANONICAL_SHAPES)
+def test_endomorphism_family_matches_the_filtered_product(letters, image_len):
+    # The family as built by filtering renamings out of the whole product,
+    # keeping the first tuple of each kernel on the probe words.
+    alphabet = Alphabet.of(letters)
+    images = [w.letters for w in iter_words(alphabet, image_len)]
+    probes = [w.letters for w in iter_words(alphabet, 2)]
+    seen, want = set(), []
+    for combo in canonical_by_filter(letters, images):
+        mapping = dict(zip(letters, combo))
+        buckets = {}
+        kernel = tuple(
+            buckets.setdefault("".join(mapping[c] for c in w), len(buckets)) for w in probes
+        )
+        if kernel not in seen:
+            seen.add(kernel)
+            want.append("endo(" + ",".join(f"{c}->{img}" for c, img in mapping.items()) + ")")
+    got = [phi.label for phi in endomorphism_family(alphabet, image_len, 2)]
+    assert got == want
 
 
 def test_enumerate_consistent_p1_e0_frozen():
@@ -523,3 +568,51 @@ def test_unchecked_kernels_lose_no_constraint_on_three_letters(p, e):
         if recheck_table(CandidateTable(ABC, entries), config)
     ]
     assert [t.entries for t in enumerate_consistent(config)] == kept
+
+
+# -- the block of free levels laid out once per f(ε) ---------------------------
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of at most 4 leaves, so the search walks free levels above a
+    block that it emits many times (and, where even the last level has more
+    than 4 options, emits an empty block at each leaf)."""
+    monkeypatch.setattr(explorer, "_BLOCK_MAX", 4)
+
+
+def budgets_for(full_nodes, e):
+    if e == 1:
+        return range(1, full_nodes + 2)
+    # (1, 2) has 14,519 nodes: every budget through the first f(ε) subtree,
+    # with its empty blocks, and well into the second, with 4-leaf blocks;
+    # beyond that a stride, and the last nodes
+    return sorted({*range(1, 1001), *range(1001, full_nodes, 101),
+                   *range(full_nodes - 10, full_nodes + 2)})
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_small_blocks_stop_where_naive_backtracking_would(small_blocks, e):
+    base = SearchConfig(AB, domain_len=2, p=1, e=e)
+    full_tables, full_nodes, _, _, at_table = reference_run(base, float("inf"))
+    full_texts = ["\n".join(map("\t".join, entries)) for entries in full_tables]
+    for budget in budgets_for(full_nodes, e):
+        config = SearchConfig(AB, domain_len=2, p=1, e=e, node_budget=budget)
+        want_texts = full_texts[:bisect.bisect_right(at_table, budget)]
+        stats, got_texts = SearchStats(), []
+        with pytest.raises(BudgetExhausted) if budget < full_nodes else nullcontext():
+            got_texts.extend(table.text for table in enumerate_consistent(config, stats))
+        assert (got_texts, stats.nodes) == (want_texts, min(budget + 1, full_nodes)), budget
+
+
+@pytest.mark.parametrize("small", [True, False], ids=["block-max-4", "default"])
+def test_search_stats_are_current_at_each_table_around_blocks(monkeypatch, small):
+    if small:
+        monkeypatch.setattr(explorer, "_BLOCK_MAX", 4)
+    config = SearchConfig(AB, domain_len=3, p=1, e=0)
+    tables, nodes, _, _, at_table = reference_run(config, float("inf"))
+    assert nodes == 7302
+    stats = SearchStats()
+    seen = [(table.entries, stats.nodes) for table in enumerate_consistent(config, stats)]
+    assert seen == list(zip(tables, at_table))
+    assert stats.nodes == nodes

@@ -80,6 +80,20 @@ def test_extension_oracle_is_never_sent_an_invalid_letter(bad_key):
         assert bad_key not in fn._cache
 
 
+def test_refused_key_is_not_counted_as_a_query():
+    # the key is refused inside _compute, before a line is sent, so the
+    # backend never answered it
+    with ExternalFunction(IDENTITY + " --ext", 1, ABC) as fn:
+        with pytest.raises(OracleError, match="invalid characters"):
+            fn.evaluate_letters(("a\nb",))
+        assert fn.query_count == 0
+        assert fn._cache == {}
+        with pytest.raises(OracleError, match="invalid characters"):
+            fn.first_mismatch([("c",), ("a\nb",)], lambda key: key[0])
+        assert fn.query_count == 1
+        assert list(fn._cache) == [("c",)]
+
+
 def test_extract_over_protocol():
     with ExternalFunction(IDENTITY, 1, ABC) as fn:
         got = extract(fn)

@@ -159,6 +159,23 @@ def test_builtin_function_wrapper():
     assert fn("a").letters == "abb"
 
 
+def test_backend_error_is_not_counted_as_a_query():
+    def answer(args):
+        if args[0] == "b":
+            raise RuntimeError("backend down")
+        return args[0]
+
+    fn = BuiltinFunction("flaky", ABC, answer)
+    assert fn.evaluate_letters(("a",)) == "a"
+    with pytest.raises(RuntimeError, match="backend down"):
+        fn.evaluate_letters(("b",))
+    assert fn.query_count == 1
+    with pytest.raises(RuntimeError, match="backend down"):
+        fn.first_mismatch([("c",), ("b",)], lambda key: key[0])
+    assert fn.query_count == 2
+    assert sorted(fn._cache) == [("a",), ("c",)]
+
+
 def test_table_function_hit_and_miss():
     fn = TableFunction(AB, 1, {("a",): "b", ("",): ""}, name="tiny")
     assert fn("a").letters == "b"
