@@ -136,10 +136,11 @@ class _Derived(WordFunction):
     """A function answered by asking ``parent`` and checking a promise.
 
     Peeled heads and fresh-letter factors are both this shape: ``answer``
-    forwards a key to the parent, whose memo already makes repeated probes
-    free (so this oracle keeps none, and its ``query_count`` is the
-    parent's), and raises the moment the parent breaks the promise.  Both
-    memo entries answer through it.
+    is its ``_compute``, which forwards a key to the parent and raises the
+    moment the parent breaks the promise.  So it answers through the same
+    two memo entries as every other oracle, with a memo of its own, and a
+    chain of peels memoises at every level.  Each of its keys is one parent
+    key, so its ``query_count`` is the parent's.
     """
 
     def __init__(
@@ -151,24 +152,11 @@ class _Derived(WordFunction):
     ) -> None:
         super().__init__(name, parent.alphabet, arity, parent.supports_extension)
         self.parent = parent
-        self._answer = answer
+        self._compute = answer
 
     @property
     def query_count(self) -> int:
         return self.parent.query_count
-
-    def evaluate_letters(self, key: tuple[str, ...]) -> str:
-        return self._answer(key)
-
-    def first_mismatch(
-        self, keys: Iterable[tuple[str, ...]], predict: Callable[[tuple[str, ...]], str]
-    ) -> tuple[tuple[str, ...], str] | None:
-        answer = self._answer
-        for key in keys:
-            out = answer(key)
-            if out != predict(key):
-                return key, out
-        return None
 
 
 def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
@@ -415,10 +403,17 @@ def _validate(
     tuples (on ``abc`` and ``abcd``, every default sweep up to arity 3)
     shares its tuples with every other oracle of its shape; a larger one
     streams, so a liar under a large bound is caught without the sweep
-    being built.
+    being built.  Where the default bound falls below 2 (from arity 5 on
+    ``abc``), the residual probes that peeling asks come first, since the
+    sweep would miss their two-letter words; after a peel loop that used
+    its whole budget they are memo hits.
     """
     if validation_len is None:
         validation_len = default_validation_len(fn.arity, fn.alphabet)
+        if validation_len < 2:
+            refuted = _mismatch(fn, template, _residual_probe_args(fn))
+            if refuted is not None:
+                return refuted
     refuted = _mismatch(
         fn, template, string_tuples_up_to(fn.alphabet, fn.arity, validation_len)
     )
@@ -613,11 +608,9 @@ def extract_fresh(
     directly.  A k-ary oracle is profiled, evaluated with a fresh letter in
     front, and its fresh-letter factors are recursively extracted as
     (k-1)-ary derived oracles; the results are spliced back together.
-    Validation against the oracle on short base-alphabet inputs is the same
-    as for :func:`extract`.  Where the default bound falls below 2 (from
-    arity 5 on ``abc``), the template is first checked on the residual
-    probes that peeling always asks, whose two-letter words the sweep
-    would miss.
+    Validation against the oracle on short base-alphabet inputs, peel
+    probes included where the default bound falls below 2, is the same as
+    for :func:`extract`.
 
     Requires ``fn.supports_extension``; for oracles pinned to their alphabet
     use :func:`extract`.
@@ -634,9 +627,4 @@ def extract_fresh(
         return mismatch.args[0]
     if isinstance(template, NotRCP):
         return template
-    if validation_len is None and default_validation_len(fn.arity, fn.alphabet) < 2:
-        # The sweep misses two-letter words, which peeling always asks.
-        refuted = _mismatch(fn, template, _residual_probe_args(fn))
-        if refuted is not None:
-            return refuted
     return _validate(fn, template, validation_len, queries_before)

@@ -17,8 +17,9 @@ the number of *distinct* evaluations the backend answered — is
 deterministic, whichever entry asked.  :meth:`WordFunction.evaluate` is the
 :class:`Word` boundary around them, for callers outside the hot loops.
 Extraction's derived oracles (peeled heads, fresh-letter factors) are one
-class whose entries ask the parent and check a promise; they keep no memo of
-their own, share the parent's, and report the root backend's count.
+class whose ``_compute`` asks the parent and checks a promise; they answer
+through the same two entries, each with a memo of its own, and report the
+root backend's count.
 """
 
 from __future__ import annotations

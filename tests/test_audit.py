@@ -17,6 +17,7 @@ from cpmonoid import (
     Indeterminate,
     Morphism,
     NotRCP,
+    ProbeRecord,
     RefutedCP,
     RestrictedCongruence,
     Template,
@@ -47,7 +48,7 @@ from cpmonoid.audit import (
 from cpmonoid.cli import run
 from cpmonoid.words import AlphabetError, strings_up_to
 
-from conftest import AB, ABC, count_word_constructions
+from conftest import AB, ABC, ABCD, count_word_constructions
 
 
 def brute_first_witness(fn, spec, bound):
@@ -1030,6 +1031,42 @@ def test_honest_five_ary_fresh_extraction_pays_for_the_peel_probes():
     assert extract_fresh(TemplateFunction(t)) == Extracted(t, 1098)
     # an explicit bound sweeps exactly what it names
     assert extract_fresh(TemplateFunction(t), validation_len=1) == Extracted(t, 1093)
+
+
+def early_break_liar(alphabet, arity):
+    # x1 followed by x2 while no argument holds c: head-peeling finds x1, and
+    # every classification probe of the residue holds c, so it reads as
+    # constantly empty and the loop stops ahead of its budget of 2
+    def f(args):
+        return args[0] + ("" if any("c" in x for x in args) else args[1])
+
+    return BuiltinFunction("early_break", alphabet, f, arity=arity)
+
+
+@pytest.mark.parametrize(
+    "alphabet, arity, queries",
+    [(ABC, 9, 48), (ABC, 12, 63), (ABCD, 8, 43)],
+    ids=["abc-9", "abc-12", "abcd-8"],
+)
+def test_both_methods_ask_the_peel_probes_below_bound_2(alphabet, arity, queries):
+    # At validation bound 0 the sweep is the all-ε tuple alone, on which
+    # "" x1 "" agrees; the peel probe ("a", ..., "a") -> "aa" refutes it
+    # without a query beyond those peeling asked.
+    fn = early_break_liar(alphabet, arity)
+    out = extract(fn)
+    assert isinstance(out, NotRCP) and out.reason == "validation mismatch", out
+    assert out.probes == (ProbeRecord(("a",) * arity, "aa"),)
+    assert out.detail == 'candidate template "" x1 "" predicts "a"'
+    assert fn.query_count == queries
+    verdict = theorem_check(early_break_liar(alphabet, arity), budget=1000)
+    assert not isinstance(verdict, CertifiedCP), verdict.render()
+    assert verdict.diagnosis == out
+
+
+def test_an_honest_nine_ary_template_pays_nothing_for_the_peel_probes():
+    # peeling used its whole budget, so the probes are memo hits
+    t = Template.of(ABC, "ab", 1, "c", 2, "", 9, "ba", 3, "", arity=9)
+    assert extract(TemplateFunction(t)) == Extracted(t, 58)
 
 
 @pytest.mark.parametrize("budget, truncated", [(23_741, True), (23_742, False)])

@@ -740,3 +740,82 @@ def test_a_long_sweep_streams_and_stops_at_its_first_mismatch():
     assert out.probes == (ProbeRecord(target, "a" + hidden.eval_letters(target)),)
     assert fn.query_count < 400
     assert _shared_sweep.cache_info() == cached
+
+
+def _both_unless_both_nonempty(args):
+    # x1 x2, but x1 alone once both arguments are nonempty
+    return args[0] if all(args) else args[0] + args[1]
+
+
+def _foreign_first_drops_b(args):
+    # x1 x2 x3 on the alphabet; with a letter outside it in x1, a lone "b"
+    # in x3 vanishes, so only a fresh-letter factor sees a bad length law
+    if ABC.letter_set.issuperset(args[0]) or args[2] != "b":
+        return "".join(args)
+    return args[0] + args[1]
+
+
+def _early_break(args):
+    # every classification probe of the residue after x1 holds c
+    return args[0] + ("" if "c" in "".join(args) else args[1])
+
+
+# label -> (extraction step, oracle, its NOT-RCP as rendered)
+RARE_NOT_RCPS = {
+    "step budget exceeded": (
+        extract,
+        lambda: BuiltinFunction("f", ABC, lambda a: a[0] + "c" * (a[0] == "ba")),
+        'NOT-RCP\nreason: step budget exceeded\nquery: "ba"\noutput: "bac"\n'
+        "detail: residue still produces output after 1 peels",
+    ),
+    "constant-empty break": (
+        extract,
+        lambda: BuiltinFunction("f", ABC, _early_break, arity=2),
+        'NOT-RCP\nreason: validation mismatch\nquery: "" "a"\noutput: "a"\n'
+        'detail: candidate template "" x1 "" predicts ""',
+    ),
+    "shrank below the constant": (
+        length_profile,
+        lambda: BuiltinFunction("f", ABC, lambda a: a[0] or "ab"),
+        'NOT-RCP\nreason: length profile inconsistency\nquery: ""\noutput: "ab"\n'
+        'query: "a"\noutput: "a"\n'
+        "detail: argument 1: output shrank below the constant term",
+    ),
+    "joint probe": (
+        length_profile,
+        lambda: BuiltinFunction("f", ABC, _both_unless_both_nonempty, arity=2),
+        'NOT-RCP\nreason: length profile inconsistency\nquery: "" ""\noutput: ""\n'
+        'query: "a" "a"\noutput: "a"\n'
+        "detail: per-argument coefficients do not add up on the joint probe",
+    ),
+    "fresh, top-level profile": (
+        extract_fresh,
+        lambda: BuiltinFunction(
+            "f", ABC, _both_unless_both_nonempty, arity=2, supports_extension=True
+        ),
+        'NOT-RCP\nreason: length profile inconsistency\nquery: "" ""\noutput: ""\n'
+        'query: "a" "a"\noutput: "a"\n'
+        "detail: per-argument coefficients do not add up on the joint probe",
+    ),
+    "fresh, a factor's profile": (
+        extract_fresh,
+        lambda: BuiltinFunction(
+            "f", ABC, _foreign_first_drops_b, arity=3, supports_extension=True
+        ),
+        'NOT-RCP\nreason: length profile inconsistency\nquery: "" "a"\noutput: "a"\n'
+        'query: "" "b"\noutput: ""\n'
+        "detail: argument 2: equal-length inputs, unequal-length outputs",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", RARE_NOT_RCPS)
+def test_rarely_reached_not_rcp_returns_render_exactly(label):
+    step, make, rendered = RARE_NOT_RCPS[label]
+    assert step(make()).render() == rendered
+
+
+def test_a_factor_profile_refutes_only_through_fresh_letters():
+    # the base alphabet never shows the lie, so peeling certifies the join
+    fn = BuiltinFunction("f", ABC, _foreign_first_drops_b, arity=3)
+    assert extract(fn) == Extracted(Template.of(ABC, "", 1, "", 2, "", 3, ""), 2197)

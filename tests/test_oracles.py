@@ -1,18 +1,23 @@
+import ast
+import pathlib
 import shlex
 import sys
 
 import pytest
 
+import cpmonoid
 from cpmonoid import (
     BUILTIN_NAMES,
     BuiltinFunction,
     ConstLetter,
     ExternalFunction,
     FormatError,
+    OracleError,
     TableFunction,
     TableMissError,
     Template,
     TemplateFunction,
+    Variable,
     Word,
     builtin,
     parse_table,
@@ -114,6 +119,38 @@ def test_evaluate_and_evaluate_letters_share_one_memo(kind):
     finally:
         if isinstance(fn, ExternalFunction):
             fn.close()
+
+
+def test_only_word_function_defines_the_memo_entries():
+    # every oracle, derived ones included, answers through WordFunction's
+    # two memo entries and supplies only _compute
+    entries = {"evaluate_letters", "first_mismatch"}
+    defined = []
+    for path in sorted(pathlib.Path(cpmonoid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (path.name, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in entries
+                ]
+    assert sorted(defined) == [
+        ("oracles.py", "WordFunction", "evaluate_letters"),
+        ("oracles.py", "WordFunction", "first_mismatch"),
+    ]
+
+
+def test_a_derived_oracle_refuses_a_wrong_key_under_its_own_name():
+    fn = peel(builtin("square", ABC), Variable(1))
+    wrong_arity = r"^peel\[variable 1\]\(square\): expected 1 arguments, got 2$"
+    with pytest.raises(ValueError, match=wrong_arity):
+        fn.evaluate_letters(("a", "b"))
+    assert fn.query_count == 0
+    strict = peel(builtin("sort_letters", ABC), Variable(1))
+    outside = r"^peel\[variable 1\]\(sort_letters\): letters \['z'\] outside"
+    with pytest.raises(OracleError, match=outside):
+        strict.first_mismatch([("z",)], lambda key: "")
+    assert strict.query_count == 0
 
 
 def test_builtin_reverse():
