@@ -13,12 +13,11 @@ ruled out by a longer domain, a richer family, or an extension argument.
 The report says so explicitly.
 
 A search builds its kernel family, each kernel a :class:`RestrictedCongruence`,
-and its template index once: each consistent table is classified by one
-lookup of its text in :func:`template_index`, and the backtracker asks each
-kernel that can prune whether a new output is congruent to the output of
-the first word of its class (see :func:`enumerate_consistent`).  A table is
-carried as its rendered text, the form it is classified, compared and
-printed in; its entries are split back out of that text only on request.
+and its template index (:func:`template_index`) once, and the backtracker
+asks each kernel that can prune whether a new output is congruent to the
+output of the first word of its class (see :func:`enumerate_consistent`).
+A table is its table text, the form it is classified, compared and printed
+in; its entries are split back out of that text only on request.
 :func:`recheck_table` checks every kernel on every congruent pair; it is
 the independent reference the tests compare against.
 
@@ -33,16 +32,21 @@ constrains.  The levels below it are free: once ``f(ε)`` fixes their options,
 the innermost of them are laid out as one block of at most ``_BLOCK_MAX``
 leaves, each leaf's tail of table text with its preorder node offset, and
 the block is emitted whole under every accepted option of the level above
-it.  Node counts, and a budget cut, stay exactly those of a node-by-node
-walk.  The kernel family itself is built from the canonical image tuples
-alone, those whose letters first appear in alphabet order, so no renaming
-of an earlier tuple is generated.
+it, after the head of text down to that option.  Node counts, and a budget
+cut, stay exactly those of a node-by-node walk.  :func:`explore` takes the
+blocks whole: it classifies a block by one lookup of its head, and keeps it
+as that head over the shared list of tails, so its report holds a few
+strings per block rather than a table per leaf, and prints each table as
+one concatenation.  The kernel family itself is built from the canonical
+image tuples alone, those whose letters first appear in alphabet order, so
+no renaming of an earlier tuple is generated.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+from collections.abc import Sequence
 from typing import Iterable, Iterator
 
 from .congruence import RestrictedCongruence, _class_heads, congruent_pairs
@@ -109,6 +113,14 @@ class CandidateTable:
 
     def __repr__(self) -> str:
         return f"CandidateTable({self.alphabet!r}, {self.entries!r})"
+
+
+def _table(alphabet: Alphabet, text: str) -> CandidateTable:
+    """The table with this text, set directly, past ``__init__``'s join."""
+    table = object.__new__(CandidateTable)
+    table.alphabet = alphabet
+    table.text = text
+    return table
 
 
 class SearchStats(_Value, frozen=False):
@@ -231,18 +243,40 @@ def enumerate_consistent(
     within it are yielded, and the search stops at the same node a
     node-by-node walk would, ``budget + 1``.  With no free level to take,
     the block is one empty tail at offset 0 below the last level.  Only the
-    current ``f(ε)``'s block is kept.
+    current ``f(ε)``'s block is kept.  The search itself is :func:`_blocks`,
+    which hands each block over whole; this function only spells out its
+    leaves.
 
     Pass a :class:`SearchStats` to observe node counts and the family size.
     Raises :class:`BudgetExhausted` when the node budget trips.
+    """
+    if stats is None:
+        stats = SearchStats()
+    alphabet = config.alphabet
+    for head, tails, offsets in _blocks(config, stats):
+        start = stats.nodes
+        for tail, offset in zip(tails, offsets):
+            stats.nodes = start + offset
+            yield _table(alphabet, head + tail)
+
+
+def _blocks(config: SearchConfig, stats: SearchStats) -> Iterator[tuple[str, list[str], list[int]]]:
+    """The search of :func:`enumerate_consistent`, a block of leaves at a time.
+
+    For each accepted option on the level just above the block, yields
+    ``(head, tails, offsets)`` with ``stats.nodes`` at that option's node:
+    ``head`` is the table text down to the option, and leaf ``i``'s table is
+    ``head + tails[i]``, reached at node ``stats.nodes + offsets[i]``.  The
+    two lists are the current f(ε)'s, shared by all its blocks, and must not
+    be changed.  On resuming, ``stats.nodes`` is the block's last node, its
+    last leaf.  A block the budget cuts is yielded with only the leaves it
+    reaches, if any, and :class:`BudgetExhausted` follows at ``budget + 1``.
     """
     alphabet = config.alphabet
     letters = alphabet.letters
     domain = list(strings_up_to(alphabet, config.domain_len))
     dedup_bound = max(config.domain_len, config.p * config.domain_len + config.e)
     family = endomorphism_family(alphabet, config.image_len, dedup_bound)
-    if stats is None:
-        stats = SearchStats()
     stats.family_size = len(family)
 
     # For each domain word: the kernels that can prune under which an earlier
@@ -290,7 +324,7 @@ def enumerate_consistent(
         return levels, tails, offsets, above
 
     # Depth-first search with one option iterator per assigned level above
-    # the block, so a table is yielded in constant time instead of through a
+    # the block, so a block is yielded in constant time instead of through a
     # generator chain as deep as the domain.
     options: list[list[tuple[str, str]]] = []  # per level, for the current f(ε)
     tails: list[str] = []
@@ -299,7 +333,6 @@ def enumerate_consistent(
     iterators = [iter(first_level)]
     assigned: list[str] = []  # the outputs of the levels above the current one
     prefixes = [""]
-    new_table = object.__new__  # set the text directly, past __init__'s join
     while iterators:
         idx = len(iterators) - 1
         row, prefix = peers[idx], prefixes[idx]
@@ -312,22 +345,18 @@ def enumerate_consistent(
             if idx == 0:
                 options, tails, offsets, above = levels_given(y)
             if idx == above:
-                # The block's leaves, each at its node count; a cut yields the
-                # leaves it reaches and stops at the node after the budget.
-                head, start = prefix + line, stats.nodes
-                reached = len(offsets)
-                if start + offsets[-1] > budget:
-                    reached = bisect.bisect_right(offsets, budget - start)
-                for tail, offset in itertools.islice(zip(tails, offsets), reached):
-                    stats.nodes = start + offset
-                    table = new_table(CandidateTable)
-                    table.alphabet = alphabet
-                    table.text = head + tail
-                    yield table
-                if reached < len(offsets):
-                    stats.nodes = budget + 1
-                    raise BudgetExhausted(f"node budget {budget} exhausted", stats)
-                continue
+                # A cut yields the leaves it reaches and stops at the node
+                # after the budget.
+                start = stats.nodes
+                if start + offsets[-1] <= budget:
+                    yield prefix + line, tails, offsets
+                    stats.nodes = start + offsets[-1]
+                    continue
+                reached = bisect.bisect_right(offsets, budget - start)
+                if reached:
+                    yield prefix + line, tails[:reached], offsets[:reached]
+                stats.nodes = budget + 1
+                raise BudgetExhausted(f"node budget {budget} exhausted", stats)
             assigned.append(y)
             prefixes.append(prefix + line)
             iterators.append(iter(options[idx + 1]))
@@ -393,61 +422,127 @@ def recheck_table(table: CandidateTable, config: SearchConfig) -> bool:
     return True
 
 
+class _Tables(Sequence):
+    """The non-representable tables of a search, read-only, held as the
+    blocks :func:`explore` kept: each a head of table text and the tails
+    that complete it, the tails list often shared with other blocks.  A
+    :class:`CandidateTable` is built only when one is asked for."""
+
+    __slots__ = ("alphabet", "_blocks", "_ends")
+
+    def __init__(self, alphabet: Alphabet, blocks: list[tuple[str, list[str]]]) -> None:
+        self.alphabet = alphabet
+        self._blocks = blocks
+        self._ends = list(itertools.accumulate(len(tails) for _, tails in blocks))
+
+    def texts(self) -> Iterator[str]:
+        """Each table's text, in search order."""
+        return itertools.chain.from_iterable(map(head.__add__, tails) for head, tails in self._blocks)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        j = i + n if i < 0 else i
+        if not 0 <= j < n:
+            raise IndexError("table index out of range")
+        b = bisect.bisect_right(self._ends, j)
+        head, tails = self._blocks[b]
+        return _table(self.alphabet, head + tails[j - (self._ends[b - 1] if b else 0)])
+
+    def __iter__(self) -> Iterator[CandidateTable]:
+        return map(_table, itertools.repeat(self.alphabet), self.texts())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Tables):
+            return NotImplemented
+        return (self.alphabet == other.alphabet and len(self) == len(other)
+                and all(map(str.__eq__, self.texts(), other.texts())))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} tables in {len(self._blocks)} blocks>"
+
+
 class ExploreReport(_Value, frozen=False):
     config: SearchConfig
     family_size: int
     consistent: int
     representable: int
-    non_representable: list[CandidateTable]  # the list the search filled
+    non_representable: Sequence[CandidateTable]  # from explore(), blocks of text
     exhausted: bool
     nodes: int
 
     def lines(self) -> Iterator[str]:
-        """The report's blocks, without trailing newlines, produced lazily:
+        """The report's lines, without trailing newlines, produced lazily:
         the header lines, then each candidate table's heading and its whole
-        text, itself one line per entry.
+        text, itself one line per entry.  The tables are walked a block at a
+        time, each text one concatenation of its block's head and its tail;
+        no :class:`CandidateTable` is built.
 
         :meth:`render` joins them; ``cpmonoid explore`` writes them in
         batches, so the whole report never sits in memory as text.
         """
         cfg = self.config
+        tables = self.non_representable
         yield (f"explore alphabet {cfg.alphabet} maxlen {cfg.domain_len} "
                f"p {cfg.p} e {cfg.e} image-len {cfg.image_len}")
         yield f"family {self.family_size}"
         yield f"nodes {self.nodes}"
         yield f"consistent {self.consistent}"
         yield f"representable {self.representable}"
-        yield f"non-representable {len(self.non_representable)}"
+        yield f"non-representable {len(tables)}"
         if self.exhausted:
             yield "budget exhausted: results are a lower bound"
-        for i, table in enumerate(self.non_representable):
-            yield (f"candidate {i} (consistent, not a template restriction; "
-                   "bounded evidence only)")
-            yield table.text
+        i = 0
+        blocks = tables._blocks if isinstance(tables, _Tables) else [("", [t.text for t in tables])]
+        for head, tails in blocks:
+            for tail in tails:
+                yield (f"candidate {i} (consistent, not a template restriction; "
+                       "bounded evidence only)")
+                yield head + tail
+                i += 1
 
     def render(self) -> str:
         return "\n".join(self.lines())
 
 
 def explore(config: SearchConfig) -> ExploreReport:
-    """Run the search and classify every consistent table.
+    """Run the search and classify every consistent table, a block at a time.
 
-    The templates are indexed once per search (:func:`template_index`), so
-    each table is classified by a single lookup.
+    Output lengths are forced, so every table text has one length, and every
+    head under one f(ε) another.  The template index (:func:`template_index`)
+    is built once and regrouped by head once per head length, so a block is
+    classified by one lookup of its head; only the few blocks whose head a
+    template restriction shares are filtered leaf by leaf.  A block is kept as
+    its head and tails: the search's shared list of tails, unless some leaf
+    was a template restriction.
     """
     consistent = 0
     representable = 0
-    leftovers: list[CandidateTable] = []
+    blocks: list[tuple[str, list[str]]] = []
     exhausted = False
     stats = SearchStats()
     index = template_index(config)
+    by_length: dict[int, dict[str, set[str]]] = {}  # head length -> head -> tails
     try:
-        for table in enumerate_consistent(config, stats):
-            consistent += 1
-            if table.text in index:
-                representable += 1
-            else:
-                leftovers.append(table)
+        for head, tails, _ in _blocks(config, stats):
+            consistent += len(tails)
+            length = len(head)
+            by_head = by_length.get(length)
+            if by_head is None:
+                by_head = by_length[length] = {}
+                for key in index:
+                    by_head.setdefault(key[:length], set()).add(key[length:])
+            restricted = by_head.get(head)
+            if restricted:
+                kept = [tail for tail in tails if tail not in restricted]
+                representable += len(tails) - len(kept)
+                tails = kept
+            if tails:
+                blocks.append((head, tails))
     except BudgetExhausted:
         exhausted = True
     return ExploreReport(
@@ -455,7 +550,7 @@ def explore(config: SearchConfig) -> ExploreReport:
         stats.family_size,
         consistent,
         representable,
-        leftovers,
+        _Tables(config.alphabet, blocks),
         exhausted,
         stats.nodes,
     )

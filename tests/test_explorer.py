@@ -3,6 +3,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -12,6 +16,7 @@ from cpmonoid import (
     Alphabet,
     BudgetExhausted,
     CandidateTable,
+    ExploreReport,
     Morphism,
     SearchConfig,
     SearchStats,
@@ -29,7 +34,7 @@ from cpmonoid import (
 from cpmonoid import explorer
 from cpmonoid.explorer import _canonical_tuples
 
-from conftest import ABC, AB
+from conftest import ABC, AB, ROOT
 
 
 def table_of_template(t, config):
@@ -223,9 +228,49 @@ def test_explore_two_letters_p1_e0():
     assert report.consistent == 4
     assert report.representable == 1
     assert len(report.non_representable) == 3
-    assert isinstance(report.non_representable, list)  # the search's own list, not a copy
     assert not report.exhausted
     assert report.nodes > 0
+
+
+def test_explore_keeps_its_tables_as_shared_text():
+    # 32,766 non-representable tables, 5.7 MB of report: held as blocks of
+    # one head each over the search's shared tails, not as a table apiece
+    tracemalloc.start()
+    try:
+        report = explore(SearchConfig(AB, domain_len=3, p=0, e=2))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.non_representable) == 32_766
+    assert kept < 1_000_000, kept
+    assert repr(report.non_representable) == "<32766 tables in 128 blocks>"
+    assert len(repr(report)) < 400
+
+
+# Spawns argv[1:] with stdout discarded, reaps it with os.wait4 and prints its
+# exit status and peak RSS in KiB.  A process's peak RSS starts at its
+# parent's when it execs, so the child is spawned from this small launcher,
+# not from the test process.
+PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def test_explore_cli_keeps_its_peak_memory_low_while_printing():
+    # 1M nodes: 768,779 candidate tables in 149 MB of output
+    argv = [sys.executable, "-m", "cpmonoid.cli", "explore", "--alphabet", "ab", "--maxlen", "3",
+            "--coeff", "1,1", "--node-budget", "1000000"]
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *argv],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ).stdout
+    code, peak_kib = map(int, out.split())
+    assert code == 4
+    assert peak_kib < 64 * 1024, peak_kib
 
 
 def test_explore_deterministic():
@@ -376,6 +421,58 @@ def test_explore_matches_golden_summary(letters, maxlen, p, e):
         "render_bytes": len(text),
     }
     assert got == want
+
+
+BUDGET_CUTS = [
+    ("abc", 3, 1, 1, 700),  # a cut above the block
+    ("ab", 3, 0, 2, 30_000),  # a cut inside a block
+    ("ab", 4, 1, 0, 20_000),
+]
+
+
+@pytest.mark.parametrize(
+    "letters,maxlen,p,e,budget", [(*spec, None) for spec in FAST_GOLDEN] + BUDGET_CUTS
+)
+def test_report_tables_are_the_search_filtered_through_the_index(letters, maxlen, p, e, budget):
+    extra = {} if budget is None else {"node_budget": budget}
+    config = SearchConfig(Alphabet.of(letters), domain_len=maxlen, p=p, e=e, **extra)
+    index = template_index(config)
+    found, cut = [], False
+    try:
+        found.extend(enumerate_consistent(config))
+    except BudgetExhausted:
+        cut = True
+    want = [table for table in found if table.text not in index]
+    report = explore(config)
+    assert report.exhausted == cut == (budget is not None)
+    assert (report.consistent, report.representable) == (len(found), len(found) - len(want))
+    tables = report.non_representable
+    assert list(tables) == want
+    assert list(tables) == want  # a second walk sees the same tables
+    assert len(tables) == len(want)
+    assert bool(tables) == bool(want)
+    n = len(want)
+    assert [tables[i] for i in range(n)] == want
+    assert [tables[i] for i in range(-n, 0)] == want
+    assert tables[1:n:3] == want[1:n:3] and tables[::-1] == want[::-1]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            tables[i]
+    # equal reports, and the same report over a plain list prints the same
+    assert report == explore(config)
+    listed = ExploreReport(*(getattr(report, name) for name in ExploreReport._fields))
+    listed.non_representable = list(tables)
+    assert list(listed.lines()) == list(report.lines())
+
+
+def test_reports_differ_where_their_tables_do():
+    config = SearchConfig(AB, domain_len=2, p=1, e=1)
+    full, cut = explore(config), explore(SearchConfig(AB, domain_len=2, p=1, e=1, node_budget=60))
+    assert full != cut
+    assert full.non_representable != cut.non_representable
+    assert cut.non_representable == explore(cut.config).non_representable
+    cut.config = config
+    assert full != cut
 
 
 # -- the letter-count law and the search that skips non-pruning kernels ------
