@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
 from typing import Sequence
@@ -348,10 +347,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         node_budget=args.node_budget,
     )
     report = explore(config)
-    # the bytes of print(report.render()), a batch of headings and tables at a time
-    lines = report.lines()
-    while batch := list(itertools.islice(lines, 1024)):
-        sys.stdout.write("\n".join(batch) + "\n")
+    # the bytes of print(report.render()), a block of tables at a time
+    for chunk in report.chunks():
+        sys.stdout.write(chunk + "\n")
     if report.exhausted:
         return EXIT_BUDGET
     if report.non_representable:

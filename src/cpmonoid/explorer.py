@@ -36,10 +36,12 @@ it, after the head of text down to that option.  Node counts, and a budget
 cut, stay exactly those of a node-by-node walk.  :func:`explore` takes the
 blocks whole: it classifies a block by one lookup of its head, and keeps it
 as that head over the shared list of tails, so its report holds a few
-strings per block rather than a table per leaf, and prints each table as
-one concatenation.  The kernel family itself is built from the canonical
-image tuples alone, those whose letters first appear in alphabet order, so
-no renaming of an earlier tuple is generated.
+strings per block rather than a table per leaf, and renders each block as
+one string.  The kernel family itself is built from the canonical image
+tuples alone, those whose letters first appear in alphabet order, so no
+renaming of an earlier tuple is generated, and a tuple whose images form a
+prefix or suffix code is dropped, its kernel never computed, when an
+earlier such tuple had the same kernel shape.
 """
 
 from __future__ import annotations
@@ -158,6 +160,17 @@ def _canonical_tuples(letters: str, images: list[str]) -> list[tuple[str, ...]]:
     return [prefix for prefix, _ in tuples]
 
 
+def _is_code(images: Iterable[str]) -> bool:
+    """Whether the distinct non-empty words among ``images`` form a prefix
+    code or a suffix code.  In sorted order a word that is a prefix of
+    another is a prefix of its successor, so neighbours are compared."""
+    words = sorted(set(images).difference(("",)))
+    if not any(map(str.startswith, words[1:], words)):
+        return True
+    words = sorted(word[::-1] for word in words)
+    return not any(map(str.startswith, words[1:], words))
+
+
 def endomorphism_family(
     alphabet: Alphabet, image_len: int, dedup_bound: int
 ) -> list[Morphism]:
@@ -176,18 +189,37 @@ def endomorphism_family(
     order, the canonical one, comes first in the product of images, so only
     the canonical tuples are walked (:func:`_canonical_tuples`, in product
     order): the others would find their kernel already seen.
+
+    A tuple's *shape* says which letters map to ε and which letters share
+    an image.  When the distinct non-empty images form a prefix code or a
+    suffix code they are uniquely decipherable, so ``φ(x)`` spells out the
+    images of ``x``'s letters one by one and the kernel depends on the
+    shape alone: a code tuple whose shape an earlier code tuple had finds
+    its kernel already seen, and its probe signature is never computed.
+    Below probe length 2 the probe words are ε and the letters, so the
+    shape itself is the signature there, and no word is translated.
     """
     images = list(strings_up_to(alphabet, image_len))
     probe_words = list(strings_up_to(alphabet, dedup_bound))
     family: list[Morphism] = []
     seen_kernels: set[tuple[int, ...]] = set()
-    for combo in _canonical_tuples("".join(alphabet.letters), images):
-        mapping = dict(zip(alphabet.letters, combo))
-        probe_images = map(str.translate, probe_words, itertools.repeat(str.maketrans(mapping)))
-        signature = _class_heads(probe_images)
+    code_shapes: set[tuple[int, ...]] = set()
+    letters = alphabet.letters
+    for combo in _canonical_tuples("".join(letters), images):
+        shape = _class_heads(("",) + combo)  # ε's class is 0
+        if dedup_bound < 2:  # the probe words are ε and the letters
+            signature = shape[:len(probe_words)]
+        else:
+            if _is_code(combo):
+                if shape in code_shapes:
+                    continue
+                code_shapes.add(shape)
+            table = str.maketrans(dict(zip(letters, combo)))
+            signature = _class_heads(map(str.translate, probe_words, itertools.repeat(table)))
         if signature in seen_kernels:
             continue
         seen_kernels.add(signature)
+        mapping = dict(zip(letters, combo))
         family.append(Morphism.make(
             alphabet, mapping, label="endo(" + ",".join(
                 f"{ch}->{img}" for ch, img in mapping.items()) + ")"
@@ -467,6 +499,11 @@ class _Tables(Sequence):
 
 
 class ExploreReport(_Value, frozen=False):
+    """What one search found: its counts, and the consistent tables no
+    template restricts to.  From :func:`explore` those tables are the
+    kept blocks of shared text, and the report is printed a block at a
+    time (:meth:`chunks`)."""
+
     config: SearchConfig
     family_size: int
     consistent: int
@@ -475,38 +512,43 @@ class ExploreReport(_Value, frozen=False):
     exhausted: bool
     nodes: int
 
-    def lines(self) -> Iterator[str]:
-        """The report's lines, without trailing newlines, produced lazily:
-        the header lines, then each candidate table's heading and its whole
-        text, itself one line per entry.  The tables are walked a block at a
-        time, each text one concatenation of its block's head and its tail;
-        no :class:`CandidateTable` is built.
+    def chunks(self) -> Iterator[str]:
+        """The report's text a block at a time, produced lazily and without
+        trailing newlines: first the header lines as one string, then one
+        string per block of tables, each table its heading line followed by
+        its whole text, itself one line per entry.  A block's tables share
+        its head of text, so each one is a single f-string over its tail; no
+        :class:`CandidateTable` is built.  A plain list of tables is printed
+        as one block.
 
-        :meth:`render` joins them; ``cpmonoid explore`` writes them in
-        batches, so the whole report never sits in memory as text.
+        :meth:`render` joins the chunks with newlines; ``cpmonoid explore``
+        writes each one followed by a newline, so the whole report never
+        sits in memory as text.
         """
         cfg = self.config
         tables = self.non_representable
-        yield (f"explore alphabet {cfg.alphabet} maxlen {cfg.domain_len} "
-               f"p {cfg.p} e {cfg.e} image-len {cfg.image_len}")
-        yield f"family {self.family_size}"
-        yield f"nodes {self.nodes}"
-        yield f"consistent {self.consistent}"
-        yield f"representable {self.representable}"
-        yield f"non-representable {len(tables)}"
+        header = [
+            f"explore alphabet {cfg.alphabet} maxlen {cfg.domain_len} "
+            f"p {cfg.p} e {cfg.e} image-len {cfg.image_len}",
+            f"family {self.family_size}",
+            f"nodes {self.nodes}",
+            f"consistent {self.consistent}",
+            f"representable {self.representable}",
+            f"non-representable {len(tables)}",
+        ]
         if self.exhausted:
-            yield "budget exhausted: results are a lower bound"
+            header.append("budget exhausted: results are a lower bound")
+        yield "\n".join(header)
         i = 0
         blocks = tables._blocks if isinstance(tables, _Tables) else [("", [t.text for t in tables])]
         for head, tails in blocks:
-            for tail in tails:
-                yield (f"candidate {i} (consistent, not a template restriction; "
-                       "bounded evidence only)")
-                yield head + tail
-                i += 1
+            if tails:
+                note = " (consistent, not a template restriction; bounded evidence only)\n" + head
+                yield "\n".join([f"candidate {j}{note}{tail}" for j, tail in enumerate(tails, i)])
+                i += len(tails)
 
     def render(self) -> str:
-        return "\n".join(self.lines())
+        return "\n".join(self.chunks())
 
 
 def explore(config: SearchConfig) -> ExploreReport:

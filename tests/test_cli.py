@@ -649,8 +649,9 @@ EXPLORE_LARGE = ("explore", "--alphabet", "ab", "--maxlen", "3", "--coeff", "0,2
 def test_explore_streams_the_rendered_report(capsys, monkeypatch):
     from cpmonoid.explorer import ExploreReport, SearchConfig, explore
 
-    want = explore(SearchConfig(AB, domain_len=3, p=0, e=2)).render() + "\n"
-    assert want.count("\n") > 3 * 8192  # several batches of lines
+    report = explore(SearchConfig(AB, domain_len=3, p=0, e=2))
+    want = report.render() + "\n"
+    assert len(list(report.chunks())) > 3  # several blocks of tables
 
     def no_render(self):
         raise AssertionError("the CLI must not build the whole report")
@@ -659,6 +660,30 @@ def test_explore_streams_the_rendered_report(capsys, monkeypatch):
     code, out, _ = invoke(capsys, *EXPLORE_LARGE)
     assert code == 1
     assert out == want
+
+
+@pytest.mark.parametrize(
+    "argv, config, code",
+    [
+        pytest.param(
+            (*EXPLORE_LARGE, "--node-budget", "30000"),
+            dict(alphabet=AB, domain_len=3, p=0, e=2, node_budget=30_000),
+            4,
+            id="cut",
+        ),
+        pytest.param(
+            ("explore", "--alphabet", "abc", "--maxlen", "2", "--coeff", "1,0"),
+            dict(alphabet=ABC, domain_len=2, p=1, e=0),
+            0,
+            id="empty",
+        ),
+    ],
+)
+def test_explore_prints_cut_and_empty_reports_whole(capsys, argv, config, code):
+    from cpmonoid.explorer import SearchConfig, explore
+
+    want = explore(SearchConfig(**config)).render() + "\n"
+    assert invoke(capsys, *argv) == (code, want, "")
 
 
 def test_explore_with_closed_stdout_exits_quietly():

@@ -10,6 +10,8 @@ import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from cpmonoid import (
@@ -127,6 +129,72 @@ def test_endomorphism_family_matches_the_filtered_product(letters, image_len):
             want.append("endo(" + ",".join(f"{c}->{img}" for c, img in mapping.items()) + ")")
     got = [phi.label for phi in endomorphism_family(alphabet, image_len, 2)]
     assert got == want
+
+
+FAMILY_GRID = [
+    (letters, image_len, bound)
+    for letters, bounds in (("ab", range(5)), ("abc", range(5)), ("abcd", range(3)))
+    for image_len in (1, 2)
+    for bound in bounds
+]
+
+
+@pytest.mark.parametrize("letters,image_len,bound", FAMILY_GRID)
+def test_endomorphism_family_is_the_first_tuple_of_each_kernel(letters, image_len, bound):
+    # Brute force: the kernel of every tuple of the whole product on the
+    # probe words, the first tuple of each kernel kept, in product order.
+    alphabet = Alphabet.of(letters)
+    images = [w.letters for w in iter_words(alphabet, image_len)]
+    probes = [w.letters for w in iter_words(alphabet, bound)]
+    seen, want = set(), []
+    for combo in itertools.product(images, repeat=len(letters)):
+        mapping = dict(zip(letters, combo))
+        buckets = {}
+        kernel = tuple(
+            buckets.setdefault("".join(mapping[c] for c in w), len(buckets)) for w in probes
+        )
+        if kernel not in seen:
+            seen.add(kernel)
+            label = "endo(" + ",".join(f"{c}->{img}" for c, img in mapping.items()) + ")"
+            want.append((label, Morphism.make(alphabet, mapping)))
+    got = [(phi.label, phi) for phi in endomorphism_family(alphabet, image_len, bound)]
+    assert got == want
+
+
+def prefix_free(words):
+    return not any(u != v and v.startswith(u) for u in words for v in words)
+
+
+def is_code_by_pairs(combo):
+    """Whether the distinct non-empty images are a prefix or a suffix code,
+    every pair compared."""
+    words = set(combo) - {""}
+    return prefix_free(words) or prefix_free({w[::-1] for w in words})
+
+
+ABC_WORDS_5 = [w.letters for w in iter_words(ABC, 5)]
+IMAGE_WORDS = strat.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@hypothesis.given(
+    shape=strat.lists(strat.integers(0, 3), min_size=3, max_size=3),
+    first=strat.lists(IMAGE_WORDS, min_size=3, max_size=3, unique=True),
+    second=strat.lists(IMAGE_WORDS, min_size=3, max_size=3, unique=True),
+)
+def test_code_images_of_one_shape_have_one_kernel(shape, first, second):
+    # shape[i] is 0 where letter i maps to ε, else the image class it takes
+    one = tuple(first[g - 1] if g else "" for g in shape)
+    two = tuple(second[g - 1] if g else "" for g in shape)
+    assert explorer._is_code(one) == is_code_by_pairs(one)
+    assert explorer._is_code(two) == is_code_by_pairs(two)
+    hypothesis.assume(is_code_by_pairs(one) and is_code_by_pairs(two))
+
+    def kernel(combo):
+        table = str.maketrans(dict(zip("abc", combo)))
+        buckets = {}
+        return [buckets.setdefault(w.translate(table), len(buckets)) for w in ABC_WORDS_5]
+
+    assert kernel(one) == kernel(two)
 
 
 def test_enumerate_consistent_p1_e0_frozen():
@@ -393,7 +461,7 @@ def test_report_lines_match_a_renderer_from_entries(config):
     if config.alphabet == AB:
         assert report.exhausted and report.non_representable
     # compared as lists of lines, which pytest diffs quickly on failure
-    assert "\n".join(report.lines()).split("\n") == render_from_entries(report)
+    assert "\n".join(report.chunks()).split("\n") == render_from_entries(report)
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "explore.json"
@@ -462,7 +530,33 @@ def test_report_tables_are_the_search_filtered_through_the_index(letters, maxlen
     assert report == explore(config)
     listed = ExploreReport(*(getattr(report, name) for name in ExploreReport._fields))
     listed.non_representable = list(tables)
-    assert list(listed.lines()) == list(report.lines())
+    assert "\n".join(listed.chunks()) == "\n".join(report.chunks())
+
+
+RENDERED = [(*spec, None) for spec in FAST_GOLDEN] + [("ab", 3, 0, 2, 30_000)]
+
+
+@pytest.mark.parametrize("letters,maxlen,p,e,budget", RENDERED)
+def test_render_joins_the_chunks(letters, maxlen, p, e, budget):
+    # The header is one chunk and each kept block one more; the same report
+    # over a plain list of its tables prints the same text in one block.
+    extra = {} if budget is None else {"node_budget": budget}
+    report = explore(SearchConfig(Alphabet.of(letters), domain_len=maxlen, p=p, e=e, **extra))
+    want = render_from_entries(report)
+    listed = ExploreReport(*(getattr(report, name) for name in ExploreReport._fields))
+    listed.non_representable = list(report.non_representable)
+    for each in (report, listed):
+        chunks = list(each.chunks())
+        text = "\n".join(chunks)
+        assert text == each.render()
+        assert text.split("\n") == want
+        header = 7 if each.exhausted else 6
+        assert chunks[0].split("\n") == want[:header]
+        assert all(chunk.startswith("candidate ") for chunk in chunks[1:])
+        # an empty report, such as abc maxlen 2 (1,0), is its header alone
+        assert (len(chunks) == 1) == (not report.non_representable)
+    assert len(list(listed.chunks())) == 1 + bool(report.non_representable)
+    assert (budget is not None) == report.exhausted
 
 
 def test_reports_differ_where_their_tables_do():
