@@ -37,18 +37,20 @@ cut, stay exactly those of a node-by-node walk.  :func:`explore` takes the
 blocks whole: it classifies a block by one lookup of its head, and keeps it
 as that head over the shared list of tails, so its report holds a few
 strings per block rather than a table per leaf, and renders each block as
-one string.  The kernel family itself is built from the canonical image
-tuples alone, those whose letters first appear in alphabet order, so no
-renaming of an earlier tuple is generated, and a tuple whose images form a
-prefix or suffix code is dropped, its kernel never computed, when an
-earlier such tuple had the same kernel shape.
+one string.  The report's tables are read only whole, by their count or a
+walk in search order, never by position.  The kernel family itself is built
+from the canonical image tuples alone, those whose letters first appear in
+alphabet order, so no renaming of an earlier tuple is generated, and a tuple
+whose images form a prefix or suffix code is dropped, its kernel never
+computed, when an earlier such tuple had the same kernel shape.  Every other
+tuple's kernel is told apart by one signature, the classes of the probe
+words under it.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Sequence
 from typing import Iterable, Iterator
 
 from .congruence import RestrictedCongruence, _class_heads, congruent_pairs
@@ -196,8 +198,8 @@ def endomorphism_family(
     images of ``x``'s letters one by one and the kernel depends on the
     shape alone: a code tuple whose shape an earlier code tuple had finds
     its kernel already seen, and its probe signature is never computed.
-    Below probe length 2 the probe words are ε and the letters, so the
-    shape itself is the signature there, and no word is translated.
+    Every other tuple's signature is computed one way, by translating the
+    probe words, whatever the probe length.
     """
     images = list(strings_up_to(alphabet, image_len))
     probe_words = list(strings_up_to(alphabet, dedup_bound))
@@ -206,16 +208,13 @@ def endomorphism_family(
     code_shapes: set[tuple[int, ...]] = set()
     letters = alphabet.letters
     for combo in _canonical_tuples("".join(letters), images):
-        shape = _class_heads(("",) + combo)  # ε's class is 0
-        if dedup_bound < 2:  # the probe words are ε and the letters
-            signature = shape[:len(probe_words)]
-        else:
-            if _is_code(combo):
-                if shape in code_shapes:
-                    continue
-                code_shapes.add(shape)
-            table = str.maketrans(dict(zip(letters, combo)))
-            signature = _class_heads(map(str.translate, probe_words, itertools.repeat(table)))
+        if _is_code(combo):
+            shape = _class_heads(("",) + combo)  # ε's class is 0
+            if shape in code_shapes:
+                continue
+            code_shapes.add(shape)
+        table = str.maketrans(dict(zip(letters, combo)))
+        signature = _class_heads(map(str.translate, probe_words, itertools.repeat(table)))
         if signature in seen_kernels:
             continue
         seen_kernels.add(signature)
@@ -454,36 +453,26 @@ def recheck_table(table: CandidateTable, config: SearchConfig) -> bool:
     return True
 
 
-class _Tables(Sequence):
-    """The non-representable tables of a search, read-only, held as the
-    blocks :func:`explore` kept: each a head of table text and the tails
-    that complete it, the tails list often shared with other blocks.  A
-    :class:`CandidateTable` is built only when one is asked for."""
+class _Tables:
+    """The non-representable tables of a search, held as the blocks
+    :func:`explore` kept: each a head of table text and the tails that
+    complete it, the tails list often shared with other blocks.  It has a
+    length, a truth value, equality and iteration in search order, building
+    each :class:`CandidateTable` as the walk reaches it; it cannot be
+    indexed."""
 
-    __slots__ = ("alphabet", "_blocks", "_ends")
+    __slots__ = ("alphabet", "_blocks")
 
     def __init__(self, alphabet: Alphabet, blocks: list[tuple[str, list[str]]]) -> None:
         self.alphabet = alphabet
         self._blocks = blocks
-        self._ends = list(itertools.accumulate(len(tails) for _, tails in blocks))
 
     def texts(self) -> Iterator[str]:
         """Each table's text, in search order."""
         return itertools.chain.from_iterable(map(head.__add__, tails) for head, tails in self._blocks)
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i):  # type: ignore[override]
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self)
-        j = i + n if i < 0 else i
-        if not 0 <= j < n:
-            raise IndexError("table index out of range")
-        b = bisect.bisect_right(self._ends, j)
-        head, tails = self._blocks[b]
-        return _table(self.alphabet, head + tails[j - (self._ends[b - 1] if b else 0)])
+        return sum(len(tails) for _, tails in self._blocks)
 
     def __iter__(self) -> Iterator[CandidateTable]:
         return map(_table, itertools.repeat(self.alphabet), self.texts())
@@ -500,15 +489,15 @@ class _Tables(Sequence):
 
 class ExploreReport(_Value, frozen=False):
     """What one search found: its counts, and the consistent tables no
-    template restricts to.  From :func:`explore` those tables are the
-    kept blocks of shared text, and the report is printed a block at a
+    template restricts to, held as :func:`explore` kept them, blocks of
+    shared text (a :class:`_Tables`).  The report is printed a block at a
     time (:meth:`chunks`)."""
 
     config: SearchConfig
     family_size: int
     consistent: int
     representable: int
-    non_representable: Sequence[CandidateTable]  # from explore(), blocks of text
+    non_representable: _Tables
     exhausted: bool
     nodes: int
 
@@ -518,8 +507,7 @@ class ExploreReport(_Value, frozen=False):
         string per block of tables, each table its heading line followed by
         its whole text, itself one line per entry.  A block's tables share
         its head of text, so each one is a single f-string over its tail; no
-        :class:`CandidateTable` is built.  A plain list of tables is printed
-        as one block.
+        :class:`CandidateTable` is built.
 
         :meth:`render` joins the chunks with newlines; ``cpmonoid explore``
         writes each one followed by a newline, so the whole report never
@@ -540,12 +528,10 @@ class ExploreReport(_Value, frozen=False):
             header.append("budget exhausted: results are a lower bound")
         yield "\n".join(header)
         i = 0
-        blocks = tables._blocks if isinstance(tables, _Tables) else [("", [t.text for t in tables])]
-        for head, tails in blocks:
-            if tails:
-                note = " (consistent, not a template restriction; bounded evidence only)\n" + head
-                yield "\n".join([f"candidate {j}{note}{tail}" for j, tail in enumerate(tails, i)])
-                i += len(tails)
+        for head, tails in tables._blocks:  # explore() keeps no empty block
+            note = " (consistent, not a template restriction; bounded evidence only)\n" + head
+            yield "\n".join([f"candidate {j}{note}{tail}" for j, tail in enumerate(tails, i)])
+            i += len(tails)
 
     def render(self) -> str:
         return "\n".join(self.chunks())

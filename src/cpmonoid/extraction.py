@@ -138,9 +138,10 @@ class _Derived(WordFunction):
     Peeled heads and fresh-letter factors are both this shape: ``answer``
     is its ``_compute``, which forwards a key to the parent and raises the
     moment the parent breaks the promise.  So it answers through the same
-    two memo entries as every other oracle, with a memo of its own, and a
-    chain of peels memoises at every level.  Each of its keys is one parent
-    key, so its ``query_count`` is the parent's.
+    two memo entries as every other oracle, with a memo of its own.  Each
+    of its keys is one parent key, so its ``query_count`` is the parent's.
+    A peel's parent is the root, and its ``heads`` (letters, or 0-based
+    argument indices) are all it strips from the root's output.
     """
 
     def __init__(
@@ -149,10 +150,12 @@ class _Derived(WordFunction):
         name: str,
         arity: int,
         answer: Callable[[tuple[str, ...]], str],
+        heads: tuple[str | int, ...] = (),
     ) -> None:
         super().__init__(name, parent.alphabet, arity, parent.supports_extension)
         self.parent = parent
         self._compute = answer
+        self.heads = heads
 
     @property
     def query_count(self) -> int:
@@ -163,6 +166,8 @@ def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
     """Strip a classified head; the result asserts the prefix on every call.
 
     It raises :class:`PeelViolation` the moment ``fn`` contradicts the head.
+    A peel of a peel answers from ``fn``'s memo, or else from the root with
+    every head checked in one loop, so no chain of oracles ever forms.
     """
     if isinstance(case, ConstEmpty):
         raise ValueError("cannot peel the constant-empty head")
@@ -171,14 +176,22 @@ def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
     if isinstance(case, ConstLetter) and case.letter not in fn.alphabet:
         raise ValueError(f"letter {case.letter!r} outside the base alphabet")
 
-    def answer(key: tuple[str, ...]) -> str:
-        out = fn.evaluate_letters(key)
-        prefix = case.letter if isinstance(case, ConstLetter) else key[case.index - 1]
-        if not out.startswith(prefix):
-            raise PeelViolation(key, out, prefix)
-        return out[len(prefix):]
+    root, heads = (fn.parent, fn.heads) if isinstance(fn, _Derived) and fn.heads else (fn, ())
+    heads += (case.letter if isinstance(case, ConstLetter) else case.index - 1,)
+    residue, newest = fn._cache.get, heads[-1:]  # fn's answers lack heads[:-1]
 
-    return _Derived(fn, f"peel[{render_head_case(case)}]({fn.name})", fn.arity, answer)
+    def answer(key: tuple[str, ...]) -> str:
+        out, todo = residue(key), newest
+        if out is None:
+            out, todo = root.evaluate_letters(key), heads
+        for head in todo:
+            prefix = head if isinstance(head, str) else key[head]
+            if not out.startswith(prefix):
+                raise PeelViolation(key, out, prefix)
+            out = out[len(prefix):]
+        return out
+
+    return _Derived(root, f"peel[{render_head_case(case)}]({fn.name})", fn.arity, answer, heads)
 
 
 def default_validation_len(arity: int, alphabet: Alphabet) -> int:

@@ -244,19 +244,16 @@ def extensional_equal(t1: Template, t2: Template, length_bound: int) -> bool:
     return True
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """Write ``total`` as ``parts`` ordered nonnegative terms.
 
     Front-loaded: the first part runs from large to small, so for one
-    variable slot the ``w_0``-heavy shapes come first.
+    variable slot the ``w_0``-heavy shapes come first.  These are the
+    arrangements of ``total`` units and ``parts - 1`` bars, units first.
     """
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return [()] if total == 0 else []
+    return [tuple(map(len, "".join(a).split("|"))) for a in arrangements("o|", (total, parts - 1))]
 
 
 def enumerate_templates(
@@ -281,8 +278,9 @@ def enumerate_templates(
         [Word(alphabet, s) for s in strings_of_length(alphabet, k)]
         for k in range(e + 1)
     ]
+    splits = _compositions(e, n + 1)
     for slots in arrangements(range(1, arity + 1), p):
-        for lengths in _compositions(e, n + 1):
+        for lengths in splits:
             for constants in itertools.product(*(pools[k] for k in lengths)):
                 yield Template(arity, alphabet, constants, slots)
 

@@ -433,26 +433,24 @@ def arrangements(
     lexicographic in the order of ``symbols``.
 
     Built as a list: the explorer memoises it per vector of letter counts.
+    Each sequence after the first, sorted one, is its lexicographic
+    successor (the next permutation of the multiset), so no call nests.
     """
-    remaining = list(counts)
-    total = sum(remaining)
+    pick = list(symbols).__getitem__
+    seq = [i for i, n in enumerate(counts) for _ in range(n)]
     out: list[tuple[_T, ...]] = []
-    acc: list[_T] = []
-
-    def rec() -> None:
-        if len(acc) == total:
-            out.append(tuple(acc))
-            return
-        for i, left in enumerate(remaining):
-            if left:
-                remaining[i] -= 1
-                acc.append(symbols[i])
-                rec()
-                acc.pop()
-                remaining[i] += 1
-
-    rec()
-    return out
+    while True:
+        out.append(tuple(map(pick, seq)))
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]
 
 
 def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:

@@ -306,6 +306,29 @@ def test_explore_exit_codes(capsys):
     assert "non-representable 0" in out
 
 
+def test_explore_takes_a_length_law_past_the_recursion_limit(capsys):
+    code, out, err = invoke(
+        capsys, "explore", "--alphabet", "ab", "--maxlen", "0", "--coeff", "1000,0"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "explore alphabet ab maxlen 0 p 1000 e 0 image-len 2\n"
+        "family 1\nnodes 1\nconsistent 1\nrepresentable 1\nnon-representable 0\n"
+    )
+
+
+def test_extract_and_check_a_template_of_600_slots(capsys, tmp_path):
+    body = '""' + ' x1 ""' * 600
+    path = tmp_path / "slots.tmpl"
+    path.write_text(f"arity 1\nalphabet abc\n{body}\n")
+    code, out, err = invoke(capsys, "extract", "--oracle", f"template:{path}")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == body
+    code, out, err = invoke(capsys, "check", "--oracle", f"template:{path}")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["verdict: certified-cp", "queries: 40"]
+
+
 def test_explore_budget_exit(capsys):
     code, out, _ = invoke(
         capsys, "explore", "--maxlen", "2", "--coeff", "1,1", "--node-budget", "10"

@@ -18,7 +18,6 @@ from cpmonoid import (
     Alphabet,
     BudgetExhausted,
     CandidateTable,
-    ExploreReport,
     Morphism,
     SearchConfig,
     SearchStats,
@@ -519,18 +518,7 @@ def test_report_tables_are_the_search_filtered_through_the_index(letters, maxlen
     assert list(tables) == want  # a second walk sees the same tables
     assert len(tables) == len(want)
     assert bool(tables) == bool(want)
-    n = len(want)
-    assert [tables[i] for i in range(n)] == want
-    assert [tables[i] for i in range(-n, 0)] == want
-    assert tables[1:n:3] == want[1:n:3] and tables[::-1] == want[::-1]
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            tables[i]
-    # equal reports, and the same report over a plain list prints the same
     assert report == explore(config)
-    listed = ExploreReport(*(getattr(report, name) for name in ExploreReport._fields))
-    listed.non_representable = list(tables)
-    assert "\n".join(listed.chunks()) == "\n".join(report.chunks())
 
 
 RENDERED = [(*spec, None) for spec in FAST_GOLDEN] + [("ab", 3, 0, 2, 30_000)]
@@ -538,25 +526,28 @@ RENDERED = [(*spec, None) for spec in FAST_GOLDEN] + [("ab", 3, 0, 2, 30_000)]
 
 @pytest.mark.parametrize("letters,maxlen,p,e,budget", RENDERED)
 def test_render_joins_the_chunks(letters, maxlen, p, e, budget):
-    # The header is one chunk and each kept block one more; the same report
-    # over a plain list of its tables prints the same text in one block.
+    # The header is one chunk and each kept block one more.
     extra = {} if budget is None else {"node_budget": budget}
     report = explore(SearchConfig(Alphabet.of(letters), domain_len=maxlen, p=p, e=e, **extra))
     want = render_from_entries(report)
-    listed = ExploreReport(*(getattr(report, name) for name in ExploreReport._fields))
-    listed.non_representable = list(report.non_representable)
-    for each in (report, listed):
-        chunks = list(each.chunks())
-        text = "\n".join(chunks)
-        assert text == each.render()
-        assert text.split("\n") == want
-        header = 7 if each.exhausted else 6
-        assert chunks[0].split("\n") == want[:header]
-        assert all(chunk.startswith("candidate ") for chunk in chunks[1:])
-        # an empty report, such as abc maxlen 2 (1,0), is its header alone
-        assert (len(chunks) == 1) == (not report.non_representable)
-    assert len(list(listed.chunks())) == 1 + bool(report.non_representable)
+    chunks = list(report.chunks())
+    text = "\n".join(chunks)
+    assert text == report.render()
+    assert text.split("\n") == want
+    header = 7 if report.exhausted else 6
+    assert chunks[0].split("\n") == want[:header]
+    assert all(chunk.startswith("candidate ") for chunk in chunks[1:])
+    # an empty report, such as abc maxlen 2 (1,0), is its header alone
+    assert (len(chunks) == 1) == (not report.non_representable)
     assert (budget is not None) == report.exhausted
+
+
+def test_report_tables_are_walked_not_indexed():
+    tables = explore(SearchConfig(AB, domain_len=2, p=1, e=1)).non_representable
+    assert tables
+    for key in (0, -1, slice(0, 2)):
+        with pytest.raises(TypeError):
+            tables[key]
 
 
 def test_reports_differ_where_their_tables_do():

@@ -7,6 +7,7 @@ import pytest
 
 from cpmonoid import (
     BuiltinFunction,
+    CertifiedCP,
     ConstEmpty,
     ConstLetter,
     Extracted,
@@ -27,6 +28,7 @@ from cpmonoid import (
     length_profile,
     peel,
     render_head_case,
+    theorem_check,
 )
 from cpmonoid.extraction import default_validation_len
 from cpmonoid.words import strings_up_to
@@ -249,6 +251,73 @@ def test_peel_violation_carries_query():
 def test_peel_rejects_const_empty():
     with pytest.raises(ValueError):
         peel(fn_of("", 1, ""), ConstEmpty())
+
+
+def chained_peel(fn, cases):
+    """The residue after peeling ``cases`` one by one, as a chain of plain
+    functions: the reference a deep peel answers like, without its memos."""
+    def level(parent, case):
+        def answer(key):
+            out = parent(key)
+            prefix = case.letter if isinstance(case, ConstLetter) else key[case.index - 1]
+            if not out.startswith(prefix):
+                raise PeelViolation(key, out, prefix)
+            return out[len(prefix):]
+        return answer
+
+    answer = fn.evaluate_letters
+    for case in cases:
+        answer = level(answer, case)
+    return answer
+
+
+def test_a_deep_peel_answers_and_fails_like_the_chain_of_peels():
+    # (a x1)^300 "c", with the 250th "a" head claimed to be a "b"
+    fn = fn_of(*["a", 1] * 300, "c")
+    cases = [ConstLetter("a"), Variable(1)] * 300
+    cases[498] = ConstLetter("b")
+    peels, names = [fn], [fn.name]
+    for case in cases:
+        peels.append(peel(peels[-1], case))
+        names.append(f"peel[{render_head_case(case)}]({names[-1]})")
+    reference = TemplateFunction(fn.template)
+    # deep levels first, each answering from the root; then every level in
+    # order, each answering from the memo of the level it peels
+    for depth in [600, 499, 498, 497, 2, 1, *range(1, 601)]:
+        current, chain = peels[depth], chained_peel(reference, cases[:depth])
+        assert current.name == names[depth]
+        for key in [("",), ("b",), ("ab",), ("c",)]:
+            try:
+                want = chain(key)
+            except PeelViolation as violation:
+                with pytest.raises(PeelViolation) as got:
+                    current.evaluate_letters(key)
+                assert (got.value.query, got.value.output, got.value.expected) == (
+                    violation.query, violation.output, violation.expected)
+            else:
+                assert current.evaluate_letters(key) == want
+        assert current.query_count == fn.query_count == reference.query_count
+    assert list(fn._cache) == list(reference._cache)
+
+
+LARGE_TEMPLATES = [
+    # 600 slots, far past one nested call per peel
+    (("", *[1, ""] * 600), 40),
+    (("ab" * 300, 1, "c" * 600), 40),
+    (("a", *[1, "b", 2, "c"] * 150), 169),
+]
+
+
+@pytest.mark.parametrize("parts,queries", LARGE_TEMPLATES)
+def test_large_templates_are_extracted_and_certified(parts, queries):
+    template = Template.of(ABC, *parts)
+    fn = TemplateFunction(template)
+    outcome = extract(fn)
+    assert isinstance(outcome, Extracted) and outcome.template == template
+    assert outcome.query_count == fn.query_count == queries
+    verdict = theorem_check(TemplateFunction(template))
+    assert isinstance(verdict, CertifiedCP)
+    assert (verdict.template, verdict.query_count) == (template, queries)
 
 
 # --------------------------------------------------------------- extraction

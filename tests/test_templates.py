@@ -19,6 +19,8 @@ from cpmonoid import (
     parse_template,
 )
 
+from cpmonoid.templates import _compositions
+
 from conftest import ABC, AB, templates, words
 
 
@@ -209,6 +211,34 @@ def test_enumerate_matches_independent_count():
 def test_enumerate_templates_unique():
     seen = list(enumerate_templates(ABC, 2, (1, 1), 1))
     assert len(seen) == len(set(seen))
+
+
+def compositions_by_recursion(total, parts):
+    """The front-loaded order, one nested call per part: the reference."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions_by_recursion(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_keep_the_recursive_order():
+    for total in range(7):
+        for parts in range(6):
+            assert list(_compositions(total, parts)) == list(
+                compositions_by_recursion(total, parts)), (total, parts)
+    assert list(_compositions(0, 1001)) == [(0,) * 1001]
+    ones = list(_compositions(1, 1001))
+    assert ones[0] == (1,) + (0,) * 1000 and ones[-1] == (0,) * 1000 + (1,)
+    assert len(ones) == 1001
+
+
+def test_enumerate_templates_past_the_recursion_limit():
+    # 1000 slots and 1001 constants, as explore asks for p = 1000
+    (only,) = enumerate_templates(AB, 1, (1000,), 0)
+    assert only.variables == (1,) * 1000
 
 
 def test_extensional_equal_positive():

@@ -27,7 +27,7 @@ from cpmonoid import (
 from cpmonoid.audit import AuditResult
 from cpmonoid.explorer import SearchConfig, SearchStats, endomorphism_family
 from cpmonoid.extraction import ConstEmpty, ConstLetter, NotRCP, ProbeRecord, Variable
-from cpmonoid.words import Word, _Value, strings_up_to
+from cpmonoid.words import Word, _Value, arrangements, strings_up_to
 
 from conftest import ABC, AB, words
 
@@ -234,6 +234,37 @@ def test_count_words_matches_enumeration():
                 count_words(alphabet, n)
             with pytest.raises(ValueError, match=f"negative length bound {n}"):
                 list(strings_up_to(alphabet, n))
+
+
+def arrangements_by_recursion(symbols, counts):
+    """The lexicographic order, one nested call per symbol: the reference."""
+    remaining, out, acc = list(counts), [], []
+
+    def rec():
+        if not any(remaining):
+            out.append(tuple(acc))
+            return
+        for i, left in enumerate(remaining):
+            if left:
+                remaining[i] -= 1
+                acc.append(symbols[i])
+                rec()
+                acc.pop()
+                remaining[i] += 1
+
+    rec()
+    return out
+
+
+def test_arrangements_keep_the_recursive_order():
+    for k in range(4):
+        for counts in itertools.product(range(9), repeat=k):
+            if sum(counts) <= 8:
+                symbols = "xyz"[:k]
+                assert arrangements(symbols, counts) == arrangements_by_recursion(
+                    symbols, counts), counts
+    assert arrangements(range(1, 3), (1000, 0)) == [(1,) * 1000]
+    assert arrangements("ab", (1, 999))[-1] == ("b",) * 999 + ("a",)
 
 
 def test_iter_words_unique():
