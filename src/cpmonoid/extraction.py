@@ -25,16 +25,21 @@ the template off the output directly, recursing through fresh-letter
 factors for higher arities.
 
 A peeled head and a fresh-letter factor are the same kind of derived
-oracle: it asks its parent, checks the promise the step made, and answers.
+oracle: it answers from the root oracle, passing the root's answer through
+every step that derived it and checking the promise each step made.  So a
+finding at any stage is restated in the root's terms, and a NotRCP's
+queries and outputs are always ones the oracle itself was asked and gave,
+with a short label for the stage that found them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Union
+import sys
+from typing import Iterable, Union
 
 from .oracles import OracleError, WordFunction
 from .templates import LengthCoefficients, Template
-from .words import Alphabet, Word, _Value, count_words, string_tuples_up_to
+from .words import Alphabet, Word, _valid_letter, _Value, count_words, string_tuples_up_to
 
 # Diagnosis vocabulary for NotRCP outcomes.
 REASON_LENGTH = "length profile inconsistency"
@@ -116,13 +121,15 @@ def render_head_case(case: HeadCase) -> str:
 class PeelViolation(OracleError):
     """A peeled function's output did not continue with the promised head.
 
-    ``query`` (not Exception's own ``args``) holds the offending arguments.
+    ``query`` (not Exception's own ``args``) holds the offending root query
+    and ``output`` what was left of the root's answer after the steps in
+    ``stage``, the ones that came before the broken head.
     """
 
-    def __init__(self, query: tuple[str, ...], output: str, expected: str) -> None:
-        self.query = query
-        self.output = output
-        self.expected = expected
+    def __init__(
+        self, query: tuple[str, ...], output: str, expected: str, stage: tuple = ()
+    ) -> None:
+        self.query, self.output, self.expected, self.stage = query, output, expected, stage
         super().__init__(str(self))
 
     def __str__(self) -> str:
@@ -132,42 +139,75 @@ class PeelViolation(OracleError):
         )
 
 
-class _Derived(WordFunction):
-    """A function answered by asking ``parent`` and checking a promise.
+class _SplitMismatch(Exception):
+    """A split at a fresh letter gave the wrong number of factors.
 
-    Peeled heads and fresh-letter factors are both this shape: ``answer``
-    is its ``_compute``, which forwards a key to the parent and raises the
-    moment the parent breaks the promise.  So it answers through the same
-    two memo entries as every other oracle, with a memo of its own.  Each
-    of its keys is one parent key, so its ``query_count`` is the parent's.
-    A peel's parent is the root, and its ``heads`` (letters, or 0-based
-    argument indices) are all it strips from the root's output.
+    ``args`` are the root query, what was left of the root's answer, the
+    factor count promised and the one found, and the steps taken before
+    the split.
     """
 
-    def __init__(
-        self,
-        parent: WordFunction,
-        name: str,
-        arity: int,
-        answer: Callable[[tuple[str, ...]], str],
-        heads: tuple[str | int, ...] = (),
-    ) -> None:
-        super().__init__(name, parent.alphabet, arity, parent.supports_extension)
-        self.parent = parent
-        self._compute = answer
-        self.heads = heads
+
+def _lineage(fn: WordFunction) -> tuple[WordFunction, tuple[str, ...], tuple]:
+    """The root ``fn`` answers from, the fresh letters it puts before a key,
+    and the steps it applies to the root's answer."""
+    return (fn.root, fn.prefix, fn.steps) if isinstance(fn, _Derived) else (fn, (), ())
+
+
+class _Derived(WordFunction):
+    """A function answered from the root oracle through a chain of steps.
+
+    Peeled heads and fresh-letter factors are both this shape.  Its answer
+    on ``key`` is the root's answer on ``prefix + key`` passed through
+    ``steps``: those of the function it was derived from, then its own.  A
+    peel strips one head (a letter, or the argument at a negative index of
+    the root query).  A factor, whose fresh letter joins the prefix, adds
+    the answer's letters to ``seen``, splits it at that letter into
+    ``parts`` pieces and keeps piece ``index``.  It raises the moment the
+    root breaks a step's promise.  When the memo of the function it was
+    derived from holds the key, only the newest step is applied to that
+    entry.  No derived oracle asks another, so the root's ``query_count``
+    is its own.
+    """
+
+    def __init__(self, base: WordFunction, name: str, arity: int, step: str | int | tuple) -> None:
+        super().__init__(name, base.alphabet, arity, base.supports_extension)
+        self.root, prefix, steps = _lineage(base)
+        self.prefix = prefix + step[:1] if isinstance(step, tuple) else prefix
+        self.steps, self._skip, self._base_memo = steps + (step,), len(prefix), base._cache.get
 
     @property
     def query_count(self) -> int:
-        return self.parent.query_count
+        return self.root.query_count
+
+    def _compute(self, key: tuple[str, ...]) -> str:
+        query, steps = self.prefix + key, self.steps
+        out, first = self._base_memo(query[self._skip:]), len(steps) - 1
+        if out is None:
+            out, first = self.root.evaluate_letters(query), 0
+        for j, step in enumerate(steps[first:], first):
+            if isinstance(step, tuple):
+                fresh, index, parts, seen = step
+                seen.update(out)
+                pieces = out.split(fresh)
+                if len(pieces) != parts:
+                    raise _SplitMismatch(query, out, parts, len(pieces), steps[:j])
+                out = pieces[index]
+            else:
+                head = step if isinstance(step, str) else query[step]
+                if not out.startswith(head):
+                    raise PeelViolation(query, out, head, steps[:j])
+                out = out[len(head):]
+        return out
 
 
 def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
     """Strip a classified head; the result asserts the prefix on every call.
 
-    It raises :class:`PeelViolation` the moment ``fn`` contradicts the head.
-    A peel of a peel answers from ``fn``'s memo, or else from the root with
-    every head checked in one loop, so no chain of oracles ever forms.
+    It raises :class:`PeelViolation` the moment the root contradicts a head
+    stripped so far.  A peel of a peel answers from ``fn``'s memo, or else
+    from the root with every head checked in one loop, so no chain of
+    oracles ever forms.
     """
     if isinstance(case, ConstEmpty):
         raise ValueError("cannot peel the constant-empty head")
@@ -175,23 +215,26 @@ def peel(fn: WordFunction, case: HeadCase) -> WordFunction:
         raise ValueError(f"variable index {case.index} out of range")
     if isinstance(case, ConstLetter) and case.letter not in fn.alphabet:
         raise ValueError(f"letter {case.letter!r} outside the base alphabet")
+    head = case.letter if isinstance(case, ConstLetter) else case.index - 1 - fn.arity
+    return _Derived(fn, f"peel[{render_head_case(case)}]({fn.name})", fn.arity, head)
 
-    root, heads = (fn.parent, fn.heads) if isinstance(fn, _Derived) and fn.heads else (fn, ())
-    heads += (case.letter if isinstance(case, ConstLetter) else case.index - 1,)
-    residue, newest = fn._cache.get, heads[-1:]  # fn's answers lack heads[:-1]
 
-    def answer(key: tuple[str, ...]) -> str:
-        out, todo = residue(key), newest
-        if out is None:
-            out, todo = root.evaluate_letters(key), heads
-        for head in todo:
-            prefix = head if isinstance(head, str) else key[head]
-            if not out.startswith(prefix):
-                raise PeelViolation(key, out, prefix)
-            out = out[len(prefix):]
-        return out
+def _evidence(found: NotRCP, root: WordFunction, prefix: tuple = (), stage: tuple = ()) -> NotRCP:
+    """``found``, made at ``stage`` (the steps that derived the function it
+    was made on) on keys that ``prefix`` completes to queries of ``root``,
+    restated in the root's terms.
 
-    return _Derived(root, f"peel[{render_head_case(case)}]({fn.name})", fn.arity, answer, heads)
+    Each probe becomes the root query with the root's answer, read from its
+    memo with no new query.  A stage labels the detail by its newest step,
+    ``after peel 2`` or ``factor 1 at "0"``.
+    """
+    if stage:
+        step, n = stage[-1], sum(not isinstance(s, tuple) for s in stage)
+        label = f'factor {step[1]} at "{step[0]}"' if isinstance(step, tuple) else f"after peel {n}"
+        found = NotRCP(found.reason, found.probes, f"{label}: {found.detail}")
+    queries = [prefix + probe.args for probe in found.probes]
+    probes = tuple(ProbeRecord(query, root.evaluate_letters(query)) for query in queries)
+    return NotRCP(found.reason, probes, found.detail)
 
 
 def default_validation_len(arity: int, alphabet: Alphabet) -> int:
@@ -463,7 +506,7 @@ def extract(
         for _ in range(budget):
             case = classify_head(current)
             if isinstance(case, NotRCP):
-                return case
+                return _evidence(case, *_lineage(current))
             if isinstance(case, ConstEmpty):
                 # The residue claims to be done ahead of its budget; the
                 # final validation will judge the whole story.
@@ -482,12 +525,9 @@ def extract(
                         (ProbeRecord(args, fn.evaluate_letters(args)),),
                         f"residue still produces output after {budget} peels",
                     )
-    except PeelViolation as violation:
-        return NotRCP(
-            REASON_PEEL,
-            (ProbeRecord(violation.query, fn.evaluate_letters(violation.query)),),
-            str(violation),
-        )
+    except PeelViolation as broken:
+        found = NotRCP(REASON_PEEL, (ProbeRecord(broken.query, broken.output),), str(broken))
+        return _evidence(found, _lineage(fn)[0], (), broken.stage)
 
     template = Template(
         fn.arity,
@@ -502,53 +542,41 @@ def extract(
 # Fresh-letter extraction
 
 
-# Candidates for fresh letters, tried in order and skipped once seen anywhere.
+# Fresh letters are drawn from this pool first, then from every valid letter
+# by code point, each skipped once seen anywhere.
 _FRESH_POOL = (
     "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz@#$%&*+-/:;<>?^_~"
 )
 
 
 def _fresh_letter(seen: set[str]) -> str:
-    """The first pool letter not in ``seen``, which is then marked seen."""
-    for ch in _FRESH_POOL:
-        if ch not in seen:
-            seen.add(ch)
-            return ch
-    raise OracleError("ran out of candidate fresh letters")
+    """The first pool letter not in ``seen``, or else the first valid letter
+    by code point; it is then marked seen.
 
-
-class _SplitMismatch(Exception):
-    """A split at a fresh letter gave the wrong number of factors.
-
-    ``args[0]`` is the :class:`NotRCP` that reports it.
+    A k-ary template that uses each argument once takes k(k+1)/2 of them,
+    more than the pool holds from arity 12 on ``abc``.
     """
+    for fresh in _FRESH_POOL:
+        if fresh not in seen:
+            break
+    else:
+        letters = map(chr, range(sys.maxunicode + 1))
+        fresh = next(ch for ch in letters if ch not in seen and _valid_letter(ch))
+    seen.add(fresh)
+    return fresh
 
 
 def _split_factor(
-    parent: WordFunction, fresh: str, index: int, parts: int, seen: set[str]
+    fn: WordFunction, fresh: str, index: int, parts: int, seen: set[str]
 ) -> WordFunction:
-    """Factor ``index`` of ``parent(fresh, x⃗)`` as a derived oracle.
+    """Factor ``index`` of ``fn(fresh, x⃗)`` as a derived oracle.
 
     The output, with the fresh letter in front of the argument letters, must
     split into exactly ``parts`` factors around it; its letters join
-    ``seen``.  Sibling factors share the parent's memo, so they cost no
-    extra queries.
+    ``seen``.  Sibling factors answer from the same root entries, so they
+    cost no extra queries.
     """
-
-    def answer(key: tuple[str, ...]) -> str:
-        query = (fresh, *key)
-        out = parent.evaluate_letters(query)
-        seen.update(out)
-        pieces = out.split(fresh)
-        if len(pieces) != parts:
-            raise _SplitMismatch(NotRCP(
-                REASON_SPLIT,
-                (ProbeRecord(query, out),),
-                f"expected {parts} fresh-letter factors, got {len(pieces)}",
-            ))
-        return pieces[index]
-
-    return _Derived(parent, f"{parent.name}/factor{index}", parent.arity - 1, answer)
+    return _Derived(fn, f"{fn.name}/factor{index}", fn.arity - 1, (fresh, index, parts, seen))
 
 
 def _extract_fresh_template(fn: WordFunction, seen: set[str]) -> Template | NotRCP:
@@ -556,7 +584,7 @@ def _extract_fresh_template(fn: WordFunction, seen: set[str]) -> Template | NotR
     if fn.arity >= 2:
         profile = length_profile(fn)
         if isinstance(profile, NotRCP):
-            return profile
+            return _evidence(profile, *_lineage(fn))
         parts = profile.p[0] + 1
         fresh = _fresh_letter(seen)
         subs: list[Template] = []
@@ -580,11 +608,8 @@ def _extract_fresh_template(fn: WordFunction, seen: set[str]) -> Template | NotR
     pieces = out.split(args[0]) if args else [out]
     bad = sorted(set("".join(pieces)) - fn.alphabet.letter_set)
     if bad:
-        return NotRCP(
-            REASON_SPLIT,
-            (ProbeRecord(args, out),),
-            f"{what} letters {bad} outside the alphabet",
-        )
+        detail = f"{what} letters {bad} outside the alphabet"
+        return _evidence(NotRCP(REASON_SPLIT, (ProbeRecord(args, out),), detail), *_lineage(fn))
     return Template(
         fn.arity,
         fn.alphabet,
@@ -637,7 +662,10 @@ def extract_fresh(
     try:
         template = _extract_fresh_template(fn, set(fn.alphabet.letters))
     except _SplitMismatch as mismatch:
-        return mismatch.args[0]
+        query, out, parts, got, stage = mismatch.args
+        detail = f"expected {parts} fresh-letter factors, got {got}"
+        found = NotRCP(REASON_SPLIT, (ProbeRecord(query, out),), detail)
+        return _evidence(found, _lineage(fn)[0], (), stage)
     if isinstance(template, NotRCP):
         return template
     return _validate(fn, template, validation_len, queries_before)

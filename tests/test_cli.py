@@ -167,6 +167,15 @@ def test_extract_fresh_flag(capsys, template_file):
     assert '"ab" x1 "c"' in out
 
 
+def test_extract_fresh_past_the_fresh_letter_pool(capsys, tmp_path):
+    # arity 12 takes 78 fresh letters, more than the pool holds outside abc
+    body = '"a"' + "".join(f' x{i} "b"' for i in range(1, 13))
+    path = tmp_path / "twelve.tmpl"
+    path.write_text(f"arity 12\nalphabet abc\n{body}\n")
+    code, out, err = invoke(capsys, "extract", "--fresh", "--oracle", f"template:{path}")
+    assert (code, err, out.splitlines()[-1]) == (0, "", body)
+
+
 def test_extract_fresh_needs_extension(capsys):
     code, _, err = invoke(
         capsys, "extract", "--fresh", "--oracle", "builtin:sort_letters"
@@ -758,3 +767,39 @@ def test_eval_keeps_format_syntax_letters_literal(capsys, tmp_path):
     path.write_text('arity 2\nalphabet a{}%0\n"{%" x1 "}0{" x2 "%}" x1 ""\n')
     code, out, _ = invoke(capsys, "eval", "-t", str(path), "}{", "%0")
     assert (code, out) == (0, "{%}{}0{%0%}}{\n")
+
+
+# x1 x2 x3, except that x2 vanishes once x1 and x2 both hold letters outside
+# abc; every query and reply is logged in the NOT-RCP's own syntax
+LOGGING_NESTED_SPLIT = """\
+import sys
+log = open(sys.argv[1], "a")
+sys.stdin.readline()
+print("OK EXT", flush=True)
+for line in sys.stdin:
+    query = line.rstrip("\\n")
+    if query == "BYE":
+        break
+    x1, x2, x3 = query.split("\\t")
+    foreign = lambda x: not set(x) <= set("abc")
+    out = x1 + x3 if foreign(x1) and foreign(x2) else x1 + x2 + x3
+    fields = " ".join('"%s"' % x for x in (x1, x2, x3))
+    log.write('query: %s\\noutput: "%s"\\n' % (fields, out))
+    log.flush()
+    print(out, flush=True)
+"""
+
+
+def test_a_fresh_not_rcp_prints_only_what_the_oracle_answered(capsys, tmp_path):
+    script = tmp_path / "nested_split.py"
+    script.write_text(LOGGING_NESTED_SPLIT)
+    log = tmp_path / "queries.log"
+    argv = [sys.executable, str(script), str(log)]
+    oracle = "exec:" + " ".join(shlex.quote(arg) for arg in argv)
+    code, out, _ = invoke(capsys, "extract", "--fresh", "--oracle", oracle, "--arity", "3")
+    assert code == 1
+    assert "reason: split cardinality mismatch" in out.splitlines()
+    lines = out.splitlines()
+    printed = [pair for pair in zip(lines, lines[1:]) if pair[0].startswith("query: ")]
+    logged = log.read_text().splitlines()
+    assert printed and set(printed) <= set(zip(logged[::2], logged[1::2]))

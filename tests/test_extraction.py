@@ -871,9 +871,9 @@ RARE_NOT_RCPS = {
         lambda: BuiltinFunction(
             "f", ABC, _foreign_first_drops_b, arity=3, supports_extension=True
         ),
-        'NOT-RCP\nreason: length profile inconsistency\nquery: "" "a"\noutput: "a"\n'
-        'query: "" "b"\noutput: ""\n'
-        "detail: argument 2: equal-length inputs, unequal-length outputs",
+        'NOT-RCP\nreason: length profile inconsistency\nquery: "0" "" "a"\noutput: "0a"\n'
+        'query: "0" "" "b"\noutput: "0"\n'
+        'detail: factor 1 at "0": argument 2: equal-length inputs, unequal-length outputs',
     ),
 }
 
@@ -888,3 +888,176 @@ def test_a_factor_profile_refutes_only_through_fresh_letters():
     # the base alphabet never shows the lie, so peeling certifies the join
     fn = BuiltinFunction("f", ABC, _foreign_first_drops_b, arity=3)
     assert extract(fn) == Extracted(Template.of(ABC, "", 1, "", 2, "", 3, ""), 2197)
+
+
+# ------------------------------------------------- NOT-RCP evidence replays
+
+
+def _collapses_after_a(args):
+    # "ab", then c^|x| when x starts with a, else x: after the two constant
+    # heads the residue has no head that fits
+    x = args[0]
+    return "ab" + ("c" * len(x) if x.startswith("a") else x)
+
+
+def _nested_split_liar(args):
+    # x1 x2 x3, but x2 vanishes once x1 and x2 both hold letters outside the
+    # alphabet: only the split of a factor at its own fresh letter sees it
+    x1, x2, x3 = args
+    if ABC.letter_set.issuperset(x1) or ABC.letter_set.issuperset(x2):
+        return x1 + x2 + x3
+    return x1 + x3
+
+
+def _leaks_a_letter(args):
+    # x1 x2, with a "2" appended once x1 holds a letter outside the alphabet:
+    # a fresh letter is never one the oracle has already put in an output
+    return args[0] + args[1] + ("" if ABC.letter_set.issuperset(args[0]) else "2")
+
+
+# label -> (extraction step, arity, liar, its NOT-RCP as rendered); each
+# finding is made on a derived oracle and printed in the oracle's own terms
+EVIDENCE_RENDERS = {
+    "after two peels": (
+        extract,
+        1,
+        _collapses_after_a,
+        'NOT-RCP\nreason: ambiguous head probes\nquery: "a"\noutput: "abc"\n'
+        'query: "b"\noutput: "abb"\n'
+        "detail: after peel 2: head letter 'c' is not constant",
+    ),
+    "a factor of a factor": (
+        extract_fresh,
+        3,
+        _nested_split_liar,
+        'NOT-RCP\nreason: split cardinality mismatch\nquery: "0" "3" "4"\noutput: "04"\n'
+        'detail: factor 1 at "0": expected 2 fresh-letter factors, got 1',
+    ),
+    "a letter leaked into a factor": (
+        extract_fresh,
+        2,
+        _leaks_a_letter,
+        'NOT-RCP\nreason: split cardinality mismatch\nquery: "0" "3"\noutput: "032"\n'
+        "detail: factor 1 at \"0\": fresh-letter factors use letters ['2'] outside the alphabet",
+    ),
+    "a peel violation past the first head": (
+        extract,
+        1,
+        lambda args: "a" + (args[0] if len(args[0]) < 2 else args[0][::-1]),
+        'NOT-RCP\nreason: peel prefix violation\nquery: "ab"\noutput: "aba"\n'
+        "detail: after peel 1: output \"ba\" on \"ab\" does not start with 'ab'",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", EVIDENCE_RENDERS)
+def test_a_derived_stage_not_rcp_renders_the_oracles_answers(label):
+    step, arity, liar, rendered = EVIDENCE_RENDERS[label]
+    fn = BuiltinFunction("f", ABC, liar, arity=arity, supports_extension=True)
+    assert step(fn).render() == rendered
+
+
+def slice_liars(corpus, seed, counts):
+    """The perturbed functions of ``corpus.refute_items(seed, counts)`` as
+    (label, arity, function), drawn exactly as it draws them."""
+    shapes, rng = random.Random(corpus.SHAPE_SEED), random.Random(seed)
+    for arity, (per_kind, honest) in counts.items():
+        draw = lambda **kw: corpus.random_template(shapes, rng, ABC, arity, max_size=6, **kw)
+        for name, g in corpus.SLOT_PERTURBATIONS.items():
+            for _ in range(per_kind):
+                t = draw(min_slots=1)
+                slot = shapes.randrange(len(t.variables))
+                yield f"{name}@slot{slot + 1} {t}", arity, corpus._slot_perturbed(t, slot, g)
+        for k in corpus.REVERSE_BEYOND:
+            for _ in range(per_kind):
+                t = draw(min_slots=1)
+                yield f"reversed_beyond_{k} {t}", arity, corpus._reversed_beyond(t, k)
+        for _ in range(honest):
+            draw()
+
+
+SLICE_COUNTS = {1: (2, 2), 2: (1, 2), 3: (1, 1)}
+
+
+def test_every_not_rcp_names_queries_the_oracle_answered(corpus):
+    # every NOT-RCP of every extraction entry point, on the refute slice's
+    # liars, arity-4 ones drawn the same way and the four liars above:
+    # its queries have the oracle's arity, and a fresh oracle gives each
+    # the printed output
+    liars = []
+    for seed in (1, 2, 3):
+        drawn = list(slice_liars(corpus, seed, SLICE_COUNTS))
+        items = corpus.refute_items(seed, SLICE_COUNTS)
+        assert sorted(label for label, _, _ in drawn) == sorted(
+            item.label for item in items if not item.label.startswith(("honest", "builtin"))
+        )
+        liars += drawn
+    liars += slice_liars(corpus, 1, {4: (1, 0)})
+    liars += [
+        ("collapses after a", 1, _collapses_after_a),
+        ("foreign first drops b", 3, _foreign_first_drops_b),
+        ("nested split", 3, _nested_split_liar),
+        ("leaks a letter", 2, _leaks_a_letter),
+    ]
+    found = collections.Counter()
+    for label, arity, liar in liars:
+        make = lambda: BuiltinFunction(label, ABC, liar, arity=arity, supports_extension=True)
+        for step in (extract, extract_fresh, length_profile, classify_head):
+            outcome = step(make())
+            if not isinstance(outcome, NotRCP):
+                continue
+            found[step.__name__, arity] += 1
+            fresh = make()
+            for probe in outcome.probes:
+                assert len(probe.args) == arity, (label, outcome.render())
+                assert fresh.evaluate_letters(probe.args) == probe.output, (label, outcome.render())
+            assert "peel[" not in outcome.detail and "/factor" not in outcome.detail
+    # every entry point reports at every arity, so each rule is exercised
+    assert {(name, arity) for name, arity in found} == {
+        (step.__name__, arity)
+        for step in (extract, extract_fresh, length_profile, classify_head)
+        for arity in (1, 2, 3, 4)
+    }
+
+
+def test_derived_oracles_answer_from_the_root_alone():
+    from cpmonoid.extraction import _split_factor
+
+    # a peel of a peel: "ab" x1 "c" x2 without its two constant heads
+    root = fn_of("ab", 1, "c", 2, "")
+    first = peel(root, ConstLetter("a"))
+    twice = peel(first, ConstLetter("b"))
+    assert twice.root is root and twice.evaluate_letters(("c", "a")) == "cca"
+    assert first._cache == {} and list(root._cache) == [("c", "a")]
+    assert twice.query_count == first.query_count == root.query_count == 1
+
+    # a factor of a factor: "a" x1 "b" x2 "c" x3 split at "0" in x1, then
+    # its factor "b" x2 "c" x3 split at "1" in x2
+    root = fn_of("a", 1, "b", 2, "c", 3, "")
+    seen = set(ABC.letters)
+    outer = _split_factor(root, "0", 1, 2, seen)
+    nested = _split_factor(outer, "1", 1, 2, seen)
+    assert nested.root is root and nested.prefix == ("0", "1")
+    assert nested.evaluate_letters(("ab",)) == "cab"
+    assert outer._cache == {} and list(root._cache) == [("0", "1", "ab")]
+    # the parent's entry serves its factor, which applies only its own split
+    assert outer.evaluate_letters(("1", "")) == "b1c"
+    assert nested.evaluate_letters(("",)) == "c"
+    assert list(root._cache) == [("0", "1", "ab"), ("0", "1", "")]
+    assert nested.query_count == outer.query_count == root.query_count == 2
+    outer._cache[("1", "b")] = "b1Z"  # read, not asked again
+    assert nested.evaluate_letters(("b",)) == "Z" and root.query_count == 2
+
+
+# ------------------------------------------------------------ fresh letters
+
+
+@pytest.mark.parametrize("arity,queries", [(11, 790), (12, 1011), (20, 4399)])
+def test_fresh_letters_outlast_the_pool(arity, queries):
+    # "a" x1 "b" x2 "b" ... xk "b" takes k(k+1)/2 fresh letters: 66 at arity
+    # 11 fit among the 75 pool letters outside abc, 78 at arity 12 do not
+    parts = ["a"]
+    for i in range(1, arity + 1):
+        parts += [i, "b"]
+    template = Template.of(ABC, *parts)
+    assert extract_fresh(TemplateFunction(template)) == Extracted(template, queries)
