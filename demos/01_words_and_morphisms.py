@@ -38,7 +38,7 @@ print()
 phi = identify(abc, "c", "b")
 psi = erase(abc, "b")
 print(f"compose:  ({psi.label} . {phi.label})('abc') ->",
-      (psi @ phi).apply(abc.word("abc")).quoted())
+      psi.compose(phi).apply(abc.word("abc")).quoted())
 
 u, v = abc.word("ab"), abc.word("ca")
 rho = Morphism.make(abc, {"a": "bc", "b": "", "c": "ab"})

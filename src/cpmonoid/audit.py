@@ -69,6 +69,7 @@ from .words import (
     erase,
     identify,
     project,
+    string_tuples_up_to,
     strings_up_to,
 )
 
@@ -221,7 +222,7 @@ class _Sweep:
         if self.unseen:
             self.unseen.difference_update(spec.classes(self.bound).live)
             if not self.unseen:
-                tuples = itertools.product(self.words, repeat=self.fn.arity)
+                tuples = string_tuples_up_to(self.fn.alphabet, self.fn.arity, self.bound)
                 self.table = list(map(self.fn.evaluate_letters, tuples))
                 self.counts_law = _obeys_letter_count_law(
                     self.table, self.words, self.fn.alphabet.letters, self.fn.arity

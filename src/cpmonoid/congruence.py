@@ -23,11 +23,11 @@ from typing import Hashable, Iterable, Iterator, Mapping
 
 from .words import (
     Alphabet,
-    AlphabetError,
     FormatError,
     Morphism,
     _letter_values,
     _Value,
+    quote,
     strings_up_to,
 )
 
@@ -164,8 +164,8 @@ class MonoidMorphism(_Value):
         try:
             for ch in letters:
                 acc = steps[ch][acc]
-        except KeyError as exc:
-            raise AlphabetError(f"letter {exc} not in alphabet {self.alphabet}") from None
+        except KeyError:
+            self.alphabet.require(*letters)
         return monoid.elements[acc]
 
 
@@ -277,7 +277,7 @@ class RestrictedCongruence(CongruenceSpec, _Value):
         return all(u + v == v + u for u, v in itertools.combinations(images, 2))
 
     def render_image(self, image: str) -> str:
-        return f'"{image}"'  # a word, quoted like every word in reports
+        return quote(image)  # a word, quoted like every word in reports
 
     def describe(self) -> str:
         from .words import format_morphism

@@ -39,7 +39,7 @@ from typing import Iterable, Union
 
 from .oracles import OracleError, WordFunction
 from .templates import LengthCoefficients, Template
-from .words import Alphabet, Word, _valid_letter, _Value, count_words, string_tuples_up_to
+from .words import Alphabet, Word, _valid_letter, _Value, count_words, quote, quote_tuple, string_tuples_up_to
 
 # Diagnosis vocabulary for NotRCP outcomes.
 REASON_LENGTH = "length profile inconsistency"
@@ -50,11 +50,6 @@ REASON_VALIDATION = "validation mismatch"
 REASON_SPLIT = "split cardinality mismatch"
 
 
-def _quoted(args: tuple[str, ...]) -> str:
-    """Argument letters in the quoted report syntax: ``"ab" "c"``."""
-    return " ".join(f'"{a}"' for a in args) or '""'
-
-
 class ProbeRecord(_Value):
     """One oracle query and what came back, as raw letters."""
 
@@ -62,7 +57,7 @@ class ProbeRecord(_Value):
     output: str
 
     def render(self) -> str:
-        return f'query: {_quoted(self.args)}\noutput: "{self.output}"'
+        return f"query: {quote_tuple(self.args)}\noutput: {quote(self.output)}"
 
 
 class NotRCP(_Value):
@@ -134,8 +129,8 @@ class PeelViolation(OracleError):
 
     def __str__(self) -> str:
         return (
-            f'output "{self.output}" on {_quoted(self.query)} does not start '
-            f"with {self.expected!r}"
+            f"output {quote(self.output)} on {quote_tuple(self.query)} does not start "
+            f"with {quote(self.expected)}"
         )
 
 
@@ -230,7 +225,7 @@ def _evidence(found: NotRCP, root: WordFunction, prefix: tuple = (), stage: tupl
     """
     if stage:
         step, n = stage[-1], sum(not isinstance(s, tuple) for s in stage)
-        label = f'factor {step[1]} at "{step[0]}"' if isinstance(step, tuple) else f"after peel {n}"
+        label = f"factor {step[1]} at {quote(step[0])}" if isinstance(step, tuple) else f"after peel {n}"
         found = NotRCP(found.reason, found.probes, f"{label}: {found.detail}")
     queries = [prefix + probe.args for probe in found.probes]
     probes = tuple(ProbeRecord(query, root.evaluate_letters(query)) for query in queries)
@@ -359,7 +354,7 @@ def classify_head(fn: WordFunction) -> HeadCase | NotRCP:
         # must be the constant β — on every probe, ε-probe included.
         for pr in (*planted_a, *planted_b, eps):
             if not pr.output.startswith(beta):
-                return _conflict(f"head letter {beta!r} is not constant", all_c, pr)
+                return _conflict(f"head letter {quote(beta)} is not constant", all_c, pr)
         return ConstLetter(beta)
 
     heads = []
@@ -371,7 +366,7 @@ def classify_head(fn: WordFunction) -> HeadCase | NotRCP:
     if foreign:
         i = heads.index(foreign[0])
         return _conflict(
-            f"planted-letter probe answered with unrelated head {foreign[0]!r}",
+            f"planted-letter probe answered with unrelated head {quote(foreign[0])}",
             all_c,
             planted_a[i],
         )
@@ -381,7 +376,7 @@ def classify_head(fn: WordFunction) -> HeadCase | NotRCP:
         # Nothing echoes the planted letter: the head is the constant c.  Each
         # planted-a probe rules out a variable head at its own position, and
         # the ε-probe leaves every position empty, so it needs them all.
-        claim = f"head letter {c!r} is not constant"
+        claim = f"head letter {quote(c)} is not constant"
         for pr_a, pr in zip(planted_a, planted_b):
             if not pr.output.startswith(c):
                 return _conflict(claim, pr_a, pr)
@@ -445,7 +440,7 @@ def _mismatch(
     return NotRCP(
         REASON_VALIDATION,
         (ProbeRecord(args, got),),
-        f"candidate template {template} predicts \"{template._apply(args)}\"",
+        f"candidate template {template} predicts {quote(template._apply(args))}",
     )
 
 
@@ -608,7 +603,7 @@ def _extract_fresh_template(fn: WordFunction, seen: set[str]) -> Template | NotR
     pieces = out.split(args[0]) if args else [out]
     bad = sorted(set("".join(pieces)) - fn.alphabet.letter_set)
     if bad:
-        detail = f"{what} letters {bad} outside the alphabet"
+        detail = f"{what} letters {quote_tuple(bad)} outside the alphabet"
         return _evidence(NotRCP(REASON_SPLIT, (ProbeRecord(args, out),), detail), *_lineage(fn))
     return Template(
         fn.arity,

@@ -17,9 +17,9 @@ the number of *distinct* evaluations the backend answered — is
 deterministic, whichever entry asked.  :meth:`WordFunction.evaluate` is the
 :class:`Word` boundary around them, for callers outside the hot loops.
 Extraction's derived oracles (peeled heads, fresh-letter factors) are one
-class whose ``_compute`` asks the parent and checks a promise; they answer
-through the same two entries, each with a memo of its own, and report the
-root backend's count.
+class whose ``_compute`` reads the parent's memo entry, or else asks the
+root oracle, and checks a promise; they answer through the same two
+entries, each with a memo of its own, and report the root backend's count.
 """
 
 from __future__ import annotations
@@ -211,12 +211,14 @@ class TableFunction(WordFunction):
     ) -> None:
         super().__init__(name, alphabet, arity, supports_extension=False)
         self._table = dict(mapping)
+        self._absent: set[tuple[str, ...]] = set()  # keys answered "no entry"
 
     def _compute(self, key: tuple[str, ...]) -> str:
         try:
             return self._table[key]
         except KeyError:
-            self._misses += 1  # "no entry" is the table's answer, so it counts
+            self._misses += key not in self._absent  # "no entry" is an answer, counted once per key
+            self._absent.add(key)
             raise TableMissError(
                 f"{self.name}: no entry for ({', '.join(repr(k) for k in key)})"
             ) from None
@@ -248,7 +250,7 @@ def builtin(name: str, alphabet: Alphabet | None = None) -> WordFunction:
     try:
         fn, needed, extension = _BUILTINS[name]
     except KeyError:
-        raise ValueError(f"unknown builtin {name!r}") from None
+        raise ValueError(f"unknown builtin {name!r} (want {', '.join(BUILTIN_NAMES)})") from None
     missing = [ch for ch in needed if ch not in alphabet]
     if missing:
         raise ValueError(f"builtin {name!r} needs letters {missing} in the alphabet")

@@ -37,8 +37,8 @@ from .words import (
     Word,
     _Value,
     arrangements,
+    string_tuples_up_to,
     strings_of_length,
-    strings_up_to,
 )
 
 
@@ -236,12 +236,8 @@ def extensional_equal(t1: Template, t2: Template, length_bound: int) -> bool:
         raise ValueError("templates of different arity are never compared")
     if t1.alphabet != t2.alphabet:
         raise ValueError("templates over different alphabets are never compared")
-    # a list, so that a negative bound raises even at arity 0
-    words = list(strings_up_to(t1.alphabet, length_bound))
-    for args in itertools.product(words, repeat=t1.arity):
-        if t1.eval_letters(args) != t2.eval_letters(args):
-            return False
-    return True
+    tuples = string_tuples_up_to(t1.alphabet, t1.arity, length_bound)
+    return all(t1.eval_letters(args) == t2.eval_letters(args) for args in tuples)
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

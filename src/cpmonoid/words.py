@@ -42,6 +42,18 @@ class FormatError(ValueError):
 _FORBIDDEN_LETTERS = frozenset('"\\')
 
 
+def quote(letters: str) -> str:
+    """A word as report text spells it, in double quotes: ``"ab"``.  No
+    letter is a double quote, so the spelling is unambiguous."""
+    return f'"{letters}"'
+
+
+def quote_tuple(args: Iterable[str]) -> str:
+    """An argument tuple as report text spells it: ``"ab" "c"``, and the
+    empty tuple as ``""``."""
+    return " ".join(map(quote, args)) or '""'
+
+
 class _Value:
     """Base of the package's value types: what a dataclass would generate
     for them, written once.
@@ -164,6 +176,13 @@ class Alphabet(_Value):
     def __str__(self) -> str:
         return "".join(self.letters)
 
+    def require(self, *letters: str) -> None:
+        """Raise :class:`AlphabetError` naming the first of ``letters`` that
+        is not a letter of this alphabet."""
+        for letter in letters:
+            if letter not in self.letter_set:
+                raise AlphabetError(f"letter {letter!r} not in alphabet {self}")
+
     def word(self, letters: str = "") -> "Word":
         """Build a word over this alphabet (the empty word by default)."""
         return Word(self, letters)
@@ -203,7 +222,7 @@ class Word(_Value):
 
     def quoted(self) -> str:
         """The word in the quoted surface syntax used by reports: ``"ab"``."""
-        return f'"{self.letters}"'
+        return quote(self.letters)
 
     def concat(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
@@ -224,8 +243,7 @@ class Word(_Value):
         """Occurrences of ``letter``, or the total length when omitted."""
         if letter is None:
             return len(self.letters)
-        if letter not in self.alphabet:
-            raise AlphabetError(f"letter {letter!r} not in alphabet {self.alphabet}")
+        self.alphabet.require(letter)
         return self.letters.count(letter)
 
 
@@ -298,7 +316,7 @@ class Morphism(_Value):
         source, images = self._translations
         foreign = letters.translate(source)
         if foreign:
-            raise AlphabetError(f"letter {foreign[0]!r} not in alphabet {self.source}")
+            self.source.require(*foreign)
         return letters.translate(images)
 
     def compose(self, inner: "Morphism") -> "Morphism":
@@ -316,14 +334,10 @@ class Morphism(_Value):
             label = f"{self.label} . {inner.label}"
         return Morphism.make(inner.source, mapping, self.target, label)
 
-    def __matmul__(self, inner: "Morphism") -> "Morphism":
-        return self.compose(inner)
-
 
 def collapse_to(alphabet: Alphabet, letter: str) -> Morphism:
     """Every letter maps to ``letter``; the kernel relates words of equal length."""
-    if letter not in alphabet:
-        raise AlphabetError(f"letter {letter!r} not in alphabet {alphabet}")
+    alphabet.require(letter)
     return Morphism.make(
         alphabet,
         {ch: letter for ch in alphabet},
@@ -333,8 +347,7 @@ def collapse_to(alphabet: Alphabet, letter: str) -> Morphism:
 
 def project(alphabet: Alphabet, letter: str) -> Morphism:
     """Keep ``letter``, erase the rest; the kernel counts its occurrences."""
-    if letter not in alphabet:
-        raise AlphabetError(f"letter {letter!r} not in alphabet {alphabet}")
+    alphabet.require(letter)
     return Morphism.make(
         alphabet,
         {ch: (ch if ch == letter else "") for ch in alphabet},
@@ -344,8 +357,7 @@ def project(alphabet: Alphabet, letter: str) -> Morphism:
 
 def erase(alphabet: Alphabet, letter: str) -> Morphism:
     """Delete ``letter``, keep everything else in place."""
-    if letter not in alphabet:
-        raise AlphabetError(f"letter {letter!r} not in alphabet {alphabet}")
+    alphabet.require(letter)
     return Morphism.make(
         alphabet,
         {ch: ("" if ch == letter else ch) for ch in alphabet},
@@ -355,10 +367,7 @@ def erase(alphabet: Alphabet, letter: str) -> Morphism:
 
 def identify(alphabet: Alphabet, old: str, new: str) -> Morphism:
     """Rename ``old`` to ``new``, merging the two letters."""
-    if old not in alphabet:
-        raise AlphabetError(f"letter {old!r} not in alphabet {alphabet}")
-    if new not in alphabet:
-        raise AlphabetError(f"letter {new!r} not in alphabet {alphabet}")
+    alphabet.require(old, new)
     if old == new:
         raise ValueError("identify needs two distinct letters")
     return Morphism.make(

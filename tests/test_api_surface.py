@@ -29,7 +29,6 @@ PACKAGE = ROOT / "src" / "cpmonoid"
 
 # Public names that nothing uses yet, each kept for a stated reason.
 KEEP = {
-    "BUILTIN_NAMES": "lists the names that builtin: oracles accept",
     "check_preservation": "audits one congruence; the audit's completeness tests run it",
     "recheck_table": "independent reference the explorer tests check the backtracker against",
     "parse_finite_monoid": "replays finite-monoid witnesses (ROADMAP item 10)",

@@ -131,7 +131,7 @@ def test_extract_reverse_not_rcp(capsys):
         "reason: peel prefix violation\n"
         'query: "ab"\n'
         'output: "ba"\n'
-        "detail: output \"ba\" on \"ab\" does not start with 'ab'\n"
+        'detail: output "ba" on "ab" does not start with "ab"\n'
     )
 
 
@@ -550,6 +550,15 @@ def test_unknown_scheme(capsys, args, reason):
     code, _, err = invoke(capsys, "extract", "--oracle", *args)
     assert code == 2
     assert reason in err
+
+
+def test_unknown_builtin_lists_the_builtins(capsys):
+    code, out, err = invoke(capsys, "check", "--oracle", "builtin:nope")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown builtin 'nope' (want reverse, sort_letters, square, "
+        "collapse_b_to_a, erase_a, first_letter_or_empty)\n"
+    )
 
 
 def test_unknown_subcommand(capsys):

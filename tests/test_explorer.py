@@ -235,6 +235,25 @@ def test_recheck_rejects_corrupted_table():
     assert not recheck_table(bad, config)
 
 
+@pytest.mark.parametrize(
+    "word, image",
+    [
+        ("ab", None),  # the domain lacks a word
+        ("", "a"),  # |f(ε)| is not E
+        ("ab", "a"),  # |f(ab)| breaks the length law
+    ],
+    ids=["domain", "constant-term", "length-law"],
+)
+def test_recheck_rejects_a_table_off_its_shape(word, image):
+    config = SearchConfig(AB, domain_len=2, p=1, e=0)
+    entries = dict(list(enumerate_consistent(config))[0].as_dict())
+    if image is None:
+        del entries[word]
+    else:
+        entries[word] = image
+    assert recheck_table(CandidateTable(AB, tuple(entries.items())), config) is False
+
+
 def test_all_template_restrictions_appear():
     # every template with the right coefficients shows up in the enumeration
     config = SearchConfig(AB, domain_len=2, p=1, e=1)

@@ -6,6 +6,7 @@ import hypothesis
 import pytest
 
 from cpmonoid import (
+    Alphabet,
     BuiltinFunction,
     CertifiedCP,
     ConstEmpty,
@@ -138,6 +139,33 @@ def test_classify_unary_asks_epsilon_and_three_letters():
     assert fn.query_count == 4
 
 
+def test_classify_rejects_an_empty_all_c_output_beside_a_nonempty_one():
+    fn = BuiltinFunction("erase_c", ABC, lambda key: key[0].replace("c", ""))
+    assert classify_head(fn).render() == (
+        "NOT-RCP\n"
+        "reason: ambiguous head probes\n"
+        'query: "c"\n'
+        'output: ""\n'
+        'query: "a"\n'
+        'output: "a"\n'
+        "detail: empty and nonempty outputs cannot share one head"
+    )
+
+
+def test_classify_claims_quote_a_quote_letter():
+    # the third letter is ', which a repr would spell "'"
+    fn = BuiltinFunction("quote_head", Alphabet.of("ab'"), lambda key: "'" + key[0] if key[0] else "a")
+    assert classify_head(fn).render() == (
+        "NOT-RCP\n"
+        "reason: ambiguous head probes\n"
+        'query: "a"\n'
+        'output: "\'a"\n'
+        'query: ""\n'
+        'output: "a"\n'
+        'detail: head letter "\'" is not constant'
+    )
+
+
 def test_classify_rejects_collapse():
     out = classify_head(builtin("collapse_b_to_a", ABC))
     assert isinstance(out, NotRCP)
@@ -251,6 +279,20 @@ def test_peel_violation_carries_query():
 def test_peel_rejects_const_empty():
     with pytest.raises(ValueError):
         peel(fn_of("", 1, ""), ConstEmpty())
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (Variable(0), "variable index 0 out of range"),
+        (Variable(2), "variable index 2 out of range"),
+        (ConstLetter("z"), "letter 'z' outside the base alphabet"),
+    ],
+)
+def test_peel_rejects_a_head_outside_the_function(case, message):
+    with pytest.raises(ValueError) as raised:
+        peel(fn_of("", 1, ""), case)
+    assert str(raised.value) == message
 
 
 def chained_peel(fn, cases):
@@ -616,7 +658,7 @@ def test_render_peel_violation():
         "reason: peel prefix violation\n"
         'query: "ab"\n'
         'output: "ba"\n'
-        "detail: output \"ba\" on \"ab\" does not start with 'ab'"
+        'detail: output "ba" on "ab" does not start with "ab"'
     )
 
 
@@ -629,7 +671,7 @@ def test_render_letter_leak_unary():
         "reason: split cardinality mismatch\n"
         'query: "0"\n'
         'output: "0Z"\n'
-        "detail: fresh-letter factors use letters ['Z'] outside the alphabet"
+        'detail: fresh-letter factors use letters "Z" outside the alphabet'
     )
 
 
@@ -642,7 +684,7 @@ def test_render_letter_leak_constant():
         "reason: split cardinality mismatch\n"
         'query: ""\n'
         'output: "aZ"\n'
-        "detail: constant output uses letters ['Z'] outside the alphabet"
+        'detail: constant output uses letters "Z" outside the alphabet'
     )
 
 
@@ -924,7 +966,7 @@ EVIDENCE_RENDERS = {
         _collapses_after_a,
         'NOT-RCP\nreason: ambiguous head probes\nquery: "a"\noutput: "abc"\n'
         'query: "b"\noutput: "abb"\n'
-        "detail: after peel 2: head letter 'c' is not constant",
+        'detail: after peel 2: head letter "c" is not constant',
     ),
     "a factor of a factor": (
         extract_fresh,
@@ -938,14 +980,14 @@ EVIDENCE_RENDERS = {
         2,
         _leaks_a_letter,
         'NOT-RCP\nreason: split cardinality mismatch\nquery: "0" "3"\noutput: "032"\n'
-        "detail: factor 1 at \"0\": fresh-letter factors use letters ['2'] outside the alphabet",
+        'detail: factor 1 at "0": fresh-letter factors use letters "2" outside the alphabet',
     ),
     "a peel violation past the first head": (
         extract,
         1,
         lambda args: "a" + (args[0] if len(args[0]) < 2 else args[0][::-1]),
         'NOT-RCP\nreason: peel prefix violation\nquery: "ab"\noutput: "aba"\n'
-        "detail: after peel 1: output \"ba\" on \"ab\" does not start with 'ab'",
+        'detail: after peel 1: output "ba" on "ab" does not start with "ab"',
     ),
 }
 

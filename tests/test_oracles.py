@@ -220,6 +220,22 @@ def test_table_function_hit_and_miss():
         fn("bb")
 
 
+def test_table_miss_counts_once():
+    fn = TableFunction(AB, 1, {("a",): "b"}, name="tiny")
+    for _ in range(2):
+        with pytest.raises(TableMissError):
+            fn.evaluate_letters(("b",))
+        assert fn.query_count == 1
+    with pytest.raises(TableMissError):
+        fn.first_mismatch([("b",)], lambda key: "")
+    assert fn.query_count == 1
+    assert fn.evaluate_letters(("a",)) == "b"
+    assert fn.query_count == 2
+    with pytest.raises(TableMissError):
+        fn.evaluate_letters(("",))
+    assert fn.query_count == 3
+
+
 def test_parse_table_infers_shape():
     fn = parse_table("a\tb\taa\nb\ta\tbb\n")
     assert fn.arity == 2

@@ -161,17 +161,17 @@ def test_projection_length_counts_letter(w):
 def test_morphism_compose():
     phi = identify(ABC, "b", "a")  # b -> a
     psi = collapse_to(ABC, "c")
-    both = psi @ phi
+    both = psi.compose(phi)
     w = ABC.word("abcab")
     assert both.apply(w) == psi.apply(phi.apply(w))
 
 
 def test_compose_frozen_examples():
     # c folded into b, then b erased: only the a survives
-    first = erase(ABC, "b") @ identify(ABC, "c", "b")
+    first = erase(ABC, "b").compose(identify(ABC, "c", "b"))
     assert first.apply(ABC.word("abc")).letters == "a"
     # erase a, then send what is left to a
-    second = collapse_to(ABC, "a") @ erase(ABC, "a")
+    second = collapse_to(ABC, "a").compose(erase(ABC, "a"))
     assert second.apply(ABC.word("ab")).letters == "a"
 
 
@@ -448,3 +448,99 @@ def test_a_wrong_call_names_the_generated_init():
         ProbeRecord("a")
     with pytest.raises(TypeError, match=r"^Word\.__init__\(\) takes from 2 to 3 positional "):
         Word(AB, "a", "b")
+
+
+# ------------------------------------------------- words.py owns the words
+
+
+MONOID_Z2 = cpmonoid.cyclic_additive(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: collapse_to(ABC, "z"),
+        lambda: project(ABC, "z"),
+        lambda: erase(ABC, "z"),
+        lambda: identify(ABC, "z", "y"),
+        lambda: identify(ABC, "a", "z"),
+        lambda: ABC.word("ab").count("z"),
+        lambda: identify(ABC, "b", "a").apply_letters("abz"),
+        lambda: cpmonoid.MonoidMorphism.make(ABC, MONOID_Z2, dict.fromkeys("abc", "1")).word_image("abzy"),
+    ],
+    ids=["collapse_to", "project", "erase", "identify-old", "identify-new", "count", "apply_letters", "word_image"],
+)
+def test_every_letter_check_names_the_first_absent_letter(call):
+    with pytest.raises(AlphabetError) as raised:
+        call()
+    assert str(raised.value) == "letter 'z' not in alphabet abc"
+
+
+def test_require_passes_letters_of_the_alphabet():
+    assert ABC.require() is None
+    assert ABC.require("c", "a") is None
+    with pytest.raises(AlphabetError, match=r"^letter 'ab' not in alphabet abc$"):
+        ABC.require("a", "ab")
+
+
+def test_report_spelling_of_words_and_tuples():
+    from cpmonoid.words import quote, quote_tuple
+
+    assert quote("ab") == '"ab"'
+    assert quote("'") == '"\'"'
+    assert quote("") == '""'
+    assert quote_tuple(("ab", "", "c")) == '"ab" "" "c"'
+    assert quote_tuple(()) == '""'
+    assert Alphabet.of("a'b").word("'a").quoted() == '"\'a"'
+
+
+def _f_string_quotes_a_value(node: ast.JoinedStr) -> bool:
+    """Whether an f-string puts a replacement field between literal ``"``s."""
+    parts = node.values
+    return any(
+        isinstance(before, ast.Constant) and before.value.endswith('"')
+        and isinstance(field, ast.FormattedValue)
+        and isinstance(after, ast.Constant) and after.value.startswith('"')
+        for before, field, after in zip(parts, parts[1:], parts[2:])
+    )
+
+
+def _calls_product(node: ast.AST) -> bool:
+    return any(
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "product"
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "itertools"
+        for call in ast.walk(node)
+    )
+
+
+def test_words_module_alone_spells_checks_and_enumerates_words():
+    def quoting(tree):
+        return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.JoinedStr) and _f_string_quotes_a_value(n)]
+
+    assert quoting(ast.parse((PACKAGE / "words.py").read_text()))  # quote() itself
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "words.py":
+            continue
+        tree = ast.parse(path.read_text())
+        assert quoting(tree) == [], path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert "not in alphabet" not in node.value, f"{path.name}:{node.lineno}"
+    # Three products remain: the audit's one-position stream of congruent
+    # pairs, its letter assignments into a monoid, and the template
+    # enumerator's constants of fixed lengths.  No argument-tuple sweep.
+    producers = set()
+    for name in ("audit.py", "templates.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        producers |= {
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and _calls_product(node)
+        }
+        assert not any(
+            _calls_product(node) for node in tree.body if isinstance(node, ast.ClassDef)
+        ), name
+    assert producers == {"_scan", "finite_monoid_congruences", "enumerate_templates"}
+    assert not hasattr(Morphism, "__matmul__")
